@@ -10,12 +10,12 @@ from .geometry import (PolarPoint, SplitCoordinates, angle_ratio_of,
                        as_phase, liouville_field, omega_matrix,
                        polar_compose, polar_decompose, split_coordinates,
                        split_uv, symplectic_pairing)
-from .contact import (ConformalFactorRecord, ContactHamiltonian,
-                      ContactIsotopy, SupportMeta, adjoint_action,
-                      ambient_hamiltonian_field, concatenate_isotopies,
-                      contact_form, contact_vector_field, identity_isotopy,
-                      lie_bracket, model_field_contracting,
-                      model_field_expanding, reeb_derivative, reeb_field)
+from .contact import (ContactHamiltonian, ContactIsotopy, SupportMeta,
+                      adjoint_action, ambient_hamiltonian_field,
+                      concatenate_isotopies, contact_form,
+                      contact_vector_field, identity_isotopy, lie_bracket,
+                      model_field_contracting, model_field_expanding,
+                      reeb_derivative, reeb_field)
 from .exprs import (ExpressionHamiltonian, hamiltonian_from_expression,
                     random_hamiltonian)
 from .domains import (ContainmentReport, Hyperboloid, IntegrableDomain,

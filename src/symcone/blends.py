@@ -9,20 +9,27 @@ finite-difference stencils see smooth data.
 import numpy as np
 
 
+def _step_value(u, u4):
+    """Degree-9 step polynomial at u in [0, 1], given u4 = u**4."""
+    return u4 * u * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + u * 70.0))))
+
+
+def _step_slope(u, u4):
+    """Derivative of `_step_value`; exactly 0 at u = 0 and u = 1."""
+    return u4 * (630.0 + u * (-2520.0 + u * (3780.0 + u * (-2520.0 + u * 630.0))))
+
+
 def smoothstep(u):
     """C^4 monotone step: 0 for u <= 0, 1 for u >= 1 (degree-9 polynomial)."""
     u = np.clip(u, 0.0, 1.0)
-    u4 = u * u * u * u
-    return u4 * u * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + u * 70.0))))
+    return _step_value(u, u * u * u * u)
 
 
 def smoothstep_deriv(u):
     u = np.asarray(u, dtype=float)
     inside = (u > 0.0) & (u < 1.0)
     uc = np.clip(u, 0.0, 1.0)
-    u3 = uc * uc * uc
-    d = u3 * uc * (630.0 + uc * (-2520.0 + uc * (3780.0 + uc * (-2520.0 + uc * 630.0))))
-    return np.where(inside, d, 0.0)
+    return np.where(inside, _step_slope(uc, uc * uc * uc * uc), 0.0)
 
 
 # C^3 step and its antiderivative; the antiderivative is the C^4 profile
@@ -72,7 +79,12 @@ def plateau_bump(t, t_flat, t_zero):
     return 1.0 - smoothstep((np.asarray(t, dtype=float) - t_flat) / (t_zero - t_flat))
 
 
-def plateau_bump_deriv(t, t_flat, t_zero):
-    return -smoothstep_deriv((np.asarray(t, dtype=float) - t_flat) / (t_zero - t_flat)) / (
-        t_zero - t_flat
-    )
+def plateau_bump_with_deriv(t, t_flat, t_zero):
+    """(plateau_bump, its derivative in t) from one clip and one fourth
+    power; the value is bitwise the one `plateau_bump` returns."""
+    if not 0.0 <= t_flat < t_zero:
+        raise ValueError("plateau_bump needs 0 <= t_flat < t_zero")
+    width = t_zero - t_flat
+    u = np.clip((np.asarray(t, dtype=float) - t_flat) / width, 0.0, 1.0)
+    u4 = u * u * u * u
+    return 1.0 - _step_value(u, u4), -_step_slope(u, u4) / width

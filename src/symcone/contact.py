@@ -11,13 +11,13 @@ Sign convention used throughout: the ambient field of H is
 (xdot, ydot) = (-dH/dy, +dH/dx), so the squared-norm function |z|^2
 generates the counterclockwise rotation (-2y, 2x) of period pi.
 """
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import AuditError, DomainError, IntegrationError
-from .geometry import as_phase, half_dim, angle_ratio_of
+from .geometry import as_phase, half_dim, angle_ratio_of, row_sum
 from . import sampling
 
 FD_STEP = 1e-5
@@ -32,7 +32,7 @@ def _batched(theta):
 def reeb_field(theta, tol=1e-10):
     """Rotation field (-2y, 2x); unit pairing against the contact form."""
     th, single = _batched(theta)
-    nrm = np.linalg.norm(th, axis=-1)
+    nrm = np.sqrt(row_sum(th * th))
     if np.any(np.abs(nrm - 1.0) > tol):
         raise DomainError("reeb_field requires unit vectors")
     n = half_dim(th)
@@ -71,7 +71,11 @@ class SupportMeta:
 
 class ContactHamiltonian:
     """A function on S^{2n-1}, vanishing past angle-ratio rho1 of the
-    k-indexed coordinate split, with certified support metadata."""
+    k-indexed coordinate split, with certified support metadata.
+
+    `eval_fn` maps a batch of rows to values; the optional `grad_fn` maps
+    it to the pair (values, ambient gradients) in one call.
+    """
 
     def __init__(self, eval_fn: Callable, k: int, n: int, meta: SupportMeta,
                  grad_fn: Optional[Callable] = None, label: str = ""):
@@ -87,14 +91,17 @@ class ContactHamiltonian:
         vals = np.asarray(self.eval_fn(th), dtype=float)
         return float(vals[0]) if single else vals
 
-    def ambient_grad(self, theta):
-        """Gradient of the ambient 0-homogeneous-in-direction extension,
-        i.e. of K as a function of the unnormalized argument restricted to
-        the sphere; analytic when available, else central differences."""
+    def value_and_grad(self, theta):
+        """(K, gradient of the ambient 0-homogeneous-in-direction extension,
+        i.e. of K as a function of the unnormalized argument) at theta:
+        one `grad_fn` call when there is one, else `eval_fn` values and
+        central differences."""
         th, single = _batched(theta)
         if self.grad_fn is not None:
-            g = np.asarray(self.grad_fn(th), dtype=float)
+            vals, g = self.grad_fn(th)
+            vals, g = np.asarray(vals, dtype=float), np.asarray(g, dtype=float)
         else:
+            vals = np.asarray(self.eval_fn(th), dtype=float)
             g = np.empty_like(th)
             for i in range(th.shape[-1]):
                 e = np.zeros(th.shape[-1])
@@ -102,17 +109,26 @@ class ContactHamiltonian:
                 hi = np.asarray(self.eval_fn(_renorm(th + e)), dtype=float)
                 lo = np.asarray(self.eval_fn(_renorm(th - e)), dtype=float)
                 g[:, i] = (hi - lo) / (2.0 * FD_STEP)
-        return g[0] if single else g
+        return (float(vals[0]), g[0]) if single else (vals, g)
+
+    def ambient_grad(self, theta):
+        """The gradient half of `value_and_grad`."""
+        return self.value_and_grad(theta)[1]
 
     def scaled(self, s: float):
         if s <= 0:
             raise DomainError("scale must be positive")
         ev = self.eval_fn
         gr = self.grad_fn
+
+        def scaled_pair(th):
+            vals, g = gr(th)
+            return s * np.asarray(vals, dtype=float), s * np.asarray(g, dtype=float)
+
         return ContactHamiltonian(
             eval_fn=lambda th: s * np.asarray(ev(th), dtype=float),
             k=self.k, n=self.n, meta=self.meta.scaled(s),
-            grad_fn=None if gr is None else (lambda th: s * np.asarray(gr(th), dtype=float)),
+            grad_fn=None if gr is None else scaled_pair,
             label=f"{s:g}*{self.label}" if self.label else "",
         )
 
@@ -141,51 +157,50 @@ class ContactHamiltonian:
 
 
 def _renorm(th):
-    return th / np.linalg.norm(th, axis=-1, keepdims=True)
+    return th / np.sqrt(row_sum(th * th))[..., None]
+
+
+def _homogeneous_field(Kv, g, th):
+    """Field of r*K at unit rows th, from K's values and ambient gradients."""
+    n = half_dim(th)
+    grad = 2.0 * Kv[:, None] * th + _tangential(g, th)
+    out = np.empty_like(grad)
+    out[..., :n] = -grad[..., n:]
+    out[..., n:] = grad[..., :n]
+    return out
+
+
+def _tangential(X, th):
+    return X - row_sum(X * th)[:, None] * th
+
+
+def _field_and_rate(K: ContactHamiltonian, th):
+    """(Y_K, dK(R)) at a batch of unit rows from one value_and_grad call."""
+    Kv, g = K.value_and_grad(th)
+    Y = _tangential(_homogeneous_field(Kv, g, th), th)
+    return Y, row_sum(g * reeb_field(th))
 
 
 def ambient_hamiltonian_field(K: ContactHamiltonian, theta):
     """Field of the 1-homogeneous extension r*K at unit-sphere points."""
     th, single = _batched(theta)
-    n = half_dim(th)
-    Kv = np.asarray(K.eval_fn(th), dtype=float)[..., None]
-    g_amb = K.ambient_grad(th)
-    if g_amb.ndim == 1:
-        g_amb = g_amb[None, :]
-    tangential = g_amb - np.sum(g_amb * th, axis=-1, keepdims=True) * th
-    grad = 2.0 * Kv * th + tangential
-    out = np.empty_like(grad)
-    out[..., :n] = -grad[..., n:]
-    out[..., n:] = grad[..., :n]
+    out = _homogeneous_field(*K.value_and_grad(th), th)
     return out[0] if single else out
 
 
 def contact_vector_field(K: ContactHamiltonian, theta):
     """Sphere field Y_K: tangential projection of the homogeneous field."""
     th, single = _batched(theta)
-    X = ambient_hamiltonian_field(K, th)
-    Y = X - np.sum(X * th, axis=-1, keepdims=True) * th
+    Y = _tangential(_homogeneous_field(*K.value_and_grad(th), th), th)
     return Y[0] if single else Y
 
 
 def reeb_derivative(K: ContactHamiltonian, theta):
     """dK evaluated on the rotation field (a tangent direction)."""
     th, single = _batched(theta)
-    g = K.ambient_grad(th)
-    if g.ndim == 1:
-        g = g[None, :]
-    val = np.sum(g * reeb_field(th), axis=-1)
+    _, g = K.value_and_grad(th)
+    val = row_sum(g * reeb_field(th))
     return float(val[0]) if single else val
-
-
-@dataclass
-class ConformalFactorRecord:
-    value: float
-    log_derivative_trace: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise DomainError("conformal factor must be positive")
 
 
 class ContactIsotopy:
@@ -212,22 +227,19 @@ class ContactIsotopy:
         self.step = step
 
     def _rhs(self, t, thetas):
-        K = self.hamiltonian_at(t)
-        return contact_vector_field(K, thetas), reeb_derivative(K, thetas)
+        return _field_and_rate(self.hamiltonian_at(t), thetas)
 
-    def flow_many(self, thetas, t_from: float = 0.0, t_to: float = 1.0,
-                  keep_trace: bool = False):
+    def flow_many(self, thetas, t_from: float = 0.0, t_to: float = 1.0):
         """Integrate a batch from t_from to t_to (either direction).
 
-        Returns (endpoints, log_conformal, trace) where log_conformal is
-        the accumulated log-derivative integral along each trajectory.
+        Returns (endpoints, log_conformal) where log_conformal is the
+        accumulated log-derivative integral along each trajectory.
         """
         th = _renorm(np.atleast_2d(np.asarray(thetas, dtype=float)))
         span = t_to - t_from
         n_steps = max(1, int(round(abs(span) / self.step)))
         h = span / n_steps
         logc = np.zeros(th.shape[0])
-        trace = [] if keep_trace else None
         for i in range(n_steps):
             t = t_from + i * h
             f1, c1 = self._rhs(t, th)
@@ -236,19 +248,9 @@ class ContactIsotopy:
             f4, c4 = self._rhs(t + h, _renorm(th + h * f3))
             th = _renorm(th + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4))
             logc += (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            if keep_trace:
-                trace.append(c1)
             if not np.all(np.isfinite(th)):
                 raise IntegrationError("flow diverged", {"step_index": i})
-        return th, logc, (np.asarray(trace) if keep_trace else None)
-
-    def flow(self, theta, t: float = 1.0):
-        """Endpoint of one trajectory plus its conformal factor record."""
-        th, single = _batched(theta)
-        ends, logc, trace = self.flow_many(th, 0.0, t, keep_trace=True)
-        rec = ConformalFactorRecord(value=float(np.exp(logc[0])),
-                                    log_derivative_trace=trace[:, 0])
-        return (ends[0] if single else ends), rec
+        return th, logc
 
     def inverse_images(self, thetas, t: float = 1.0):
         """psi_t^{-1}(theta) together with c_{psi_t} evaluated there.
@@ -258,7 +260,7 @@ class ContactIsotopy:
         same path (sign restored) is log c at the preimage.
         """
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
-        pre, logc_back, _ = self.flow_many(th, t, 0.0)
+        pre, logc_back = self.flow_many(th, t, 0.0)
         return pre, np.exp(-logc_back)
 
 
@@ -278,7 +280,8 @@ def concatenate_isotopies(second: ContactIsotopy, first: ContactIsotopy):
 def identity_isotopy(n: int, k: int, step: float = 1e-3):
     meta = SupportMeta(M=0.0, m=1.0, rho0=0.1, rho1=1.0)
     zero = ContactHamiltonian(lambda th: np.zeros(th.shape[0]), k=k, n=n, meta=meta,
-                              grad_fn=lambda th: np.zeros_like(th), label="0")
+                              grad_fn=lambda th: (np.zeros(th.shape[0]), np.zeros_like(th)),
+                              label="0")
     return ContactIsotopy(zero, step=step)
 
 
@@ -315,12 +318,9 @@ def adjoint_action(iso: ContactIsotopy, K: ContactHamiltonian,
 def lie_bracket(H: ContactHamiltonian, K: ContactHamiltonian, theta):
     """Bracket value dK(Y_H) - K dH(R) at theta."""
     th, single = _batched(theta)
-    gK = np.atleast_2d(K.ambient_grad(th))
-    YH = np.atleast_2d(contact_vector_field(H, th))
-    term1 = np.sum(gK * YH, axis=-1)
-    Kv = np.asarray(K.eval_fn(th), dtype=float)
-    term2 = Kv * np.atleast_1d(reeb_derivative(H, th))
-    val = term1 - term2
+    Kv, gK = K.value_and_grad(th)
+    YH, dH_R = _field_and_rate(H, th)
+    val = row_sum(gK * YH) - Kv * dH_R
     return float(val[0]) if single else val
 
 

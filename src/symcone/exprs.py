@@ -14,17 +14,26 @@ coordinate monomial, e.g. `mono(x1^2 y2^4)`.  Every term must contain at
 least one bump factor so the parsed function has certified compact
 support away from the small-ratio region's complement.
 
-Expression Hamiltonians carry analytic gradients, which keeps flows and
-bracket evaluations cheap and accurate.
+Parsing yields a plan: the distinct bump profiles, and per term its
+coefficient, its bumps and its merged monomial powers.  Two kernels run
+that plan.  `eval_fn` computes values only.  `grad_fn` is the fused
+kernel: one pass returns (values, ambient gradients), computing rho and
+grad rho once and each distinct bump's value and derivative once, however
+many terms share it.  The rho-part of every term's product rule is summed
+into one coefficient per row, which multiplies grad rho once; monomial
+parts are added column by column.  Integer powers are built by repeated
+squaring, never by `**`, and the fused values are bitwise those of
+`eval_fn`.  A flow or smoothed-map RK stage makes exactly one `grad_fn`
+call.
 """
 import re
 
 import numpy as np
 
-from .blends import plateau_bump, plateau_bump_deriv
+from .blends import plateau_bump, plateau_bump_with_deriv
 from .contact import ContactHamiltonian, SupportMeta
 from .errors import DomainError, ParseError
-from .geometry import angle_ratio_of
+from .geometry import angle_ratio_and_gradient, angle_ratio_of
 from . import sampling
 
 _TOKEN = re.compile(
@@ -125,86 +134,128 @@ class _Parser:
         return (j - 1) if var[0] == "x" else (self.n + j - 1)
 
 
-def _rho_gradient(th, n, k):
-    """Ambient gradient of the angle ratio v/u (rows where u ~ 0 are zeroed;
-    callers mask those through vanishing profile derivatives)."""
-    sq = np.square(th)
-    v = np.sum(sq[:, 2 * n - k:], axis=1)
-    u = np.sum(sq, axis=1) - v
-    gv = np.zeros_like(th)
-    gv[:, 2 * n - k:] = 2.0 * th[:, 2 * n - k:]
-    gu = 2.0 * th - gv
-    safe = u > 1e-14
-    us = np.where(safe, u, 1.0)
-    grad = (gv * us[:, None] - v[:, None] * gu) / (us * us)[:, None]
-    grad[~safe] = 0.0
-    return grad
+def _ipow(x, p):
+    """x**p for an integer p >= 1 by repeated squaring (p = 1 returns x)."""
+    out = None
+    while True:
+        if p & 1:
+            out = x if out is None else out * x
+        p >>= 1
+        if not p:
+            return out
+        x = x * x
+
+
+def _plan(terms):
+    """Evaluation plan of parsed terms: the distinct (a, b) bump profiles,
+    and per term (coefficient, indices of its bumps, merged monomial
+    powers as ((coordinate, power), ...))."""
+    bumps, plan = [], []
+    for coeff, factors in terms:
+        ids, powers = [], {}
+        for f in factors:
+            if f[0] == "bump":
+                if f[1:] not in bumps:
+                    bumps.append(f[1:])
+                ids.append(bumps.index(f[1:]))
+            else:
+                for idx, p in f[1]:
+                    powers[idx] = powers.get(idx, 0) + p
+        plan.append((coeff, tuple(ids), tuple(powers.items())))
+    return tuple(bumps), tuple(plan)
+
+
+def _format_terms(terms, n):
+    """Expression text of parsed terms (float repr, so it parses back exactly)."""
+    def var(idx):
+        return f"x{idx + 1}" if idx < n else f"y{idx - n + 1}"
+
+    def factor(f):
+        if f[0] == "bump":
+            return f"bump(rho; {f[1]!r}, {f[2]!r})"
+        return "mono(" + " ".join(f"{var(idx)}^{p}" for idx, p in f[1]) + ")"
+
+    return " + ".join(" * ".join([repr(coeff)] + [factor(f) for f in factors])
+                      for coeff, factors in terms)
 
 
 class ExpressionHamiltonian(ContactHamiltonian):
-    """ContactHamiltonian backed by a parsed expression (analytic gradient)."""
+    """ContactHamiltonian backed by a parsed expression; its `grad_fn` is
+    the fused value-and-gradient kernel."""
 
     def __init__(self, text: str, n: int, k: int, meta: SupportMeta = None,
                  meta_samples: int = 4000, meta_seed: int = 0):
         terms = _Parser(_tokenize(text), n).parse()
         self.text = text
         self.terms = terms
+        self._bumps, self._plan = _plan(terms)
         self.k = int(k)  # _eval needs these before the base constructor runs
         self.n = int(n)
         if meta is None:
             meta = self._estimate_meta(terms, n, k, meta_samples, meta_seed)
-        super().__init__(self._eval, k=k, n=n, meta=meta, grad_fn=self._grad,
-                         label=text)
+        super().__init__(self._eval, k=k, n=n, meta=meta,
+                         grad_fn=self._value_and_grad, label=text)
+
+    def scaled(self, s: float):
+        """s times this Hamiltonian: coefficients scaled, metadata scaled,
+        nothing re-estimated."""
+        if s <= 0:
+            raise DomainError("scale must be positive")
+        terms = [(s * coeff, factors) for coeff, factors in self.terms]
+        return ExpressionHamiltonian(_format_terms(terms, self.n), n=self.n,
+                                     k=self.k, meta=self.meta.scaled(s))
 
     # -- evaluation ----------------------------------------------------
-    def _factor_values(self, f, th, rho):
-        if f[0] == "bump":
-            return plateau_bump(rho, f[1], f[2])
-        vals = np.ones(th.shape[0])
-        for idx, p in f[1]:
-            vals = vals * th[:, idx] ** p
-        return vals
-
     def _eval(self, th):
+        """Values only; computes no gradient."""
         th = np.atleast_2d(np.asarray(th, dtype=float))
         rho = angle_ratio_of(th, self.k)
         total = np.zeros(th.shape[0])
-        for coeff, factors in self.terms:
-            tv = np.full(th.shape[0], coeff)
-            for f in factors:
-                tv = tv * self._factor_values(f, th, rho)
+        for coeff, ids, powers in self._plan:
+            tv = coeff * plateau_bump(rho, *self._bumps[ids[0]])
+            for j in ids[1:]:
+                tv = tv * plateau_bump(rho, *self._bumps[j])
+            for idx, p in powers:
+                tv = tv * _ipow(th[:, idx], p)
             total += tv
         return total
 
-    def _factor_grads(self, f, th, rho):
-        n = th.shape[1] // 2
-        if f[0] == "bump":
-            d = plateau_bump_deriv(rho, f[1], f[2])
-            g = _rho_gradient(th, n, self.k)
-            return d[:, None] * g
-        out = np.zeros_like(th)
-        for i, (idx, p) in enumerate(f[1]):
-            part = np.full(th.shape[0], float(p)) * th[:, idx] ** (p - 1)
-            for j, (idx2, p2) in enumerate(f[1]):
-                if j != i:
-                    part = part * th[:, idx2] ** p2
-            out[:, idx] += part
-        return out
-
-    def _grad(self, th):
+    def _value_and_grad(self, th):
+        """(values, ambient gradients) in one pass; see the module docstring."""
         th = np.atleast_2d(np.asarray(th, dtype=float))
-        rho = angle_ratio_of(th, self.k)
-        total = np.zeros_like(th)
-        for coeff, factors in self.terms:
-            vals = [self._factor_values(f, th, rho) for f in factors]
-            for i, f in enumerate(factors):
-                gi = self._factor_grads(f, th, rho)
-                w = np.full(th.shape[0], coeff)
-                for j, vj in enumerate(vals):
+        rho, grad_rho = angle_ratio_and_gradient(th, self.k)
+        bumps = [plateau_bump_with_deriv(rho, a, b) for a, b in self._bumps]
+        total = np.zeros(th.shape[0])
+        c_rho = np.zeros(th.shape[0])
+        grad = np.zeros_like(th)
+        pows = {}
+
+        def power(idx, p):
+            if (idx, p) not in pows:
+                pows[idx, p] = _ipow(th[:, idx], p)
+            return pows[idx, p]
+
+        for coeff, ids, powers in self._plan:
+            b0, d0 = bumps[ids[0]]
+            tv, dtv = coeff * b0, coeff * d0  # bump product and its rho-derivative
+            for j in ids[1:]:
+                bj, dj = bumps[j]
+                dtv = dtv * bj + tv * dj
+                tv = tv * bj
+            factors = [power(idx, p) for idx, p in powers]
+            for i, (idx, p) in enumerate(powers):
+                part = tv if p == 1 else tv * (p * power(idx, p - 1))
+                for j, fv in enumerate(factors):
                     if j != i:
-                        w = w * vj
-                total += w[:, None] * gi
-        return total
+                        part = part * fv
+                grad[:, idx] += part
+            for fv in factors:
+                tv = tv * fv
+                dtv = dtv * fv
+            total += tv
+            c_rho += dtv
+        grad += c_rho[:, None] * grad_rho
+        return total, grad
 
     # -- metadata -------------------------------------------------------
     def _estimate_meta(self, terms, n, k, samples, seed):

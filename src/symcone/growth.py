@@ -109,9 +109,12 @@ class ConeFamily:
         base (scaling divides w, conjugation preserves it)."""
         el = self.elements[eid]
         if el.base_id not in self._caps:
-            base = next(e for e in self.elements.values()
-                        if e.base_id == el.base_id and e.scale == 1.0
-                        and not e.conjugated)
+            base = next((e for e in self.elements.values()
+                         if e.base_id == el.base_id and e.scale == 1.0
+                         and not e.conjugated), None)
+            if base is None:
+                raise DomainError(f"family has no unscaled, unconjugated base "
+                                  f"element for {el.base_id!r}")
             self._caps[el.base_id] = capacity_of_hamiltonian(base.H)
         return self._caps[el.base_id].scaled_hamiltonian(el.scale)
 

@@ -383,7 +383,7 @@ class ActionSpectrum:
     scan_min_floor: float = math.inf
     scan_entries: tuple = field(default_factory=tuple)
     labels_scanned: int = 0
-    scan_confirms_bound: bool = True
+    scan_confirms_bound: bool = False
     partial: bool = False
 
     def __post_init__(self):
@@ -409,6 +409,12 @@ def label_action_floor(system: PlanarWellSystem, e: float) -> float:
     return math.pi * system.a ** 2 * (1.0 - e)
 
 
+def _confirms(entries, scan_min, bound) -> bool:
+    """A scan confirms the bound only if it scanned a label (an empty scan
+    is vacuous) and no floor fell below the bound."""
+    return bool(entries) and scan_min >= bound * (1.0 - 1e-3)
+
+
 def characteristic_spectrum(D: IntegrableDomain, window_top: float,
                             scan_labels: int = 1000,
                             budget: Optional[int] = None) -> ActionSpectrum:
@@ -422,6 +428,8 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
     """
     if not window_top > 0:
         raise DomainError("window top must be positive")
+    if scan_labels < 1:
+        raise DomainError(f"scan_labels must be at least 1, got {scan_labels}")
     system = PlanarWellSystem.from_domain(D)
     a, b, C = D.a, D.b, D.well.C
     pa2 = math.pi * a * a
@@ -441,7 +449,7 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
                 group_i=group_i, group_ii_min_bound=bound,
                 window_top=window_top, scan_min_floor=scan_min,
                 scan_entries=tuple(entries), labels_scanned=len(entries),
-                scan_confirms_bound=scan_min >= bound * (1.0 - 1e-3),
+                scan_confirms_bound=_confirms(entries, scan_min, bound),
                 partial=True,
             )
             raise ScanBudgetError(
@@ -460,6 +468,6 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
         group_i=group_i, group_ii_min_bound=bound, window_top=window_top,
         scan_min_floor=scan_min, scan_entries=tuple(entries),
         labels_scanned=len(entries),
-        scan_confirms_bound=scan_min >= bound * (1.0 - 1e-3),
+        scan_confirms_bound=_confirms(entries, scan_min, bound),
         partial=partial,
     )

@@ -22,7 +22,7 @@ from . import sampling
 
 def symplectize_many(iso: ContactIsotopy, rs, thetas):
     """Homogeneous lift applied to a batch of polar pairs."""
-    ends, logc, _ = iso.flow_many(np.atleast_2d(thetas), 0.0, 1.0)
+    ends, logc = iso.flow_many(np.atleast_2d(thetas), 0.0, 1.0)
     return np.asarray(rs, dtype=float) / np.exp(logc), ends
 
 
@@ -64,7 +64,7 @@ def _conformal_envelope(iso: ContactIsotopy, probes: int = 512, seed: int = 7,
     lo, hi = 0.0, 0.0
     for i in range(chunks):
         t0, t1 = i / chunks, (i + 1) / chunks
-        th, dlc, _ = iso.flow_many(th, t0, t1)
+        th, dlc = iso.flow_many(th, t0, t1)
         logc = logc + dlc
         lo = min(lo, float(np.min(logc)))
         hi = max(hi, float(np.max(logc)))
@@ -126,8 +126,7 @@ class SmoothedSymplectization:
         sq = np.sqrt(rl)
         th = z / sq[:, None]
         K = self.iso.hamiltonian_at(t)
-        Kv = np.asarray(K.eval_fn(th), dtype=float)
-        g = np.atleast_2d(K.ambient_grad(th))
+        Kv, g = K.value_and_grad(th)
         tang = g - np.sum(g * th, axis=1, keepdims=True) * th
         chi = cutoff(rl, cert.chi_zero_below, cert.chi_one_above)
         chi_d = cutoff_deriv(rl, cert.chi_zero_below, cert.chi_one_above)

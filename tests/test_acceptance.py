@@ -209,9 +209,9 @@ def test_criterion_09_contact_identities(capsys):
         tang -= th * np.sum(tang * th, axis=1, keepdims=True)
         for v in (R, tang):
             def pairing_at(tt):
-                plus, _, _ = iso.flow_many(_norm_rows(th + d * v), 0.0, tt)
-                minus, _, _ = iso.flow_many(_norm_rows(th - d * v), 0.0, tt)
-                base, _, _ = iso.flow_many(th, 0.0, tt)
+                plus, _ = iso.flow_many(_norm_rows(th + d * v), 0.0, tt)
+                minus, _ = iso.flow_many(_norm_rows(th - d * v), 0.0, tt)
+                base, _ = iso.flow_many(th, 0.0, tt)
                 dv = (plus - minus) / (2.0 * d)
                 return 0.5 * symplectic_pairing(base, dv)
 

@@ -8,7 +8,7 @@ from symcone.blends import (
     cutoff,
     cutoff_deriv,
     plateau_bump,
-    plateau_bump_deriv,
+    plateau_bump_with_deriv,
     smoothed_relu,
     smoothed_relu_deriv,
     smoothstep,
@@ -94,6 +94,7 @@ def test_cutoff_deriv_matches_fd():
     np.testing.assert_allclose(cutoff_deriv(r, 0.05, 1.0),
                                fd(lambda x: cutoff(x, 0.05, 1.0), r),
                                rtol=1e-6, atol=1e-6)
-    np.testing.assert_allclose(plateau_bump_deriv(r, 0.05, 1.0),
-                               fd(lambda x: plateau_bump(x, 0.05, 1.0), r),
+    value, deriv = plateau_bump_with_deriv(r, 0.05, 1.0)
+    np.testing.assert_array_equal(value, plateau_bump(r, 0.05, 1.0))
+    np.testing.assert_allclose(deriv, fd(lambda x: plateau_bump(x, 0.05, 1.0), r),
                                rtol=1e-6, atol=1e-6)

@@ -204,3 +204,15 @@ def test_metric_scaling_headline(capsys):
     assert float(d["hi"]) == pytest.approx(math.log(2.0), rel=1e-14)
     assert all(v["ok"] for v in res["dw_bound"].values())
     assert [sorted(c) for c in res["classes"]] == [["f"], ["2f"]]
+
+
+def test_spectrum_never_confirms_on_an_empty_scan(tmp_path, capsys):
+    code, _, err = run_cli(capsys, ["spectrum", "--labels", "0"])
+    assert code == 2 and "scan_labels" in err
+    out_path = tmp_path / "partial.json"
+    code, _, _ = run_cli(capsys, ["spectrum", "--labels", "40", "--budget", "0",
+                                  "--out", str(out_path)])
+    assert code == 3
+    res = json.loads(out_path.read_text(encoding="utf-8"))["result"]
+    assert res["labels_scanned"] == 0 and res["partial"] is True
+    assert res["scan_confirms_bound"] is False

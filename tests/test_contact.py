@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symcone import (
+    ContactHamiltonian,
     ContactIsotopy,
     DomainError,
     adjoint_action,
@@ -85,8 +86,8 @@ def test_flow_renormalizes_input_rays():
     iso = ContactIsotopy(K, step=2e-3)
     rng = np.random.default_rng(14)
     th = sphere(rng, 20, 4)
-    a, _, _ = iso.flow_many(th, 0.0, 1.0)
-    b, _, _ = iso.flow_many(3.7 * th, 0.0, 1.0)
+    a, _ = iso.flow_many(th, 0.0, 1.0)
+    b, _ = iso.flow_many(3.7 * th, 0.0, 1.0)
     np.testing.assert_allclose(a, b, atol=1e-13)
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
@@ -97,7 +98,7 @@ def test_inverse_images_roundtrip():
     rng = np.random.default_rng(15)
     th = sphere(rng, 30, 4)
     pre, c = iso.inverse_images(th)
-    back, _, _ = iso.flow_many(pre, 0.0, 1.0)
+    back, _ = iso.flow_many(pre, 0.0, 1.0)
     assert np.max(np.linalg.norm(back - th, axis=1)) < 1e-9
     assert np.all(c > 0)
 
@@ -106,7 +107,7 @@ def test_identity_isotopy_fixes_everything():
     iso = identity_isotopy(2, 1)
     rng = np.random.default_rng(16)
     th = sphere(rng, 25, 4)
-    out, logc, _ = iso.flow_many(th, 0.0, 1.0)
+    out, logc = iso.flow_many(th, 0.0, 1.0)
     np.testing.assert_allclose(out, th, atol=1e-15)
     np.testing.assert_array_equal(logc, np.zeros(25))
 
@@ -160,3 +161,30 @@ def test_model_fields():
         model_field_contracting(3, z)
     with pytest.raises(DomainError):
         model_field_expanding(1, z)
+
+
+def _counted(fn, calls):
+    def wrapped(th):
+        calls.append(th.shape[0])
+        return fn(th)
+    return wrapped
+
+
+def test_flow_makes_one_kernel_call_per_rk_stage():
+    K = random_hamiltonian(2, 1, seed=3, amplitude=0.3)
+    grads, evals = [], []
+    K.grad_fn = _counted(K.grad_fn, grads)
+    K.eval_fn = _counted(K.eval_fn, evals)
+    th = sphere(np.random.default_rng(20), 30, 4)
+    ContactIsotopy(K, step=0.05).flow_many(th, 0.0, 1.0)
+    assert grads == [30] * (4 * 20)
+    assert evals == []
+
+
+def test_scaled_plain_hamiltonian_scales_the_pair():
+    K = random_hamiltonian(2, 1, seed=8)
+    plain = ContactHamiltonian(K.eval_fn, k=1, n=2, meta=K.meta, grad_fn=K.grad_fn)
+    th = sphere(np.random.default_rng(21), 50, 4)
+    vals, g = plain.scaled(3.0).value_and_grad(th)
+    np.testing.assert_array_equal(vals, 3.0 * K.eval_fn(th))
+    np.testing.assert_array_equal(g, 3.0 * K.grad_fn(th)[1])

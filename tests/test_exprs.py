@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from symcone import (
+    ContactHamiltonian,
+    ContactIsotopy,
+    ExpressionHamiltonian,
     ParseError,
+    StarDomain,
     SupportMeta,
     angle_ratio_of,
+    domain_from_dict,
+    domain_to_dict,
     hamiltonian_from_expression,
     random_hamiltonian,
 )
@@ -84,3 +90,79 @@ def test_audit_catches_wrong_bound():
     from symcone import AuditError
     with pytest.raises(AuditError):
         H.audit(samples=500, seed=0)
+
+
+def _fd_grad(H, th, h=1e-6):
+    """Central differences of the expression in the unnormalized argument."""
+    cols = []
+    for j in range(th.shape[1]):
+        e = np.zeros(th.shape[1])
+        e[j] = h
+        cols.append((np.asarray(H.eval_fn(th + e)) - np.asarray(H.eval_fn(th - e))) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def _check_fused_kernel(H, th):
+    vals, g = H.grad_fn(th)
+    np.testing.assert_allclose(vals, H.eval_fn(th), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(g, _fd_grad(H, th), rtol=5e-6, atol=5e-7)
+
+
+def test_fused_kernel_matches_fd_on_random_hamiltonians():
+    th = sphere(np.random.default_rng(24), 80, 4)
+    for seed in range(20):
+        _check_fused_kernel(random_hamiltonian(2, 1, seed=seed), th)
+
+
+@pytest.mark.parametrize("text", [
+    "0.7 * bump(rho; 0.3, 1.9) * mono(x1^2 y2^3)",       # multi-variable monomial
+    "0.4 * bump(rho; 0.5, 2.5) * mono(x2 y1^5)",          # exponents 1 and 5
+    "1 * bump(rho; 0.4, 1.8) + 0.3 * bump(rho; 0.4, 1.8) * mono(y1^2)",  # shared bump
+    "0.5 * bump(rho; 0.2, 1.5) * mono(x1^3) * bump(rho; 0.6, 2.4) * mono(x1 y1^4)",
+])
+def test_fused_kernel_matches_fd_on_hand_written(text):
+    # odd powers change sign, so the metadata is given rather than estimated
+    meta = SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0)
+    H = hamiltonian_from_expression(text, n=2, k=1, meta=meta)
+    _check_fused_kernel(H, sphere(np.random.default_rng(25), 80, 4))
+
+
+def test_fused_kernel_is_finite_where_u_vanishes():
+    """Rows inside the last-k block have rho = inf; value and gradient are 0."""
+    H = random_hamiltonian(3, 2, seed=3)
+    th = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                   [0.0, 0.0, 0.0, 0.0, 0.6, -0.8]])
+    vals, g = H.grad_fn(th)
+    assert np.all(np.isfinite(g))
+    np.testing.assert_array_equal(vals, 0.0)
+    np.testing.assert_array_equal(g, 0.0)
+
+
+def test_rhs_agrees_with_the_finite_difference_route():
+    """Dual route: the fused kernel and eval_fn plus central differences
+    give the same sphere field and conformal rate."""
+    H = random_hamiltonian(2, 1, seed=11)
+    plain = ContactHamiltonian(H.eval_fn, k=H.k, n=H.n, meta=H.meta)
+    th = sphere(np.random.default_rng(26), 200, 4)
+    Y, rate = ContactIsotopy(H)._rhs(0.0, th)
+    Y_fd, rate_fd = ContactIsotopy(plain)._rhs(0.0, th)
+    np.testing.assert_allclose(Y, Y_fd, atol=1e-6)
+    np.testing.assert_allclose(rate, rate_fd, atol=1e-6)
+
+
+def test_scaled_stays_an_expression():
+    H = random_hamiltonian(2, 1, seed=12)
+    s = 2.75
+    Hs = H.scaled(s)
+    assert isinstance(Hs, ExpressionHamiltonian)
+    assert Hs.meta == H.meta.scaled(s)
+    th = sphere(np.random.default_rng(27), 300, 4)
+    np.testing.assert_allclose(Hs.eval_fn(th), s * H.eval_fn(th), rtol=1e-15, atol=0.0)
+    _, g = Hs.grad_fn(th)
+    np.testing.assert_allclose(g, s * H.grad_fn(th)[1], rtol=1e-14, atol=1e-15)
+    # round trip through the domain serializer keeps text, meta and values
+    back = domain_from_dict(domain_to_dict(StarDomain(Hs))).H
+    assert back.text == Hs.text and back.meta == Hs.meta
+    np.testing.assert_array_equal(back.eval_fn(th), Hs.eval_fn(th))
+    # StarDomain.scaled goes through the same path
+    assert isinstance(StarDomain(H).scaled(2.0).H, ExpressionHamiltonian)

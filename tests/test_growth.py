@@ -139,3 +139,13 @@ def test_dw_bound_interval_shape(scale_fam):
     # The enclosures of a shared-base pair overlap after transport, so the
     # certified right-hand side degrades to zero rather than overclaiming.
     assert out["rhs"] == 0.0
+
+
+def test_capacity_without_a_base_element_is_a_domain_error():
+    base = hamiltonian_from_expression(
+        "1 * bump(rho; 1, 3)", n=2, k=1,
+        meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
+    fam = ConeFamily(2, 1, [ConeElement("2f", base.scaled(2.0), base_id="f", scale=2.0)],
+                     pool_size=0, grid_points=100, audit_samples=200)
+    with pytest.raises(DomainError):
+        fam.capacity("2f")

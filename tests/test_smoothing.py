@@ -117,3 +117,18 @@ def test_squeeze_witness_guards():
         liouville_squeeze_witness(H, 2.0, 3.0, tau=0.1)   # below log(3/2)
     with pytest.raises(DomainError):
         liouville_squeeze_witness(H, 2.0, 3.0, dim=4)     # even dimension
+
+
+def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
+    iso, sm = tame_map
+    K = iso.hamiltonian_at(0.0)
+    original, grads = K.grad_fn, []
+
+    def counted(th):
+        grads.append(th.shape[0])
+        return original(th)
+
+    monkeypatch.setattr(K, "grad_fn", counted)
+    zs = shell(np.random.default_rng(30), 25, 4, 1.0, 2.0)  # all outside the ball
+    sm(zs, t_final=0.01)
+    assert grads == [25] * (4 * 10)
