@@ -6,13 +6,11 @@ __version__ = "0.1.0"
 from .errors import (AuditError, DimensionMismatchError, DomainError,
                      IntegrationError, ParseError, ScanBudgetError,
                      SymconeError)
-from .geometry import (PolarPoint, SplitCoordinates, angle_ratio_of,
-                       as_phase, liouville_field, omega_matrix,
-                       polar_compose, polar_decompose, split_coordinates,
-                       split_uv, symplectic_pairing)
+from .geometry import (PolarPoint, angle_ratio_of, as_phase,
+                       liouville_field, omega_matrix, polar_compose,
+                       polar_decompose, split_uv, symplectic_pairing)
 from .contact import (ContactHamiltonian, ContactIsotopy, SupportMeta,
-                      adjoint_action, ambient_hamiltonian_field,
-                      concatenate_isotopies, contact_form,
+                      adjoint_action, concatenate_isotopies,
                       contact_vector_field, identity_isotopy, lie_bracket,
                       model_field_contracting, model_field_expanding,
                       reeb_derivative, reeb_field)
@@ -30,8 +28,8 @@ from .orbits import (ActionSpectrum, OrbitRecord, PlanarWellSystem,
 from .smoothing import (SmoothedSymplectization, SmoothingCertificate,
                         SqueezeWitness, liouville_squeeze_witness,
                         radial_step_bump, smoothed_symplectization,
-                        symplecticity_defect, symplectize,
-                        symplectize_ambient, symplectize_many)
+                        symplecticity_defect, symplectize_ambient,
+                        symplectize_many)
 from .capacity import (CapacityInterval, NonsqueezingReport, candidate_pool,
                        capacity_hyperboloid, capacity_interval,
                        capacity_of_hamiltonian, nonsqueezing_verdict)

@@ -12,13 +12,11 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .contact import ContactHamiltonian
-from .domains import (Hyperboloid, SandwichCertificate, StarDomain,
-                      containment_audit, sandwich_solve)
-from .errors import AuditError, DomainError
+from .contact import ContactHamiltonian, ContactIsotopy
+from .domains import Hyperboloid, SandwichCertificate, StarDomain, sandwich_solve
+from .errors import DomainError
 from . import sampling
 from .smoothing import smoothed_symplectization
-from .contact import ContactIsotopy
 from .exprs import random_hamiltonian
 
 

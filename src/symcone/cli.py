@@ -11,7 +11,7 @@ budget exhausted (partial result still written), 4 audit failure.
 """
 import argparse
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from . import __version__
 from .capacity import (candidate_pool, capacity_hyperboloid,
                        capacity_of_hamiltonian, nonsqueezing_verdict)
 from .contact import ContactIsotopy, SupportMeta
-from .domains import (Hyperboloid, IntegrableDomain, StarDomain,
-                      build_smoothed_well, containment_audit, sandwich_solve)
+from .domains import (Hyperboloid, IntegrableDomain, build_smoothed_well,
+                      containment_audit, sandwich_solve)
 from .errors import AuditError, DomainError, ParseError, ScanBudgetError
 from .exprs import hamiltonian_from_expression, random_hamiltonian
 from .growth import dw_bound_check, equivalence_and_order, random_family, scaling_family
@@ -29,21 +29,50 @@ from .orbits import characteristic_spectrum
 from . import sampling
 from .smoothing import smoothed_symplectization, symplectize_ambient, symplecticity_defect
 
-_DEFAULTS = {
-    "spectrum": {"n": 2, "k": 1, "a": 1.0, "b": 1.0, "C": 3.0, "top": 10.0,
-                 "eps": None, "labels": 1000, "budget": None, "csv": None,
-                 "seed": 0},
-    "sandwich": {"expr": None, "n": 2, "k": 1, "M": None, "m": None,
-                 "rho0": None, "rho1": None, "samples": 100_000, "seed": 0},
-    "capacity": {"hyperboloid": False, "expr": None, "n": 2, "k": 1,
-                 "a": 1.0, "b": 1.0, "seed": 0},
-    "squeeze": {"n": 2, "k": 1, "a": 1.0, "b": 1.0, "s": 1.5,
-                "candidates": 5, "samples": 10_000, "eps": 0.05, "seed": 0},
-    "metric": {"family": "scaling", "s": 2.0, "count": 5, "n": 2, "k": 1,
-               "grid": 10_000, "pool": 8, "seed": 0},
-    "smoothing-audit": {"n": 2, "k": 1, "eps": 0.05, "points": 1000,
-                        "amplitude": 0.1, "seed": 0},
+
+class _Param(NamedTuple):
+    """One parameter of a subcommand: its flag, config key and default."""
+
+    name: str
+    type: type
+    default: object
+    choices: Optional[Tuple[str, ...]] = None
+
+
+_SPLIT = (_Param("n", int, 2), _Param("k", int, 1))
+_AB = (_Param("a", float, 1.0), _Param("b", float, 1.0))
+_EXPR = (_Param("expr", str, None),)
+_META = (_Param("M", float, None), _Param("m", float, None),
+         _Param("rho0", float, None), _Param("rho1", float, None))
+_SEED = (_Param("seed", int, 0),)
+
+# subcommand -> (help, parameters); the one source of flags, defaults,
+# known config keys and config value types
+_COMMANDS = {
+    "spectrum": ("closed-characteristic actions", _SPLIT + _AB + (
+        _Param("C", float, 3.0), _Param("top", float, 10.0),
+        _Param("eps", float, None), _Param("labels", int, 1000),
+        _Param("budget", int, None), _Param("csv", str, None)) + _SEED),
+    "sandwich": ("hyperboloid sandwich certificate", _EXPR + _SPLIT + _META
+                 + (_Param("samples", int, 100_000),) + _SEED),
+    "capacity": ("capacity value or enclosure",
+                 (_Param("hyperboloid", bool, False),) + _EXPR + _SPLIT + _AB
+                 + _SEED),
+    "squeeze": ("non-squeezing sweep", _SPLIT + _AB + (
+        _Param("s", float, 1.5), _Param("candidates", int, 5),
+        _Param("samples", int, 10_000), _Param("eps", float, 0.05)) + _SEED),
+    "metric": ("pseudo-metric on a family", (
+        _Param("family", str, "scaling", ("scaling", "random")),
+        _Param("s", float, 2.0), _Param("count", int, 5)) + _SPLIT + (
+        _Param("grid", int, 10_000), _Param("pool", int, 8)) + _SEED),
+    "smoothing-audit": ("smoothed symplectization checks", _SPLIT + (
+        _Param("eps", float, 0.05), _Param("points", int, 1000),
+        _Param("amplitude", float, 0.1)) + _SEED),
 }
+
+# JSON types a config value may have for each parameter type
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), bool: ((bool,), "true or false")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,63 +80,47 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="symcone",
         description="deterministic batch computations on cone geometry")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for cmd, (text, params) in _COMMANDS.items():
+        sp = sub.add_parser(cmd, help=text)
         sp.add_argument("--config", help="JSON config file (same keys as flags)")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--seed", type=int)
-
-    sp = sub.add_parser("spectrum", help="closed-characteristic actions")
-    common(sp)
-    for name, typ in (("n", int), ("k", int), ("a", float), ("b", float),
-                      ("C", float), ("top", float), ("eps", float),
-                      ("labels", int), ("budget", int)):
-        sp.add_argument(f"--{name}", type=typ)
-    sp.add_argument("--csv", help="also write the spectrum table to this path")
-
-    sp = sub.add_parser("sandwich", help="hyperboloid sandwich certificate")
-    common(sp)
-    sp.add_argument("--expr")
-    for name, typ in (("n", int), ("k", int), ("M", float), ("m", float),
-                      ("rho0", float), ("rho1", float), ("samples", int)):
-        sp.add_argument(f"--{name}", type=typ)
-
-    sp = sub.add_parser("capacity", help="capacity value or enclosure")
-    common(sp)
-    sp.add_argument("--hyperboloid", action="store_true", default=None)
-    sp.add_argument("--expr")
-    for name, typ in (("n", int), ("k", int), ("a", float), ("b", float)):
-        sp.add_argument(f"--{name}", type=typ)
-
-    sp = sub.add_parser("squeeze", help="non-squeezing sweep")
-    common(sp)
-    for name, typ in (("n", int), ("k", int), ("a", float), ("b", float),
-                      ("s", float), ("candidates", int), ("samples", int),
-                      ("eps", float)):
-        sp.add_argument(f"--{name}", type=typ)
-
-    sp = sub.add_parser("metric", help="pseudo-metric on a family")
-    common(sp)
-    sp.add_argument("--family", choices=["scaling", "random"])
-    for name, typ in (("s", float), ("count", int), ("n", int), ("k", int),
-                      ("grid", int), ("pool", int)):
-        sp.add_argument(f"--{name}", type=typ)
-
-    sp = sub.add_parser("smoothing-audit", help="smoothed symplectization checks")
-    common(sp)
-    for name, typ in (("n", int), ("k", int), ("eps", float), ("points", int),
-                      ("amplitude", float)):
-        sp.add_argument(f"--{name}", type=typ)
+        for par in params:
+            if par.type is bool:
+                sp.add_argument(f"--{par.name}", action="store_true", default=None)
+            else:
+                sp.add_argument(f"--{par.name}", type=par.type,
+                                choices=par.choices)
     return p
+
+
+def _checked(par: _Param, value):
+    """A config-file value as the parameter's type (a JSON integer becomes
+    a float for a float parameter); any other JSON type, a value outside
+    the choices, or null where the default is not null is a ParseError."""
+    if value is None and par.default is None:
+        return None
+    types, what = _JSON_TYPES[par.type]
+    if type(value) not in types:
+        raise ParseError(f"config value of {par.name} must be {what}, "
+                         f"got {value!r}")
+    if par.choices and value not in par.choices:
+        raise ParseError(f"config value of {par.name} must be one of "
+                         f"{', '.join(par.choices)}, got {value!r}")
+    try:
+        return par.type(value)
+    except OverflowError:
+        raise ParseError(f"config value of {par.name} is out of range") from None
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     cmd = args.command
-    defaults = _DEFAULTS[cmd]
+    table = {par.name: par for par in _COMMANDS[cmd][1]}
     cfg = load_config(args.config) if args.config else {}
-    overrides = {k: getattr(args, k.replace("-", "_"))
-                 for k in defaults if hasattr(args, k.replace("-", "_"))}
-    params = merge_config(defaults, cfg, overrides, known=list(defaults))
+    cfg = {key: _checked(table[key], value) if key in table else value
+           for key, value in cfg.items()}
+    params = merge_config({name: par.default for name, par in table.items()},
+                          cfg, {name: getattr(args, name) for name in table},
+                          known=list(table))
     params["command"] = cmd
     return params
 
@@ -160,21 +173,19 @@ def cmd_spectrum(params: dict) -> int:
     well = build_smoothed_well(params["C"], eps)
     D = IntegrableDomain(n=params["n"], k=params["k"], a=params["a"],
                          b=params["b"], well=well)
+    failure = None
     try:
         spec = characteristic_spectrum(D, params["top"],
                                        scan_labels=params["labels"],
                                        budget=params["budget"])
     except ScanBudgetError as exc:
-        spec = exc.partial
-        text = _envelope(params, _spectrum_result(spec))
-        _emit(text, params.get("out"))
-        if params["csv"]:
-            _emit(_spectrum_csv(spec, params), params["csv"])
-        print(f"symcone: {exc}", file=sys.stderr)
-        return 3
-    _emit(_envelope(params, _spectrum_result(spec)), params.get("out"))
+        spec, failure = exc.partial, f"symcone: {exc}"
+    _emit(_envelope(params, _spectrum_result(spec)), params["out"])
     if params["csv"]:
         _emit(_spectrum_csv(spec, params), params["csv"])
+    if failure:
+        print(failure, file=sys.stderr)
+        return 3
     return 0
 
 
@@ -355,9 +366,6 @@ def main(argv=None) -> int:
     except (ParseError, DomainError) as exc:
         print(f"symcone: {exc}", file=sys.stderr)
         return 2
-    except ScanBudgetError as exc:
-        print(f"symcone: {exc}", file=sys.stderr)
-        return 3
     except AuditError as exc:
         print(f"symcone: {exc}", file=sys.stderr)
         return 4

@@ -42,15 +42,6 @@ def reeb_field(theta, tol=1e-10):
     return out[0] if single else out
 
 
-def contact_form(theta, v):
-    """alpha at theta evaluated on an ambient vector v (tangential part used)."""
-    th, s1 = _batched(theta)
-    vv, _ = _batched(v)
-    n = half_dim(th)
-    val = 0.5 * np.sum(th[..., :n] * vv[..., n:] - th[..., n:] * vv[..., :n], axis=-1)
-    return float(val[0]) if s1 else val
-
-
 @dataclass(frozen=True)
 class SupportMeta:
     """Certified envelope data for a sphere Hamiltonian.
@@ -179,13 +170,6 @@ def _field_and_rate(K: ContactHamiltonian, th):
     Kv, g = K.value_and_grad(th)
     Y = _tangential(_homogeneous_field(Kv, g, th), th)
     return Y, row_sum(g * reeb_field(th))
-
-
-def ambient_hamiltonian_field(K: ContactHamiltonian, theta):
-    """Field of the 1-homogeneous extension r*K at unit-sphere points."""
-    th, single = _batched(theta)
-    out = _homogeneous_field(*K.value_and_grad(th), th)
-    return out[0] if single else out
 
 
 def contact_vector_field(K: ContactHamiltonian, theta):

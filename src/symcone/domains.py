@@ -14,7 +14,7 @@ from scipy import optimize
 from .blends import smoothed_relu, smoothed_relu_deriv
 from .contact import ContactHamiltonian
 from .errors import AuditError, DomainError
-from .geometry import as_phase, split_uv
+from .geometry import as_phase, row_sum, split_uv
 from . import sampling
 
 
@@ -57,7 +57,7 @@ class StarDomain:
 
     def contains_many(self, zs):
         zs = np.atleast_2d(as_phase(zs, n=self.H.n))
-        r = np.sum(zs * zs, axis=1)
+        r = row_sum(zs * zs)
         out = np.ones(zs.shape[0], dtype=bool)
         nz = r > 0.0
         if np.any(nz):
@@ -83,10 +83,6 @@ class SmoothedWell:
     C: float
     eps: float
     delta: float
-
-    def _d(self, t):
-        t = np.asarray(t, dtype=float)
-        return 4.0 * t * t - 4.0 * self.C ** 2
 
     def value(self, t):
         t = np.asarray(t, dtype=float)

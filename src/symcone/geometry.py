@@ -45,14 +45,6 @@ class PolarPoint:
             raise DomainError(f"|theta| = {nrm} is not 1 within {UNIT_SPHERE_TOL}")
 
 
-@dataclass(frozen=True)
-class SplitCoordinates:
-    u: float
-    v: float
-    angle_ratio: float
-    k: int
-
-
 def polar_decompose(z) -> PolarPoint:
     z = as_phase(z)
     r = float(np.dot(z, z))
@@ -131,13 +123,3 @@ def angle_ratio_and_gradient(z, k: int):
     grad = z * np.where(safe, 2.0 / np.where(safe, u, 1.0), 0.0)[:, None]
     grad[:, :z.shape[1] - k] *= -np.where(safe, rho, 0.0)[:, None]
     return rho, grad
-
-
-def split_coordinates(z, k: int) -> SplitCoordinates:
-    z = as_phase(z)
-    if float(np.dot(z, z)) == 0.0:
-        raise DomainError("origin excluded")
-    u, v = split_uv(z, k)
-    u, v = float(u), float(v)
-    rho = v / u if u > 0.0 else np.inf
-    return SplitCoordinates(u=u, v=v, angle_ratio=rho, k=k)

@@ -11,7 +11,7 @@ known in closed form).  Reports distinguish "witnessed" relations from
 "unknown" ones; absence is never claimed.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,22 +41,34 @@ class ConeElement:
 
 class Conjugator:
     """Pool element: a contactomorphism given by an isotopy (or the
-    identity), with the grid preimages and conformal factors cached."""
+    identity), optionally applied after another conjugator, with the
+    preimages and conformal factors of the last grid cached."""
 
-    def __init__(self, cid: str, iso: Optional[ContactIsotopy] = None):
+    def __init__(self, cid: str, iso: Optional[ContactIsotopy] = None,
+                 after: Optional["Conjugator"] = None):
         self.cid = cid
         self.iso = iso
-        self._cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self.after = after
+        self._cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def pulled_back(self, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(preimages, conformal factor at the preimages) for the grid."""
-        key = id(grid)
-        if key not in self._cache:
-            if self.iso is None:
-                self._cache[key] = (grid, np.ones(grid.shape[0]))
+        if self._cache is None or self._cache[0] is not grid:
+            if self.after is None:
+                pre, factor = grid, np.ones(grid.shape[0])
             else:
-                self._cache[key] = self.iso.inverse_images(grid)
-        return self._cache[key]
+                pre, factor = self.after.pulled_back(grid)
+            if self.iso is not None:
+                pre, own = self.iso.inverse_images(pre)
+                factor = factor * own
+            self._cache = (grid, pre, factor)
+        return self._cache[1:]
+
+    def composed_after(self, cid: str, first: "Conjugator") -> "Conjugator":
+        """This conjugator applied after `first`: grids are pulled back
+        through `first`, then through this one."""
+        inner = first if self.after is None else self.after.composed_after(cid, first)
+        return Conjugator(cid, iso=self.iso, after=inner)
 
 
 @dataclass(frozen=True)
@@ -207,13 +219,7 @@ def submultiplicativity_check(fam: ConeFamily, fid: str, gid: str, hid: str,
     c1 = next(c for c in fam.pool if c.cid == c1id)
     c2 = next(c for c in fam.pool if c.cid == c2id)
 
-    pre2, cf2 = c2.pulled_back(fam.grid)
-    if c1.iso is None:
-        pre12, cf1 = pre2, np.ones(pre2.shape[0])
-    else:
-        pre12, cf1 = c1.iso.inverse_images(pre2)
-    composed = Conjugator(f"{c2id}|{c1id}")
-    composed._cache[id(fam.grid)] = (pre12, cf2 * cf1)
+    composed = c1.composed_after(f"{c2id}|{c1id}", c2)
     fam.pool.append(composed)
 
     measured = fam.sup_ratio(fid, hid, composed)
@@ -236,26 +242,31 @@ def dw_bound_check(fam: ConeFamily, fid: str, hid: str) -> dict:
     return {"d_hi": d.hi, "rhs": rhs, "ok": d.hi >= rhs - 1e-12}
 
 
-def _closed_hi_matrix(fam: ConeFamily):
-    """All-pairs witnessed upper bounds, then multiplicative closure so
-    that chained witnesses are as good as direct ones."""
-    ids = list(fam.elements)
-    raw = {(i, j): relative_growth_bounds(fam, i, j)
-           for i in ids for j in ids}
-    hi = {key: iv.hi for key, iv in raw.items()}
-    chain = {key: [key] for key in hi}
-    changed = True
-    while changed:
-        changed = False
+def _closed_hi_matrix(hi: Dict[Tuple[str, str], float]
+                      ) -> Dict[Tuple[str, str], float]:
+    """Multiplicative closure of all-pairs witnessed upper bounds, so that
+    chained witnesses are as good as direct ones: one Floyd-Warshall pass
+    over products (Floyd, CACM 1962).
+
+    A diagonal entry the closure lowers below its direct witness marks a
+    cycle of witnesses with product below 1, which contradicts
+    rho(f,g) * rho(g,f) >= 1.
+    """
+    ids = list(dict.fromkeys(i for i, _ in hi))
+    closed = dict(hi)
+    for g in ids:
         for i in ids:
             for j in ids:
-                for g in ids:
-                    cand = hi[(i, g)] * hi[(g, j)]
-                    if cand < hi[(i, j)] * (1.0 - 1e-15):
-                        hi[(i, j)] = cand
-                        chain[(i, j)] = chain[(i, g)] + chain[(g, j)]
-                        changed = True
-    return ids, raw, hi, chain
+                cand = closed[(i, g)] * closed[(g, j)]
+                if cand < closed[(i, j)] * (1.0 - 1e-15):
+                    closed[(i, j)] = cand
+    for i in ids:
+        if closed[(i, i)] < hi[(i, i)]:
+            raise AuditError(
+                f"witnessed growth bounds chain from {i!r} back to itself "
+                f"with product {closed[(i, i)]} < {hi[(i, i)]}: they "
+                f"contradict rho(f,g) * rho(g,f) >= 1")
+    return closed
 
 
 @dataclass
@@ -272,7 +283,9 @@ def equivalence_and_order(fam: ConeFamily,
                           ) -> QuotientReport:
     """Cluster elements at witnessed distance zero and report the
     witnessed strict order between the clusters."""
-    ids, raw, hi, _ = _closed_hi_matrix(fam)
+    ids = list(fam.elements)
+    raw = {(i, j): relative_growth_bounds(fam, i, j) for i in ids for j in ids}
+    hi = _closed_hi_matrix({key: iv.hi for key, iv in raw.items()})
 
     dists: Dict[Tuple[str, str], DistanceInterval] = {}
     for a in range(len(ids)):

@@ -26,8 +26,6 @@ def fmt_float(x: float) -> str:
 
 
 def parse_float(s) -> float:
-    if isinstance(s, (int, float)):
-        return float(s)
     return float(s)
 
 

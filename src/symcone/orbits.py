@@ -26,23 +26,12 @@ __all__ = [
     "characteristic_spectrum", "single_period_return",
 ]
 
-# 4th-order Yoshida composition weights for a two-map splitting
+# 4th-order Yoshida composition for a two-map splitting: three kicks, and
+# drifts that are half-sums of neighbouring kicks (zero-padded at the ends)
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_KICKS4 = (_W1, 1.0 - 2.0 * _W1, _W1)
-# 6th-order (solution A) weights
-_Y6 = (0.784513610477560, 0.235573213359357, -1.17767998417887)
-_KICKS6 = (_Y6[2], _Y6[1], _Y6[0],
-           1.0 - 2.0 * (_Y6[0] + _Y6[1] + _Y6[2]),
-           _Y6[0], _Y6[1], _Y6[2])
-
-
-def _stage_weights(order: int):
-    kicks = {4: _KICKS4, 6: _KICKS6}.get(order)
-    if kicks is None:
-        raise DomainError(f"integrator order must be 4 or 6, got {order}")
-    padded = (0.0,) + kicks + (0.0,)
-    drifts = tuple(0.5 * (padded[i] + padded[i + 1]) for i in range(len(kicks) + 1))
-    return drifts, kicks
+_KICKS = (_W1, 1.0 - 2.0 * _W1, _W1)
+_DRIFTS = (0.5 * _W1, 0.5 * (_W1 + _KICKS[1]), 0.5 * (_W1 + _KICKS[1]),
+           0.5 * _W1)
 
 
 @dataclass(frozen=True)
@@ -70,9 +59,6 @@ class PlanarWellSystem:
 
     def min_energy(self) -> float:
         return self.well.min_point()[1] / self.b ** 2
-
-    def min_location(self) -> float:
-        return self.well.min_point()[0]
 
 
 @dataclass
@@ -111,7 +97,7 @@ def _well_deriv_scalar(well: SmoothedWell):
 
 
 def integrate_planar(system: PlanarWellSystem, z0, duration: float,
-                     step: float = 2e-4, order: int = 4,
+                     step: float = 2e-4,
                      record_stride: int = 0) -> PlanarTrajectory:
     """Fixed-step symplectic splitting integration of the planar flow.
 
@@ -122,7 +108,6 @@ def integrate_planar(system: PlanarWellSystem, z0, duration: float,
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(duration)
             and duration >= 0 and step > 0):
         raise DomainError("need finite state, duration >= 0, step > 0")
-    drifts, kicks = _stage_weights(order)
     gp = _well_deriv_scalar(system.well)
     ay = 2.0 / system.a ** 2
     bk = 1.0 / system.b ** 2
@@ -137,10 +122,10 @@ def integrate_planar(system: PlanarWellSystem, z0, duration: float,
         ri = 1
 
     def advance(h: float, x: float, y: float):
-        for i, d in enumerate(kicks):
-            y += drifts[i] * h * ay * x
+        for i, d in enumerate(_KICKS):
+            y += _DRIFTS[i] * h * ay * x
             x -= d * h * bk * gp(y)
-        y += drifts[-1] * h * ay * x
+        y += _DRIFTS[-1] * h * ay * x
         return x, y
 
     for k in range(n_full):
@@ -332,10 +317,10 @@ def homoclinic_loop(system: PlanarWellSystem, branch: str = "right",
 
 
 def single_period_return(system: PlanarWellSystem, orbit: OrbitRecord,
-                         step: float = 2e-4, order: int = 4) -> float:
+                         step: float = 2e-4) -> float:
     """Distance back to the start after integrating for one period."""
     traj = integrate_planar(system, orbit.samples[0], orbit.period,
-                            step=step, order=order)
+                            step=step)
     return float(np.linalg.norm(traj.end - orbit.samples[0]))
 
 

@@ -59,21 +59,3 @@ def sphere_points_with_angle_ratio(n: int, k: int, count: int, seed: int,
 def box_points(dim: int, halfwidth: float, count: int, seed: int):
     g = rng(seed)
     return g.uniform(-halfwidth, halfwidth, size=(count, dim))
-
-
-def tangent_frame(theta, count: int, seed: int):
-    """Random orthonormal tangent vectors at a unit point."""
-    theta = np.asarray(theta, dtype=float)
-    g = rng(seed)
-    frame = []
-    basis = [theta]
-    while len(frame) < count:
-        w = g.standard_normal(theta.shape[0])
-        for b in basis:
-            w = w - np.dot(w, b) * b
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            w = w / nrm
-            frame.append(w)
-            basis.append(w)
-    return np.asarray(frame)

@@ -16,7 +16,7 @@ import numpy as np
 from .blends import cutoff, cutoff_deriv, plateau_bump
 from .contact import ContactIsotopy
 from .errors import AuditError, DomainError, IntegrationError
-from .geometry import PolarPoint, omega_matrix
+from .geometry import omega_matrix, row_sum
 from . import sampling
 
 
@@ -26,15 +26,10 @@ def symplectize_many(iso: ContactIsotopy, rs, thetas):
     return np.asarray(rs, dtype=float) / np.exp(logc), ends
 
 
-def symplectize(iso: ContactIsotopy, p: PolarPoint) -> PolarPoint:
-    rs, ends = symplectize_many(iso, np.array([p.r]), p.theta[None, :])
-    return PolarPoint(r=float(rs[0]), theta=ends[0])
-
-
 def symplectize_ambient(iso: ContactIsotopy, zs):
     """Same lift in cartesian coordinates (rows of nonzero points)."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    r = np.sum(zs * zs, axis=1)
+    r = row_sum(zs * zs)
     if np.any(r == 0.0):
         raise DomainError("origin excluded from the homogeneous lift")
     th = zs / np.sqrt(r)[:, None]
@@ -116,7 +111,7 @@ class SmoothedSymplectization:
 
     def _field(self, t, zs):
         cert = self.certificate
-        r = np.sum(zs * zs, axis=1)
+        r = row_sum(zs * zs)
         out = np.zeros_like(zs)
         live = r > cert.chi_zero_below  # chi = 0 there: field vanishes exactly
         if not np.any(live):
@@ -127,7 +122,7 @@ class SmoothedSymplectization:
         th = z / sq[:, None]
         K = self.iso.hamiltonian_at(t)
         Kv, g = K.value_and_grad(th)
-        tang = g - np.sum(g * th, axis=1, keepdims=True) * th
+        tang = g - row_sum(g * th)[:, None] * th
         chi = cutoff(rl, cert.chi_zero_below, cert.chi_one_above)
         chi_d = cutoff_deriv(rl, cert.chi_zero_below, cert.chi_one_above)
         w = chi * rl

@@ -1,9 +1,11 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from symcone.cli import main
+from symcone.cli import _build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -44,6 +46,49 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["capacity", "--hyperboloid",
                                     "--config", str(cfg)])
     assert code == 2 and "unknown config keys" in err
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["capacity", "--hyperboloid"], {"a": "x"}),
+    (["spectrum"], {"labels": 2.5}),
+    (["capacity", "--hyperboloid"], {"n": True}),
+    (["metric"], {"family": "bogus"}),
+    (["spectrum"], {"labels": None}),
+], ids=["str-for-float", "float-for-int", "bool-for-int", "outside-choices",
+        "null-for-int"])
+def test_config_values_are_type_checked(tmp_path, capsys, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv + ["--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("symcone: config value of " + next(iter(cfg)))
+
+
+def test_integer_config_value_for_a_float_matches_the_flag(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"hyperboloid": true, "a": 2}', encoding="utf-8")
+    outs = [run_cli(capsys, ["capacity"] + extra)
+            for extra in (["--config", str(path)], ["--hyperboloid", "--a", "2"])]
+    assert outs[0][0] == outs[1][0] == 0
+    assert outs[0][1] == outs[1][1]
+    assert json.loads(outs[0][1])["config"]["a"] == "2"
+
+
+def test_readme_examples_parse():
+    """Every `symcone ...` line of the README's Command line section names
+    a subcommand and flags the parameter table declares."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = [line.strip() for line in section.splitlines()
+                if line.strip().startswith("symcone ")]
+    assert len(examples) == 7
+    parser = _build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -113,13 +158,17 @@ def test_spectrum_csv_table(tmp_path, capsys):
 
 def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
     out_path = tmp_path / "partial.json"
+    csv_path = tmp_path / "partial.csv"
     code, _, err = run_cli(capsys, ["spectrum", "--labels", "40",
-                                    "--budget", "15", "--out", str(out_path)])
+                                    "--budget", "15", "--out", str(out_path),
+                                    "--csv", str(csv_path)])
     assert code == 3
     assert "budget" in err
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["result"]["partial"] is True
     assert doc["result"]["labels_scanned"] == 15
+    rows = csv_path.read_text(encoding="utf-8").splitlines()
+    assert sum(row.startswith("ii,") for row in rows) == 15
 
 
 def test_sandwich_clean_run(capsys):

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from symcone import DomainError
+from symcone import AuditError, DomainError, sampling
 from symcone.contact import SupportMeta
 from symcone.exprs import hamiltonian_from_expression
 from symcone.growth import (
     ConeElement,
     ConeFamily,
+    Conjugator,
     GrowthInterval,
+    _closed_hi_matrix,
     dw_bound_check,
     equivalence_and_order,
     pseudo_distance,
@@ -124,6 +126,51 @@ def test_composed_witness_is_remeasured(rand_fam):
     assert len(sub.links) == 2
     # the composed conjugator joined the pool for future bounds
     assert len(rand_fam.pool) == pool_before + 1
+
+
+def _growth_matrix(ids, entries, default):
+    hi = {(i, j): (1.0 if i == j else default) for i in ids for j in ids}
+    hi.update(entries)
+    return hi
+
+
+def test_closure_chains_witnesses_as_exact_products():
+    ids = ("a", "b", "c", "d")
+    hi = _growth_matrix(ids, {("a", "b"): 0.3, ("b", "c"): 0.7,
+                              ("c", "d"): 0.9, ("a", "d"): 0.5}, 100.0)
+    closed = _closed_hi_matrix(hi)
+    assert closed[("a", "c")] == 0.3 * 0.7
+    assert closed[("b", "d")] == 0.7 * 0.9
+    assert closed[("a", "d")] == 0.3 * 0.7 * 0.9
+    assert closed[("d", "a")] == 100.0
+    assert all(closed[(i, i)] == 1.0 for i in ids)
+    assert hi[("a", "d")] == 0.5  # the raw matrix is left alone
+
+
+def test_closure_rejects_a_cycle_below_one():
+    hi = _growth_matrix(("a", "b"), {("a", "b"): 0.5, ("b", "a"): 1.5}, 1.0)
+    with pytest.raises(AuditError):
+        _closed_hi_matrix(hi)
+
+
+def test_composed_conjugator_pulls_back_in_sequence(rand_fam):
+    grid = sampling.sphere_points(2, 200, 5)
+    iso1, iso2, iso3 = (c.iso for c in rand_fam.pool[1:4])
+    c21 = Conjugator("c1", iso1).composed_after("c2|c1", Conjugator("c2", iso2))
+    pre, factor = c21.pulled_back(grid)
+    pre2, cf2 = iso2.inverse_images(grid)
+    pre21, cf1 = iso1.inverse_images(pre2)
+    assert np.array_equal(pre, pre21) and np.array_equal(factor, cf2 * cf1)
+    assert c21.pulled_back(grid)[0] is pre
+    assert c21.pulled_back(grid.copy())[0] is not pre
+    # a composed conjugator composes again: through c3, then c2, then c1
+    c321 = c21.composed_after("c3|c2|c1", Conjugator("c3", iso3))
+    pre, factor = c321.pulled_back(grid)
+    pre3, cf3 = iso3.inverse_images(grid)
+    pre32, cf2 = iso2.inverse_images(pre3)
+    pre321, cf1 = iso1.inverse_images(pre32)
+    assert np.array_equal(pre, pre321)
+    assert np.array_equal(factor, cf3 * cf2 * cf1)
 
 
 def test_composed_witness_exact_on_scalings(scale_fam):

@@ -57,8 +57,6 @@ def test_integrator_records_on_level(planar3):
 
 def test_integrator_guards(planar3):
     with pytest.raises(DomainError):
-        integrate_planar(planar3, (0.0, 1.0), 1.0, order=5)
-    with pytest.raises(DomainError):
         integrate_planar(planar3, (0.0, 1.0), -1.0)
     with pytest.raises(DomainError):
         integrate_planar(planar3, (np.nan, 1.0), 1.0)
