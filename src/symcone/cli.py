@@ -277,7 +277,9 @@ def cmd_metric(params: dict) -> int:
                             k=params["k"], **kw)
         pair = None
     report = equivalence_and_order(fam)
-    dw = {f"{i}|{j}": dw_bound_check(fam, i, j)
+    dists = report.distances  # keyed in family order; d(f,h) is symmetric
+    dw = {f"{i}|{j}": dw_bound_check(fam, i, j,
+                                     dists.get((i, j)) or dists[(j, i)])
           for i in fam.elements for j in fam.elements if i < j}
     result = {
         "classes": [list(c) for c in report.classes],

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .blends import smoothed_relu, smoothed_relu_deriv
+from .blends import _step7, _step7_integral, smoothed_relu, smoothed_relu_deriv
 from .contact import ContactHamiltonian
 from .errors import AuditError, DomainError
 from .geometry import as_phase, row_sum, split_uv
@@ -78,11 +78,32 @@ class SmoothedWell:
     """Even function equal to -t^2 near 0 and 3t^2 - 4C^2 past the blend
     band, lying above both branches, with its single positive minimum
     pinned near t = C.  `delta` is the band half-width in the variable
-    4t^2 - 4C^2."""
+    4t^2 - 4C^2.  `value`/`deriv` take arrays; `value_at`/`deriv_at` take
+    one float (root finders, quadrature, the integrator) and agree with
+    them bitwise outside the band, to rounding inside."""
 
     C: float
     eps: float
     delta: float
+
+    def value_at(self, t: float) -> float:
+        t2 = t * t
+        d = 4.0 * t2 - 4.0 * self.C ** 2
+        if d >= self.delta:
+            return 3.0 * t2 - 4.0 * self.C ** 2
+        if d <= -self.delta:
+            return -t2
+        u = (d + self.delta) / (2.0 * self.delta)
+        return -t2 + 2.0 * self.delta * _step7_integral(u)
+
+    def deriv_at(self, t: float) -> float:
+        d = 4.0 * t * t - 4.0 * self.C ** 2
+        if d >= self.delta:
+            return 6.0 * t
+        if d <= -self.delta:
+            return -2.0 * t
+        u = (d + self.delta) / (2.0 * self.delta)
+        return t * (-2.0 + 8.0 * _step7(u))
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -107,9 +128,8 @@ class SmoothedWell:
 
     def min_point(self):
         t_lo, t_hi = self.band
-        res = optimize.minimize_scalar(lambda t: float(self.value(t)),
-                                       bounds=(t_lo, t_hi), method="bounded",
-                                       options={"xatol": 1e-13})
+        res = optimize.minimize_scalar(self.value_at, bounds=(t_lo, t_hi),
+                                       method="bounded", options={"xatol": 1e-13})
         return float(res.x), float(res.fun)
 
     def scaled(self, s: float):

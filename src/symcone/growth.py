@@ -229,10 +229,11 @@ def submultiplicativity_check(fam: ConeFamily, fid: str, gid: str, hid: str,
                            claimed=claimed, measured=measured, ok=ok)
 
 
-def dw_bound_check(fam: ConeFamily, fid: str, hid: str) -> dict:
+def dw_bound_check(fam: ConeFamily, fid: str, hid: str,
+                   d: DistanceInterval) -> dict:
     """d_hi(f,h) >= half the log-gap of the capacity enclosures, with the
-    endpoints chosen to make the right-hand side smallest."""
-    d = pseudo_distance(fam, fid, hid)
+    endpoints chosen to make the right-hand side smallest; `d` is the
+    pair's distance enclosure."""
     wf, wh = fam.capacity(fid), fam.capacity(hid)
     ratio_lo, ratio_hi = wf.lo / wh.hi, wf.hi / wh.lo
     if ratio_lo <= 1.0 <= ratio_hi:

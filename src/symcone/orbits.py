@@ -76,26 +76,6 @@ class PlanarTrajectory:
         return abs(self.energy_end - self.energy_start)
 
 
-def _well_deriv_scalar(well: SmoothedWell):
-    """Closure computing g'(t) on plain floats (hot integrator path)."""
-    c2 = 4.0 * well.C ** 2
-    delta = well.delta
-    inv = 1.0 / (2.0 * delta)
-
-    def gp(t: float) -> float:
-        d = 4.0 * t * t - c2
-        if d >= delta:
-            return 6.0 * t
-        if d <= -delta:
-            return -2.0 * t
-        u = (d + delta) * inv
-        u4 = u * u * u * u
-        s = u4 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
-        return t * (-2.0 + 8.0 * s)
-
-    return gp
-
-
 def integrate_planar(system: PlanarWellSystem, z0, duration: float,
                      step: float = 2e-4,
                      record_stride: int = 0) -> PlanarTrajectory:
@@ -108,7 +88,7 @@ def integrate_planar(system: PlanarWellSystem, z0, duration: float,
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(duration)
             and duration >= 0 and step > 0):
         raise DomainError("need finite state, duration >= 0, step > 0")
-    gp = _well_deriv_scalar(system.well)
+    gp = system.well.deriv_at
     ay = 2.0 / system.a ** 2
     bk = 1.0 / system.b ** 2
     e0 = float(system.energy(x, y))
@@ -151,10 +131,6 @@ def integrate_planar(system: PlanarWellSystem, z0, duration: float,
 # level-curve geometry
 
 
-def _gval(well: SmoothedWell, y: float) -> float:
-    return float(well.value(y))
-
-
 def turning_points(system: PlanarWellSystem, e: float):
     """y-interval(s) of the level {h = e}: x vanishes at the endpoints.
 
@@ -170,7 +146,7 @@ def turning_points(system: PlanarWellSystem, e: float):
     target = b2 * e
 
     def f(y):
-        return _gval(well, y) - target
+        return well.value_at(y) - target
 
     hi = max(2.0 * well.C, 2.0 * t_min)
     while f(hi) <= 0.0:
@@ -192,7 +168,7 @@ def _period_quadrature(system: PlanarWellSystem, e: float,
 
     def f(u):
         y = mid - half * math.cos(u)
-        val = e - _gval(well, y) / b2
+        val = e - well.value_at(y) / b2
         if val <= 0.0:
             return 0.0
         return half * math.sin(u) / math.sqrt(val)
@@ -207,7 +183,7 @@ def _action_quadrature(system: PlanarWellSystem, e: float,
     well, b2, a = system.well, system.b ** 2, system.a
 
     def f(y):
-        val = e - _gval(well, y) / b2
+        val = e - well.value_at(y) / b2
         return math.sqrt(val) if val > 0.0 else 0.0
 
     val, _ = _sciint.quad(f, y_lo, y_hi, limit=800, epsabs=1e-13, epsrel=1e-11)
@@ -301,13 +277,7 @@ def contour_period(system: PlanarWellSystem, orbit: OrbitRecord) -> float:
 def homoclinic_loop(system: PlanarWellSystem, branch: str = "right",
                     samples: int = 2048) -> OrbitRecord:
     """One loop of the zero level through the saddle (infinite period)."""
-    well, b2 = system.well, system.b ** 2
-    t_min = well.min_point()[0]
-    hi = 2.0 * well.C
-    while _gval(well, hi) <= 0.0:
-        hi *= 2.0
-    y_top = optimize.brentq(lambda y: _gval(well, y), t_min, hi,
-                            xtol=1e-15, rtol=8.9e-16, maxiter=300)
+    y_top = turning_points(system, 0.0)[1]
     y_lo, y_hi = (0.0, y_top) if branch == "right" else (-y_top, 0.0)
     pts = _contour(system, 0.0, y_lo, y_hi, samples)
     area = _shoelace(pts)

@@ -294,7 +294,7 @@ def test_criterion_11_metric_suite(capsys):
 
     rfam = families[1]
     rids = list(rfam.elements)
-    dw_ok = all(dw_bound_check(rfam, i, j)["ok"]
+    dw_ok = all(dw_bound_check(rfam, i, j, pseudo_distance(rfam, i, j))["ok"]
                 for i in rids for j in rids if i < j)
     ok &= dw_ok
     with capsys.disabled():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from symcone.cli import _build_parser, main
+from symcone.growth import ConeFamily
 
 
 def run_cli(capsys, argv):
@@ -253,6 +254,30 @@ def test_metric_scaling_headline(capsys):
     assert float(d["hi"]) == pytest.approx(math.log(2.0), rel=1e-14)
     assert all(v["ok"] for v in res["dw_bound"].values())
     assert [sorted(c) for c in res["classes"]] == [["f"], ["2f"]]
+
+
+def test_metric_bounds_each_pair_once(monkeypatch, capsys):
+    sup_ratio = ConeFamily.sup_ratio
+    calls = []
+
+    def counting(self, fid, hid, conj):
+        calls.append((fid, hid, conj.cid))
+        return sup_ratio(self, fid, hid, conj)
+
+    monkeypatch.setattr(ConeFamily, "sup_ratio", counting)
+    code, out, err = run_cli(capsys, ["metric", "--family", "random",
+                                      "--count", "3", "--pool", "1",
+                                      "--grid", "500"])
+    assert code == 0 and err == ""
+    # 3 x 3 ordered pairs against the identity and one flow conjugator
+    assert len(calls) == 18 and len(set(calls)) == 18
+    res = json.loads(out)["result"]
+    dists = res["distances"]
+    assert len(res["dw_bound"]) == 3
+    for key, entry in res["dw_bound"].items():
+        i, j = key.split("|")
+        d = dists.get(f"{i}|{j}") or dists[f"{j}|{i}"]
+        assert entry["d_hi"] == d["hi"]
 
 
 def test_spectrum_never_confirms_on_an_empty_scan(tmp_path, capsys):

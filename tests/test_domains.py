@@ -75,6 +75,12 @@ def test_well_branches_exact_outside_band(well3):
     t_out = np.concatenate([np.linspace(t_hi, 9.0, 300),
                             -np.linspace(t_hi, 9.0, 300)])
     np.testing.assert_array_equal(well3.value(t_out), 3.0 * t_out ** 2 - 36.0)
+    # The float forms return the same branches verbatim.
+    for t in t_in.tolist():
+        assert well3.value_at(t) == -t * t and well3.deriv_at(t) == -2.0 * t
+    for t in t_out.tolist():
+        assert well3.value_at(t) == 3.0 * (t * t) - 36.0
+        assert well3.deriv_at(t) == 6.0 * t
 
     # Inside the band the blend stays above both branches.
     t_mid = np.linspace(t_lo, t_hi, 512)
@@ -96,6 +102,26 @@ def test_well_derivative_matches_value(well3):
     h = 1e-6
     fd = (well3.value(t + h) - well3.value(t - h)) / (2.0 * h)
     np.testing.assert_allclose(well3.deriv(t), fd, rtol=0, atol=5e-5)
+    for x in t.tolist():
+        fd = (well3.value_at(x + h) - well3.value_at(x - h)) / (2.0 * h)
+        assert abs(well3.deriv_at(x) - fd) <= 5e-5
+
+
+def test_well_scalar_forms_match_array_forms(well3):
+    C, eps = well3.C, well3.eps
+    t_lo, t_hi = well3.band
+    edges = np.array([t_lo, t_hi, C - eps, C + eps, C])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf)])
+    t = np.concatenate([np.linspace(-3.0 * C, 3.0 * C, 2001),
+                        np.linspace(t_lo, t_hi, 501), edges, -edges])
+    value_at = np.array([well3.value_at(float(x)) for x in t])
+    deriv_at = np.array([well3.deriv_at(float(x)) for x in t])
+    # Inside the band the forms may differ in the last bit (numpy's array
+    # power and Python's float power round differently), so not bitwise.
+    np.testing.assert_allclose(value_at, well3.value(t), rtol=1e-14, atol=0)
+    # g' crosses zero at the minimum, where only an absolute bound holds.
+    np.testing.assert_allclose(deriv_at, well3.deriv(t), rtol=1e-14, atol=1e-13)
 
 
 def test_well_radial_inequality_everywhere(well3):

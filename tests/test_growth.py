@@ -114,7 +114,7 @@ def test_random_family_interval_invariants(rand_fam):
             assert svals == sorted(svals)
             d = pseudo_distance(rand_fam, i, j)
             assert 0.0 <= d.lo <= d.hi
-            assert dw_bound_check(rand_fam, i, j)["ok"]
+            assert dw_bound_check(rand_fam, i, j, d)["ok"]
 
 
 def test_composed_witness_is_remeasured(rand_fam):
@@ -180,7 +180,8 @@ def test_composed_witness_exact_on_scalings(scale_fam):
 
 
 def test_dw_bound_interval_shape(scale_fam):
-    out = dw_bound_check(scale_fam, "f", "4f")
+    out = dw_bound_check(scale_fam, "f", "4f",
+                         pseudo_distance(scale_fam, "f", "4f"))
     assert out["ok"]
     np.testing.assert_allclose(out["d_hi"], math.log(4.0), rtol=1e-12)
     # The enclosures of a shared-base pair overlap after transport, so the

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symcone import IntegrableDomain, PlanarWellSystem
+from symcone import IntegrableDomain, PlanarWellSystem, SmoothedWell
 from symcone.errors import DomainError, ScanBudgetError
 from symcone.orbits import (
     OrbitRecord,
@@ -167,6 +167,23 @@ def test_spectrum_round_actions_and_scan(domain3):
     assert spec.scan_min_floor > spec.group_ii_min_bound
     assert spec.scan_confirms_bound and not spec.partial
     assert spec.labels_scanned == 120
+
+
+def test_level_scan_keeps_to_the_scalar_well(domain3, monkeypatch):
+    # Root finding and quadrature evaluate g one point at a time; they
+    # belong on the float form, not on 0-d arrays through the array form.
+    array_value = SmoothedWell.value
+    shapes = []
+
+    def counting(self, t):
+        shapes.append(np.ndim(t))
+        return array_value(self, t)
+
+    monkeypatch.setattr(SmoothedWell, "value", counting)
+    spec = characteristic_spectrum(domain3, 10.0, scan_labels=20)
+    assert spec.labels_scanned == 20
+    assert shapes.count(0) == 0
+    assert shapes  # the contours still take the array form
 
 
 def test_spectrum_budget_interrupt(domain3):
