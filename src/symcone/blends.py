@@ -25,13 +25,6 @@ def smoothstep(u):
     return _step_value(u, u * u * u * u)
 
 
-def smoothstep_deriv(u):
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    uc = np.clip(u, 0.0, 1.0)
-    return np.where(inside, _step_slope(uc, uc * uc * uc * uc), 0.0)
-
-
 # C^3 step and its antiderivative; the antiderivative is the C^4 profile
 # used by smoothed_relu.
 def _step7(u):
@@ -68,8 +61,15 @@ def cutoff(r, r_lo, r_hi):
     return smoothstep((np.asarray(r, dtype=float) - r_lo) / (r_hi - r_lo))
 
 
-def cutoff_deriv(r, r_lo, r_hi):
-    return smoothstep_deriv((np.asarray(r, dtype=float) - r_lo) / (r_hi - r_lo)) / (r_hi - r_lo)
+def cutoff_with_deriv(r, r_lo, r_hi):
+    """(cutoff, its derivative in r) from one clip and one fourth power;
+    the value is bitwise the one `cutoff` returns."""
+    if not r_lo < r_hi:
+        raise ValueError("cutoff needs r_lo < r_hi")
+    width = r_hi - r_lo
+    u = np.clip((np.asarray(r, dtype=float) - r_lo) / width, 0.0, 1.0)
+    u4 = u * u * u * u
+    return _step_value(u, u4), _step_slope(u, u4) / width
 
 
 def plateau_bump(t, t_flat, t_zero):
@@ -81,8 +81,12 @@ def plateau_bump(t, t_flat, t_zero):
 
 def plateau_bump_with_deriv(t, t_flat, t_zero):
     """(plateau_bump, its derivative in t) from one clip and one fourth
-    power; the value is bitwise the one `plateau_bump` returns."""
-    if not 0.0 <= t_flat < t_zero:
+    power; the value is bitwise the one `plateau_bump` returns.
+
+    `t_flat` and `t_zero` may be column arrays of shape (profiles, 1): the
+    result then holds every profile at every t, one row per profile, each
+    bitwise equal to that profile's own call."""
+    if not np.all((0.0 <= t_flat) & (t_flat < t_zero)):
         raise ValueError("plateau_bump needs 0 <= t_flat < t_zero")
     width = t_zero - t_flat
     u = np.clip((np.asarray(t, dtype=float) - t_flat) / width, 0.0, 1.0)

@@ -86,18 +86,23 @@ class SmoothedWell:
     eps: float
     delta: float
 
+    def __post_init__(self):
+        # 4C^2 held once per well, as a plain instance attribute (a
+        # functools.cached_property read is no faster than recomputing it)
+        object.__setattr__(self, "_four_c2", 4.0 * self.C ** 2)
+
     def value_at(self, t: float) -> float:
         t2 = t * t
-        d = 4.0 * t2 - 4.0 * self.C ** 2
+        d = 4.0 * t2 - self._four_c2
         if d >= self.delta:
-            return 3.0 * t2 - 4.0 * self.C ** 2
+            return 3.0 * t2 - self._four_c2
         if d <= -self.delta:
             return -t2
         u = (d + self.delta) / (2.0 * self.delta)
         return -t2 + 2.0 * self.delta * _step7_integral(u)
 
     def deriv_at(self, t: float) -> float:
-        d = 4.0 * t * t - 4.0 * self.C ** 2
+        d = 4.0 * t * t - self._four_c2
         if d >= self.delta:
             return 6.0 * t
         if d <= -self.delta:
@@ -108,14 +113,14 @@ class SmoothedWell:
     def value(self, t):
         t = np.asarray(t, dtype=float)
         t2 = t * t
-        d = 4.0 * t2 - 4.0 * self.C ** 2
+        d = 4.0 * t2 - self._four_c2
         mid = -t2 + smoothed_relu(d, self.delta)
-        return np.where(d >= self.delta, 3.0 * t2 - 4.0 * self.C ** 2,
+        return np.where(d >= self.delta, 3.0 * t2 - self._four_c2,
                         np.where(d <= -self.delta, -t2, mid))
 
     def deriv(self, t):
         t = np.asarray(t, dtype=float)
-        d = 4.0 * t * t - 4.0 * self.C ** 2
+        d = 4.0 * t * t - self._four_c2
         mid = t * (-2.0 + 8.0 * smoothed_relu_deriv(d, self.delta))
         return np.where(d >= self.delta, 6.0 * t,
                         np.where(d <= -self.delta, -2.0 * t, mid))

@@ -18,13 +18,13 @@ Parsing yields a plan: the distinct bump profiles, and per term its
 coefficient, its bumps and its merged monomial powers.  Two kernels run
 that plan.  `eval_fn` computes values only.  `grad_fn` is the fused
 kernel: one pass returns (values, ambient gradients), computing rho and
-grad rho once and each distinct bump's value and derivative once, however
-many terms share it.  The rho-part of every term's product rule is summed
-into one coefficient per row, which multiplies grad rho once; monomial
-parts are added column by column.  Integer powers are built by repeated
-squaring, never by `**`, and the fused values are bitwise those of
-`eval_fn`.  A flow or smoothed-map RK stage makes exactly one `grad_fn`
-call.
+grad rho once and the values and derivatives of all distinct bumps in
+one stacked (bumps, rows) pass, however many terms share a bump.  The
+rho-part of every term's product rule is summed into one coefficient
+per row, which multiplies grad rho once; monomial parts are added column
+by column.  Integer powers are built by repeated squaring, never by `**`,
+and the fused values are bitwise those of `eval_fn`.  A flow or
+smoothed-map RK stage makes exactly one `grad_fn` call.
 """
 import re
 
@@ -189,6 +189,8 @@ class ExpressionHamiltonian(ContactHamiltonian):
         self.text = text
         self.terms = terms
         self._bumps, self._plan = _plan(terms)
+        # the distinct profiles as (bumps, 1) columns, for one stacked pass
+        self._bump_cols = tuple(np.array(col)[:, None] for col in zip(*self._bumps))
         self.k = int(k)  # _eval needs these before the base constructor runs
         self.n = int(n)
         if meta is None:
@@ -224,7 +226,7 @@ class ExpressionHamiltonian(ContactHamiltonian):
         """(values, ambient gradients) in one pass; see the module docstring."""
         th = np.atleast_2d(np.asarray(th, dtype=float))
         rho, grad_rho = angle_ratio_and_gradient(th, self.k)
-        bumps = [plateau_bump_with_deriv(rho, a, b) for a, b in self._bumps]
+        bv, bd = plateau_bump_with_deriv(rho, *self._bump_cols)
         total = np.zeros(th.shape[0])
         c_rho = np.zeros(th.shape[0])
         grad = np.zeros_like(th)
@@ -236,12 +238,11 @@ class ExpressionHamiltonian(ContactHamiltonian):
             return pows[idx, p]
 
         for coeff, ids, powers in self._plan:
-            b0, d0 = bumps[ids[0]]
-            tv, dtv = coeff * b0, coeff * d0  # bump product and its rho-derivative
+            # bump product and its rho-derivative
+            tv, dtv = coeff * bv[ids[0]], coeff * bd[ids[0]]
             for j in ids[1:]:
-                bj, dj = bumps[j]
-                dtv = dtv * bj + tv * dj
-                tv = tv * bj
+                dtv = dtv * bv[j] + tv * bd[j]
+                tv = tv * bv[j]
             factors = [power(idx, p) for idx, p in powers]
             for i, (idx, p) in enumerate(powers):
                 part = tv if p == 1 else tv * (p * power(idx, p - 1))

@@ -228,16 +228,10 @@ class OrbitRecord:
                 raise DomainError(f"closed orbit fails to close: gap {gap}")
 
 
-def closed_orbit_at_energy(system: PlanarWellSystem, e: float,
-                           branch: str = "auto", samples: int = 2048,
-                           cross_check_tol: float = 1e-4) -> OrbitRecord:
-    """Trace the closed component of {h = e} and measure period and action.
-
-    `branch` picks the connected component for e < 0 ("right" around the
-    positive well, "left" its mirror); levels with e > 0 have a single
-    outer component.  The action is the shoelace area of the traced
-    contour, audited against the independent quadrature route.
-    """
+def _audited_level(system: PlanarWellSystem, e: float, branch: str = "auto",
+                   samples: int = 2048, cross_check_tol: float = 1e-4):
+    """(contour, y_lo, y_hi, action) of the closed component of {h = e}
+    on `branch`; see `closed_orbit_at_energy`, which adds the period."""
     if e == 0.0:
         raise DomainError("zero level is the homoclinic figure-eight, not a "
                           "closed orbit; use homoclinic_loop")
@@ -254,13 +248,29 @@ def closed_orbit_at_energy(system: PlanarWellSystem, e: float,
 
     pts = _contour(system, e, y_lo, y_hi, samples)
     area = _shoelace(pts)
-    area_q = _action_quadrature(system, e, min(y_lo, y_hi), max(y_lo, y_hi))
+    y_lo, y_hi = min(y_lo, y_hi), max(y_lo, y_hi)
+    area_q = _action_quadrature(system, e, y_lo, y_hi)
     if abs(area - area_q) > cross_check_tol * max(abs(area_q), 1e-12):
         raise AuditError(
             f"contour area {area} and quadrature area {area_q} disagree")
-    period = _period_quadrature(system, e, min(y_lo, y_hi), max(y_lo, y_hi))
+    return pts, y_lo, y_hi, max(area, 0.0)
+
+
+def closed_orbit_at_energy(system: PlanarWellSystem, e: float,
+                           branch: str = "auto", samples: int = 2048,
+                           cross_check_tol: float = 1e-4) -> OrbitRecord:
+    """Trace the closed component of {h = e} and measure period and action.
+
+    `branch` picks the connected component for e < 0 ("right" around the
+    positive well, "left" its mirror); levels with e > 0 have a single
+    outer component.  The action is the shoelace area of the traced
+    contour, audited against the independent quadrature route.
+    """
+    pts, y_lo, y_hi, action = _audited_level(system, e, branch, samples,
+                                             cross_check_tol)
+    period = _period_quadrature(system, e, y_lo, y_hi)
     return OrbitRecord(samples=pts, period=period, energy=e,
-                       action=max(area, 0.0), closed=True)
+                       action=action, closed=True)
 
 
 def contour_period(system: PlanarWellSystem, orbit: OrbitRecord) -> float:
@@ -360,7 +370,7 @@ def label_action_floor(system: PlanarWellSystem, e: float) -> float:
     threshold = -system.well.C ** 2 / (4.0 * system.b ** 2)
     if e >= threshold:
         branch = "right" if e < 0 else "outer"
-        return closed_orbit_at_energy(system, e, branch=branch).action
+        return _audited_level(system, e, branch)[3]
     return math.pi * system.a ** 2 * (1.0 - e)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blends import cutoff, cutoff_deriv, plateau_bump
+from .blends import cutoff_with_deriv, plateau_bump
 from .contact import ContactIsotopy
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum
@@ -123,8 +123,7 @@ class SmoothedSymplectization:
         K = self.iso.hamiltonian_at(t)
         Kv, g = K.value_and_grad(th)
         tang = g - row_sum(g * th)[:, None] * th
-        chi = cutoff(rl, cert.chi_zero_below, cert.chi_one_above)
-        chi_d = cutoff_deriv(rl, cert.chi_zero_below, cert.chi_one_above)
+        chi, chi_d = cutoff_with_deriv(rl, cert.chi_zero_below, cert.chi_one_above)
         w = chi * rl
         w_d = chi_d * rl + chi
         grad = (2.0 * w_d * Kv)[:, None] * z + (w / sq)[:, None] * tang
@@ -156,20 +155,27 @@ def smoothed_symplectization(iso: ContactIsotopy, eps: float, **kw):
     return SmoothedSymplectization(iso, eps, **kw)
 
 
-def symplecticity_defect(map_fn, zs, fd_step: float = 3e-4):
-    """Max-norm defect of J^T Omega J - Omega for finite-difference
-    Jacobians of map_fn (five-point stencil), one value per input row."""
+def symplecticity_stencil(zs, fd_step: float = 3e-4):
+    """Rows at which a map is evaluated for `symplecticity_defect`: for
+    each coordinate j and c in (-2, -1, 1, 2), every row of zs moved by
+    c * fd_step along e_j, stacked in that order."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    npts, dim = zs.shape
-    Omega = omega_matrix(dim // 2)
+    dim = zs.shape[1]
     probes = []
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = 1.0
         for c in (-2.0, -1.0, 1.0, 2.0):
             probes.append(zs + c * fd_step * e)
-    stacked = np.concatenate(probes, axis=0)
-    images = map_fn(stacked)
+    return np.concatenate(probes, axis=0)
+
+
+def symplecticity_defect_of_images(images, fd_step: float = 3e-4):
+    """Max-norm defect of J^T Omega J - Omega per base row, from a map's
+    images of the `symplecticity_stencil` rows (five-point Jacobians)."""
+    dim = images.shape[1]
+    npts = images.shape[0] // (4 * dim)
+    Omega = omega_matrix(dim // 2)
     cols = []
     for j in range(dim):
         base = 4 * j * npts
@@ -181,6 +187,13 @@ def symplecticity_defect(map_fn, zs, fd_step: float = 3e-4):
     J = np.stack(cols, axis=-1)  # (npts, dim, dim): J[p, i, j] = dF_i/dz_j
     defect = np.einsum("pji,jk,pkl->pil", J, Omega, J) - Omega
     return np.max(np.abs(defect), axis=(1, 2))
+
+
+def symplecticity_defect(map_fn, zs, fd_step: float = 3e-4):
+    """Max-norm defect of J^T Omega J - Omega for finite-difference
+    Jacobians of map_fn (five-point stencil), one value per input row."""
+    images = map_fn(symplecticity_stencil(zs, fd_step))
+    return symplecticity_defect_of_images(images, fd_step)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,12 @@ import pytest
 
 from symcone.blends import (
     cutoff,
-    cutoff_deriv,
+    cutoff_with_deriv,
     plateau_bump,
     plateau_bump_with_deriv,
     smoothed_relu,
     smoothed_relu_deriv,
     smoothstep,
-    smoothstep_deriv,
 )
 
 
@@ -32,10 +31,12 @@ def test_smoothstep_branches_and_monotone():
 def test_smoothstep_deriv_matches_fd():
     rng = np.random.default_rng(3)
     u = rng.uniform(0.02, 0.98, 200)
-    np.testing.assert_allclose(smoothstep_deriv(u), fd(smoothstep, u),
+    # the cutoff on [0, 1] is the step itself
+    np.testing.assert_allclose(cutoff_with_deriv(u, 0.0, 1.0)[1], fd(smoothstep, u),
                                rtol=1e-7, atol=1e-7)
     # zero derivative outside the ramp, including at the joints
-    assert smoothstep_deriv(np.array([-1.0, 0.0, 1.0, 2.0])).tolist() == [0, 0, 0, 0]
+    joints = cutoff_with_deriv(np.array([-1.0, 0.0, 1.0, 2.0]), 0.0, 1.0)[1]
+    assert joints.tolist() == [0, 0, 0, 0]
 
 
 def test_smoothstep_high_order_contact():
@@ -91,8 +92,9 @@ def test_cutoff_and_bump_regions():
 def test_cutoff_deriv_matches_fd():
     rng = np.random.default_rng(5)
     r = rng.uniform(0.06, 0.99, 200)
-    np.testing.assert_allclose(cutoff_deriv(r, 0.05, 1.0),
-                               fd(lambda x: cutoff(x, 0.05, 1.0), r),
+    value, deriv = cutoff_with_deriv(r, 0.05, 1.0)
+    np.testing.assert_array_equal(value, cutoff(r, 0.05, 1.0))
+    np.testing.assert_allclose(deriv, fd(lambda x: cutoff(x, 0.05, 1.0), r),
                                rtol=1e-6, atol=1e-6)
     value, deriv = plateau_bump_with_deriv(r, 0.05, 1.0)
     np.testing.assert_array_equal(value, plateau_bump(r, 0.05, 1.0))

@@ -3,10 +3,14 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from symcone import sampling
 from symcone.cli import _build_parser, main
 from symcone.growth import ConeFamily
+from symcone.smoothing import (SmoothedSymplectization, symplecticity_defect,
+                               symplectize_ambient)
 
 
 def run_cli(capsys, argv):
@@ -221,7 +225,15 @@ def test_squeeze_below_unit_scale_is_vacuous(capsys):
     assert json.loads(out)["result"]["verdict"] == "VACUOUS"
 
 
-def test_smoothing_audit_passes(capsys):
+def test_smoothing_audit_passes(capsys, monkeypatch):
+    maps = []
+    original = SmoothedSymplectization.__call__
+
+    def counted(self, *args, **kwargs):
+        maps.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SmoothedSymplectization, "__call__", counted)
     code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "150",
                                       "--seed", "31"])
     assert code == 0 and err == ""
@@ -229,6 +241,28 @@ def test_smoothing_audit_passes(capsys):
     assert checks["identity_ball_pass"] is True
     assert checks["agreement_pass"] is True
     assert checks["symplecticity_pass"] is True
+    # one integration of the smoothed map serves all three checks ...
+    assert len(maps) == 1
+    monkeypatch.undo()
+    # ... and gives, bitwise, the three-call route on the points the
+    # command draws (n=2, eps=0.05, seed 31)
+    sm, pts, eps = maps[0], 150, 0.05
+    K = sm.certificate.K_factor
+    rng = sampling.rng(32)
+    dirs = sampling.sphere_points(2, pts, 33)
+    zs_in = np.sqrt(eps * rng.uniform(0.05, 0.999, size=pts))[:, None] * dirs
+    zs_out = np.sqrt(K * eps * rng.uniform(1.001, 4.0, size=pts))[:, None] * dirs
+    r_all = np.concatenate([eps * rng.uniform(0.05, 0.999, size=34),
+                            eps * rng.uniform(1.001, K, size=33),
+                            K * eps * rng.uniform(1.001, 4.0, size=33)])
+    zs_all = np.sqrt(r_all)[:, None] * sampling.sphere_points(2, 100, 34)
+    want = [np.linalg.norm(sm(zs_in) - zs_in, axis=1),
+            np.linalg.norm(sm(zs_out) - symplectize_ambient(sm.iso, zs_out), axis=1),
+            symplecticity_defect(sm, zs_all)]
+    got = [float(checks[key]) for key in ("identity_ball_max_move",
+                                          "agreement_max_diff",
+                                          "symplecticity_defect")]
+    assert got == [float(np.max(w)) for w in want]
 
 
 def test_smoothing_audit_failure_is_exit_4(capsys):

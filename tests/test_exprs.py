@@ -14,7 +14,8 @@ from symcone import (
     hamiltonian_from_expression,
     random_hamiltonian,
 )
-from symcone.blends import plateau_bump
+from symcone import exprs
+from symcone.blends import plateau_bump, plateau_bump_with_deriv
 
 from conftest import sphere
 
@@ -114,17 +115,44 @@ def test_fused_kernel_matches_fd_on_random_hamiltonians():
         _check_fused_kernel(random_hamiltonian(2, 1, seed=seed), th)
 
 
-@pytest.mark.parametrize("text", [
+_HAND_WRITTEN = [
     "0.7 * bump(rho; 0.3, 1.9) * mono(x1^2 y2^3)",       # multi-variable monomial
     "0.4 * bump(rho; 0.5, 2.5) * mono(x2 y1^5)",          # exponents 1 and 5
     "1 * bump(rho; 0.4, 1.8) + 0.3 * bump(rho; 0.4, 1.8) * mono(y1^2)",  # shared bump
     "0.5 * bump(rho; 0.2, 1.5) * mono(x1^3) * bump(rho; 0.6, 2.4) * mono(x1 y1^4)",
-])
+]
+# odd powers change sign, so the metadata is given rather than estimated
+_GIVEN_META = SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0)
+
+
+@pytest.mark.parametrize("text", _HAND_WRITTEN)
 def test_fused_kernel_matches_fd_on_hand_written(text):
-    # odd powers change sign, so the metadata is given rather than estimated
-    meta = SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0)
-    H = hamiltonian_from_expression(text, n=2, k=1, meta=meta)
+    H = hamiltonian_from_expression(text, n=2, k=1, meta=_GIVEN_META)
     _check_fused_kernel(H, sphere(np.random.default_rng(25), 80, 4))
+
+
+def test_stacked_bump_profiles_are_bitwise_per_bump_calls(monkeypatch):
+    """The kernel evaluates all distinct bumps in one stacked call; making
+    that call one profile at a time changes no bit of its output."""
+    Hs = [random_hamiltonian(2, 1, seed=seed) for seed in range(20)]
+    Hs += [hamiltonian_from_expression(text, n=2, k=1, meta=_GIVEN_META)
+           for text in _HAND_WRITTEN + ["1 * bump(rho; 1, 3)"]]  # single bump
+    th = np.vstack([sphere(np.random.default_rng(28), 200, 4),
+                    [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]]])  # rho = inf, 0
+    stacked = [H.grad_fn(th) for H in Hs]
+    profiles = []
+
+    def per_bump(t, t_flat, t_zero):
+        pairs = [plateau_bump_with_deriv(t, a, b)
+                 for a, b in zip(t_flat.ravel().tolist(), t_zero.ravel().tolist())]
+        profiles.append(len(pairs))
+        return np.stack([v for v, _ in pairs]), np.stack([d for _, d in pairs])
+
+    monkeypatch.setattr(exprs, "plateau_bump_with_deriv", per_bump)
+    for H, (vals, grad) in zip(Hs, stacked):
+        per_vals, per_grad = H.grad_fn(th)
+        assert np.array_equal(vals, per_vals) and np.array_equal(grad, per_grad)
+    assert len(profiles) == len(Hs) and profiles[-1] == 1 and max(profiles) == 3
 
 
 def test_fused_kernel_is_finite_where_u_vanishes():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symcone import IntegrableDomain, PlanarWellSystem, SmoothedWell
+from symcone import orbits
 from symcone.errors import DomainError, ScanBudgetError
 from symcone.orbits import (
     OrbitRecord,
@@ -184,6 +185,22 @@ def test_level_scan_keeps_to_the_scalar_well(domain3, monkeypatch):
     assert spec.labels_scanned == 20
     assert shapes.count(0) == 0
     assert shapes  # the contours still take the array form
+
+
+def test_level_scan_computes_no_period(domain3, monkeypatch):
+    # A label's floor is an action; the scan has no use for the period
+    # quadrature that closed_orbit_at_energy adds.
+    period_quadrature, calls = orbits._period_quadrature, []
+
+    def counting(*args):
+        calls.append(args)
+        return period_quadrature(*args)
+
+    monkeypatch.setattr(orbits, "_period_quadrature", counting)
+    spec = characteristic_spectrum(domain3, 10.0, scan_labels=20)
+    assert spec.labels_scanned == 20 and calls == []
+    closed_orbit_at_energy(PlanarWellSystem.from_domain(domain3), -1.0)
+    assert len(calls) == 1  # the orbit record still measures its period
 
 
 def test_spectrum_budget_interrupt(domain3):

@@ -12,6 +12,7 @@ from symcone import (
     symplectize_ambient,
     symplecticity_defect,
 )
+from symcone.smoothing import symplecticity_defect_of_images, symplecticity_stencil
 
 from conftest import sphere
 
@@ -75,6 +76,30 @@ def test_symplecticity_all_regions(tame_map):
               cert.K_factor * sm.eps * 3.0),
     ])
     assert np.max(symplecticity_defect(sm, zs)) < 1e-6
+
+
+def test_stacked_blocks_map_bitwise_like_separate_calls(tame_map):
+    """The fixed-step flow treats rows independently, so one call on
+    stacked blocks gives each block exactly its own call's images."""
+    _, sm = tame_map
+    cert = sm.certificate
+    rng = np.random.default_rng(34)
+    base = shell(rng, 3, 4, 1e-4, cert.K_factor * sm.eps * 4.0)
+    blocks = [
+        shell(rng, 8, 4, 1e-4, sm.eps * 0.999),                    # identity ball
+        shell(rng, 8, 4, sm.eps * 1.001, cert.K_factor * sm.eps),  # band
+        shell(rng, 8, 4, cert.K_factor * sm.eps * 1.001,
+              cert.K_factor * sm.eps * 4.0),                       # outer shell
+        symplecticity_stencil(base),
+    ]
+    images = sm(np.vstack(blocks))
+    start = 0
+    for block in blocks:
+        assert np.array_equal(images[start:start + len(block)], sm(block))
+        start += len(block)
+    # the stencil block's defect is that of the composed route
+    assert np.array_equal(symplecticity_defect_of_images(images[24:]),
+                          symplecticity_defect(sm, base))
 
 
 def test_lift_scales_like_rays():
