@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 from .errors import (AuditError, DimensionMismatchError, DomainError,
                      IntegrationError, ParseError, ScanBudgetError,
                      SymconeError)
-from .geometry import (PolarPoint, angle_ratio_of, as_phase,
-                       liouville_field, omega_matrix, polar_compose,
-                       polar_decompose, split_uv, symplectic_pairing)
+from .geometry import (angle_ratio_of, as_phase, liouville_field,
+                       omega_matrix, split_uv, symplectic_pairing)
 from .contact import (ContactHamiltonian, ContactIsotopy, SupportMeta,
                       adjoint_action, concatenate_isotopies,
                       contact_vector_field, identity_isotopy, lie_bracket,
@@ -18,8 +17,7 @@ from .exprs import (ExpressionHamiltonian, hamiltonian_from_expression,
                     random_hamiltonian)
 from .domains import (ContainmentReport, Hyperboloid, IntegrableDomain,
                       SandwichCertificate, SmoothedWell, StarDomain,
-                      build_smoothed_well, containment_audit, sandwich_solve,
-                      scale_domain)
+                      build_smoothed_well, containment_audit, sandwich_solve)
 from .orbits import (ActionSpectrum, OrbitRecord, PlanarWellSystem,
                      TorusLabel, area_constant, characteristic_spectrum,
                      closed_orbit_at_energy, homoclinic_loop,

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 invalid parameters or parse failure, 3 scan
 budget exhausted (partial result still written), 4 audit failure.
 """
 import argparse
+import functools
 import sys
 from typing import NamedTuple, Optional, Tuple
 
@@ -76,6 +77,7 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                str: ((str,), "a string"), bool: ((bool,), "true or false")}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="symcone",

@@ -102,10 +102,6 @@ class ContactHamiltonian:
                 g[:, i] = (hi - lo) / (2.0 * FD_STEP)
         return (float(vals[0]), g[0]) if single else (vals, g)
 
-    def ambient_grad(self, theta):
-        """The gradient half of `value_and_grad`."""
-        return self.value_and_grad(theta)[1]
-
     def scaled(self, s: float):
         if s <= 0:
             raise DomainError("scale must be positive")

@@ -9,7 +9,6 @@ sampling so no certificate is ever trusted on algebra alone.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .blends import _step7, _step7_integral, smoothed_relu, smoothed_relu_deriv
 from .contact import ContactHamiltonian
@@ -132,10 +131,16 @@ class SmoothedWell:
         return np.sqrt(c2 - self.delta / 4.0), np.sqrt(c2 + self.delta / 4.0)
 
     def min_point(self):
-        t_lo, t_hi = self.band
-        res = optimize.minimize_scalar(self.value_at, bounds=(t_lo, t_hi),
-                                       method="bounded", options={"xatol": 1e-13})
-        return float(res.x), float(res.fun)
+        """(t, g(t)) at the positive minimum, searched once per well and
+        held like 4C^2, so it is neither a field nor serialized."""
+        found = self.__dict__.get("_min_point")
+        if found is None:
+            from scipy import optimize
+            res = optimize.minimize_scalar(self.value_at, bounds=self.band,
+                                           method="bounded", options={"xatol": 1e-13})
+            found = (float(res.x), float(res.fun))
+            object.__setattr__(self, "_min_point", found)
+        return found
 
     def scaled(self, s: float):
         return SmoothedWell(C=s * self.C, eps=s * self.eps, delta=s * s * self.delta)
@@ -319,10 +324,3 @@ def containment_audit(H: ContactHamiltonian, cert: SandwichCertificate,
         violations_inner=viol_inner, violations_outer=viol_outer,
         box_halfwidth=halfwidth,
     )
-
-
-def scale_domain(V, s: float):
-    """Image of the domain under z -> s z."""
-    if hasattr(V, "scaled"):
-        return V.scaled(s)
-    raise DomainError(f"cannot scale {type(V).__name__}")

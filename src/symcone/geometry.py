@@ -5,13 +5,9 @@ operations also broadcast over leading batch axes.  The radial coordinate
 `r` is the squared norm |x|^2 + |y|^2 (units of action), so the Liouville
 flow z -> e^{t/2} z multiplies r by e^t.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-
-UNIT_SPHERE_TOL = 1e-12
 
 
 def as_phase(z, n=None):
@@ -28,33 +24,6 @@ def as_phase(z, n=None):
 
 def half_dim(z):
     return np.asarray(z).shape[-1] // 2
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Squared radius r > 0 and a unit direction theta."""
-
-    r: float
-    theta: np.ndarray
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise DomainError(f"polar radius must be positive, got {self.r}")
-        nrm = float(np.linalg.norm(self.theta))
-        if abs(nrm - 1.0) > UNIT_SPHERE_TOL:
-            raise DomainError(f"|theta| = {nrm} is not 1 within {UNIT_SPHERE_TOL}")
-
-
-def polar_decompose(z) -> PolarPoint:
-    z = as_phase(z)
-    r = float(np.dot(z, z))
-    if r == 0.0:
-        raise DomainError("origin excluded")
-    return PolarPoint(r=r, theta=z / np.sqrt(r))
-
-
-def polar_compose(p: PolarPoint):
-    return np.sqrt(p.r) * p.theta
 
 
 def liouville_field(z):

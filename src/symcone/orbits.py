@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import optimize
 
 from .domains import IntegrableDomain, SmoothedWell
 from .errors import AuditError, DomainError, ScanBudgetError
@@ -138,6 +136,8 @@ def turning_points(system: PlanarWellSystem, e: float):
     (min energy, 0) these bound the right-hand oval (mirror for the
     left); for e > 0 they are (-y_max, y_max) of the single outer loop.
     """
+    from scipy import optimize
+
     well, b2 = system.well, system.b ** 2
     t_min, v_min = well.min_point()
     e_min = v_min / b2
@@ -163,6 +163,8 @@ def _period_quadrature(system: PlanarWellSystem, e: float,
     """T = contour integral of dl/|grad h| = a * int dy / sqrt(e - g/b^2),
     evaluated with a cosine substitution that absorbs the square-root
     turning-point singularities."""
+    from scipy import integrate
+
     well, b2, a = system.well, system.b ** 2, system.a
     mid, half = 0.5 * (y_lo + y_hi), 0.5 * (y_hi - y_lo)
 
@@ -173,20 +175,22 @@ def _period_quadrature(system: PlanarWellSystem, e: float,
             return 0.0
         return half * math.sin(u) / math.sqrt(val)
 
-    val, _ = _sciint.quad(f, 0.0, math.pi, limit=800, epsabs=1e-13, epsrel=1e-11)
+    val, _ = integrate.quad(f, 0.0, math.pi, limit=800, epsabs=1e-13, epsrel=1e-11)
     return a * val
 
 
 def _action_quadrature(system: PlanarWellSystem, e: float,
                        y_lo: float, y_hi: float) -> float:
     """Enclosed area = 2a * int sqrt(e - g/b^2) dy over the y-range."""
+    from scipy import integrate
+
     well, b2, a = system.well, system.b ** 2, system.a
 
     def f(y):
         val = e - well.value_at(y) / b2
         return math.sqrt(val) if val > 0.0 else 0.0
 
-    val, _ = _sciint.quad(f, y_lo, y_hi, limit=800, epsabs=1e-13, epsrel=1e-11)
+    val, _ = integrate.quad(f, y_lo, y_hi, limit=800, epsabs=1e-13, epsrel=1e-11)
     return 2.0 * a * val
 
 
@@ -313,13 +317,15 @@ def area_constant(a: float = 1.0, b: float = 1.0) -> float:
     {chi^2 + 3 eta^2 <= 15/4, eta >= 1}."""
     if not (a > 0 and b > 0):
         raise DomainError("need a, b > 0")
+    from scipy import integrate
+
     top = math.sqrt(5.0) / 2.0
 
     def width(eta):
         val = 15.0 / 4.0 - 3.0 * eta * eta
         return 2.0 * math.sqrt(val) if val > 0.0 else 0.0
 
-    val, _ = _sciint.quad(width, 1.0, top, limit=400, epsabs=1e-14, epsrel=1e-12)
+    val, _ = integrate.quad(width, 1.0, top, limit=400, epsabs=1e-14, epsrel=1e-12)
     return (a / b) * val
 
 

@@ -4,7 +4,7 @@ All randomness in the package flows through `rng(seed)` so every scan,
 audit, and CLI run is reproducible from a single 64-bit seed.
 """
 import numpy as np
-from scipy import stats
+from scipy.special import betainc, betaincinv
 
 from .errors import DomainError
 
@@ -43,9 +43,9 @@ def sphere_points_with_angle_ratio(n: int, k: int, count: int, seed: int,
     g = rng(seed)
     v_lo = rho_min / (1.0 + rho_min)
     v_hi = 1.0 if np.isinf(rho_max) else rho_max / (1.0 + rho_max)
-    law = stats.beta(k / 2.0, (2.0 * n - k) / 2.0)
-    q = g.uniform(law.cdf(v_lo), law.cdf(v_hi), size=count)
-    v = law.ppf(q)
+    a, b = k / 2.0, (2.0 * n - k) / 2.0
+    q = g.uniform(betainc(a, b, v_lo), betainc(a, b, v_hi), size=count)
+    v = betaincinv(a, b, q)
     v = np.clip(v, 0.0, 1.0)
     out = np.zeros((count, 2 * n))
     inner = _unit_rows(g, count, k) * np.sqrt(v)[:, None]

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symcone
 from symcone import sampling
 from symcone.cli import _build_parser, main
 from symcone.growth import ConeFamily
@@ -17,6 +21,15 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args):
+    """A new interpreter that imports this checkout's package."""
+    src = str(Path(symcone.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
 
 
 def test_capacity_hyperboloid_stdout(capsys):
@@ -324,3 +337,30 @@ def test_spectrum_never_confirms_on_an_empty_scan(tmp_path, capsys):
     res = json.loads(out_path.read_text(encoding="utf-8"))["result"]
     assert res["labels_scanned"] == 0 and res["partial"] is True
     assert res["scan_confirms_bound"] is False
+
+
+def test_capacity_run_loads_no_heavy_scipy_modules():
+    # A fresh interpreter pays for every import; scipy.stats, optimize and
+    # integrate are only loaded by the commands that use them.
+    proc = run_python(["-c", (
+        "import sys\n"
+        "from symcone import cli\n"
+        "code = cli.main(['capacity', '--hyperboloid', '--a', '1', '--b', '1'])\n"
+        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.integrate')\n"
+        "print(code, [m for m in heavy if m in sys.modules], file=sys.stderr)\n")])
+    assert proc.stderr == "0 []\n"
+    assert json.loads(proc.stdout)["result"]["exact"] is True
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    # The parser is built once per process; each call must still resolve
+    # only its own flags, exactly as a fresh interpreter does.
+    runs = [["capacity", "--hyperboloid", "--a", "2"],
+            ["metric", "--family", "scaling", "--s", "3", "--grid", "2000",
+             "--pool", "2"],
+            ["capacity", "--hyperboloid"]]
+    for argv in runs:
+        fresh = run_python(["-m", "symcone.cli", *argv])
+        assert run_cli(capsys, argv) == (fresh.returncode, fresh.stdout,
+                                         fresh.stderr)
+    assert json.loads(fresh.stdout)["config"]["a"] == "1"

@@ -10,7 +10,6 @@ from symcone import (
     build_smoothed_well,
     containment_audit,
     sandwich_solve,
-    scale_domain,
 )
 from symcone.contact import SupportMeta
 from symcone.exprs import hamiltonian_from_expression
@@ -239,8 +238,8 @@ def test_certificate_check_rejects_thin_margins(worked_certificate):
         bad.check()
 
 
-def test_scale_domain_dispatch(domain3):
-    scaled = scale_domain(domain3, 2.0)
+def test_integrable_domain_scaled(domain3):
+    scaled = domain3.scaled(2.0)
     assert scaled.a == 2.0 and scaled.well.C == 6.0
     with pytest.raises(DomainError):
-        scale_domain(object(), 2.0)
+        domain3.scaled(0.0)

@@ -37,7 +37,7 @@ def test_gradient_matches_fd():
         n=2, k=1)
     rng = np.random.default_rng(22)
     th = sphere(rng, 60, 4)
-    g = np.atleast_2d(H.ambient_grad(th))
+    g = np.atleast_2d(H.value_and_grad(th)[1])
     h = 1e-6
     for j in range(4):
         e = np.zeros(4)

@@ -2,35 +2,40 @@ import numpy as np
 import pytest
 
 from symcone import (
+    DimensionMismatchError,
     DomainError,
-    PolarPoint,
     angle_ratio_of,
+    as_phase,
     liouville_field,
     omega_matrix,
-    polar_compose,
-    polar_decompose,
     split_uv,
     symplectic_pairing,
 )
+from symcone.geometry import row_sum
 
 
-def test_polar_roundtrip():
+def test_radial_split_of_phase_points():
+    # r = |z|^2 and theta = z / sqrt(r), as StarDomain splits its rows;
+    # the angle ratio depends on the direction theta alone.
     rng = np.random.default_rng(0)
     for _ in range(50):
-        z = rng.standard_normal(6)
-        p = polar_decompose(z)
-        assert abs(np.linalg.norm(p.theta) - 1.0) < 1e-14
-        assert abs(p.r - np.dot(z, z)) < 1e-12 * max(1.0, np.dot(z, z))
-        np.testing.assert_allclose(polar_compose(p), z, rtol=0, atol=1e-12)
+        z = as_phase(rng.standard_normal(6))
+        r = row_sum(z * z)
+        theta = z / np.sqrt(r)
+        assert abs(np.linalg.norm(theta) - 1.0) < 1e-14
+        assert abs(r - np.dot(z, z)) < 1e-12 * max(1.0, np.dot(z, z))
+        np.testing.assert_allclose(np.sqrt(r) * theta, z, rtol=0, atol=1e-12)
+        assert angle_ratio_of(theta, 2) == pytest.approx(angle_ratio_of(z, 2),
+                                                         rel=1e-14)
 
 
-def test_polar_origin_rejected():
+def test_as_phase_rejects_malformed_points():
     with pytest.raises(DomainError):
-        polar_decompose(np.zeros(4))
-    with pytest.raises(DomainError):
-        PolarPoint(r=-1.0, theta=np.array([1.0, 0, 0, 0]))
-    with pytest.raises(DomainError):
-        PolarPoint(r=1.0, theta=np.array([1.0, 1.0, 0, 0]))
+        as_phase([0.0, np.nan, 1.0, 0.0])
+    with pytest.raises(DimensionMismatchError):
+        as_phase(np.zeros(3))
+    with pytest.raises(DimensionMismatchError):
+        as_phase(np.zeros(4), n=3)
 
 
 def test_pairing_matches_matrix():

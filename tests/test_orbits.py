@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from symcone import IntegrableDomain, PlanarWellSystem, SmoothedWell
+from symcone import (IntegrableDomain, PlanarWellSystem, SmoothedWell,
+                     build_smoothed_well)
 from symcone import orbits
 from symcone.errors import DomainError, ScanBudgetError
 from symcone.orbits import (
@@ -201,6 +203,29 @@ def test_level_scan_computes_no_period(domain3, monkeypatch):
     assert spec.labels_scanned == 20 and calls == []
     closed_orbit_at_energy(PlanarWellSystem.from_domain(domain3), -1.0)
     assert len(calls) == 1  # the orbit record still measures its period
+
+
+def test_level_scan_searches_the_well_minimum_once(monkeypatch):
+    # Every label needs the well's minimum; it is searched once per well
+    # and held on it without becoming a field.
+    from scipy import optimize
+
+    minimize_scalar, calls = optimize.minimize_scalar, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return minimize_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize_scalar", counting)
+    well = build_smoothed_well(C=3.0, eps=0.25)
+    D = IntegrableDomain(n=2, k=1, a=1.0, b=1.0, well=well)
+    spec = characteristic_spectrum(D, 10.0, scan_labels=20)
+    assert spec.labels_scanned == 20 and len(calls) == 1
+    res = minimize_scalar(well.value_at, bounds=well.band, method="bounded",
+                          options={"xatol": 1e-13})
+    assert well.min_point() == (float(res.x), float(res.fun))
+    assert [f.name for f in dataclasses.fields(well)] == ["C", "eps", "delta"]
+    assert well == SmoothedWell(C=well.C, eps=well.eps, delta=well.delta)
 
 
 def test_spectrum_budget_interrupt(domain3):
