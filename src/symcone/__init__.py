@@ -25,9 +25,8 @@ from .orbits import (ActionSpectrum, OrbitRecord, PlanarWellSystem,
                      single_period_return)
 from .smoothing import (SmoothedSymplectization, SmoothingCertificate,
                         SqueezeWitness, liouville_squeeze_witness,
-                        radial_step_bump, smoothed_symplectization,
-                        symplecticity_defect, symplectize_ambient,
-                        symplectize_many)
+                        radial_step_bump, symplecticity_defect,
+                        symplectize_ambient, symplectize_many)
 from .capacity import (CapacityInterval, NonsqueezingReport, candidate_pool,
                        capacity_hyperboloid, capacity_interval,
                        capacity_of_hamiltonian, nonsqueezing_verdict)

@@ -16,7 +16,7 @@ from .contact import ContactHamiltonian, ContactIsotopy
 from .domains import Hyperboloid, SandwichCertificate, StarDomain, sandwich_solve
 from .errors import DomainError
 from . import sampling
-from .smoothing import smoothed_symplectization
+from .smoothing import SmoothedSymplectization
 from .exprs import random_hamiltonian
 
 
@@ -107,7 +107,7 @@ def candidate_pool(n: int, k: int, count: int, seed: int = 0,
     for i, s in enumerate(sampling.spawn(seed, count)):
         K = random_hamiltonian(n, k, seed=s, amplitude=amplitude)
         iso = ContactIsotopy(K, step=iso_step)
-        smoothed = smoothed_symplectization(iso, eps, step=map_step)
+        smoothed = SmoothedSymplectization(iso, eps, step=map_step)
         maps.append((f"candidate-{i}", smoothed))
     return maps
 

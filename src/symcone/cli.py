@@ -25,10 +25,10 @@ from .domains import (Hyperboloid, IntegrableDomain, build_smoothed_well,
 from .errors import AuditError, DomainError, ParseError, ScanBudgetError
 from .exprs import hamiltonian_from_expression, random_hamiltonian
 from .growth import dw_bound_check, equivalence_and_order, random_family, scaling_family
-from .jsonio import dumps_json, fmt_float, load_config, merge_config, write_csv
+from .jsonio import dumps_json, fmt_float, load_config, write_csv
 from .orbits import characteristic_spectrum
 from . import sampling
-from .smoothing import (smoothed_symplectization, symplecticity_defect_of_images,
+from .smoothing import (SmoothedSymplectization, symplecticity_defect_of_images,
                         symplecticity_stencil, symplectize_ambient)
 
 
@@ -48,30 +48,6 @@ _META = (_Param("M", float, None), _Param("m", float, None),
          _Param("rho0", float, None), _Param("rho1", float, None))
 _SEED = (_Param("seed", int, 0),)
 
-# subcommand -> (help, parameters); the one source of flags, defaults,
-# known config keys and config value types
-_COMMANDS = {
-    "spectrum": ("closed-characteristic actions", _SPLIT + _AB + (
-        _Param("C", float, 3.0), _Param("top", float, 10.0),
-        _Param("eps", float, None), _Param("labels", int, 1000),
-        _Param("budget", int, None), _Param("csv", str, None)) + _SEED),
-    "sandwich": ("hyperboloid sandwich certificate", _EXPR + _SPLIT + _META
-                 + (_Param("samples", int, 100_000),) + _SEED),
-    "capacity": ("capacity value or enclosure",
-                 (_Param("hyperboloid", bool, False),) + _EXPR + _SPLIT + _AB
-                 + _SEED),
-    "squeeze": ("non-squeezing sweep", _SPLIT + _AB + (
-        _Param("s", float, 1.5), _Param("candidates", int, 5),
-        _Param("samples", int, 10_000), _Param("eps", float, 0.05)) + _SEED),
-    "metric": ("pseudo-metric on a family", (
-        _Param("family", str, "scaling", ("scaling", "random")),
-        _Param("s", float, 2.0), _Param("count", int, 5)) + _SPLIT + (
-        _Param("grid", int, 10_000), _Param("pool", int, 8)) + _SEED),
-    "smoothing-audit": ("smoothed symplectization checks", _SPLIT + (
-        _Param("eps", float, 0.05), _Param("points", int, 1000),
-        _Param("amplitude", float, 0.1)) + _SEED),
-}
-
 # JSON types a config value may have for each parameter type
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                str: ((str,), "a string"), bool: ((bool,), "true or false")}
@@ -83,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="symcone",
         description="deterministic batch computations on cone geometry")
     sub = p.add_subparsers(dest="command", required=True)
-    for cmd, (text, params) in _COMMANDS.items():
+    for cmd, (text, params, _) in _COMMANDS.items():
         sp = sub.add_parser(cmd, help=text)
         sp.add_argument("--config", help="JSON config file (same keys as flags)")
         sp.add_argument("--out", help="output path (default: stdout)")
@@ -116,41 +92,33 @@ def _checked(par: _Param, value):
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cmd = args.command
-    table = {par.name: par for par in _COMMANDS[cmd][1]}
+    """Defaults, then the config file, then explicit flags.  Config values
+    are type-checked before unknown config keys are rejected."""
+    table = {par.name: par for par in _COMMANDS[args.command][1]}
     cfg = load_config(args.config) if args.config else {}
-    cfg = {key: _checked(table[key], value) if key in table else value
-           for key, value in cfg.items()}
-    params = merge_config({name: par.default for name, par in table.items()},
-                          cfg, {name: getattr(args, name) for name in table},
-                          known=list(table))
-    params["command"] = cmd
+    params = {name: par.default for name, par in table.items()}
+    params.update((key, _checked(table[key], value))
+                  for key, value in cfg.items() if key in table)
+    unknown = sorted(set(cfg) - set(table))
+    if unknown:
+        raise ParseError(f"unknown config keys: {', '.join(unknown)}")
+    params.update((name, getattr(args, name)) for name in table
+                  if getattr(args, name) is not None)
+    params.update(command=args.command, out=args.out)
     return params
 
 
-def _emit(text: str, out: Optional[str]):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, path: Optional[str]):
+    """Write text to path, or to stdout without one; an unwritable path is
+    an invalid parameter."""
+    if not path:
         sys.stdout.write(text)
-
-
-def _envelope(params: dict, result) -> str:
-    return dumps_json({"config": params, "version": __version__,
-                       "result": result})
-
-
-def _spectrum_result(spec) -> dict:
-    return {
-        "group_i": list(spec.group_i),
-        "group_ii_min_bound": spec.group_ii_min_bound,
-        "window_top": spec.window_top,
-        "scan_min_floor": spec.scan_min_floor,
-        "labels_scanned": spec.labels_scanned,
-        "scan_confirms_bound": spec.scan_confirms_bound,
-        "partial": spec.partial,
-    }
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _spectrum_csv(spec, params: dict) -> str:
@@ -171,7 +139,7 @@ def _spectrum_csv(spec, params: dict) -> str:
     return buf.getvalue()
 
 
-def cmd_spectrum(params: dict) -> int:
+def cmd_spectrum(params: dict):
     eps = params["eps"] if params["eps"] is not None else params["C"] / 12.0
     well = build_smoothed_well(params["C"], eps)
     D = IntegrableDomain(n=params["n"], k=params["k"], a=params["a"],
@@ -182,14 +150,12 @@ def cmd_spectrum(params: dict) -> int:
                                        scan_labels=params["labels"],
                                        budget=params["budget"])
     except ScanBudgetError as exc:
-        spec, failure = exc.partial, f"symcone: {exc}"
-    _emit(_envelope(params, _spectrum_result(spec)), params["out"])
+        spec, failure = exc.partial, (3, str(exc))
     if params["csv"]:
         _emit(_spectrum_csv(spec, params), params["csv"])
-    if failure:
-        print(failure, file=sys.stderr)
-        return 3
-    return 0
+    keys = ("group_i", "group_ii_min_bound", "window_top", "scan_min_floor",
+            "labels_scanned", "scan_confirms_bound", "partial")
+    return {key: getattr(spec, key) for key in keys}, failure
 
 
 def _hamiltonian_from_params(params: dict):
@@ -208,7 +174,7 @@ def _hamiltonian_from_params(params: dict):
                                        k=params["k"], meta=meta)
 
 
-def cmd_sandwich(params: dict) -> int:
+def cmd_sandwich(params: dict):
     H = _hamiltonian_from_params(params)
     cert = sandwich_solve(H)
     report = containment_audit(H, cert, samples=params["samples"],
@@ -222,15 +188,13 @@ def cmd_sandwich(params: dict) -> int:
                   "violations": report.violations,
                   "box_halfwidth": report.box_halfwidth},
     }
-    _emit(_envelope(params, result), params.get("out"))
     if report.violations:
-        print(f"symcone: containment audit failed with "
-              f"{report.violations} violations", file=sys.stderr)
-        return 4
-    return 0
+        return result, (4, f"containment audit failed with "
+                           f"{report.violations} violations")
+    return result, None
 
 
-def cmd_capacity(params: dict) -> int:
+def cmd_capacity(params: dict):
     if params["hyperboloid"]:
         V = Hyperboloid(n=params["n"], k=params["k"], a=params["a"],
                         b=params["b"])
@@ -239,12 +203,10 @@ def cmd_capacity(params: dict) -> int:
         w = capacity_of_hamiltonian(_hamiltonian_from_params(params))
     else:
         raise ParseError("need --hyperboloid or --expr")
-    result = {"lo": w.lo, "hi": w.hi, "exact": w.exact}
-    _emit(_envelope(params, result), params.get("out"))
-    return 0
+    return {"lo": w.lo, "hi": w.hi, "exact": w.exact}, None
 
 
-def cmd_squeeze(params: dict) -> int:
+def cmd_squeeze(params: dict):
     V = Hyperboloid(n=params["n"], k=params["k"], a=params["a"], b=params["b"])
     pool = candidate_pool(params["n"], params["k"], params["candidates"],
                           seed=params["seed"], eps=params["eps"])
@@ -264,11 +226,11 @@ def cmd_squeeze(params: dict) -> int:
             for c in report.candidates
         ],
     }
-    _emit(_envelope(params, result), params.get("out"))
-    return 4 if report.verdict == "CONTRADICTION" else 0
+    # a CONTRADICTION verdict is its own report: exit 4, no stderr line
+    return result, (4, None) if report.verdict == "CONTRADICTION" else None
 
 
-def cmd_metric(params: dict) -> int:
+def cmd_metric(params: dict):
     kw = dict(seed=params["seed"], grid_points=params["grid"],
               pool_size=params["pool"])
     if params["family"] == "scaling":
@@ -297,20 +259,18 @@ def cmd_metric(params: dict) -> int:
         d = (result["distances"].get(f"{pair[0]}|{pair[1]}")
              or result["distances"].get(f"{pair[1]}|{pair[0]}"))
         result["headline"] = {"pair": list(pair), "distance": d}
-    _emit(_envelope(params, result), params.get("out"))
     if not report.antisymmetry_ok or not all(v["ok"] for v in dw.values()):
-        print("symcone: metric audit failed", file=sys.stderr)
-        return 4
-    return 0
+        return result, (4, "metric audit failed")
+    return result, None
 
 
-def cmd_smoothing_audit(params: dict) -> int:
+def cmd_smoothing_audit(params: dict):
     n, k, eps = params["n"], params["k"], params["eps"]
     pts = params["points"]
     seed = params["seed"]
     gen = random_hamiltonian(n, k, seed=seed, amplitude=params["amplitude"])
     iso = ContactIsotopy(gen)
-    sm = smoothed_symplectization(iso, eps)
+    sm = SmoothedSymplectization(iso, eps)
     cert = sm.certificate
 
     rng = sampling.rng(seed + 1)
@@ -346,37 +306,58 @@ def cmd_smoothing_audit(params: dict) -> int:
     }
     result = {"M": cert.M, "m": cert.m, "K_factor": cert.K_factor,
               "eps": eps, "checks": checks}
-    _emit(_envelope(params, result), params.get("out"))
-    ok = all(v for key, v in checks.items() if key.endswith("_pass"))
-    if not ok:
-        print("symcone: smoothing audit failed", file=sys.stderr)
-        return 4
-    return 0
+    if not all(v for key, v in checks.items() if key.endswith("_pass")):
+        return result, (4, "smoothing audit failed")
+    return result, None
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "sandwich": cmd_sandwich,
-    "capacity": cmd_capacity,
-    "squeeze": cmd_squeeze,
-    "metric": cmd_metric,
-    "smoothing-audit": cmd_smoothing_audit,
+# subcommand -> (help, parameters, runner): the one table of subcommands,
+# and the one source of flags, defaults, known config keys and config
+# value types.  A runner returns (result, failure), where failure is None
+# or (exit code, stderr message or None).
+_COMMANDS = {
+    "spectrum": ("closed-characteristic actions", _SPLIT + _AB + (
+        _Param("C", float, 3.0), _Param("top", float, 10.0),
+        _Param("eps", float, None), _Param("labels", int, 1000),
+        _Param("budget", int, None), _Param("csv", str, None)) + _SEED,
+        cmd_spectrum),
+    "sandwich": ("hyperboloid sandwich certificate", _EXPR + _SPLIT + _META
+                 + (_Param("samples", int, 100_000),) + _SEED, cmd_sandwich),
+    "capacity": ("capacity value or enclosure",
+                 (_Param("hyperboloid", bool, False),) + _EXPR + _SPLIT + _AB
+                 + _SEED, cmd_capacity),
+    "squeeze": ("non-squeezing sweep", _SPLIT + _AB + (
+        _Param("s", float, 1.5), _Param("candidates", int, 5),
+        _Param("samples", int, 10_000), _Param("eps", float, 0.05)) + _SEED,
+        cmd_squeeze),
+    "metric": ("pseudo-metric on a family", (
+        _Param("family", str, "scaling", ("scaling", "random")),
+        _Param("s", float, 2.0), _Param("count", int, 5)) + _SPLIT + (
+        _Param("grid", int, 10_000), _Param("pool", int, 8)) + _SEED,
+        cmd_metric),
+    "smoothing-audit": ("smoothed symplectization checks", _SPLIT + (
+        _Param("eps", float, 0.05), _Param("points", int, 1000),
+        _Param("amplitude", float, 0.1)) + _SEED, cmd_smoothing_audit),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         params = _resolve(args)
-        params["out"] = args.out
-        return _DISPATCH[args.command](params)
+        result, failure = _COMMANDS[args.command][2](params)
+        _emit(dumps_json({"config": params, "version": __version__,
+                          "result": result}), args.out)
     except (ParseError, DomainError) as exc:
-        print(f"symcone: {exc}", file=sys.stderr)
-        return 2
+        failure = (2, str(exc))
     except AuditError as exc:
-        print(f"symcone: {exc}", file=sys.stderr)
-        return 4
+        failure = (4, str(exc))
+    if failure is None:
+        return 0
+    code, message = failure
+    if message:
+        print(f"symcone: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ Hext is the sphere field Y_K.  This realizes the correspondence between
 sphere kinematics and homogeneous ambient kinematics exactly for the
 round form alpha(v) = omega(theta, v) / 2, with no frame choices.
 
-Sign convention used throughout: the ambient field of H is
-(xdot, ydot) = (-dH/dy, +dH/dx), so the squared-norm function |z|^2
-generates the counterclockwise rotation (-2y, 2x) of period pi.
+Sign convention used throughout (`geometry.symplectic_gradient`): the
+ambient field of H is (xdot, ydot) = (-dH/dy, +dH/dx), so the squared-norm
+function |z|^2 generates the counterclockwise rotation (-2y, 2x) of
+period pi.
 """
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -17,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AuditError, DomainError, IntegrationError
-from .geometry import as_phase, half_dim, angle_ratio_of, row_sum
+from .geometry import (as_phase, half_dim, angle_ratio_of, row_sum,
+                       symplectic_gradient)
 from . import sampling
 
 FD_STEP = 1e-5
@@ -35,10 +37,7 @@ def reeb_field(theta, tol=1e-10):
     nrm = np.sqrt(row_sum(th * th))
     if np.any(np.abs(nrm - 1.0) > tol):
         raise DomainError("reeb_field requires unit vectors")
-    n = half_dim(th)
-    out = np.empty_like(th)
-    out[..., :n] = -2.0 * th[..., n:]
-    out[..., n:] = 2.0 * th[..., :n]
+    out = symplectic_gradient(2.0 * th)  # the field of |z|^2
     return out[0] if single else out
 
 
@@ -69,13 +68,12 @@ class ContactHamiltonian:
     """
 
     def __init__(self, eval_fn: Callable, k: int, n: int, meta: SupportMeta,
-                 grad_fn: Optional[Callable] = None, label: str = ""):
+                 grad_fn: Optional[Callable] = None):
         self.eval_fn = eval_fn
         self.k = int(k)
         self.n = int(n)
         self.meta = meta
         self.grad_fn = grad_fn
-        self.label = label
 
     def __call__(self, theta):
         th, single = _batched(theta)
@@ -116,7 +114,6 @@ class ContactHamiltonian:
             eval_fn=lambda th: s * np.asarray(ev(th), dtype=float),
             k=self.k, n=self.n, meta=self.meta.scaled(s),
             grad_fn=None if gr is None else scaled_pair,
-            label=f"{s:g}*{self.label}" if self.label else "",
         )
 
     def audit(self, samples: int = 10_000, seed: int = 0, zero_tol: float = 1e-12):
@@ -149,12 +146,7 @@ def _renorm(th):
 
 def _homogeneous_field(Kv, g, th):
     """Field of r*K at unit rows th, from K's values and ambient gradients."""
-    n = half_dim(th)
-    grad = 2.0 * Kv[:, None] * th + _tangential(g, th)
-    out = np.empty_like(grad)
-    out[..., :n] = -grad[..., n:]
-    out[..., n:] = grad[..., :n]
-    return out
+    return symplectic_gradient(2.0 * Kv[:, None] * th + _tangential(g, th))
 
 
 def _tangential(X, th):
@@ -260,8 +252,7 @@ def concatenate_isotopies(second: ContactIsotopy, first: ContactIsotopy):
 def identity_isotopy(n: int, k: int, step: float = 1e-3):
     meta = SupportMeta(M=0.0, m=1.0, rho0=0.1, rho1=1.0)
     zero = ContactHamiltonian(lambda th: np.zeros(th.shape[0]), k=k, n=n, meta=meta,
-                              grad_fn=lambda th: (np.zeros(th.shape[0]), np.zeros_like(th)),
-                              label="0")
+                              grad_fn=lambda th: (np.zeros(th.shape[0]), np.zeros_like(th)))
     return ContactIsotopy(zero, step=step)
 
 
@@ -291,8 +282,7 @@ def adjoint_action(iso: ContactIsotopy, K: ContactHamiltonian,
     m_new = 0.75 * float(np.min(ev(inner)))
     M_new = 1.05 * float(np.max(vals)) + 1e-9
     meta = SupportMeta(M=M_new, m=m_new, rho0=K.meta.rho0, rho1=rho1_new)
-    return ContactHamiltonian(ev, k=K.k, n=K.n, meta=meta,
-                              label=f"Ad[{K.label}]" if K.label else "")
+    return ContactHamiltonian(ev, k=K.k, n=K.n, meta=meta)
 
 
 def lie_bracket(H: ContactHamiltonian, K: ContactHamiltonian, theta):

@@ -196,7 +196,7 @@ class ExpressionHamiltonian(ContactHamiltonian):
         if meta is None:
             meta = self._estimate_meta(terms, n, k, meta_samples, meta_seed)
         super().__init__(self._eval, k=k, n=n, meta=meta,
-                         grad_fn=self._value_and_grad, label=text)
+                         grad_fn=self._value_and_grad)
 
     def scaled(self, s: float):
         """s times this Hamiltonian: coefficients scaled, metadata scaled,

@@ -40,6 +40,16 @@ def symplectic_pairing(a, b):
     )
 
 
+def symplectic_gradient(grad):
+    """The Hamiltonian field of a function with ambient gradient `grad`:
+    (xdot, ydot) = (-dH/dy, +dH/dx), the package's one sign convention."""
+    n = half_dim(grad)
+    out = np.empty_like(grad)
+    out[..., :n] = -grad[..., n:]
+    out[..., n:] = grad[..., :n]
+    return out
+
+
 def omega_matrix(n: int):
     eye = np.eye(n)
     return np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])

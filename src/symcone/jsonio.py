@@ -77,18 +77,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def merge_config(defaults: dict, cfg: dict, overrides: dict,
-                 known: Sequence[str]) -> dict:
-    """defaults < config-file < explicit flags; unknown keys rejected."""
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        raise ParseError(f"unknown config keys: {', '.join(unknown)}")
-    merged = dict(defaults)
-    merged.update(cfg)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
-
-
 # --------------------------------------------------------------------------
 # domain serialization
 

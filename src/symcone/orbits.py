@@ -410,22 +410,10 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
 
     e_min = system.min_energy()
     grid = np.linspace(e_min + 1e-9 * max(1.0, abs(e_min)), 1.0, scan_labels)
+    stop = scan_labels if budget is None else min(max(budget, 0), scan_labels)
     entries = []
     scan_min = math.inf
-    partial = False
-    for idx, e in enumerate(grid):
-        if budget is not None and idx >= budget:
-            partial = True
-            spectrum = ActionSpectrum(
-                group_i=group_i, group_ii_min_bound=bound,
-                window_top=window_top, scan_min_floor=scan_min,
-                scan_entries=tuple(entries), labels_scanned=len(entries),
-                scan_confirms_bound=_confirms(entries, scan_min, bound),
-                partial=True,
-            )
-            raise ScanBudgetError(
-                f"label scan budget {budget} exceeded at {idx}/{scan_labels}",
-                partial=spectrum)
+    for e in grid[:stop]:
         if abs(e) < 1e-9:
             continue  # vanishing well factor: belongs to group (i)
         c = [0.0] * D.n
@@ -435,10 +423,15 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
         floor = label_action_floor(system, float(e))
         entries.append((label, floor))
         scan_min = min(scan_min, floor)
-    return ActionSpectrum(
+    spectrum = ActionSpectrum(
         group_i=group_i, group_ii_min_bound=bound, window_top=window_top,
         scan_min_floor=scan_min, scan_entries=tuple(entries),
         labels_scanned=len(entries),
         scan_confirms_bound=_confirms(entries, scan_min, bound),
-        partial=partial,
+        partial=stop < scan_labels,
     )
+    if spectrum.partial:
+        raise ScanBudgetError(
+            f"label scan budget {budget} exceeded at {stop}/{scan_labels}",
+            partial=spectrum)
+    return spectrum

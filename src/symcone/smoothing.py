@@ -16,8 +16,12 @@ import numpy as np
 from .blends import cutoff_with_deriv, plateau_bump
 from .contact import ContactIsotopy
 from .errors import AuditError, DomainError, IntegrationError
-from .geometry import omega_matrix, row_sum
+from .geometry import omega_matrix, row_sum, symplectic_gradient
 from . import sampling
+
+# the finite-difference step of the symplecticity check: the stencil rows
+# and the Jacobians built from their images must use the same one
+FD_STEP = 3e-4
 
 
 def symplectize_many(iso: ContactIsotopy, rs, thetas):
@@ -51,14 +55,14 @@ class SmoothingCertificate:
     chi_one_above: float
 
 
-def _conformal_envelope(iso: ContactIsotopy, probes: int = 512, seed: int = 7,
-                        chunks: int = 50):
-    """Sampled (min, max) of the conformal factor along the isotopy."""
-    th = sampling.sphere_points(iso.n, probes, seed)
-    logc = np.zeros(probes)
+def _conformal_envelope(iso: ContactIsotopy):
+    """Sampled (min, max) of the conformal factor along the isotopy: 512
+    seeded sphere probes, read at the ends of 50 equal time chunks."""
+    th = sampling.sphere_points(iso.n, 512, 7)
+    logc = np.zeros(512)
     lo, hi = 0.0, 0.0
-    for i in range(chunks):
-        t0, t1 = i / chunks, (i + 1) / chunks
+    for i in range(50):
+        t0, t1 = i / 50, (i + 1) / 50
         th, dlc = iso.flow_many(th, t0, t1)
         logc = logc + dlc
         lo = min(lo, float(np.min(logc)))
@@ -66,38 +70,37 @@ def _conformal_envelope(iso: ContactIsotopy, probes: int = 512, seed: int = 7,
     return np.exp(lo), np.exp(hi)
 
 
-def _rate_envelope(iso: ContactIsotopy, grid: int = 4096, t_samples: int = 9,
-                   seed: int = 7, slack: float = 0.25):
+def _rate_envelope(iso: ContactIsotopy):
     """Bound (min, max) of the conformal factor from the generator's rate.
 
     log c is the time integral of dK_t(R), so a sup bound on that rate over
     the sphere bounds the factor itself uniformly over all trajectories —
-    no dependence on which trajectories happen to get sampled.  The grid
-    sup is inflated by `slack` to cover between-node variation.
+    no dependence on which trajectories happen to get sampled.  The sup is
+    taken on a seeded 4096-point sphere grid at 9 equally spaced times and
+    inflated by 25% to cover between-node variation.
     """
     from .contact import reeb_derivative
 
-    th = sampling.sphere_points(iso.n, grid, seed)
+    th = sampling.sphere_points(iso.n, 4096, 7)
     lo, hi = 0.0, 0.0
-    for t in np.linspace(0.0, 1.0, t_samples):
+    for t in np.linspace(0.0, 1.0, 9):
         rate = reeb_derivative(iso.hamiltonian_at(t), th)
         lo = min(lo, float(np.min(rate)))
         hi = max(hi, float(np.max(rate)))
-    return np.exp((1.0 + slack) * lo), np.exp((1.0 + slack) * hi)
+    return np.exp(1.25 * lo), np.exp(1.25 * hi)
 
 
 class SmoothedSymplectization:
     """Time-1 map of the cutoff Hamiltonian flow, with its certificate."""
 
-    def __init__(self, iso: ContactIsotopy, eps: float, step: float = 1e-3,
-                 envelope_probes: int = 512, seed: int = 7):
+    def __init__(self, iso: ContactIsotopy, eps: float, step: float = 1e-3):
         if not eps > 0:
             raise DomainError("eps must be positive")
         m, M = _rate_envelope(iso)
         # sampled trajectories must sit inside the rate-derived envelope;
         # if they do not, the grid missed structure and the certificate
         # would be built on sand
-        m_samp, M_samp = _conformal_envelope(iso, envelope_probes, seed)
+        m_samp, M_samp = _conformal_envelope(iso)
         if M_samp > M or m_samp < m:
             raise AuditError("sampled conformal factor escapes its bound",
                              {"bound": (m, M), "sampled": (m_samp, M_samp)})
@@ -127,11 +130,7 @@ class SmoothedSymplectization:
         w = chi * rl
         w_d = chi_d * rl + chi
         grad = (2.0 * w_d * Kv)[:, None] * z + (w / sq)[:, None] * tang
-        n = zs.shape[1] // 2
-        f = np.empty_like(grad)
-        f[:, :n] = -grad[:, n:]
-        f[:, n:] = grad[:, :n]
-        out[live] = f
+        out[live] = symplectic_gradient(grad)
         return out
 
     def __call__(self, zs, t_final: float = 1.0):
@@ -151,14 +150,10 @@ class SmoothedSymplectization:
         return z
 
 
-def smoothed_symplectization(iso: ContactIsotopy, eps: float, **kw):
-    return SmoothedSymplectization(iso, eps, **kw)
-
-
-def symplecticity_stencil(zs, fd_step: float = 3e-4):
+def symplecticity_stencil(zs):
     """Rows at which a map is evaluated for `symplecticity_defect`: for
     each coordinate j and c in (-2, -1, 1, 2), every row of zs moved by
-    c * fd_step along e_j, stacked in that order."""
+    c * FD_STEP along e_j, stacked in that order."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     dim = zs.shape[1]
     probes = []
@@ -166,11 +161,11 @@ def symplecticity_stencil(zs, fd_step: float = 3e-4):
         e = np.zeros(dim)
         e[j] = 1.0
         for c in (-2.0, -1.0, 1.0, 2.0):
-            probes.append(zs + c * fd_step * e)
+            probes.append(zs + c * FD_STEP * e)
     return np.concatenate(probes, axis=0)
 
 
-def symplecticity_defect_of_images(images, fd_step: float = 3e-4):
+def symplecticity_defect_of_images(images):
     """Max-norm defect of J^T Omega J - Omega per base row, from a map's
     images of the `symplecticity_stencil` rows (five-point Jacobians)."""
     dim = images.shape[1]
@@ -183,17 +178,17 @@ def symplecticity_defect_of_images(images, fd_step: float = 3e-4):
         m1 = images[base + npts:base + 2 * npts]
         p1 = images[base + 2 * npts:base + 3 * npts]
         p2 = images[base + 3 * npts:base + 4 * npts]
-        cols.append((8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * fd_step))
+        cols.append((8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * FD_STEP))
     J = np.stack(cols, axis=-1)  # (npts, dim, dim): J[p, i, j] = dF_i/dz_j
     defect = np.einsum("pji,jk,pkl->pil", J, Omega, J) - Omega
     return np.max(np.abs(defect), axis=(1, 2))
 
 
-def symplecticity_defect(map_fn, zs, fd_step: float = 3e-4):
+def symplecticity_defect(map_fn, zs):
     """Max-norm defect of J^T Omega J - Omega for finite-difference
     Jacobians of map_fn (five-point stencil), one value per input row."""
-    images = map_fn(symplecticity_stencil(zs, fd_step))
-    return symplecticity_defect_of_images(images, fd_step)
+    images = map_fn(symplecticity_stencil(zs))
+    return symplecticity_defect_of_images(images)
 
 
 @dataclass(frozen=True)

@@ -66,20 +66,26 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     assert code == 2 and "unknown config keys" in err
 
 
-@pytest.mark.parametrize("argv, cfg", [
-    (["capacity", "--hyperboloid"], {"a": "x"}),
-    (["spectrum"], {"labels": 2.5}),
-    (["capacity", "--hyperboloid"], {"n": True}),
-    (["metric"], {"family": "bogus"}),
-    (["spectrum"], {"labels": None}),
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["capacity", "--hyperboloid"], {"a": "x"}, "a must be a number, got 'x'"),
+    (["spectrum"], {"labels": 2.5}, "labels must be an integer, got 2.5"),
+    (["capacity", "--hyperboloid"], {"n": True},
+     "n must be an integer, got True"),
+    (["metric"], {"family": "bogus"},
+     "family must be one of scaling, random, got 'bogus'"),
+    (["spectrum"], {"labels": None}, "labels must be an integer, got None"),
+    (["capacity", "--hyperboloid"], {"a": 10 ** 400}, "a is out of range"),
+    # values are checked before unknown keys are rejected
+    (["capacity", "--hyperboloid"], {"bogus": 1, "a": "x"},
+     "a must be a number, got 'x'"),
 ], ids=["str-for-float", "float-for-int", "bool-for-int", "outside-choices",
-        "null-for-int"])
-def test_config_values_are_type_checked(tmp_path, capsys, argv, cfg):
+        "null-for-int", "too-large-for-float", "bad-value-and-unknown-key"])
+def test_config_values_are_type_checked(tmp_path, capsys, argv, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     code, out, err = run_cli(capsys, argv + ["--config", str(path)])
     assert code == 2 and out == ""
-    assert err.startswith("symcone: config value of " + next(iter(cfg)))
+    assert err == f"symcone: config value of {message}\n"
 
 
 def test_integer_config_value_for_a_float_matches_the_flag(tmp_path, capsys):
@@ -154,6 +160,31 @@ def test_no_bare_floats_in_envelope(capsys):
     walk(json.loads(out))
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_path_is_exit_2(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "run.txt"
+    code, out, err = run_cli(capsys, ["spectrum", "--labels", "5",
+                                      flag, str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"symcone: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("capacity_hyperboloid_a2_b3.json",
+     ["capacity", "--hyperboloid", "--a", "2", "--b", "3"]),
+    ("sandwich_readme_samples20000.json",
+     ["sandwich", "--expr", "1 * bump(rho; 1, 3)", "--M", "1", "--m", "0.5",
+      "--rho0", "0.1", "--rho1", "3", "--samples", "20000"]),
+])
+def test_envelope_matches_golden_bytes(capsys, name, argv):
+    # Both runs use exact arithmetic and seeded PCG64 draws only, so the
+    # recorded envelopes hold on every platform.
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    golden = Path(__file__).resolve().parent / "golden" / name
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
 def test_spectrum_csv_table(tmp_path, capsys):
     csv_path = tmp_path / "spec.csv"
     code, _, _ = run_cli(capsys, ["spectrum", "--labels", "40",
@@ -205,6 +236,21 @@ def test_sandwich_metadata_must_be_complete(capsys):
     code, _, err = run_cli(capsys, ["sandwich", "--expr",
                                     "1 * bump(rho; 1, 3)", "--M", "1.0"])
     assert code == 2 and "support metadata" in err
+    code, out, err = run_cli(capsys, ["sandwich"])
+    assert code == 2 and out == ""
+    assert err == "symcone: an --expr Hamiltonian expression is required\n"
+
+
+def test_sandwich_containment_failure_is_exit_4(capsys):
+    # M = 0.01 understates the sup of 1, so the inner hyperboloid is too
+    # large: the report is still written and the exit code flags it.
+    code, out, err = run_cli(capsys, [
+        "sandwich", "--expr", "1 * bump(rho; 1, 3)",
+        "--M", "0.01", "--m", "0.5", "--rho0", "0.1", "--rho1", "3",
+        "--samples", "20000"])
+    violations = json.loads(out)["result"]["audit"]["violations"]
+    assert code == 4 and violations > 0
+    assert err == f"symcone: containment audit failed with {violations} violations\n"
 
 
 def test_sandwich_rejects_nonpositive_floor(capsys):

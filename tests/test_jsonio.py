@@ -13,7 +13,6 @@ from symcone.jsonio import (
     dumps_json,
     fmt_float,
     load_config,
-    merge_config,
     parse_float,
     to_jsonable,
     write_csv,
@@ -92,17 +91,7 @@ def test_csv_layout():
 def test_config_loading_and_merge(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text('{"alpha": 2.0}', encoding="utf-8")
-    cfg = load_config(str(p))
-    merged = merge_config({"alpha": 1.0, "beta": 5}, cfg,
-                          {"beta": None, "alpha": None}, known=["alpha", "beta"])
-    assert merged == {"alpha": 2.0, "beta": 5}
-    # explicit flags outrank the file
-    merged = merge_config({"alpha": 1.0, "beta": 5}, cfg, {"alpha": 9.0},
-                          known=["alpha", "beta"])
-    assert merged["alpha"] == 9.0
-
-    with pytest.raises(ParseError):
-        merge_config({}, {"bogus": 1}, {}, known=["alpha"])
+    assert load_config(str(p)) == {"alpha": 2.0}
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ParseError):

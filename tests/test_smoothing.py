@@ -4,11 +4,11 @@ import pytest
 from symcone import (
     ContactIsotopy,
     DomainError,
+    SmoothedSymplectization,
     identity_isotopy,
     liouville_squeeze_witness,
     radial_step_bump,
     random_hamiltonian,
-    smoothed_symplectization,
     symplectize_ambient,
     symplecticity_defect,
 )
@@ -27,11 +27,11 @@ def shell(rng, npts, dim, r2lo, r2hi):
 def tame_map():
     K = random_hamiltonian(2, 1, seed=31, amplitude=0.1)
     iso = ContactIsotopy(K, step=1e-3)
-    return iso, smoothed_symplectization(iso, 0.05)
+    return iso, SmoothedSymplectization(iso, 0.05)
 
 
 def test_identity_isotopy_certificate_is_tight():
-    sm = smoothed_symplectization(identity_isotopy(2, 1), 0.1)
+    sm = SmoothedSymplectization(identity_isotopy(2, 1), 0.1)
     cert = sm.certificate
     assert cert.M == 1.0 and cert.m == 1.0
     assert cert.K_factor == 4.0
@@ -116,7 +116,7 @@ def test_lift_scales_like_rays():
 
 def test_smoothed_map_rejects_bad_eps():
     with pytest.raises(DomainError):
-        smoothed_symplectization(identity_isotopy(2, 1), -0.05)
+        SmoothedSymplectization(identity_isotopy(2, 1), -0.05)
 
 
 def test_radial_step_bump_profile():
