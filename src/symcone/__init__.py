@@ -26,7 +26,7 @@ from .orbits import (ActionSpectrum, OrbitRecord, PlanarWellSystem,
 from .smoothing import (SmoothedSymplectization, SmoothingCertificate,
                         SqueezeWitness, liouville_squeeze_witness,
                         radial_step_bump, symplecticity_defect,
-                        symplectize_ambient, symplectize_many)
+                        symplectize_ambient)
 from .capacity import (CapacityInterval, NonsqueezingReport, candidate_pool,
                        capacity_hyperboloid, capacity_interval,
                        capacity_of_hamiltonian, nonsqueezing_verdict)

@@ -13,7 +13,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .contact import ContactHamiltonian, ContactIsotopy
-from .domains import Hyperboloid, SandwichCertificate, StarDomain, sandwich_solve
+from .domains import (BOX_FACTOR, Hyperboloid, SandwichCertificate, StarDomain,
+                      sandwich_solve)
 from .errors import DomainError
 from . import sampling
 from .smoothing import SmoothedSymplectization
@@ -95,27 +96,26 @@ class NonsqueezingReport:
 
 
 def candidate_pool(n: int, k: int, count: int, seed: int = 0,
-                   eps: float = 0.05, iso_step: float = 5e-3,
-                   map_step: float = 1e-2, amplitude: float = 0.15) -> list:
-    """Smoothed symplectizations of random compactly supported isotopies.
+                   eps: float = 0.05) -> list:
+    """Smoothed symplectizations of random compactly supported isotopies,
+    flowed at step 5e-3 on the sphere and 1e-2 in the ambient space.
 
-    The generator amplitude keeps the conformal envelope moderate, so the
-    smoothed maps act nontrivially at unit scale instead of pushing their
-    fully-conjugated zone far from the domains being probed.
+    The generator amplitude 0.15 keeps the conformal envelope moderate, so
+    the smoothed maps act nontrivially at unit scale instead of pushing
+    their fully-conjugated zone far from the domains being probed.
     """
     maps = []
     for i, s in enumerate(sampling.spawn(seed, count)):
-        K = random_hamiltonian(n, k, seed=s, amplitude=amplitude)
-        iso = ContactIsotopy(K, step=iso_step)
-        smoothed = SmoothedSymplectization(iso, eps, step=map_step)
+        K = random_hamiltonian(n, k, seed=s, amplitude=0.15)
+        iso = ContactIsotopy(K, step=5e-3)
+        smoothed = SmoothedSymplectization(iso, eps, step=1e-2)
         maps.append((f"candidate-{i}", smoothed))
     return maps
 
 
 def nonsqueezing_verdict(V: Hyperboloid, s: float,
                          candidates: Sequence[Tuple[str, Callable]],
-                         samples: int = 10_000, seed: int = 0,
-                         box_factor: float = 4.0) -> NonsqueezingReport:
+                         samples: int = 10_000, seed: int = 0) -> NonsqueezingReport:
     """Check that no candidate map sends s*V inside V.
 
     The theoretical verdict is immediate from scaling and monotonicity:
@@ -130,7 +130,7 @@ def nonsqueezing_verdict(V: Hyperboloid, s: float,
         return NonsqueezingReport(domain=V, s=s, w=w, candidates=(),
                                   verdict="VACUOUS")
     big = V.scaled(s)
-    halfwidth = box_factor * s * max(V.a, V.b)
+    halfwidth = BOX_FACTOR * s * max(V.a, V.b)
     streams = sampling.spawn(seed, 64)
     pts = []
     have = 0
@@ -149,11 +149,10 @@ def nonsqueezing_verdict(V: Hyperboloid, s: float,
     verdict = "IMPOSSIBLE"
     for cid, mp in candidates:
         ws = np.atleast_2d(np.asarray(mp(zs), dtype=float))
-        inside = V.contains_many(ws)
-        outside = ~inside
+        level = V.defining_function(ws)
+        outside = ~(level < 1.0)
         if np.any(outside):
-            over = _split_excess(V, ws)
-            excess = np.where(outside, over, -np.inf)
+            excess = np.where(outside, level - 1.0, -np.inf)
             idx = int(np.argmax(excess))
             results.append(CandidateResult(
                 cid=cid, escapes=True, witness_point=ws[idx],
@@ -167,12 +166,3 @@ def nonsqueezing_verdict(V: Hyperboloid, s: float,
             verdict = "CONTRADICTION"
     return NonsqueezingReport(domain=V, s=s, w=w,
                               candidates=tuple(results), verdict=verdict)
-
-
-def _split_excess(V: Hyperboloid, zs: np.ndarray) -> np.ndarray:
-    """How far outside the hyperboloid each point sits (its defining
-    quantity minus one)."""
-    from .geometry import split_uv
-
-    u, v = split_uv(zs, V.k)
-    return u / V.a ** 2 - v / V.b ** 2 - 1.0

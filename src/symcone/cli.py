@@ -256,9 +256,8 @@ def cmd_metric(params: dict):
         "dw_bound": dw,
     }
     if pair is not None:
-        d = (result["distances"].get(f"{pair[0]}|{pair[1]}")
-             or result["distances"].get(f"{pair[1]}|{pair[0]}"))
-        result["headline"] = {"pair": list(pair), "distance": d}
+        result["headline"] = {"pair": list(pair),
+                              "distance": result["distances"]["|".join(pair)]}
     if not report.antisymmetry_ok or not all(v["ok"] for v in dw.values()):
         return result, (4, "metric audit failed")
     return result, None

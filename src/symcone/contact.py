@@ -19,10 +19,12 @@ import numpy as np
 
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import (as_phase, half_dim, angle_ratio_of, row_sum,
-                       symplectic_gradient)
+                       symplectic_gradient, tangential)
 from . import sampling
 
 FD_STEP = 1e-5
+# values at most this large in magnitude count as zero in the metadata audit
+ZERO_TOL = 1e-12
 
 
 def _batched(theta):
@@ -31,11 +33,12 @@ def _batched(theta):
     return (theta[None, :] if single else theta), single
 
 
-def reeb_field(theta, tol=1e-10):
-    """Rotation field (-2y, 2x); unit pairing against the contact form."""
+def reeb_field(theta):
+    """Rotation field (-2y, 2x); unit pairing against the contact form.
+    Rows must have norm 1 to within 1e-10."""
     th, single = _batched(theta)
     nrm = np.sqrt(row_sum(th * th))
-    if np.any(np.abs(nrm - 1.0) > tol):
+    if np.any(np.abs(nrm - 1.0) > 1e-10):
         raise DomainError("reeb_field requires unit vectors")
     out = symplectic_gradient(2.0 * th)  # the field of |z|^2
     return out[0] if single else out
@@ -116,17 +119,17 @@ class ContactHamiltonian:
             grad_fn=None if gr is None else scaled_pair,
         )
 
-    def audit(self, samples: int = 10_000, seed: int = 0, zero_tol: float = 1e-12):
+    def audit(self, samples: int = 10_000, seed: int = 0):
         """Sampled contract check of the metadata; raises AuditError."""
         thetas = sampling.sphere_points(self.n, samples, seed)
         vals = self(thetas)
-        if np.any(vals < -zero_tol):
+        if np.any(vals < -ZERO_TOL):
             raise AuditError(f"negative value {vals.min():.3e} found")
         if np.max(vals) > self.meta.M + 1e-6:
             raise AuditError(f"sampled sup {np.max(vals):.6g} exceeds M={self.meta.M}")
         rho = angle_ratio_of(thetas, self.k)
         outside = rho >= self.meta.rho1
-        if np.any(np.abs(vals[outside]) > zero_tol):
+        if np.any(np.abs(vals[outside]) > ZERO_TOL):
             raise AuditError("support leaks past rho1")
         if not self.meta.m > 0:
             raise AuditError("m must be positive")
@@ -146,24 +149,20 @@ def _renorm(th):
 
 def _homogeneous_field(Kv, g, th):
     """Field of r*K at unit rows th, from K's values and ambient gradients."""
-    return symplectic_gradient(2.0 * Kv[:, None] * th + _tangential(g, th))
-
-
-def _tangential(X, th):
-    return X - row_sum(X * th)[:, None] * th
+    return symplectic_gradient(2.0 * Kv[:, None] * th + tangential(g, th))
 
 
 def _field_and_rate(K: ContactHamiltonian, th):
     """(Y_K, dK(R)) at a batch of unit rows from one value_and_grad call."""
     Kv, g = K.value_and_grad(th)
-    Y = _tangential(_homogeneous_field(Kv, g, th), th)
+    Y = tangential(_homogeneous_field(Kv, g, th), th)
     return Y, row_sum(g * reeb_field(th))
 
 
 def contact_vector_field(K: ContactHamiltonian, theta):
     """Sphere field Y_K: tangential projection of the homogeneous field."""
     th, single = _batched(theta)
-    Y = _tangential(_homogeneous_field(*K.value_and_grad(th), th), th)
+    Y = tangential(_homogeneous_field(*K.value_and_grad(th), th), th)
     return Y[0] if single else Y
 
 
@@ -224,15 +223,15 @@ class ContactIsotopy:
                 raise IntegrationError("flow diverged", {"step_index": i})
         return th, logc
 
-    def inverse_images(self, thetas, t: float = 1.0):
-        """psi_t^{-1}(theta) together with c_{psi_t} evaluated there.
+    def inverse_images(self, thetas):
+        """psi_1^{-1}(theta) together with c_{psi_1} evaluated there.
 
-        One backward pass: running the ODE from t down to 0 lands on the
+        One backward pass: running the ODE from 1 down to 0 lands on the
         preimage, and the log-derivative integral accumulated along that
         same path (sign restored) is log c at the preimage.
         """
         th = np.atleast_2d(np.asarray(thetas, dtype=float))
-        pre, logc_back = self.flow_many(th, t, 0.0)
+        pre, logc_back = self.flow_many(th, 1.0, 0.0)
         return pre, np.exp(-logc_back)
 
 
@@ -249,20 +248,20 @@ def concatenate_isotopies(second: ContactIsotopy, first: ContactIsotopy):
     return ContactIsotopy(gen, step=min(second.step, first.step) / 2.0)
 
 
-def identity_isotopy(n: int, k: int, step: float = 1e-3):
+def identity_isotopy(n: int, k: int):
     meta = SupportMeta(M=0.0, m=1.0, rho0=0.1, rho1=1.0)
     zero = ContactHamiltonian(lambda th: np.zeros(th.shape[0]), k=k, n=n, meta=meta,
                               grad_fn=lambda th: (np.zeros(th.shape[0]), np.zeros_like(th)))
-    return ContactIsotopy(zero, step=step)
+    return ContactIsotopy(zero)
 
 
 def adjoint_action(iso: ContactIsotopy, K: ContactHamiltonian,
-                   meta_samples: int = 2000, seed: int = 0) -> ContactHamiltonian:
+                   meta_samples: int = 2000) -> ContactHamiltonian:
     """Pull K back through the time-1 map with its conformal weight.
 
     The value at theta is c(pre) * K(pre) with pre the time-1 preimage of
-    theta; metadata is re-estimated by sampling and inflated, to be
-    re-audited by the caller when it matters.
+    theta; metadata is re-estimated on seeded sphere probes (seeds 0 and
+    3) and inflated, to be re-audited by the caller when it matters.
     """
     if (iso.k, iso.n) != (K.k, K.n):
         raise DomainError("isotopy and Hamiltonian act on different splits")
@@ -271,14 +270,14 @@ def adjoint_action(iso: ContactIsotopy, K: ContactHamiltonian,
         pre, c = iso.inverse_images(th)
         return c * np.asarray(K.eval_fn(pre), dtype=float)
 
-    probe = sampling.sphere_points(K.n, meta_samples, seed)
+    probe = sampling.sphere_points(K.n, meta_samples, 0)
     vals = ev(probe)
     rho = angle_ratio_of(probe, K.k)
     support_rho = rho[np.abs(vals) > 1e-12]
     rho1_new = K.meta.rho1 if support_rho.size == 0 else max(
         K.meta.rho1, 1.1 * float(np.max(support_rho)) + 0.1)
     inner = sampling.sphere_points_with_angle_ratio(
-        K.n, K.k, meta_samples // 2, seed + 3, rho_max=K.meta.rho0)
+        K.n, K.k, meta_samples // 2, 3, rho_max=K.meta.rho0)
     m_new = 0.75 * float(np.min(ev(inner)))
     M_new = 1.05 * float(np.max(vals)) + 1e-9
     meta = SupportMeta(M=M_new, m=m_new, rho0=K.meta.rho0, rho1=rho1_new)

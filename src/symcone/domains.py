@@ -16,10 +16,14 @@ from .errors import AuditError, DomainError
 from .geometry import as_phase, row_sum, split_uv
 from . import sampling
 
+# half-width of a rejection-sampling box, in largest semi-axes of the
+# hyperboloid it must hold
+BOX_FACTOR = 4.0
+
 
 @dataclass(frozen=True)
 class Hyperboloid:
-    """Model domain {u/a^2 - v/b^2 < 1} of the k-indexed split."""
+    """Model domain {G < 1}, G = u/a^2 - v/b^2, of the k-indexed split."""
 
     n: int
     k: int
@@ -35,9 +39,12 @@ class Hyperboloid:
     def contains(self, z) -> bool:
         return bool(self.contains_many(np.atleast_2d(as_phase(z, n=self.n)))[0])
 
-    def contains_many(self, zs):
+    def defining_function(self, zs):
         u, v = split_uv(as_phase(zs, n=self.n), self.k)
-        return u / self.a ** 2 - v / self.b ** 2 < 1.0
+        return u / self.a ** 2 - v / self.b ** 2
+
+    def contains_many(self, zs):
+        return self.defining_function(zs) < 1.0
 
     def scaled(self, s: float):
         if not s > 0:
@@ -146,12 +153,12 @@ class SmoothedWell:
         return SmoothedWell(C=s * self.C, eps=s * self.eps, delta=s * s * self.delta)
 
 
-def build_smoothed_well(C: float, eps: float, grid: int = 10_000) -> SmoothedWell:
-    """Construct the well and verify its contracts on a grid."""
+def build_smoothed_well(C: float, eps: float) -> SmoothedWell:
+    """Construct the well and verify its contracts on a 10^4-point grid."""
     if not (C > 0 and 0 < eps < C / 10.0):
         raise DomainError(f"need 0 < eps < C/10, got C={C}, eps={eps}")
     well = SmoothedWell(C=C, eps=eps, delta=min(3.2 * eps, 7.6 * C * eps))
-    t = np.linspace(-3.0 * C, 3.0 * C, grid)
+    t = np.linspace(-3.0 * C, 3.0 * C, 10_000)
     g, gp = well.value(t), well.deriv(t)
     if np.min(0.5 * t * gp - g) < -1e-12:
         raise AuditError("radial-derivative inequality fails on the grid")
@@ -205,8 +212,9 @@ class IntegrableDomain:
     def contains_many(self, zs):
         return self.defining_function(zs) < 1.0
 
-    def boundary_project(self, directions, tol: float = 1e-12, max_iter: int = 200):
-        """Scale each direction onto {G = 1} (bisection along the ray)."""
+    def boundary_project(self, directions):
+        """Scale each direction onto {G = 1}: bisection along the ray, at
+        most 200 halvings, stopping once every |G - 1| < 1e-12."""
         d = np.atleast_2d(np.asarray(directions, dtype=float))
         d = d / np.linalg.norm(d, axis=1, keepdims=True)
         lo = np.zeros(d.shape[0])
@@ -219,21 +227,22 @@ class IntegrableDomain:
             hi[inside] *= 2.0
         else:
             raise DomainError("defining function failed to exhaust along a ray")
-        for _ in range(max_iter):
+        for _ in range(200):
             mid = 0.5 * (lo + hi)
             vals = self.defining_function(mid[:, None] * d)
             below = vals < 1.0
             lo[below] = mid[below]
             hi[~below] = mid[~below]
-            if np.max(np.abs(vals - 1.0)) < tol:
+            if np.max(np.abs(vals - 1.0)) < 1e-12:
                 break
         mid = 0.5 * (lo + hi)
         return mid[:, None] * d
 
-    def transversality_margin(self, zs, boundary_tol: float = 1e-8):
+    def transversality_margin(self, zs):
+        """(z/2) . grad G - 1 at points with |G - 1| <= 1e-8."""
         zs = np.atleast_2d(as_phase(zs, n=self.n))
         G = self.defining_function(zs)
-        if np.max(np.abs(G - 1.0)) > boundary_tol:
+        if np.max(np.abs(G - 1.0)) > 1e-8:
             raise DomainError("transversality margin needs boundary points")
         return self.liouville_derivative(zs) - 1.0
 
@@ -250,7 +259,9 @@ class SandwichCertificate:
     outer: Hyperboloid
     provenance: dict
 
-    def check(self, margin: float = 1e-9):
+    def check(self):
+        """The four inequalities of the construction, each with a margin
+        of at least 1e-9; raises AuditError otherwise."""
         M, m = self.provenance["M"], self.provenance["m"]
         rho0, rho1 = self.provenance["rho0"], self.provenance["rho1"]
         T = self.provenance["T"]
@@ -262,7 +273,7 @@ class SandwichCertificate:
             rho0 - bp2 / ap2,
             ap2 - 1.0 / m,
         ]
-        if min(conds) < margin:
+        if min(conds) < 1e-9:
             raise AuditError(f"certificate inequality margins too small: {conds}")
         return conds
 
@@ -308,11 +319,10 @@ class ContainmentReport:
 
 
 def containment_audit(H: ContactHamiltonian, cert: SandwichCertificate,
-                      samples: int = 100_000, seed: int = 0,
-                      box_factor: float = 4.0) -> ContainmentReport:
+                      samples: int = 100_000, seed: int = 0) -> ContainmentReport:
     """Rejection-sample both inclusions inner ⊂ V(H) ⊂ outer."""
     star = StarDomain(H)
-    halfwidth = box_factor * max(cert.outer.a, cert.outer.b)
+    halfwidth = BOX_FACTOR * max(cert.outer.a, cert.outer.b)
     pts = sampling.box_points(2 * H.n, halfwidth, samples, seed)
     in_inner = cert.inner.contains_many(pts)
     in_star = star.contains_many(pts)

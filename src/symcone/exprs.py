@@ -184,7 +184,7 @@ class ExpressionHamiltonian(ContactHamiltonian):
     the fused value-and-gradient kernel."""
 
     def __init__(self, text: str, n: int, k: int, meta: SupportMeta = None,
-                 meta_samples: int = 4000, meta_seed: int = 0):
+                 meta_seed: int = 0):
         terms = _Parser(_tokenize(text), n).parse()
         self.text = text
         self.terms = terms
@@ -194,7 +194,7 @@ class ExpressionHamiltonian(ContactHamiltonian):
         self.k = int(k)  # _eval needs these before the base constructor runs
         self.n = int(n)
         if meta is None:
-            meta = self._estimate_meta(terms, n, k, meta_samples, meta_seed)
+            meta = self._estimate_meta(terms, n, k, meta_seed)
         super().__init__(self._eval, k=k, n=n, meta=meta,
                          grad_fn=self._value_and_grad)
 
@@ -259,37 +259,38 @@ class ExpressionHamiltonian(ContactHamiltonian):
         return total, grad
 
     # -- metadata -------------------------------------------------------
-    def _estimate_meta(self, terms, n, k, samples, seed):
+    def _estimate_meta(self, terms, n, k, seed):
+        """Metadata from 4000 seeded sphere probes and 2000 inner ones."""
         rho1 = max(min(f[2] for f in factors if f[0] == "bump")
                    for _, factors in terms)
         rho0 = 0.5 * min(min(f[1] for f in factors if f[0] == "bump")
                          for _, factors in terms)
         rho0 = max(rho0, 1e-3)
-        probe = sampling.sphere_points(n, samples, seed)
+        probe = sampling.sphere_points(n, 4000, seed)
         vals = self._eval(probe)
         if np.min(vals) < -1e-12:
             raise DomainError("expression takes negative values; not usable here")
         M = 1.02 * float(np.max(vals)) + 1e-12
-        inner = sampling.sphere_points_with_angle_ratio(n, k, samples // 2, seed + 1,
+        inner = sampling.sphere_points_with_angle_ratio(n, k, 2000, seed + 1,
                                                         rho_max=rho0)
         m = 0.75 * float(np.min(self._eval(inner)))
         return SupportMeta(M=M, m=m, rho0=rho0, rho1=rho1)
 
 
-def hamiltonian_from_expression(text, n, k, meta=None, **kw) -> ExpressionHamiltonian:
-    return ExpressionHamiltonian(text, n=n, k=k, meta=meta, **kw)
+def hamiltonian_from_expression(text, n, k, meta=None) -> ExpressionHamiltonian:
+    return ExpressionHamiltonian(text, n=n, k=k, meta=meta)
 
 
-def random_hamiltonian(n, k, seed, extra_terms=2, amplitude=1.0):
+def random_hamiltonian(n, k, seed, amplitude=1.0):
     """Seeded nonnegative compactly supported expression Hamiltonian:
-    a plateau bump plus a few even-monomial bump terms."""
+    a plateau bump plus two even-monomial bump terms."""
     g = sampling.rng(seed)
     a0 = g.uniform(0.4, 1.0)
     b0 = a0 + g.uniform(1.0, 2.2)
     c0 = amplitude * g.uniform(0.5, 1.0)
     parts = [f"{c0:.6g} * bump(rho; {a0:.6g}, {b0:.6g})"]
     coords = [f"x{j}" for j in range(1, n + 1)] + [f"y{j}" for j in range(1, n + 1)]
-    for _ in range(extra_terms):
+    for _ in range(2):
         c = amplitude * g.uniform(0.1, 0.5)
         a = g.uniform(0.3, 1.2)
         b = a + g.uniform(0.8, 2.0)

@@ -67,6 +67,12 @@ def row_sum(a):
     return out
 
 
+def tangential(X, th):
+    """The part of each row of X orthogonal to the unit row of th: the
+    projection onto the tangent space of the unit sphere at th."""
+    return X - row_sum(X * th)[:, None] * th
+
+
 def split_uv(z, k: int):
     """Batched (u, v): u collects |x|^2 plus the first n-k y's squared,
     v the last k y's squared."""

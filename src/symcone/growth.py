@@ -36,7 +36,6 @@ class ConeElement:
     H: ContactHamiltonian
     base_id: str
     scale: float = 1.0
-    conjugated: bool = False
 
 
 class Conjugator:
@@ -91,7 +90,7 @@ class DistanceInterval:
 class ConeFamily:
     def __init__(self, n: int, k: int, elements: Sequence[ConeElement],
                  seed: int = 0, pool_size: int = 8, grid_points: int = 10_000,
-                 iso_step: float = 2e-2, audit_samples: int = 2000):
+                 audit_samples: int = 2000):
         self.n, self.k = n, k
         self.elements: Dict[str, ConeElement] = {e.eid: e for e in elements}
         if len(self.elements) != len(elements):
@@ -101,7 +100,7 @@ class ConeFamily:
         for i, s in enumerate(sampling.spawn(seed + 1, pool_size)):
             gen = random_hamiltonian(n, k, seed=s)
             self.pool.append(
-                Conjugator(f"flow-{i}", ContactIsotopy(gen, step=iso_step)))
+                Conjugator(f"flow-{i}", ContactIsotopy(gen, step=2e-2)))
         self._values: Dict[str, np.ndarray] = {}
         self._caps: Dict[str, CapacityInterval] = {}
         for e in self.elements.values():
@@ -122,11 +121,10 @@ class ConeFamily:
         el = self.elements[eid]
         if el.base_id not in self._caps:
             base = next((e for e in self.elements.values()
-                         if e.base_id == el.base_id and e.scale == 1.0
-                         and not e.conjugated), None)
+                         if e.base_id == el.base_id and e.scale == 1.0), None)
             if base is None:
-                raise DomainError(f"family has no unscaled, unconjugated base "
-                                  f"element for {el.base_id!r}")
+                raise DomainError(f"family has no unscaled base element for "
+                                  f"{el.base_id!r}")
             self._caps[el.base_id] = capacity_of_hamiltonian(base.H)
         return self._caps[el.base_id].scaled_hamiltonian(el.scale)
 
@@ -206,11 +204,11 @@ class ComposedWitness:
     ok: bool
 
 
-def submultiplicativity_check(fam: ConeFamily, fid: str, gid: str, hid: str,
-                              slack: float = 1e-9) -> ComposedWitness:
-    """Reconstruct rho_hi(f,h) <= rho_hi(f,g) * rho_hi(g,h) by actually
-    composing the two best witnesses and re-measuring on the grid; the
-    composed conjugator joins the pool."""
+def submultiplicativity_check(fam: ConeFamily, fid: str, gid: str,
+                              hid: str) -> ComposedWitness:
+    """Reconstruct rho_hi(f,h) <= rho_hi(f,g) * rho_hi(g,h), to a relative
+    1e-9, by actually composing the two best witnesses and re-measuring on
+    the grid; the composed conjugator joins the pool."""
     w1 = relative_growth_bounds(fam, fid, gid)
     w2 = relative_growth_bounds(fam, gid, hid)
     if not (w1.witnesses and w2.witnesses):
@@ -224,7 +222,7 @@ def submultiplicativity_check(fam: ConeFamily, fid: str, gid: str, hid: str,
 
     measured = fam.sup_ratio(fid, hid, composed)
     claimed = s1 * s2
-    ok = measured <= claimed * (1.0 + slack)
+    ok = measured <= claimed * (1.0 + 1e-9)
     return ComposedWitness(links=((c1id, s1), (c2id, s2)),
                            claimed=claimed, measured=measured, ok=ok)
 
@@ -279,11 +277,11 @@ class QuotientReport:
     growth_hi: Dict[Tuple[str, str], float]
 
 
-def equivalence_and_order(fam: ConeFamily,
-                          epsilons: Sequence[float] = (1e-1, 1e-2, 1e-3)
-                          ) -> QuotientReport:
+def equivalence_and_order(fam: ConeFamily) -> QuotientReport:
     """Cluster elements at witnessed distance zero and report the
-    witnessed strict order between the clusters."""
+    witnessed strict order between the clusters: `edges` maps each eps
+    in 1e-1, 1e-2, 1e-3 to the class pairs (p, q) witnessed with
+    rho(p, q) <= 1/(1 + eps)."""
     ids = list(fam.elements)
     raw = {(i, j): relative_growth_bounds(fam, i, j) for i in ids for j in ids}
     hi = _closed_hi_matrix({key: iv.hi for key, iv in raw.items()})
@@ -314,7 +312,7 @@ def equivalence_and_order(fam: ConeFamily,
 
     edges: Dict[float, Tuple[Tuple[int, int], ...]] = {}
     anti_ok = True
-    for eps in epsilons:
+    for eps in (1e-1, 1e-2, 1e-3):
         found = []
         for p, P in enumerate(classes):
             for q, Q in enumerate(classes):

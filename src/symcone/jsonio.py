@@ -25,10 +25,6 @@ def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def parse_float(s) -> float:
-    return float(s)
-
-
 def to_jsonable(obj):
     """Recursively convert to JSON-ready values (floats become strings)."""
     if obj is None or isinstance(obj, (bool, str)):
@@ -112,21 +108,21 @@ def domain_from_dict(d: Mapping):
     kind = d.get("type")
     if kind == "hyperboloid":
         return Hyperboloid(n=int(d["n"]), k=int(d["k"]),
-                           a=parse_float(d["a"]), b=parse_float(d["b"]))
+                           a=float(d["a"]), b=float(d["b"]))
     if kind == "star":
         meta = d.get("meta")
         sm = None
         if meta:
-            sm = SupportMeta(M=parse_float(meta["M"]), m=parse_float(meta["m"]),
-                             rho0=parse_float(meta["rho0"]),
-                             rho1=parse_float(meta["rho1"]))
+            sm = SupportMeta(M=float(meta["M"]), m=float(meta["m"]),
+                             rho0=float(meta["rho0"]),
+                             rho1=float(meta["rho1"]))
         H = ExpressionHamiltonian(d["expr"], n=int(d["n"]), k=int(d["k"]),
                                   meta=sm)
         return StarDomain(H)
     if kind == "integrable":
-        well = SmoothedWell(C=parse_float(d["C"]), eps=parse_float(d["eps"]),
-                            delta=parse_float(d["delta"]))
+        well = SmoothedWell(C=float(d["C"]), eps=float(d["eps"]),
+                            delta=float(d["delta"]))
         return IntegrableDomain(n=int(d["n"]), k=int(d["k"]),
-                                a=parse_float(d["a"]), b=parse_float(d["b"]),
+                                a=float(d["a"]), b=float(d["b"]),
                                 well=well)
     raise ParseError(f"unknown domain type tag {kind!r}")

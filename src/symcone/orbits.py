@@ -31,6 +31,13 @@ _KICKS = (_W1, 1.0 - 2.0 * _W1, _W1)
 _DRIFTS = (0.5 * _W1, 0.5 * (_W1 + _KICKS[1]), 0.5 * (_W1 + _KICKS[1]),
            0.5 * _W1)
 
+# vertices of a traced level-set contour (closed orbits, homoclinic loop)
+CONTOUR_POINTS = 2048
+
+# area of the ellipse segment {chi^2 + 3 eta^2 <= 15/4, eta >= 1}: semi-axes
+# sqrt(15)/2 and sqrt(5)/2, cut at half-angle acos(2/sqrt(5)) from the eta axis
+_SEGMENT_AREA = math.sqrt(3.0) * (1.25 * math.acos(2.0 / math.sqrt(5.0)) - 0.5)
+
 
 @dataclass(frozen=True)
 class PlanarWellSystem:
@@ -158,14 +165,15 @@ def turning_points(system: PlanarWellSystem, e: float):
     return y_bot, y_top
 
 
-def _period_quadrature(system: PlanarWellSystem, e: float,
-                       y_lo: float, y_hi: float) -> float:
-    """T = contour integral of dl/|grad h| = a * int dy / sqrt(e - g/b^2),
-    evaluated with a cosine substitution that absorbs the square-root
-    turning-point singularities."""
+def _level_quadrature(system: PlanarWellSystem, e: float, y_lo: float,
+                      y_hi: float, weight) -> float:
+    """int weight(dy/du, e - g(y)/b^2) du over [0, pi], where the cosine
+    substitution y = mid - half cos u runs over [y_lo, y_hi] and absorbs
+    the square-root turning-point singularities; the integrand is 0 where
+    e - g(y)/b^2 <= 0."""
     from scipy import integrate
 
-    well, b2, a = system.well, system.b ** 2, system.a
+    well, b2 = system.well, system.b ** 2
     mid, half = 0.5 * (y_lo + y_hi), 0.5 * (y_hi - y_lo)
 
     def f(u):
@@ -173,25 +181,24 @@ def _period_quadrature(system: PlanarWellSystem, e: float,
         val = e - well.value_at(y) / b2
         if val <= 0.0:
             return 0.0
-        return half * math.sin(u) / math.sqrt(val)
+        return weight(half * math.sin(u), val)
 
     val, _ = integrate.quad(f, 0.0, math.pi, limit=800, epsabs=1e-13, epsrel=1e-11)
-    return a * val
+    return val
+
+
+def _period_quadrature(system: PlanarWellSystem, e: float,
+                       y_lo: float, y_hi: float) -> float:
+    """T = contour integral of dl/|grad h| = a * int dy / sqrt(e - g/b^2)."""
+    return system.a * _level_quadrature(system, e, y_lo, y_hi,
+                                        lambda w, val: w / math.sqrt(val))
 
 
 def _action_quadrature(system: PlanarWellSystem, e: float,
                        y_lo: float, y_hi: float) -> float:
     """Enclosed area = 2a * int sqrt(e - g/b^2) dy over the y-range."""
-    from scipy import integrate
-
-    well, b2, a = system.well, system.b ** 2, system.a
-
-    def f(y):
-        val = e - well.value_at(y) / b2
-        return math.sqrt(val) if val > 0.0 else 0.0
-
-    val, _ = integrate.quad(f, y_lo, y_hi, limit=800, epsabs=1e-13, epsrel=1e-11)
-    return 2.0 * a * val
+    return 2.0 * system.a * _level_quadrature(system, e, y_lo, y_hi,
+                                              lambda w, val: w * math.sqrt(val))
 
 
 def _contour(system: PlanarWellSystem, e: float, y_lo: float, y_hi: float,
@@ -232,8 +239,7 @@ class OrbitRecord:
                 raise DomainError(f"closed orbit fails to close: gap {gap}")
 
 
-def _audited_level(system: PlanarWellSystem, e: float, branch: str = "auto",
-                   samples: int = 2048, cross_check_tol: float = 1e-4):
+def _audited_level(system: PlanarWellSystem, e: float, branch: str = "auto"):
     """(contour, y_lo, y_hi, action) of the closed component of {h = e}
     on `branch`; see `closed_orbit_at_energy`, which adds the period."""
     if e == 0.0:
@@ -250,28 +256,27 @@ def _audited_level(system: PlanarWellSystem, e: float, branch: str = "auto",
     elif branch not in ("auto", "outer"):
         raise DomainError("levels above zero have a single outer component")
 
-    pts = _contour(system, e, y_lo, y_hi, samples)
+    pts = _contour(system, e, y_lo, y_hi, CONTOUR_POINTS)
     area = _shoelace(pts)
     y_lo, y_hi = min(y_lo, y_hi), max(y_lo, y_hi)
     area_q = _action_quadrature(system, e, y_lo, y_hi)
-    if abs(area - area_q) > cross_check_tol * max(abs(area_q), 1e-12):
+    if abs(area - area_q) > 1e-4 * max(abs(area_q), 1e-12):
         raise AuditError(
             f"contour area {area} and quadrature area {area_q} disagree")
     return pts, y_lo, y_hi, max(area, 0.0)
 
 
 def closed_orbit_at_energy(system: PlanarWellSystem, e: float,
-                           branch: str = "auto", samples: int = 2048,
-                           cross_check_tol: float = 1e-4) -> OrbitRecord:
+                           branch: str = "auto") -> OrbitRecord:
     """Trace the closed component of {h = e} and measure period and action.
 
     `branch` picks the connected component for e < 0 ("right" around the
     positive well, "left" its mirror); levels with e > 0 have a single
     outer component.  The action is the shoelace area of the traced
-    contour, audited against the independent quadrature route.
+    contour, audited against the independent quadrature route to a
+    relative 1e-4.
     """
-    pts, y_lo, y_hi, action = _audited_level(system, e, branch, samples,
-                                             cross_check_tol)
+    pts, y_lo, y_hi, action = _audited_level(system, e, branch)
     period = _period_quadrature(system, e, y_lo, y_hi)
     return OrbitRecord(samples=pts, period=period, energy=e,
                        action=action, closed=True)
@@ -288,12 +293,11 @@ def contour_period(system: PlanarWellSystem, orbit: OrbitRecord) -> float:
     return float(np.sum(seg / speed))
 
 
-def homoclinic_loop(system: PlanarWellSystem, branch: str = "right",
-                    samples: int = 2048) -> OrbitRecord:
-    """One loop of the zero level through the saddle (infinite period)."""
+def homoclinic_loop(system: PlanarWellSystem) -> OrbitRecord:
+    """The right loop of the zero level through the saddle (infinite
+    period); the left loop is its mirror image."""
     y_top = turning_points(system, 0.0)[1]
-    y_lo, y_hi = (0.0, y_top) if branch == "right" else (-y_top, 0.0)
-    pts = _contour(system, 0.0, y_lo, y_hi, samples)
+    pts = _contour(system, 0.0, 0.0, y_top, CONTOUR_POINTS)
     area = _shoelace(pts)
     return OrbitRecord(samples=pts, period=math.inf, energy=0.0,
                        action=max(area, 0.0), closed=False,
@@ -312,21 +316,12 @@ def single_period_return(system: PlanarWellSystem, orbit: OrbitRecord,
 # spectrum
 
 
-def area_constant(a: float = 1.0, b: float = 1.0) -> float:
+def area_constant(a: float, b: float) -> float:
     """(a/b) times the area of the ellipse segment
     {chi^2 + 3 eta^2 <= 15/4, eta >= 1}."""
     if not (a > 0 and b > 0):
         raise DomainError("need a, b > 0")
-    from scipy import integrate
-
-    top = math.sqrt(5.0) / 2.0
-
-    def width(eta):
-        val = 15.0 / 4.0 - 3.0 * eta * eta
-        return 2.0 * math.sqrt(val) if val > 0.0 else 0.0
-
-    val, _ = integrate.quad(width, 1.0, top, limit=400, epsabs=1e-14, epsrel=1e-12)
-    return (a / b) * val
+    return (a / b) * _SEGMENT_AREA
 
 
 @dataclass(frozen=True)
@@ -375,8 +370,7 @@ def label_action_floor(system: PlanarWellSystem, e: float) -> float:
     """
     threshold = -system.well.C ** 2 / (4.0 * system.b ** 2)
     if e >= threshold:
-        branch = "right" if e < 0 else "outer"
-        return _audited_level(system, e, branch)[3]
+        return _audited_level(system, e)[3]
     return math.pi * system.a ** 2 * (1.0 - e)
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blends import cutoff_with_deriv, plateau_bump
-from .contact import ContactIsotopy
+from .contact import ContactIsotopy, reeb_derivative
 from .errors import AuditError, DomainError, IntegrationError
-from .geometry import omega_matrix, row_sum, symplectic_gradient
+from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
 from . import sampling
 
 # the finite-difference step of the symplecticity check: the stencil rows
@@ -24,21 +24,15 @@ from . import sampling
 FD_STEP = 3e-4
 
 
-def symplectize_many(iso: ContactIsotopy, rs, thetas):
-    """Homogeneous lift applied to a batch of polar pairs."""
-    ends, logc = iso.flow_many(np.atleast_2d(thetas), 0.0, 1.0)
-    return np.asarray(rs, dtype=float) / np.exp(logc), ends
-
-
 def symplectize_ambient(iso: ContactIsotopy, zs):
-    """Same lift in cartesian coordinates (rows of nonzero points)."""
+    """The homogeneous lift (r, theta) -> (r / c(theta), phi(theta)) of the
+    time-1 map, at rows of nonzero cartesian points."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     r = row_sum(zs * zs)
     if np.any(r == 0.0):
         raise DomainError("origin excluded from the homogeneous lift")
-    th = zs / np.sqrt(r)[:, None]
-    r_new, th_new = symplectize_many(iso, r, th)
-    return np.sqrt(r_new)[:, None] * th_new
+    ends, logc = iso.flow_many(zs / np.sqrt(r)[:, None], 0.0, 1.0)
+    return np.sqrt(r / np.exp(logc))[:, None] * ends
 
 
 @dataclass(frozen=True)
@@ -79,15 +73,14 @@ def _rate_envelope(iso: ContactIsotopy):
     taken on a seeded 4096-point sphere grid at 9 equally spaced times and
     inflated by 25% to cover between-node variation.
     """
-    from .contact import reeb_derivative
-
     th = sampling.sphere_points(iso.n, 4096, 7)
     lo, hi = 0.0, 0.0
     for t in np.linspace(0.0, 1.0, 9):
         rate = reeb_derivative(iso.hamiltonian_at(t), th)
         lo = min(lo, float(np.min(rate)))
         hi = max(hi, float(np.max(rate)))
-    return np.exp(1.25 * lo), np.exp(1.25 * hi)
+    with np.errstate(over="ignore"):  # an overflow is reported by the caller
+        return np.exp(1.25 * lo), np.exp(1.25 * hi)
 
 
 class SmoothedSymplectization:
@@ -104,10 +97,16 @@ class SmoothedSymplectization:
         if M_samp > M or m_samp < m:
             raise AuditError("sampled conformal factor escapes its bound",
                              {"bound": (m, M), "sampled": (m_samp, M_samp)})
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            K_factor = 4.0 * M / m
+        if not all(0.0 < x < np.inf for x in (M, m, K_factor)):
+            raise DomainError(
+                f"conformal bounds must be finite and positive, got M={M:.6g}, "
+                f"m={m:.6g}, K_factor={K_factor:.6g}")
         self.iso = iso
         self.eps = float(eps)
         self.certificate = SmoothingCertificate(
-            M=M, m=m, K_factor=4.0 * M / m, eps=float(eps),
+            M=M, m=m, K_factor=K_factor, eps=float(eps),
             chi_zero_below=float(eps), chi_one_above=4.0 * eps / m,
         )
         self.step = step
@@ -125,7 +124,7 @@ class SmoothedSymplectization:
         th = z / sq[:, None]
         K = self.iso.hamiltonian_at(t)
         Kv, g = K.value_and_grad(th)
-        tang = g - row_sum(g * th)[:, None] * th
+        tang = tangential(g, th)
         chi, chi_d = cutoff_with_deriv(rl, cert.chi_zero_below, cert.chi_one_above)
         w = chi * rl
         w_d = chi_d * rl + chi
@@ -213,10 +212,11 @@ def radial_step_bump(r1: float, r2: float):
 
 
 def liouville_squeeze_witness(H, r1: float, r2: float, dim: int = 3,
-                              grid_points: int = 10_000, tau: float = None,
-                              box_pad: float = 1.05) -> SqueezeWitness:
+                              grid_points: int = 10_000,
+                              tau: float = None) -> SqueezeWitness:
     """Contract H through the model contracting flow and certify the
-    pointwise inequality Ad H <= scale * H on a lattice.
+    pointwise inequality Ad H <= scale * H on a lattice over the cube of
+    half-width 1.05 r2.
 
     The flow scales the first coordinate by e^{-2 tau} and the remaining
     2n of them by e^{-tau}; its conformal factor is the constant e^{-2 tau}.
@@ -234,7 +234,7 @@ def liouville_squeeze_witness(H, r1: float, r2: float, dim: int = 3,
     scale = float(np.exp(-2.0 * tau))
 
     per_axis = int(np.ceil(grid_points ** (1.0 / dim)))
-    axes = [np.linspace(-box_pad * r2, box_pad * r2, per_axis)] * dim
+    axes = [np.linspace(-1.05 * r2, 1.05 * r2, per_axis)] * dim
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
 
     pre = mesh.copy()

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -260,9 +261,35 @@ def test_sandwich_rejects_nonpositive_floor(capsys):
     assert code == 2 and "not in g+" in err
 
 
+def test_sandwich_certificate_margin_failure_is_exit_4(capsys):
+    # rho0 = 1e-12 leaves the third certificate inequality a margin below
+    # 1e-9: the certificate is refused before any sampling, so nothing is
+    # written and the audit error's message is the one stderr line.
+    code, out, err = run_cli(capsys, [
+        "sandwich", "--expr", "1 * bump(rho; 1, 3)",
+        "--M", "1", "--m", "0.5", "--rho0", "1e-12", "--rho1", "3"])
+    assert code == 4 and out == ""
+    assert err == ("symcone: certificate inequality margins too small: "
+                   "[0.12499999999999997, 5.999999999999995, "
+                   "5.000000000000001e-13, 2.0]\n")
+
+
 def test_bad_expression_is_exit_2(capsys):
     code, _, err = run_cli(capsys, ["capacity", "--expr", "bump(rho; 3, 1)"])
     assert code == 2 and "symcone:" in err
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("1 * bump(rho; 1, 3) 2", "trailing input near '2'"),
+    ("1 * bump(rho; 1, 3) * mono(x1^1.5)",
+     "exponent must be a positive integer, got 1.5"),
+    ("1 * bump(rho; 1, 3) * mono()", "empty mono()"),
+    ("1 * rho", "expected bump or mono, got 'rho'"),
+], ids=["trailing-input", "fractional-exponent", "empty-mono", "bare-rho"])
+def test_expression_parse_errors_are_exit_2(capsys, expr, message):
+    code, out, err = run_cli(capsys, ["capacity", "--expr", expr])
+    assert code == 2 and out == ""
+    assert err == f"symcone: {message}\n"
 
 
 def test_squeeze_sweep_small(capsys):
@@ -333,6 +360,19 @@ def test_smoothing_audit_failure_is_exit_4(capsys):
     assert "smoothing audit failed" in err
     checks = json.loads(out)["result"]["checks"]
     assert not (checks["agreement_pass"] and checks["symplecticity_pass"])
+
+
+def test_smoothing_audit_overflowing_bounds_is_exit_2(capsys):
+    # At amplitude 30 the rate bounds are finite but 4M/m overflows: the
+    # map is refused with one stderr line, and numpy warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "10",
+                                          "--amplitude", "30"])
+    assert code == 2 and out == ""
+    assert err.startswith("symcone: conformal bounds must be finite and "
+                          "positive, got M=")
+    assert err.endswith(", K_factor=inf\n") and err.count("\n") == 1
 
 
 def test_metric_scaling_headline(capsys):
@@ -410,3 +450,16 @@ def test_main_keeps_no_state_between_calls(capsys):
         assert run_cli(capsys, argv) == (fresh.returncode, fresh.stdout,
                                          fresh.stderr)
     assert json.loads(fresh.stdout)["config"]["a"] == "1"
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's `## Library example` block runs and prints the
+    enclosure [pi/8, 4 pi] it announces."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lo, hi = map(float, capsys.readouterr().out.split())
+    assert lo == pytest.approx(math.pi / 8.0, rel=1e-12)
+    assert hi == pytest.approx(4.0 * math.pi, rel=1e-12)

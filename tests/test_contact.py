@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from symcone import (
+    AuditError,
     ContactHamiltonian,
     ContactIsotopy,
     DomainError,
+    SupportMeta,
     adjoint_action,
     concatenate_isotopies,
     contact_vector_field,
+    hamiltonian_from_expression,
     identity_isotopy,
     lie_bracket,
     model_field_contracting,
@@ -138,6 +141,21 @@ def test_adjoint_composition_cocycle():
                          meta_samples=150)
     err = np.max(np.abs(np.asarray(lhs(th)) - np.asarray(rhs(th))))
     assert err < 1e-3
+
+
+@pytest.mark.parametrize("suffix, changed, message", [
+    ("", {"rho1": 0.5}, "support leaks past rho1"),
+    ("", {"m": 2.0}, "is not a lower bound"),
+    ("", {"m": 0.0}, "m must be positive"),
+    (" * mono(x1)", {}, "negative value"),
+], ids=["rho1-too-small", "m-too-large", "m-zero", "negative-values"])
+def test_audit_rejects_wrong_metadata(suffix, changed, message):
+    """The sampled route refutes metadata the declared route gets wrong."""
+    meta = {"M": 1.0, "m": 0.5, "rho0": 0.1, "rho1": 3.0, **changed}
+    H = hamiltonian_from_expression("1 * bump(rho; 1, 3)" + suffix, n=2, k=1,
+                                    meta=SupportMeta(**meta))
+    with pytest.raises(AuditError, match=message):
+        H.audit()
 
 
 def test_lie_bracket_antisymmetric():

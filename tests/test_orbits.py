@@ -7,7 +7,7 @@ import pytest
 from symcone import (IntegrableDomain, PlanarWellSystem, SmoothedWell,
                      build_smoothed_well)
 from symcone import orbits
-from symcone.errors import DomainError, ScanBudgetError
+from symcone.errors import AuditError, DomainError, ScanBudgetError
 from symcone.orbits import (
     OrbitRecord,
     area_constant,
@@ -123,6 +123,15 @@ def test_homoclinic_loop_geometry(planar3):
     assert 2.0 * hom.action < above
 
 
+def test_action_audit_catches_a_disagreeing_quadrature(planar3, monkeypatch):
+    # A 1% error in the quadrature route is far past the 1e-4 cross-check.
+    action_quadrature = orbits._action_quadrature
+    monkeypatch.setattr(orbits, "_action_quadrature",
+                        lambda *args: 1.01 * action_quadrature(*args))
+    with pytest.raises(AuditError, match="disagree"):
+        closed_orbit_at_energy(planar3, 0.5)
+
+
 def test_orbit_record_validation():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DomainError):
@@ -141,6 +150,23 @@ def test_area_constant_value_and_scaling():
                                0.4 * area_constant(1.0, 1.0), rtol=1e-12)
     with pytest.raises(DomainError):
         area_constant(0.0, 1.0)
+
+
+def test_area_constant_is_bitwise_the_segment_quadrature():
+    """The closed form equals, bit for bit, the quadrature of the segment's
+    chord width 2 sqrt(15/4 - 3 eta^2) over 1 <= eta <= sqrt(5)/2."""
+    from scipy import integrate
+
+    def width(eta):
+        val = 15.0 / 4.0 - 3.0 * eta * eta
+        return 2.0 * math.sqrt(val) if val > 0.0 else 0.0
+
+    seg, _ = integrate.quad(width, 1.0, math.sqrt(5.0) / 2.0, limit=400,
+                            epsabs=1e-14, epsrel=1e-12)
+    assert area_constant(1.0, 1.0) == seg
+    rng = np.random.default_rng(21)
+    for a, b in rng.uniform(0.01, 100.0, size=(2000, 2)):
+        assert area_constant(a, b) == (a / b) * seg
 
 
 def test_torus_label_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symcone import (
+    AuditError,
     ContactIsotopy,
     DomainError,
     SmoothedSymplectization,
@@ -12,6 +13,7 @@ from symcone import (
     symplectize_ambient,
     symplecticity_defect,
 )
+from symcone import smoothing
 from symcone.smoothing import symplecticity_defect_of_images, symplecticity_stencil
 
 from conftest import sphere
@@ -117,6 +119,15 @@ def test_lift_scales_like_rays():
 def test_smoothed_map_rejects_bad_eps():
     with pytest.raises(DomainError):
         SmoothedSymplectization(identity_isotopy(2, 1), -0.05)
+
+
+def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
+    # A rate bound of exactly 1 is wrong for any nonzero generator: the
+    # sampled trajectories refute it.
+    monkeypatch.setattr(smoothing, "_rate_envelope", lambda iso: (1.0, 1.0))
+    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
+    with pytest.raises(AuditError, match="escapes its bound"):
+        SmoothedSymplectization(iso, 0.05)
 
 
 def test_radial_step_bump_profile():
