@@ -98,7 +98,7 @@ class NonsqueezingReport:
 def candidate_pool(n: int, k: int, count: int, seed: int = 0,
                    eps: float = 0.05) -> list:
     """Smoothed symplectizations of random compactly supported isotopies,
-    flowed at step 5e-3 on the sphere and 1e-2 in the ambient space.
+    flowed at step 1e-2.
 
     The generator amplitude 0.15 keeps the conformal envelope moderate, so
     the smoothed maps act nontrivially at unit scale instead of pushing
@@ -107,8 +107,8 @@ def candidate_pool(n: int, k: int, count: int, seed: int = 0,
     maps = []
     for i, s in enumerate(sampling.spawn(seed, count)):
         K = random_hamiltonian(n, k, seed=s, amplitude=0.15)
-        iso = ContactIsotopy(K, step=5e-3)
-        smoothed = SmoothedSymplectization(iso, eps, step=1e-2)
+        iso = ContactIsotopy(K, step=1e-2)
+        smoothed = SmoothedSymplectization(iso, eps)
         maps.append((f"candidate-{i}", smoothed))
     return maps
 

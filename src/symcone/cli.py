@@ -29,7 +29,7 @@ from .jsonio import dumps_json, fmt_float, load_config, write_csv
 from .orbits import characteristic_spectrum
 from . import sampling
 from .smoothing import (SmoothedSymplectization, symplecticity_defect_of_images,
-                        symplecticity_stencil, symplectize_ambient)
+                        symplecticity_stencil)
 
 
 class _Param(NamedTuple):
@@ -235,7 +235,7 @@ def cmd_metric(params: dict):
               pool_size=params["pool"])
     if params["family"] == "scaling":
         s = params["s"]
-        fam = scaling_family(scales=(1.0, s), **kw)
+        fam = scaling_family(scales=(1.0, s), n=params["n"], k=params["k"], **kw)
         pair = ("f", f"{s:g}f")
     else:
         fam = random_family(count=params["count"], n=params["n"],
@@ -285,13 +285,13 @@ def cmd_smoothing_audit(params: dict):
     ])
     zs_all = np.sqrt(r_all)[:, None] * sampling.sphere_points(n, 100, seed + 3)
 
-    # One integration of the smoothed map serves all three checks: the
+    # One integration serves all three checks and the direct lift: the
     # fixed-step flow treats rows independently, so each block's images
     # are bitwise those of its own call, for one call's fixed overhead.
-    images = sm(np.concatenate([zs_in, zs_out, symplecticity_stencil(zs_all)]))
+    images, direct = sm.map_and_lift(
+        np.concatenate([zs_in, zs_out, symplecticity_stencil(zs_all)]), zs_out)
     moved = np.linalg.norm(images[:pts] - zs_in, axis=1)
     identity_max = float(np.max(moved))
-    direct = symplectize_ambient(iso, zs_out)
     agree_max = float(np.max(np.linalg.norm(images[pts:2 * pts] - direct, axis=1)))
     defect = float(np.max(symplecticity_defect_of_images(images[2 * pts:])))
 

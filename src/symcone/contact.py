@@ -152,9 +152,9 @@ def _homogeneous_field(Kv, g, th):
     return symplectic_gradient(2.0 * Kv[:, None] * th + tangential(g, th))
 
 
-def _field_and_rate(K: ContactHamiltonian, th):
-    """(Y_K, dK(R)) at a batch of unit rows from one value_and_grad call."""
-    Kv, g = K.value_and_grad(th)
+def _field_and_rate(Kv, g, th):
+    """(Y_K, dK(R)) at a batch of unit rows th, from K's values and
+    ambient gradients there (one value_and_grad call)."""
     Y = tangential(_homogeneous_field(Kv, g, th), th)
     return Y, row_sum(g * reeb_field(th))
 
@@ -198,7 +198,7 @@ class ContactIsotopy:
         self.step = step
 
     def _rhs(self, t, thetas):
-        return _field_and_rate(self.hamiltonian_at(t), thetas)
+        return _field_and_rate(*self.hamiltonian_at(t).value_and_grad(thetas), thetas)
 
     def flow_many(self, thetas, t_from: float = 0.0, t_to: float = 1.0):
         """Integrate a batch from t_from to t_to (either direction).
@@ -288,7 +288,7 @@ def lie_bracket(H: ContactHamiltonian, K: ContactHamiltonian, theta):
     """Bracket value dK(Y_H) - K dH(R) at theta."""
     th, single = _batched(theta)
     Kv, gK = K.value_and_grad(th)
-    YH, dH_R = _field_and_rate(H, th)
+    YH, dH_R = _field_and_rate(*H.value_and_grad(th), th)
     val = row_sum(gK * YH) - Kv * dH_R
     return float(val[0]) if single else val
 

@@ -290,6 +290,12 @@ def sandwich_solve(H: ContactHamiltonian) -> SandwichCertificate:
     meta = H.meta
     if not meta.m > 0:
         raise DomainError("not in g+: need a positive inner floor m")
+    # no Hamiltonian has a floor m above its sup bound M, or a floor on
+    # rho <= rho0 where it must already vanish (rho >= rho1)
+    if not (meta.m <= meta.M and meta.rho0 < meta.rho1):
+        raise DomainError(f"support metadata contradicts itself: need m <= M "
+                          f"and rho0 < rho1, got M={meta.M:g}, m={meta.m:g}, "
+                          f"rho0={meta.rho0:g}, rho1={meta.rho1:g}")
     T = 1.0 / (meta.M * (1.0 + meta.rho1))
     a2 = T / 2.0
     b2 = 4.0 * meta.rho1 * a2

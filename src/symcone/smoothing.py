@@ -8,13 +8,22 @@ exactly the identity there) and equals 1 far enough out that trajectories
 of the homogeneous flow never see the transition band — agreement outside
 a certified multiple of the ball is then a consequence of ODE uniqueness,
 not of any error estimate.
+
+The smoothed map steps on its isotopy's time grid in one RK4 loop that
+also carries sphere rows: 512 seeded probes of the conformal factor, and
+the rows of a homogeneous lift when one is asked for (`map_and_lift`).
+Each stage evaluates K_t once on all rows stacked; the ambient rows then
+take the map's chi-weighted field and the sphere rows Y_K and dK(R), so
+the two routes share only the evaluation of K.  Every integration checks
+the probes' sampled conformal factor against the rate-derived
+certificate before it returns anything.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blends import cutoff_with_deriv, plateau_bump
-from .contact import ContactIsotopy, reeb_derivative
+from .contact import ContactIsotopy, _field_and_rate, _renorm, reeb_derivative
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
 from . import sampling
@@ -24,15 +33,26 @@ from . import sampling
 FD_STEP = 3e-4
 
 
-def symplectize_ambient(iso: ContactIsotopy, zs):
-    """The homogeneous lift (r, theta) -> (r / c(theta), phi(theta)) of the
-    time-1 map, at rows of nonzero cartesian points."""
+def _polar(zs):
+    """(|z|^2, z / |z|) at rows of nonzero cartesian points."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     r = row_sum(zs * zs)
     if np.any(r == 0.0):
         raise DomainError("origin excluded from the homogeneous lift")
-    ends, logc = iso.flow_many(zs / np.sqrt(r)[:, None], 0.0, 1.0)
+    return r, zs / np.sqrt(r)[:, None]
+
+
+def _lift(r, ends, logc):
+    """Homogeneous images of the points of squared radius r whose
+    directions the time-1 sphere flow took to ends with log factor logc."""
     return np.sqrt(r / np.exp(logc))[:, None] * ends
+
+
+def symplectize_ambient(iso: ContactIsotopy, zs):
+    """The homogeneous lift (r, theta) -> (r / c(theta), phi(theta)) of the
+    time-1 map, at rows of nonzero cartesian points."""
+    r, th = _polar(zs)
+    return _lift(r, *iso.flow_many(th, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -49,19 +69,18 @@ class SmoothingCertificate:
     chi_one_above: float
 
 
-def _conformal_envelope(iso: ContactIsotopy):
-    """Sampled (min, max) of the conformal factor along the isotopy: 512
-    seeded sphere probes, read at the ends of 50 equal time chunks."""
-    th = sampling.sphere_points(iso.n, 512, 7)
-    logc = np.zeros(512)
-    lo, hi = 0.0, 0.0
-    for i in range(50):
-        t0, t1 = i / 50, (i + 1) / 50
-        th, dlc = iso.flow_many(th, t0, t1)
-        logc = logc + dlc
-        lo = min(lo, float(np.min(logc)))
-        hi = max(hi, float(np.max(logc)))
-    return np.exp(lo), np.exp(hi)
+def _conformal_envelope(cert: SmoothingCertificate, lo: float, hi: float):
+    """Audit of the certificate by sampling: (lo, hi) are the extremes of
+    log c over the 512 seeded sphere probes that ride in every smoothed-map
+    integration, read at the ends of 50 equal time chunks (and 0 at the
+    start).  Raises AuditError when the sampled factor leaves (m, M): the
+    rate grid then missed structure and the certificate would be built on
+    sand."""
+    m_samp, M_samp = np.exp(lo), np.exp(hi)
+    if M_samp > cert.M or m_samp < cert.m:
+        raise AuditError(f"sampled conformal factor escapes its bound: "
+                         f"sampled [{m_samp:.6g}, {M_samp:.6g}], bound "
+                         f"[{cert.m:.6g}, {cert.M:.6g}]")
 
 
 def _rate_envelope(iso: ContactIsotopy):
@@ -84,19 +103,18 @@ def _rate_envelope(iso: ContactIsotopy):
 
 
 class SmoothedSymplectization:
-    """Time-1 map of the cutoff Hamiltonian flow, with its certificate."""
+    """Time-1 map of the cutoff Hamiltonian flow, with its certificate.
 
-    def __init__(self, iso: ContactIsotopy, eps: float, step: float = 1e-3):
+    The certificate comes from the rate bound at construction.  The map
+    integrates on the isotopy's step, and each integration flows the 512
+    conformal-factor probes beside its rows and audits them
+    (`_conformal_envelope`) before it returns an image.
+    """
+
+    def __init__(self, iso: ContactIsotopy, eps: float):
         if not eps > 0:
             raise DomainError("eps must be positive")
         m, M = _rate_envelope(iso)
-        # sampled trajectories must sit inside the rate-derived envelope;
-        # if they do not, the grid missed structure and the certificate
-        # would be built on sand
-        m_samp, M_samp = _conformal_envelope(iso)
-        if M_samp > M or m_samp < m:
-            raise AuditError("sampled conformal factor escapes its bound",
-                             {"bound": (m, M), "sampled": (m_samp, M_samp)})
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             K_factor = 4.0 * M / m
         if not all(0.0 < x < np.inf for x in (M, m, K_factor)):
@@ -109,44 +127,72 @@ class SmoothedSymplectization:
             M=M, m=m, K_factor=K_factor, eps=float(eps),
             chi_zero_below=float(eps), chi_one_above=4.0 * eps / m,
         )
-        self.step = step
+        self.step = iso.step
+        self._probes = sampling.sphere_points(iso.n, 512, 7)
 
-    def _field(self, t, zs):
+    def _stage(self, t, zs, th):
+        """One RK stage of both routes from one K_t kernel call on the map's
+        live unit rows stacked over the sphere rows th: the map's field at
+        zs, then (Y_K, dK(R)) at th."""
         cert = self.certificate
         r = row_sum(zs * zs)
         out = np.zeros_like(zs)
         live = r > cert.chi_zero_below  # chi = 0 there: field vanishes exactly
-        if not np.any(live):
-            return out
         z = zs[live]
         rl = r[live]
         sq = np.sqrt(rl)
-        th = z / sq[:, None]
-        K = self.iso.hamiltonian_at(t)
-        Kv, g = K.value_and_grad(th)
-        tang = tangential(g, th)
+        u = z / sq[:, None]
+        Kv, g = self.iso.hamiltonian_at(t).value_and_grad(np.concatenate([u, th]))
+        nl = u.shape[0]
+        tang = tangential(g[:nl], u)
         chi, chi_d = cutoff_with_deriv(rl, cert.chi_zero_below, cert.chi_one_above)
         w = chi * rl
         w_d = chi_d * rl + chi
-        grad = (2.0 * w_d * Kv)[:, None] * z + (w / sq)[:, None] * tang
+        grad = (2.0 * w_d * Kv[:nl])[:, None] * z + (w / sq)[:, None] * tang
         out[live] = symplectic_gradient(grad)
-        return out
+        return (out,) + _field_and_rate(Kv[nl:], g[nl:], th)
 
-    def __call__(self, zs, t_final: float = 1.0):
-        zs = np.array(np.atleast_2d(np.asarray(zs, dtype=float)))
+    def _integrate(self, zs, thetas, t_final):
+        """Lockstep RK4 over [0, t_final]: the ambient rows zs under the
+        map's field, and the sphere rows thetas, then the probes, as
+        `ContactIsotopy.flow_many` steps them.  Returns the images of zs
+        and the ends and log conformal factors of thetas, once the probes
+        have passed `_conformal_envelope`."""
+        z = np.array(np.atleast_2d(np.asarray(zs, dtype=float)))
+        nt = len(thetas)
+        th = _renorm(np.concatenate([thetas, self._probes]))
+        logc = np.zeros(th.shape[0])
+        lo, hi = 0.0, 0.0
         n_steps = max(1, int(round(abs(t_final) / self.step)))
         h = t_final / n_steps
-        z = zs
         for i in range(n_steps):
             t = i * h
-            k1 = self._field(t, z)
-            k2 = self._field(t + 0.5 * h, z + 0.5 * h * k1)
-            k3 = self._field(t + 0.5 * h, z + 0.5 * h * k2)
-            k4 = self._field(t + h, z + h * k3)
+            k1, f1, c1 = self._stage(t, z, th)
+            k2, f2, c2 = self._stage(t + 0.5 * h, z + 0.5 * h * k1,
+                                     _renorm(th + 0.5 * h * f1))
+            k3, f3, c3 = self._stage(t + 0.5 * h, z + 0.5 * h * k2,
+                                     _renorm(th + 0.5 * h * f2))
+            k4, f4, c4 = self._stage(t + h, z + h * k3, _renorm(th + h * f3))
             z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(z)):
+            th = _renorm(th + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4))
+            logc += (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
                 raise IntegrationError("smoothed flow diverged", {"step_index": i})
-        return z
+            if (i + 1) * 50 // n_steps > i * 50 // n_steps:  # a chunk ends
+                lo = min(lo, float(np.min(logc[nt:])))
+                hi = max(hi, float(np.max(logc[nt:])))
+        _conformal_envelope(self.certificate, lo, hi)
+        return z, th[:nt], logc[:nt]
+
+    def __call__(self, zs, t_final: float = 1.0):
+        return self._integrate(zs, np.empty((0, 2 * self.iso.n)), t_final)[0]
+
+    def map_and_lift(self, zs, lift_zs):
+        """(images of zs, homogeneous lift of lift_zs) from one integration;
+        the lift equals `symplectize_ambient(self.iso, lift_zs)` bitwise."""
+        r, th = _polar(lift_zs)
+        images, ends, logc = self._integrate(zs, th, 1.0)
+        return images, _lift(r, ends, logc)
 
 
 def symplecticity_stencil(zs):

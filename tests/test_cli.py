@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import symcone
-from symcone import sampling
+from symcone import cli, sampling, smoothing
 from symcone.cli import _build_parser, main
 from symcone.growth import ConeFamily
 from symcone.smoothing import (SmoothedSymplectization, symplecticity_defect,
@@ -243,11 +243,12 @@ def test_sandwich_metadata_must_be_complete(capsys):
 
 
 def test_sandwich_containment_failure_is_exit_4(capsys):
-    # M = 0.01 understates the sup of 1, so the inner hyperboloid is too
-    # large: the report is still written and the exit code flags it.
+    # m = 5 overstates the floor of 1 on rho <= 0.1, so the outer
+    # hyperboloid is too small: the report is still written and the exit
+    # code flags it.
     code, out, err = run_cli(capsys, [
         "sandwich", "--expr", "1 * bump(rho; 1, 3)",
-        "--M", "0.01", "--m", "0.5", "--rho0", "0.1", "--rho1", "3",
+        "--M", "5", "--m", "5", "--rho0", "0.1", "--rho1", "3",
         "--samples", "20000"])
     violations = json.loads(out)["result"]["audit"]["violations"]
     assert code == 4 and violations > 0
@@ -259,6 +260,20 @@ def test_sandwich_rejects_nonpositive_floor(capsys):
         "sandwich", "--expr", "1 * bump(rho; 1, 3)",
         "--M", "1.0", "--m", "0.0", "--rho0", "0.1", "--rho1", "3.0"])
     assert code == 2 and "not in g+" in err
+
+
+@pytest.mark.parametrize("M, m, rho0, rho1", [
+    ("0.01", "0.5", "0.1", "3"), ("1", "0.5", "3", "3")],
+    ids=["M-below-m", "rho0-past-rho1"])
+def test_sandwich_rejects_contradictory_metadata(capsys, M, m, rho0, rho1):
+    # No Hamiltonian satisfies this metadata: refused before any sampling.
+    code, out, err = run_cli(capsys, [
+        "sandwich", "--expr", "1 * bump(rho; 1, 3)",
+        "--M", M, "--m", m, "--rho0", rho0, "--rho1", rho1])
+    assert code == 2 and out == ""
+    assert err == (f"symcone: support metadata contradicts itself: need "
+                   f"m <= M and rho0 < rho1, got M={M}, m={m}, rho0={rho0}, "
+                   f"rho1={rho1}\n")
 
 
 def test_sandwich_certificate_margin_failure_is_exit_4(capsys):
@@ -313,13 +328,13 @@ def test_squeeze_below_unit_scale_is_vacuous(capsys):
 
 def test_smoothing_audit_passes(capsys, monkeypatch):
     maps = []
-    original = SmoothedSymplectization.__call__
+    original = SmoothedSymplectization._integrate
 
     def counted(self, *args, **kwargs):
         maps.append(self)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(SmoothedSymplectization, "__call__", counted)
+    monkeypatch.setattr(SmoothedSymplectization, "_integrate", counted)
     code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "150",
                                       "--seed", "31"])
     assert code == 0 and err == ""
@@ -327,7 +342,8 @@ def test_smoothing_audit_passes(capsys, monkeypatch):
     assert checks["identity_ball_pass"] is True
     assert checks["agreement_pass"] is True
     assert checks["symplecticity_pass"] is True
-    # one integration of the smoothed map serves all three checks ...
+    # one integration of the smoothed map serves all three checks and the
+    # direct lift ...
     assert len(maps) == 1
     monkeypatch.undo()
     # ... and gives, bitwise, the three-call route on the points the
@@ -349,6 +365,45 @@ def test_smoothing_audit_passes(capsys, monkeypatch):
                                           "agreement_max_diff",
                                           "symplecticity_defect")]
     assert got == [float(np.max(w)) for w in want]
+
+
+def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch):
+    rows = []
+    original = cli.random_hamiltonian
+
+    def counted_generator(*args, **kwargs):
+        K = original(*args, **kwargs)
+        grad = K.grad_fn
+
+        def counted(th):
+            rows.append(th.shape[0])
+            return grad(th)
+
+        K.grad_fn = counted
+        return K
+
+    monkeypatch.setattr(cli, "random_hamiltonian", counted_generator)
+    code, _, err = run_cli(capsys, ["smoothing-audit", "--points", "10"])
+    assert code == 0 and err == ""
+    # 9 rate-bound times, then 1000 steps x 4 stages, each stage one call
+    # on the map's live rows, the 10 lift rows and the 512 probes
+    assert len(rows) == 9 + 1000 * 4
+    assert rows[:9] == [4096] * 9
+    assert min(rows[9:]) >= 10 + 512
+
+
+@pytest.mark.parametrize("argv", [
+    ["smoothing-audit", "--points", "10"],
+    ["squeeze", "--candidates", "1", "--samples", "500"],
+], ids=["smoothing-audit", "squeeze"])
+def test_refuted_certificate_returns_no_result(capsys, monkeypatch, argv):
+    # The sampled probes refute a rate bound of exactly 1 inside the map's
+    # integration, before any image reaches a report.
+    monkeypatch.setattr(smoothing, "_rate_envelope", lambda iso: (1.0, 1.0))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4 and out == ""
+    assert err.startswith("symcone: sampled conformal factor escapes its bound")
+    assert err.count("\n") == 1
 
 
 def test_smoothing_audit_failure_is_exit_4(capsys):
@@ -387,6 +442,15 @@ def test_metric_scaling_headline(capsys):
     assert float(d["hi"]) == pytest.approx(math.log(2.0), rel=1e-14)
     assert all(v["ok"] for v in res["dw_bound"].values())
     assert [sorted(c) for c in res["classes"]] == [["f"], ["2f"]]
+
+
+@pytest.mark.parametrize("family", ["scaling", "random"])
+def test_metric_family_takes_the_split(capsys, family):
+    code, out, err = run_cli(capsys, ["metric", "--family", family,
+                                      "--grid", "500", "--pool", "1",
+                                      "--n", "2", "--k", "7"])
+    assert code == 2 and out == ""
+    assert err == "symcone: k = 7 outside 1..2\n"
 
 
 def test_metric_bounds_each_pair_once(monkeypatch, capsys):

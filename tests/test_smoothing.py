@@ -123,11 +123,13 @@ def test_smoothed_map_rejects_bad_eps():
 
 def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
     # A rate bound of exactly 1 is wrong for any nonzero generator: the
-    # sampled trajectories refute it.
+    # probes that ride in the map's first integration refute it, and the
+    # call returns no image.
     monkeypatch.setattr(smoothing, "_rate_envelope", lambda iso: (1.0, 1.0))
     iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
+    sm = SmoothedSymplectization(iso, 0.05)
     with pytest.raises(AuditError, match="escapes its bound"):
-        SmoothedSymplectization(iso, 0.05)
+        sm(np.array([[0.1, 0.0, 0.0, 0.0]]))
 
 
 def test_radial_step_bump_profile():
@@ -167,4 +169,22 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
     monkeypatch.setattr(K, "grad_fn", counted)
     zs = shell(np.random.default_rng(30), 25, 4, 1.0, 2.0)  # all outside the ball
     sm(zs, t_final=0.01)
-    assert grads == [25] * (4 * 10)
+    # the 512 conformal-factor probes ride in the same call
+    assert grads == [25 + 512] * (4 * 10)
+
+
+def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
+    """One lockstep integration gives, bitwise, the map's own images and
+    the homogeneous lift through `ContactIsotopy.flow_many`."""
+    iso, sm = tame_map
+    cert = sm.certificate
+    rng = np.random.default_rng(35)
+    zs = np.vstack([shell(rng, 6, 4, 1e-4, sm.eps * 0.999),
+                    shell(rng, 6, 4, sm.eps * 1.001, cert.K_factor * sm.eps)])
+    lift_zs = shell(rng, 7, 4, cert.K_factor * sm.eps * 1.001,
+                    cert.K_factor * sm.eps * 4.0)
+    images, lift = sm.map_and_lift(zs, lift_zs)
+    assert np.array_equal(images, sm(zs))
+    assert np.array_equal(lift, symplectize_ambient(iso, lift_zs))
+    with pytest.raises(DomainError, match="origin"):
+        sm.map_and_lift(zs, np.zeros((1, 4)))
