@@ -158,7 +158,7 @@ def cmd_spectrum(params: dict):
     return {key: getattr(spec, key) for key in keys}, failure
 
 
-def _hamiltonian_from_params(params: dict):
+def _hamiltonian_from_params(params: dict, meta_seed: int = 0):
     if not params.get("expr"):
         raise ParseError("an --expr Hamiltonian expression is required")
     given = [params.get(key) for key in ("M", "m", "rho0", "rho1")]
@@ -171,7 +171,8 @@ def _hamiltonian_from_params(params: dict):
         meta = SupportMeta(M=params["M"], m=params["m"],
                            rho0=params["rho0"], rho1=params["rho1"])
     return hamiltonian_from_expression(params["expr"], n=params["n"],
-                                       k=params["k"], meta=meta)
+                                       k=params["k"], meta=meta,
+                                       meta_seed=meta_seed)
 
 
 def cmd_sandwich(params: dict):
@@ -200,7 +201,8 @@ def cmd_capacity(params: dict):
                         b=params["b"])
         w = capacity_hyperboloid(V)
     elif params.get("expr"):
-        w = capacity_of_hamiltonian(_hamiltonian_from_params(params))
+        w = capacity_of_hamiltonian(
+            _hamiltonian_from_params(params, meta_seed=params["seed"]))
     else:
         raise ParseError("need --hyperboloid or --expr")
     return {"lo": w.lo, "hi": w.hi, "exact": w.exact}, None
@@ -318,8 +320,7 @@ _COMMANDS = {
     "spectrum": ("closed-characteristic actions", _SPLIT + _AB + (
         _Param("C", float, 3.0), _Param("top", float, 10.0),
         _Param("eps", float, None), _Param("labels", int, 1000),
-        _Param("budget", int, None), _Param("csv", str, None)) + _SEED,
-        cmd_spectrum),
+        _Param("budget", int, None), _Param("csv", str, None)), cmd_spectrum),
     "sandwich": ("hyperboloid sandwich certificate", _EXPR + _SPLIT + _META
                  + (_Param("samples", int, 100_000),) + _SEED, cmd_sandwich),
     "capacity": ("capacity value or enclosure",

@@ -120,16 +120,25 @@ class SmoothedWell:
         t = np.asarray(t, dtype=float)
         t2 = t * t
         d = 4.0 * t2 - self._four_c2
-        mid = -t2 + smoothed_relu(d, self.delta)
-        return np.where(d >= self.delta, 3.0 * t2 - self._four_c2,
-                        np.where(d <= -self.delta, -t2, mid))
+        out = np.where(d >= self.delta, 3.0 * t2 - self._four_c2, -t2)
+        band = np.abs(d) < self.delta
+        if t.ndim:  # the blend polynomial runs on the in-band entries only
+            out[band] = -t2[band] + smoothed_relu(d[band], self.delta)
+        elif band:  # a 0-d input keeps numpy's scalar power, which can
+            # round the last bit differently from the array power
+            out[()] = -t2 + smoothed_relu(d, self.delta)
+        return out
 
     def deriv(self, t):
         t = np.asarray(t, dtype=float)
         d = 4.0 * t * t - self._four_c2
-        mid = t * (-2.0 + 8.0 * smoothed_relu_deriv(d, self.delta))
-        return np.where(d >= self.delta, 6.0 * t,
-                        np.where(d <= -self.delta, -2.0 * t, mid))
+        out = np.where(d >= self.delta, 6.0 * t, -2.0 * t)
+        band = np.abs(d) < self.delta
+        if t.ndim:
+            out[band] = t[band] * (-2.0 + 8.0 * smoothed_relu_deriv(d[band], self.delta))
+        elif band:
+            out[()] = t * (-2.0 + 8.0 * smoothed_relu_deriv(d, self.delta))
+        return out
 
     @property
     def band(self):

@@ -7,6 +7,12 @@ nonnegative) is integrated with a splitting method that is exact on each
 of the two separable pieces; level curves, periods and actions are
 computed independently of the integrator by 1-D quadrature and contour
 geometry, which lets the two routes audit each other.
+
+The quadrature route is one adaptive Gauss-Kronrod kernel (QUADPACK's
+G7-K15 pair) that integrates a whole batch of levels at once: every live
+panel of every level is evaluated in one array call of the well per
+round.  A level's floor is the shoelace area of its traced contour; the
+kernel's area of all scanned levels audits those floors in one call.
 """
 import math
 from dataclasses import dataclass, field
@@ -31,8 +37,39 @@ _KICKS = (_W1, 1.0 - 2.0 * _W1, _W1)
 _DRIFTS = (0.5 * _W1, 0.5 * (_W1 + _KICKS[1]), 0.5 * (_W1 + _KICKS[1]),
            0.5 * _W1)
 
-# vertices of a traced level-set contour (closed orbits, homoclinic loop)
+# vertices of a traced level-set contour (closed orbits, homoclinic loop),
+# at u = 2 pi j / CONTOUR_POINTS on every level: cos u, and the sign of
+# sin u that puts a vertex on the left or the right half
 CONTOUR_POINTS = 2048
+_CONTOUR_U = 2.0 * math.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS
+_CONTOUR_COS, _CONTOUR_SIDE = np.cos(_CONTOUR_U), np.sign(np.sin(_CONTOUR_U))
+
+# QUADPACK's qk15 rule on [-1, 1] (Piessens et al., QUADPACK, Springer
+# 1983): nodes from -1 up to the midpoint, their Kronrod weights, and the
+# weights of the embedded 7-point Gauss rule, which uses every second node;
+# the other half mirrors them
+_GK_X = np.array([
+    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+    -0.586087235467691130294144845693013, -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245, 0.0])
+_GK_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_GK_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
+_GK_NODES = np.concatenate([_GK_X, -_GK_X[-2::-1]])
+_GK_KRONROD = np.concatenate([_GK_WK, _GK_WK[-2::-1]])
+_GK_GAUSS = np.concatenate([_GK_WG, _GK_WG[-2::-1]])
+# tolerances of the level quadrature; it gives up with an AuditError
+# after _GK_ROUNDS rounds of bisection, or once a level holds more than
+# _GK_PANELS live panels (rounding noise near a turning point can keep
+# every panel there over its share, and the panels would double each round)
+_GK_EPSABS, _GK_EPSREL = 1e-13, 1e-11
+_GK_ROUNDS, _GK_PANELS = 60, 256
 
 # area of the ellipse segment {chi^2 + 3 eta^2 <= 15/4, eta >= 1}: semi-axes
 # sqrt(15)/2 and sqrt(5)/2, cut at half-angle acos(2/sqrt(5)) from the eta axis
@@ -165,52 +202,90 @@ def turning_points(system: PlanarWellSystem, e: float):
     return y_bot, y_top
 
 
-def _level_quadrature(system: PlanarWellSystem, e: float, y_lo: float,
-                      y_hi: float, weight) -> float:
-    """int weight(dy/du, e - g(y)/b^2) du over [0, pi], where the cosine
-    substitution y = mid - half cos u runs over [y_lo, y_hi] and absorbs
-    the square-root turning-point singularities; the integrand is 0 where
-    e - g(y)/b^2 <= 0."""
-    from scipy import integrate
+def _level_quadrature(system: PlanarWellSystem, e, y_lo, y_hi,
+                      weight) -> np.ndarray:
+    """int weight(dy/du, e - g(y)/b^2) du over [0, pi] at every level of the
+    arrays (e, y_lo, y_hi), where the cosine substitution
+    y = mid - half cos u runs over [y_lo, y_hi] and absorbs the square-root
+    turning-point singularities; the integrand is 0 where e - g(y)/b^2 <= 0.
 
+    Adaptive Gauss-Kronrod over the whole batch.  A level's first panels
+    end where y crosses an edge of the well's blend band, past which g is
+    only C^4.  Each round evaluates every live panel of every level with
+    QUADPACK's G7-K15 pair in one array call of the well, and takes
+    |K15 - G7| as a panel's error.  A level is done once its errors sum
+    to within its tolerance (relative 1e-11, absolute 1e-13).  Until then
+    a panel is bisected if its error is over its share, an equal part of
+    what the tolerance leaves after the panels already accepted, and
+    accepted if not.  AuditError if a level is not done within
+    _GK_ROUNDS rounds, or holds more than _GK_PANELS live panels.
+    """
+    e, y_lo, y_hi = (np.asarray(v, dtype=float) for v in (e, y_lo, y_hi))
     well, b2 = system.well, system.b ** 2
     mid, half = 0.5 * (y_lo + y_hi), 0.5 * (y_hi - y_lo)
-
-    def f(u):
-        y = mid - half * math.cos(u)
-        val = e - well.value_at(y) / b2
-        if val <= 0.0:
-            return 0.0
-        return weight(half * math.sin(u), val)
-
-    val, _ = integrate.quad(f, 0.0, math.pi, limit=800, epsabs=1e-13, epsrel=1e-11)
-    return val
+    n = e.size
+    t_lo, t_hi = well.band  # y rises with u on [0, pi]
+    edges = np.array([-t_hi, -t_lo, t_lo, t_hi])
+    breaks = np.arccos(np.clip((mid[:, None] - edges) / half[:, None], -1.0, 1.0))
+    breaks = np.column_stack([np.zeros(n), breaks, np.full(n, math.pi)])
+    width = np.diff(breaks, axis=1).ravel()
+    first = width > 0.0
+    level = np.repeat(np.arange(n), edges.size + 1)[first]   # of each live panel
+    lo, width = breaks[:, :-1].ravel()[first], width[first]
+    total, spent = np.zeros(n), np.zeros(n)   # over accepted panels
+    for _ in range(_GK_ROUNDS):
+        live = np.bincount(level, minlength=n)
+        if live.max() > _GK_PANELS:
+            break
+        u = lo[:, None] + 0.5 * width[:, None] * (1.0 + _GK_NODES)
+        val = e[level, None] - well.value(mid[level, None]
+                                          - half[level, None] * np.cos(u)) / b2
+        f = np.zeros_like(val)
+        pos = val > 0.0
+        f[pos] = weight((half[level, None] * np.sin(u))[pos], val[pos])
+        kronrod = 0.5 * width * (f @ _GK_KRONROD)
+        err = 0.5 * width * np.abs(f @ (_GK_KRONROD - _GK_GAUSS))
+        estimate = total + np.bincount(level, kronrod, minlength=n)
+        budget = np.maximum(_GK_EPSABS, _GK_EPSREL * np.abs(estimate)) - spent
+        done = np.bincount(level, err, minlength=n) <= budget
+        share = budget[level] / live[level]
+        split = ~done[level] & (err > share)
+        keep = ~split
+        total += np.bincount(level[keep], kronrod[keep], minlength=n)
+        spent += np.bincount(level[keep], err[keep], minlength=n)
+        if not split.any():
+            return total
+        level = np.repeat(level[split], 2)
+        width = np.repeat(0.5 * width[split], 2)
+        lo = np.repeat(lo[split], 2) + width * np.tile([0.0, 1.0], split.sum())
+    raise AuditError(f"level quadrature not within tolerance in {_GK_ROUNDS} "
+                     f"rounds of at most {_GK_PANELS} panels a level")
 
 
 def _period_quadrature(system: PlanarWellSystem, e: float,
                        y_lo: float, y_hi: float) -> float:
     """T = contour integral of dl/|grad h| = a * int dy / sqrt(e - g/b^2)."""
-    return system.a * _level_quadrature(system, e, y_lo, y_hi,
-                                        lambda w, val: w / math.sqrt(val))
+    return system.a * float(_level_quadrature(
+        system, [e], [y_lo], [y_hi], lambda w, val: w / np.sqrt(val))[0])
 
 
-def _action_quadrature(system: PlanarWellSystem, e: float,
-                       y_lo: float, y_hi: float) -> float:
-    """Enclosed area = 2a * int sqrt(e - g/b^2) dy over the y-range."""
+def _action_quadrature(system: PlanarWellSystem, e, y_lo, y_hi) -> np.ndarray:
+    """Enclosed areas = 2a * int sqrt(e - g/b^2) dy over the y-ranges."""
     return 2.0 * system.a * _level_quadrature(system, e, y_lo, y_hi,
-                                              lambda w, val: w * math.sqrt(val))
+                                              lambda w, val: w * np.sqrt(val))
 
 
-def _contour(system: PlanarWellSystem, e: float, y_lo: float, y_hi: float,
-             m: int) -> np.ndarray:
+def _contour(system: PlanarWellSystem, e: float, y_lo: float,
+             y_hi: float) -> np.ndarray:
     """Closed level-curve polygon, cosine-clustered, first point repeated."""
     well, b2, a = system.well, system.b ** 2, system.a
-    u = 2.0 * math.pi * np.arange(m) / m
-    y = 0.5 * (y_lo + y_hi) - 0.5 * (y_hi - y_lo) * np.cos(u)
+    y = 0.5 * (y_lo + y_hi) - 0.5 * (y_hi - y_lo) * _CONTOUR_COS
     val = np.maximum(e - well.value(y) / b2, 0.0)
-    x = a * np.sqrt(val) * np.sign(np.sin(u))
-    pts = np.column_stack([x, y])
-    return np.vstack([pts, pts[:1]])
+    pts = np.empty((CONTOUR_POINTS + 1, 2))
+    pts[:-1, 0] = a * np.sqrt(val) * _CONTOUR_SIDE
+    pts[:-1, 1] = y
+    pts[-1] = pts[0]
+    return pts
 
 
 def _shoelace(pts: np.ndarray) -> float:
@@ -239,9 +314,9 @@ class OrbitRecord:
                 raise DomainError(f"closed orbit fails to close: gap {gap}")
 
 
-def _audited_level(system: PlanarWellSystem, e: float, branch: str = "auto"):
-    """(contour, y_lo, y_hi, action) of the closed component of {h = e}
-    on `branch`; see `closed_orbit_at_energy`, which adds the period."""
+def _closed_level(system: PlanarWellSystem, e: float, branch: str = "auto"):
+    """(contour, y_lo, y_hi, shoelace area) of the closed component of
+    {h = e} on `branch`; see `closed_orbit_at_energy`."""
     if e == 0.0:
         raise DomainError("zero level is the homoclinic figure-eight, not a "
                           "closed orbit; use homoclinic_loop")
@@ -256,14 +331,21 @@ def _audited_level(system: PlanarWellSystem, e: float, branch: str = "auto"):
     elif branch not in ("auto", "outer"):
         raise DomainError("levels above zero have a single outer component")
 
-    pts = _contour(system, e, y_lo, y_hi, CONTOUR_POINTS)
-    area = _shoelace(pts)
-    y_lo, y_hi = min(y_lo, y_hi), max(y_lo, y_hi)
+    pts = _contour(system, e, y_lo, y_hi)
+    return pts, min(y_lo, y_hi), max(y_lo, y_hi), _shoelace(pts)
+
+
+def _audited_areas(system: PlanarWellSystem, e, y_lo, y_hi, area) -> np.ndarray:
+    """The contour areas of the levels (e, y_lo, y_hi), audited against
+    the quadrature route to a relative 1e-4 in one kernel call."""
+    e, area = np.asarray(e, dtype=float), np.asarray(area, dtype=float)
     area_q = _action_quadrature(system, e, y_lo, y_hi)
-    if abs(area - area_q) > 1e-4 * max(abs(area_q), 1e-12):
-        raise AuditError(
-            f"contour area {area} and quadrature area {area_q} disagree")
-    return pts, y_lo, y_hi, max(area, 0.0)
+    bad = np.abs(area - area_q) > 1e-4 * np.maximum(np.abs(area_q), 1e-12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AuditError(f"contour area {area[i]} and quadrature area "
+                         f"{area_q[i]} disagree at energy {e[i]}")
+    return np.maximum(area, 0.0)
 
 
 def closed_orbit_at_energy(system: PlanarWellSystem, e: float,
@@ -276,7 +358,8 @@ def closed_orbit_at_energy(system: PlanarWellSystem, e: float,
     contour, audited against the independent quadrature route to a
     relative 1e-4.
     """
-    pts, y_lo, y_hi, action = _audited_level(system, e, branch)
+    pts, y_lo, y_hi, area = _closed_level(system, e, branch)
+    action = float(_audited_areas(system, [e], [y_lo], [y_hi], [area])[0])
     period = _period_quadrature(system, e, y_lo, y_hi)
     return OrbitRecord(samples=pts, period=period, energy=e,
                        action=action, closed=True)
@@ -297,7 +380,7 @@ def homoclinic_loop(system: PlanarWellSystem) -> OrbitRecord:
     """The right loop of the zero level through the saddle (infinite
     period); the left loop is its mirror image."""
     y_top = turning_points(system, 0.0)[1]
-    pts = _contour(system, 0.0, 0.0, y_top, CONTOUR_POINTS)
+    pts = _contour(system, 0.0, 0.0, y_top)
     area = _shoelace(pts)
     return OrbitRecord(samples=pts, period=math.inf, energy=0.0,
                        action=max(area, 0.0), closed=False,
@@ -368,10 +451,20 @@ def label_action_floor(system: PlanarWellSystem, e: float) -> float:
     deep in the well to close up on its own and the round factor, which
     carries the rest of the level budget 1 - e, must wind at least once.
     """
+    return float(_label_floors(system, np.array([e], dtype=float))[0])
+
+
+def _label_floors(system: PlanarWellSystem, es: np.ndarray) -> np.ndarray:
+    """`label_action_floor` at every energy of es: contours level by level,
+    their areas audited in one kernel call."""
     threshold = -system.well.C ** 2 / (4.0 * system.b ** 2)
-    if e >= threshold:
-        return _audited_level(system, e)[3]
-    return math.pi * system.a ** 2 * (1.0 - e)
+    floors = math.pi * system.a ** 2 * (1.0 - es)
+    above = es >= threshold
+    if above.any():
+        _, y_lo, y_hi, area = zip(*(_closed_level(system, float(e))
+                                    for e in es[above]))
+        floors[above] = _audited_areas(system, es[above], y_lo, y_hi, area)
+    return floors
 
 
 def _confirms(entries, scan_min, bound) -> bool:
@@ -405,17 +498,15 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
     e_min = system.min_energy()
     grid = np.linspace(e_min + 1e-9 * max(1.0, abs(e_min)), 1.0, scan_labels)
     stop = scan_labels if budget is None else min(max(budget, 0), scan_labels)
+    es = grid[:stop]
+    es = es[np.abs(es) >= 1e-9]  # a vanishing well factor belongs to group (i)
     entries = []
     scan_min = math.inf
-    for e in grid[:stop]:
-        if abs(e) < 1e-9:
-            continue  # vanishing well factor: belongs to group (i)
+    for e, floor in zip(es.tolist(), _label_floors(system, es).tolist()):
         c = [0.0] * D.n
-        c[0] = 1.0 - float(e)
-        c[D.n - D.k] = float(e)
-        label = TorusLabel(c=tuple(c), n=D.n, k=D.k)
-        floor = label_action_floor(system, float(e))
-        entries.append((label, floor))
+        c[0] = 1.0 - e
+        c[D.n - D.k] = e
+        entries.append((TorusLabel(c=tuple(c), n=D.n, k=D.k), floor))
         scan_min = min(scan_min, floor)
     spectrum = ActionSpectrum(
         group_i=group_i, group_ii_min_bound=bound, window_top=window_top,

@@ -491,15 +491,45 @@ def test_spectrum_never_confirms_on_an_empty_scan(tmp_path, capsys):
 
 def test_capacity_run_loads_no_heavy_scipy_modules():
     # A fresh interpreter pays for every import; scipy.stats, optimize and
-    # integrate are only loaded by the commands that use them.
-    proc = run_python(["-c", (
-        "import sys\n"
-        "from symcone import cli\n"
-        "code = cli.main(['capacity', '--hyperboloid', '--a', '1', '--b', '1'])\n"
-        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.integrate')\n"
-        "print(code, [m for m in heavy if m in sys.modules], file=sys.stderr)\n")])
-    assert proc.stderr == "0 []\n"
-    assert json.loads(proc.stdout)["result"]["exact"] is True
+    # integrate are only loaded by the commands that use them, and the
+    # package itself never imports scipy.integrate.
+    heavy = {"capacity": ("scipy.stats", "scipy.optimize", "scipy.integrate"),
+             "spectrum": ("scipy.stats", "scipy.integrate")}
+    for argv in (["capacity", "--hyperboloid", "--a", "1", "--b", "1"],
+                 ["spectrum", "--labels", "20"]):
+        proc = run_python(["-c", (
+            "import sys\n"
+            "from symcone import cli\n"
+            f"code = cli.main({argv!r})\n"
+            f"heavy = {heavy[argv[0]]!r}\n"
+            "print(code, [m for m in heavy if m in sys.modules], file=sys.stderr)\n")])
+        assert proc.stderr == "0 []\n"
+        assert json.loads(proc.stdout)["config"]["command"] == argv[0]
+    src = Path(symcone.__file__).resolve().parent
+    for path in src.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "scipy.integrate" not in text and "import integrate" not in text, path
+
+
+def test_capacity_seed_reaches_the_estimated_metadata(capsys, tmp_path):
+    # capacity --expr estimates the support metadata by seeded sampling, so
+    # its --seed moves the enclosure; the default seed keeps the old bytes.
+    expr = "1 * bump(rho; 1, 3) + 0.3 * bump(rho; 0.5, 2) * mono(x1^2)"
+    runs = {seed: run_cli(capsys, ["capacity", "--expr", expr, "--seed", seed])
+            for seed in ("0", "5")}
+    assert runs["0"][0] == runs["5"][0] == 0
+    assert run_cli(capsys, ["capacity", "--expr", expr]) == runs["0"]
+    results = {seed: json.loads(out)["result"] for seed, (_, out, _) in runs.items()}
+    assert results["0"]["lo"] != results["5"]["lo"]
+    for seed in (0, 5):
+        H = symcone.hamiltonian_from_expression(expr, n=2, k=1, meta_seed=seed)
+        w = symcone.capacity_of_hamiltonian(H)
+        assert results[str(seed)]["lo"] == f"{w.lo:.17g}"
+    # nothing random runs in spectrum, so it takes no seed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 0}', encoding="utf-8")
+    code, _, err = run_cli(capsys, ["spectrum", "--labels", "5", "--config", str(cfg)])
+    assert code == 2 and "unknown config keys: seed" in err
 
 
 def test_main_keeps_no_state_between_calls(capsys):

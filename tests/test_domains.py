@@ -123,6 +123,46 @@ def test_well_scalar_forms_match_array_forms(well3):
     np.testing.assert_allclose(deriv_at, well3.deriv(t), rtol=1e-14, atol=1e-13)
 
 
+def test_well_array_forms_are_bitwise_the_where_form(well3):
+    # value/deriv run the blend only on in-band entries; the result is
+    # bitwise the form that blends every entry and selects with np.where.
+    from symcone.blends import smoothed_relu, smoothed_relu_deriv
+
+    def where_forms(well, t):
+        t = np.asarray(t, dtype=float)
+        t2 = t * t
+        d = 4.0 * t2 - well._four_c2
+        value = np.where(d >= well.delta, 3.0 * t2 - well._four_c2,
+                         np.where(d <= -well.delta, -t2,
+                                  -t2 + smoothed_relu(d, well.delta)))
+        d = 4.0 * t * t - well._four_c2
+        deriv = np.where(d >= well.delta, 6.0 * t,
+                         np.where(d <= -well.delta, -2.0 * t,
+                                  t * (-2.0 + 8.0 * smoothed_relu_deriv(d, well.delta))))
+        return value, deriv
+
+    rng = np.random.default_rng(17)
+    t_lo, t_hi = well3.band
+    # C = 1 wells whose band edges d = +-delta fall on dyadic t exactly:
+    # 4 * 1.25^2 - 4 = 2.25 and 4 * 0.5^2 - 4 = -3
+    cases = [(well3, np.concatenate([rng.uniform(-10.0, 10.0, 2999),
+                                     rng.uniform(t_lo, t_hi, 500),
+                                     -rng.uniform(t_lo, t_hi, 500)])),
+             (SmoothedWell(C=1.0, eps=0.1, delta=2.25), np.array([1.25, -1.25, 0.3])),
+             (SmoothedWell(C=1.0, eps=0.1, delta=3.0), np.array([0.5, -0.5, 1.1]))]
+    for well, t in cases:
+        for shape in (t.shape, (t.size // 3, 3)):
+            value, deriv = where_forms(well, t.reshape(shape))
+            np.testing.assert_array_equal(well.value(t.reshape(shape)), value)
+            np.testing.assert_array_equal(well.deriv(t.reshape(shape)), deriv)
+        for x in np.concatenate([t[:3], t[-3:]]):  # 0-d in, 0-d array out
+            value, deriv = where_forms(well, x)
+            assert well.value(x).shape == () and well.value(x) == value
+            assert well.deriv(x).shape == () and well.deriv(x) == deriv
+    d = 4.0 * np.array([1.25, 0.5]) ** 2 - 4.0
+    assert d.tolist() == [2.25, -3.0]
+
+
 def test_well_radial_inequality_everywhere(well3):
     # (t/2) g'(t) - g(t) >= 0 is the convexity-type contract the builder
     # audits; spot-check it on a fresh random grid.

@@ -132,6 +132,64 @@ def test_action_audit_catches_a_disagreeing_quadrature(planar3, monkeypatch):
         closed_orbit_at_energy(planar3, 0.5)
 
 
+def test_gauss_kronrod_rule_integrates_monomials_exactly():
+    # G7 is exact to degree 13 and K15 to degree 22 on [-1, 1]; the next
+    # even degree is not, which shows the nodes and weights are the pair's.
+    x = orbits._GK_NODES
+    for weights, degree in ((orbits._GK_GAUSS, 13), (orbits._GK_KRONROD, 22)):
+        for d in range(degree + 1):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(weights @ x ** d - exact) <= 1e-15, (degree, d)
+        assert abs(weights @ x ** (degree + 2) - 2.0 / (degree + 3)) > 1e-10
+    np.testing.assert_array_equal(x, -x[::-1])
+    assert np.count_nonzero(orbits._GK_GAUSS) == 7
+
+
+def _quad_level(system, e, y_lo, y_hi, weight):
+    """The scalar scipy.integrate.quad route over the same integrand: the
+    reference the kernel replaced."""
+    from scipy import integrate
+
+    well, b2 = system.well, system.b ** 2
+    mid, half = 0.5 * (y_lo + y_hi), 0.5 * (y_hi - y_lo)
+
+    def f(u):
+        y = mid - half * math.cos(u)
+        val = e - well.value_at(y) / b2
+        return weight(half * math.sin(u), val) if val > 0.0 else 0.0
+
+    return integrate.quad(f, 0.0, math.pi, limit=800, epsabs=1e-13,
+                          epsrel=1e-11)[0]
+
+
+@pytest.mark.parametrize("C", [2.0, 3.0, 5.0, 8.0])
+def test_kernel_matches_scipy_quad_on_every_scan_level(C):
+    system = PlanarWellSystem(a=1.0, b=1.0, well=build_smoothed_well(C, C / 12.0))
+    e_min = system.min_energy()
+    grid = np.linspace(e_min + 1e-9 * max(1.0, abs(e_min)), 1.0, 200)
+    es = grid[(grid >= -C * C / 4.0) & (np.abs(grid) >= 1e-9)]
+    _, y_lo, y_hi, _ = zip(*(orbits._closed_level(system, float(e)) for e in es))
+    area = orbits._action_quadrature(system, es, y_lo, y_hi)
+    ref = [2.0 * _quad_level(system, e, lo, hi, lambda w, val: w * math.sqrt(val))
+           for e, lo, hi in zip(es, y_lo, y_hi)]
+    np.testing.assert_allclose(area, ref, rtol=2e-9, atol=0)
+    # the period's weight has the turning-point factor 1/sqrt(val)
+    for e, lo, hi in list(zip(es, y_lo, y_hi))[::10]:
+        period = orbits._period_quadrature(system, float(e), lo, hi)
+        assert period == pytest.approx(
+            _quad_level(system, e, lo, hi, lambda w, val: w / math.sqrt(val)),
+            rel=2e-9, abs=0)
+
+
+def test_kernel_round_cap_raises(planar3, monkeypatch):
+    # quad warned at its subinterval limit and returned; the kernel refuses
+    monkeypatch.setattr(orbits, "_GK_ROUNDS", 1)
+    with pytest.raises(AuditError, match="1 rounds"):
+        closed_orbit_at_energy(planar3, -1.0)
+    with pytest.raises(AuditError, match="1 rounds"):
+        label_action_floor(planar3, 0.5)
+
+
 def test_orbit_record_validation():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DomainError):
@@ -199,20 +257,29 @@ def test_spectrum_round_actions_and_scan(domain3):
 
 
 def test_level_scan_keeps_to_the_scalar_well(domain3, monkeypatch):
-    # Root finding and quadrature evaluate g one point at a time; they
-    # belong on the float form, not on 0-d arrays through the array form.
+    # Root finding evaluates g one point at a time on the float form, never
+    # on 0-d arrays through the array form.  The array form serves one
+    # contour per audited level and one call per round of the quadrature
+    # kernel, whose first round holds one panel per blend-band piece of
+    # every audited level at once.
     array_value = SmoothedWell.value
     shapes = []
 
     def counting(self, t):
-        shapes.append(np.ndim(t))
+        shapes.append(np.shape(t))
         return array_value(self, t)
 
     monkeypatch.setattr(SmoothedWell, "value", counting)
     spec = characteristic_spectrum(domain3, 10.0, scan_labels=20)
     assert spec.labels_scanned == 20
-    assert shapes.count(0) == 0
-    assert shapes  # the contours still take the array form
+    assert () not in shapes
+    contours = shapes.count((orbits.CONTOUR_POINTS,))
+    rounds = [shape for shape in shapes if len(shape) == 2]
+    assert 0 < contours <= spec.labels_scanned
+    assert len(shapes) == contours + len(rounds)
+    assert 0 < len(rounds) <= orbits._GK_ROUNDS
+    assert contours <= rounds[0][0] <= 5 * contours
+    assert all(shape[1] == orbits._GK_NODES.size for shape in rounds)
 
 
 def test_level_scan_computes_no_period(domain3, monkeypatch):
