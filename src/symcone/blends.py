@@ -9,14 +9,31 @@ finite-difference stencils see smooth data.
 import numpy as np
 
 
+def _horner(u, coeffs):
+    """c_0 + u * (c_1 + u * (... + u * c_last)) for coeffs = (c_last, ...,
+    c_0), updated in one buffer: the same operations on the same operands
+    as the nested expression, without a temporary per step."""
+    p = u * coeffs[0] + coeffs[1]
+    for c in coeffs[2:]:
+        p *= u  # in place for an array; a 0-d u just rebinds p
+        p += c
+    return p
+
+
 def _step_value(u, u4):
-    """Degree-9 step polynomial at u in [0, 1], given u4 = u**4."""
-    return u4 * u * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + u * 70.0))))
+    """Degree-9 step polynomial at u in [0, 1], given u4 = u**4:
+    u4 * u * (126 + u * (-420 + u * (540 + u * (-315 + u * 70))))."""
+    p = _horner(u, (70.0, -315.0, 540.0, -420.0, 126.0))
+    p *= u4 * u
+    return p
 
 
 def _step_slope(u, u4):
-    """Derivative of `_step_value`; exactly 0 at u = 0 and u = 1."""
-    return u4 * (630.0 + u * (-2520.0 + u * (3780.0 + u * (-2520.0 + u * 630.0))))
+    """Derivative of `_step_value`; exactly 0 at u = 0 and u = 1:
+    u4 * (630 + u * (-2520 + u * (3780 + u * (-2520 + u * 630))))."""
+    p = _horner(u, (630.0, -2520.0, 3780.0, -2520.0, 630.0))
+    p *= u4
+    return p
 
 
 def smoothstep(u):

@@ -268,6 +268,8 @@ def cmd_metric(params: dict):
 def cmd_smoothing_audit(params: dict):
     n, k, eps = params["n"], params["k"], params["eps"]
     pts = params["points"]
+    if pts < 1:
+        raise DomainError(f"need at least 1 audited point, got {pts}")
     seed = params["seed"]
     gen = random_hamiltonian(n, k, seed=seed, amplitude=params["amplitude"])
     iso = ContactIsotopy(gen)

@@ -147,9 +147,24 @@ def _renorm(th):
     return th / np.sqrt(row_sum(th * th))[..., None]
 
 
+def _rk4_increment(h, k1, k2, k3, k4):
+    """(h / 6) * (k1 + 2 k2 + 2 k3 + k4) with the same operations on the
+    same operands as that expression, accumulated in k2's buffer; k2 and
+    k3 are overwritten, so pass stage slopes nothing else holds."""
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    return k2
+
+
 def _homogeneous_field(Kv, g, th):
     """Field of r*K at unit rows th, from K's values and ambient gradients."""
-    return symplectic_gradient(2.0 * Kv[:, None] * th + tangential(g, th))
+    grad = tangential(g, th)
+    grad += 2.0 * Kv[:, None] * th
+    return symplectic_gradient(grad)
 
 
 def _field_and_rate(Kv, g, th):
@@ -204,9 +219,12 @@ class ContactIsotopy:
         """Integrate a batch from t_from to t_to (either direction).
 
         Returns (endpoints, log_conformal) where log_conformal is the
-        accumulated log-derivative integral along each trajectory.
+        accumulated log-derivative integral along each trajectory.  The
+        batch is held column-major (see `geometry`) from entry to return,
+        so the endpoints come back Fortran-ordered; the values do not
+        depend on the layout the rows arrive in.
         """
-        th = _renorm(np.atleast_2d(np.asarray(thetas, dtype=float)))
+        th = _renorm(np.asfortranarray(np.atleast_2d(thetas), dtype=float))
         span = t_to - t_from
         n_steps = max(1, int(round(abs(span) / self.step)))
         h = span / n_steps
@@ -217,8 +235,8 @@ class ContactIsotopy:
             f2, c2 = self._rhs(t + 0.5 * h, _renorm(th + 0.5 * h * f1))
             f3, c3 = self._rhs(t + 0.5 * h, _renorm(th + 0.5 * h * f2))
             f4, c4 = self._rhs(t + h, _renorm(th + h * f3))
-            th = _renorm(th + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4))
-            logc += (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            th = _renorm(_rk4_increment(h, f1, f2, f3, f4) + th)
+            logc += _rk4_increment(h, c1, c2, c3, c4)
             if not np.all(np.isfinite(th)):
                 raise IntegrationError("flow diverged", {"step_index": i})
         return th, logc

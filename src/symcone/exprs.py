@@ -25,6 +25,12 @@ per row, which multiplies grad rho once; monomial parts are added column
 by column.  Integer powers are built by repeated squaring, never by `**`,
 and the fused values are bitwise those of `eval_fn`.  A flow or
 smoothed-map RK stage makes exactly one `grad_fn` call.
+
+Both kernels take an (N, 2n) batch of rows in either memory layout.
+The RK loops pass theirs column-major (see `geometry`), so a coordinate
+`th[:, idx]` is one contiguous vector; `grad_fn` allocates its gradient
+with `zeros_like`, so the gradient comes back in the layout the batch
+came in, and the bits do not depend on that layout.
 """
 import re
 
@@ -251,11 +257,12 @@ class ExpressionHamiltonian(ContactHamiltonian):
                         part = part * fv
                 grad[:, idx] += part
             for fv in factors:
-                tv = tv * fv
-                dtv = dtv * fv
+                tv *= fv
+                dtv *= fv
             total += tv
             c_rho += dtv
-        grad += c_rho[:, None] * grad_rho
+        grad_rho *= c_rho[:, None]
+        grad += grad_rho
         return total, grad
 
     # -- metadata -------------------------------------------------------

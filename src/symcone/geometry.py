@@ -4,6 +4,15 @@ Points are numpy arrays of length 2n ordered (x_1..x_n, y_1..y_n); all
 operations also broadcast over leading batch axes.  The radial coordinate
 `r` is the squared norm |x|^2 + |y|^2 (units of action), so the Liouville
 flow z -> e^{t/2} z multiplies r by e^t.
+
+Batches are rows, but the RK loops (`ContactIsotopy.flow_many` and the
+smoothed map's `_integrate`) hold them column-major: a Fortran-ordered
+(N, 2n) array, so that each coordinate is one contiguous N-vector and a
+column access is a contiguous pass, not a stride-2n one.  The helpers
+those loops call (`row_sum`, `tangential`, `symplectic_gradient`,
+`angle_ratio_and_gradient`) work on either layout and return results in
+the layout they are given; they add columns one at a time in index
+order, so their values do not depend on it, bit for bit.
 """
 import numpy as np
 
@@ -45,7 +54,7 @@ def symplectic_gradient(grad):
     (xdot, ydot) = (-dH/dy, +dH/dx), the package's one sign convention."""
     n = half_dim(grad)
     out = np.empty_like(grad)
-    out[..., :n] = -grad[..., n:]
+    np.negative(grad[..., n:], out=out[..., :n])
     out[..., n:] = grad[..., :n]
     return out
 
@@ -61,8 +70,10 @@ def row_sum(a):
     On short rows this is several times faster than numpy's axis
     reduction, which also adds them in this order for up to six columns.
     """
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
+    if a.shape[-1] == 1:
+        return a[..., 0].copy()
+    out = a[..., 0] + a[..., 1]
+    for j in range(2, a.shape[-1]):
         out += a[..., j]
     return out
 

@@ -91,11 +91,14 @@ class ConeFamily:
     def __init__(self, n: int, k: int, elements: Sequence[ConeElement],
                  seed: int = 0, pool_size: int = 8, grid_points: int = 10_000,
                  audit_samples: int = 2000):
+        if grid_points < 1:
+            raise DomainError(f"need at least 1 grid point, got {grid_points}")
         self.n, self.k = n, k
         self.elements: Dict[str, ConeElement] = {e.eid: e for e in elements}
         if len(self.elements) != len(elements):
             raise DomainError("duplicate element ids")
-        self.grid = sampling.sphere_points(n, grid_points, seed)
+        # column-major, as the flows that pull it back hold their batches
+        self.grid = np.asfortranarray(sampling.sphere_points(n, grid_points, seed))
         self.pool: List[Conjugator] = [Conjugator("identity")]
         for i, s in enumerate(sampling.spawn(seed + 1, pool_size)):
             gen = random_hamiltonian(n, k, seed=s)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blends import cutoff_with_deriv, plateau_bump
-from .contact import ContactIsotopy, _field_and_rate, _renorm, reeb_derivative
+from .contact import (ContactIsotopy, _field_and_rate, _renorm, _rk4_increment,
+                      reeb_derivative)
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
 from . import sampling
@@ -138,10 +139,11 @@ class SmoothedSymplectization:
         r = row_sum(zs * zs)
         out = np.zeros_like(zs)
         live = r > cert.chi_zero_below  # chi = 0 there: field vanishes exactly
-        z = zs[live]
+        z = np.asfortranarray(zs[live])  # a boolean row pick returns C order
         rl = r[live]
         sq = np.sqrt(rl)
         u = z / sq[:, None]
+        # u and th are column-major, so their stack is too
         Kv, g = self.iso.hamiltonian_at(t).value_and_grad(np.concatenate([u, th]))
         nl = u.shape[0]
         tang = tangential(g[:nl], u)
@@ -157,10 +159,12 @@ class SmoothedSymplectization:
         map's field, and the sphere rows thetas, then the probes, as
         `ContactIsotopy.flow_many` steps them.  Returns the images of zs
         and the ends and log conformal factors of thetas, once the probes
-        have passed `_conformal_envelope`."""
-        z = np.array(np.atleast_2d(np.asarray(zs, dtype=float)))
+        have passed `_conformal_envelope`.  Both batches are held
+        column-major (see `geometry`), so the images come back
+        Fortran-ordered."""
+        z = np.array(np.atleast_2d(zs), dtype=float, order="F")
         nt = len(thetas)
-        th = _renorm(np.concatenate([thetas, self._probes]))
+        th = _renorm(np.asfortranarray(np.concatenate([thetas, self._probes])))
         logc = np.zeros(th.shape[0])
         lo, hi = 0.0, 0.0
         n_steps = max(1, int(round(abs(t_final) / self.step)))
@@ -173,9 +177,9 @@ class SmoothedSymplectization:
             k3, f3, c3 = self._stage(t + 0.5 * h, z + 0.5 * h * k2,
                                      _renorm(th + 0.5 * h * f2))
             k4, f4, c4 = self._stage(t + h, z + h * k3, _renorm(th + h * f3))
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            th = _renorm(th + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4))
-            logc += (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            z = _rk4_increment(h, k1, k2, k3, k4) + z
+            th = _renorm(_rk4_increment(h, f1, f2, f3, f4) + th)
+            logc += _rk4_increment(h, c1, c2, c3, c4)
             if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
                 raise IntegrationError("smoothed flow diverged", {"step_index": i})
             if (i + 1) * 50 // n_steps > i * 50 // n_steps:  # a chunk ends

@@ -221,6 +221,27 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
     assert sum(row.startswith("ii,") for row in rows) == 15
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["metric", "--grid", "0"], "need at least 1 grid point, got 0"),
+    (["metric", "--grid", "-5"], "need at least 1 grid point, got -5"),
+    (["smoothing-audit", "--points", "0"], "need at least 1 audited point, got 0"),
+    (["smoothing-audit", "--points", "-3"], "need at least 1 audited point, got -3"),
+    (["sandwich", "--expr", "1 * bump(rho; 1, 3)", "--samples", "0"],
+     "need at least 1 audit sample, got 0"),
+])
+def test_sizes_below_one_are_exit_2(capsys, argv, message):
+    # an empty grid or sample would give a vacuous bound or audit
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"symcone: {message}\n"
+
+
+def test_spectrum_of_a_large_well_runs(capsys):
+    code, out, err = run_cli(capsys, ["spectrum", "--C", "16", "--labels", "10"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["labels_scanned"] == 10
+
+
 def test_sandwich_clean_run(capsys):
     code, out, err = run_cli(capsys, [
         "sandwich", "--expr", "1 * bump(rho; 1, 3)",

@@ -206,3 +206,17 @@ def test_scaled_plain_hamiltonian_scales_the_pair():
     vals, g = plain.scaled(3.0).value_and_grad(th)
     np.testing.assert_array_equal(vals, 3.0 * K.eval_fn(th))
     np.testing.assert_array_equal(g, 3.0 * K.grad_fn(th)[1])
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2)])
+def test_flow_is_bitwise_independent_of_the_input_layout(n, k):
+    # the flow holds its batch column-major; a row-major batch must give
+    # the same bits, and the endpoints must keep the contiguous columns
+    K = random_hamiltonian(n, k, seed=4, amplitude=0.5)
+    iso = ContactIsotopy(K, step=0.05)
+    th = sphere(np.random.default_rng(22), 257, 2 * n)
+    assert th.flags.c_contiguous
+    ends_c, logc_c = iso.flow_many(th, 1.0, 0.0)
+    ends_f, logc_f = iso.flow_many(np.asfortranarray(th), 1.0, 0.0)
+    assert np.array_equal(ends_c, ends_f) and np.array_equal(logc_c, logc_f)
+    assert ends_c.flags.f_contiguous and ends_f.flags.f_contiguous

@@ -188,6 +188,22 @@ def test_well_builder_rejects_bad_shapes():
         build_smoothed_well(C=-1.0, eps=0.01)
 
 
+@pytest.mark.parametrize("C", [16.0, 20.0, 40.0])
+def test_well_builder_accepts_large_wells(C):
+    # the grid checks compare terms of size 27 C^2, where one ulp is
+    # already 9.1e-13 at C = 16
+    well = build_smoothed_well(C, C / 12.0)
+    assert well.C == C
+
+
+def test_well_builder_still_refuses_a_dip(monkeypatch):
+    value = SmoothedWell.value
+    monkeypatch.setattr(SmoothedWell, "value",
+                        lambda self, t: value(self, t) - 1e-9)
+    with pytest.raises(AuditError, match="dips below"):
+        build_smoothed_well(16.0, 16.0 / 12.0)
+
+
 def test_integrable_domain_gradient_and_liouville(domain3):
     rng = np.random.default_rng(3)
     zs = rng.uniform(-2.5, 2.5, size=(40, 4))

@@ -194,3 +194,14 @@ def test_scaled_stays_an_expression():
     np.testing.assert_array_equal(back.eval_fn(th), Hs.eval_fn(th))
     # StarDomain.scaled goes through the same path
     assert isinstance(StarDomain(H).scaled(2.0).H, ExpressionHamiltonian)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2)])
+def test_fused_kernel_is_bitwise_independent_of_the_input_layout(n, k):
+    H = random_hamiltonian(n, k, seed=6)
+    th = sphere(np.random.default_rng(23), 301, 2 * n)
+    vals_c, grad_c = H.grad_fn(th)
+    vals_f, grad_f = H.grad_fn(np.asfortranarray(th))
+    assert np.array_equal(vals_c, vals_f) and np.array_equal(grad_c, grad_f)
+    assert np.array_equal(H.eval_fn(np.asfortranarray(th)), vals_c)
+    assert grad_f.flags.f_contiguous  # a column-major batch stays column-major

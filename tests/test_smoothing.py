@@ -188,3 +188,15 @@ def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
     assert np.array_equal(lift, symplectize_ambient(iso, lift_zs))
     with pytest.raises(DomainError, match="origin"):
         sm.map_and_lift(zs, np.zeros((1, 4)))
+
+
+def test_map_and_lift_is_bitwise_independent_of_the_input_layout(tame_map):
+    iso, sm = tame_map
+    rng = np.random.default_rng(36)
+    zs = shell(rng, 40, 4, 1e-4, 4.0)
+    lift_zs = shell(rng, 9, 4, 1.0, 2.0)
+    images_c, lift_c = sm.map_and_lift(zs, lift_zs)
+    images_f, lift_f = sm.map_and_lift(np.asfortranarray(zs),
+                                       np.asfortranarray(lift_zs))
+    assert np.array_equal(images_c, images_f) and np.array_equal(lift_c, lift_f)
+    assert images_c.flags.f_contiguous and images_f.flags.f_contiguous
