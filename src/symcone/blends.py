@@ -80,8 +80,9 @@ def cutoff(r, r_lo, r_hi):
 
 def cutoff_with_deriv(r, r_lo, r_hi):
     """(cutoff, its derivative in r) from one clip and one fourth power;
-    the value is bitwise the one `cutoff` returns."""
-    if not r_lo < r_hi:
+    the value is bitwise the one `cutoff` returns.  (profiles, 1) columns
+    of `r_lo`, `r_hi` give one row per profile, each bitwise its own call."""
+    if not np.all(r_lo < r_hi):
         raise ValueError("cutoff needs r_lo < r_hi")
     width = r_hi - r_lo
     u = np.clip((np.asarray(r, dtype=float) - r_lo) / width, 0.0, 1.0)
@@ -93,19 +94,13 @@ def plateau_bump(t, t_flat, t_zero):
     """C^4 decreasing profile: 1 on [0, t_flat], 0 on [t_zero, inf)."""
     if not 0.0 <= t_flat < t_zero:
         raise ValueError("plateau_bump needs 0 <= t_flat < t_zero")
-    return 1.0 - smoothstep((np.asarray(t, dtype=float) - t_flat) / (t_zero - t_flat))
+    return 1.0 - cutoff(t, t_flat, t_zero)
 
 
 def plateau_bump_with_deriv(t, t_flat, t_zero):
-    """(plateau_bump, its derivative in t) from one clip and one fourth
-    power; the value is bitwise the one `plateau_bump` returns.
-
-    `t_flat` and `t_zero` may be column arrays of shape (profiles, 1): the
-    result then holds every profile at every t, one row per profile, each
-    bitwise equal to that profile's own call."""
+    """(plateau_bump, its derivative in t): one minus `cutoff_with_deriv`
+    and its negated slope, (profiles, 1) columns included."""
     if not np.all((0.0 <= t_flat) & (t_flat < t_zero)):
         raise ValueError("plateau_bump needs 0 <= t_flat < t_zero")
-    width = t_zero - t_flat
-    u = np.clip((np.asarray(t, dtype=float) - t_flat) / width, 0.0, 1.0)
-    u4 = u * u * u * u
-    return 1.0 - _step_value(u, u4), -_step_slope(u, u4) / width
+    value, slope = cutoff_with_deriv(t, t_flat, t_zero)
+    return 1.0 - value, -slope

@@ -26,7 +26,7 @@ from .errors import AuditError, DomainError, ParseError, ScanBudgetError
 from .exprs import hamiltonian_from_expression, random_hamiltonian
 from .growth import dw_bound_check, equivalence_and_order, random_family, scaling_family
 from .jsonio import dumps_json, fmt_float, load_config, write_csv
-from .orbits import characteristic_spectrum
+from .orbits import characteristic_spectrum, clears_bound
 from . import sampling
 from .smoothing import (SmoothedSymplectization, symplecticity_defect_of_images,
                         symplecticity_stencil)
@@ -129,7 +129,7 @@ def _spectrum_csv(spec, params: dict) -> str:
         rows.append(("i", str(i), act, "exact"))
     for label, floor in spec.scan_entries:
         e = label.c[label.n - label.k]
-        flag = "ok" if floor >= spec.group_ii_min_bound * (1 - 1e-3) else "below"
+        flag = "ok" if clears_bound(floor, spec.group_ii_min_bound) else "below"
         rows.append(("ii", fmt_float(e), floor, flag))
     buf = io.StringIO()
     write_csv(buf, ("group", "index_or_label", "action", "bound_flag"), rows,
@@ -166,8 +166,6 @@ def _hamiltonian_from_params(params: dict, meta_seed: int = 0):
     if any(v is not None for v in given):
         if any(v is None for v in given):
             raise ParseError("support metadata requires all of M, m, rho0, rho1")
-        if params["m"] <= 0:
-            raise DomainError("not in g+: need a positive inner floor m")
         meta = SupportMeta(M=params["M"], m=params["m"],
                            rho0=params["rho0"], rho1=params["rho1"])
     return hamiltonian_from_expression(params["expr"], n=params["n"],

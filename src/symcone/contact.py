@@ -7,6 +7,9 @@ Hext is the sphere field Y_K.  This realizes the correspondence between
 sphere kinematics and homogeneous ambient kinematics exactly for the
 round form alpha(v) = omega(theta, v) / 2, with no frame choices.
 
+Every kernel here takes an (N, 2n) batch of rows, one result per row;
+any other shape raises `DimensionMismatchError`.
+
 Sign convention used throughout (`geometry.symplectic_gradient`): the
 ambient field of H is (xdot, ydot) = (-dH/dy, +dH/dx), so the squared-norm
 function |z|^2 generates the counterclockwise rotation (-2y, 2x) of
@@ -17,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AuditError, DomainError, IntegrationError
+from .errors import (AuditError, DimensionMismatchError, DomainError,
+                     IntegrationError)
 from .geometry import (as_phase, half_dim, angle_ratio_of, row_sum,
                        symplectic_gradient, tangential)
 from . import sampling
@@ -27,21 +31,24 @@ FD_STEP = 1e-5
 ZERO_TOL = 1e-12
 
 
-def _batched(theta):
-    theta = np.asarray(theta, dtype=float)
-    single = theta.ndim == 1
-    return (theta[None, :] if single else theta), single
+def _rows(theta):
+    th = np.asarray(theta, dtype=float)
+    if th.ndim != 2:
+        raise DimensionMismatchError(f"expected (N, 2n) rows, got shape {th.shape}")
+    return th
+
+
+def _on_sphere(theta, who):
+    th = _rows(theta)
+    if np.any(np.abs(np.sqrt(row_sum(th * th)) - 1.0) > 1e-10):
+        raise DomainError(f"{who} requires unit vectors")
+    return th
 
 
 def reeb_field(theta):
-    """Rotation field (-2y, 2x); unit pairing against the contact form.
-    Rows must have norm 1 to within 1e-10."""
-    th, single = _batched(theta)
-    nrm = np.sqrt(row_sum(th * th))
-    if np.any(np.abs(nrm - 1.0) > 1e-10):
-        raise DomainError("reeb_field requires unit vectors")
-    out = symplectic_gradient(2.0 * th)  # the field of |z|^2
-    return out[0] if single else out
+    """Rotation field (-2y, 2x), the field of |z|^2; unit pairing against
+    the contact form.  Rows must have norm 1 to within 1e-10."""
+    return symplectic_gradient(2.0 * _on_sphere(theta, "reeb_field"))
 
 
 @dataclass(frozen=True)
@@ -79,16 +86,14 @@ class ContactHamiltonian:
         self.grad_fn = grad_fn
 
     def __call__(self, theta):
-        th, single = _batched(theta)
-        vals = np.asarray(self.eval_fn(th), dtype=float)
-        return float(vals[0]) if single else vals
+        return np.asarray(self.eval_fn(_rows(theta)), dtype=float)
 
     def value_and_grad(self, theta):
         """(K, gradient of the ambient 0-homogeneous-in-direction extension,
         i.e. of K as a function of the unnormalized argument) at theta:
         one `grad_fn` call when there is one, else `eval_fn` values and
         central differences."""
-        th, single = _batched(theta)
+        th = _rows(theta)
         if self.grad_fn is not None:
             vals, g = self.grad_fn(th)
             vals, g = np.asarray(vals, dtype=float), np.asarray(g, dtype=float)
@@ -101,7 +106,7 @@ class ContactHamiltonian:
                 hi = np.asarray(self.eval_fn(_renorm(th + e)), dtype=float)
                 lo = np.asarray(self.eval_fn(_renorm(th - e)), dtype=float)
                 g[:, i] = (hi - lo) / (2.0 * FD_STEP)
-        return (float(vals[0]), g[0]) if single else (vals, g)
+        return vals, g
 
     def scaled(self, s: float):
         if s <= 0:
@@ -160,33 +165,26 @@ def _rk4_increment(h, k1, k2, k3, k4):
     return k2
 
 
-def _homogeneous_field(Kv, g, th):
-    """Field of r*K at unit rows th, from K's values and ambient gradients."""
+def _field_and_rate(Kv, g, th):
+    """(Y_K, dK(R)) at unit rows th, from K's values and ambient gradients
+    there (one value_and_grad call); Y_K is the tangential part of the
+    field of r*K.  Callers normalise or check th; it is not re-checked."""
     grad = tangential(g, th)
     grad += 2.0 * Kv[:, None] * th
-    return symplectic_gradient(grad)
-
-
-def _field_and_rate(Kv, g, th):
-    """(Y_K, dK(R)) at a batch of unit rows th, from K's values and
-    ambient gradients there (one value_and_grad call)."""
-    Y = tangential(_homogeneous_field(Kv, g, th), th)
-    return Y, row_sum(g * reeb_field(th))
+    Y = tangential(symplectic_gradient(grad), th)
+    return Y, row_sum(g * symplectic_gradient(2.0 * th))
 
 
 def contact_vector_field(K: ContactHamiltonian, theta):
     """Sphere field Y_K: tangential projection of the homogeneous field."""
-    th, single = _batched(theta)
-    Y = tangential(_homogeneous_field(*K.value_and_grad(th), th), th)
-    return Y[0] if single else Y
+    th = _rows(theta)
+    return _field_and_rate(*K.value_and_grad(th), th)[0]
 
 
 def reeb_derivative(K: ContactHamiltonian, theta):
     """dK evaluated on the rotation field (a tangent direction)."""
-    th, single = _batched(theta)
-    _, g = K.value_and_grad(th)
-    val = row_sum(g * reeb_field(th))
-    return float(val[0]) if single else val
+    th = _rows(theta)
+    return row_sum(K.value_and_grad(th)[1] * reeb_field(th))
 
 
 class ContactIsotopy:
@@ -224,7 +222,7 @@ class ContactIsotopy:
         so the endpoints come back Fortran-ordered; the values do not
         depend on the layout the rows arrive in.
         """
-        th = _renorm(np.asfortranarray(np.atleast_2d(thetas), dtype=float))
+        th = _renorm(np.asfortranarray(_rows(thetas)))
         span = t_to - t_from
         n_steps = max(1, int(round(abs(span) / self.step)))
         h = span / n_steps
@@ -248,8 +246,7 @@ class ContactIsotopy:
         preimage, and the log-derivative integral accumulated along that
         same path (sign restored) is log c at the preimage.
         """
-        th = np.atleast_2d(np.asarray(thetas, dtype=float))
-        pre, logc_back = self.flow_many(th, 1.0, 0.0)
+        pre, logc_back = self.flow_many(thetas, 1.0, 0.0)
         return pre, np.exp(-logc_back)
 
 
@@ -291,7 +288,7 @@ def adjoint_action(iso: ContactIsotopy, K: ContactHamiltonian,
     probe = sampling.sphere_points(K.n, meta_samples, 0)
     vals = ev(probe)
     rho = angle_ratio_of(probe, K.k)
-    support_rho = rho[np.abs(vals) > 1e-12]
+    support_rho = rho[np.abs(vals) > ZERO_TOL]
     rho1_new = K.meta.rho1 if support_rho.size == 0 else max(
         K.meta.rho1, 1.1 * float(np.max(support_rho)) + 0.1)
     inner = sampling.sphere_points_with_angle_ratio(
@@ -303,12 +300,11 @@ def adjoint_action(iso: ContactIsotopy, K: ContactHamiltonian,
 
 
 def lie_bracket(H: ContactHamiltonian, K: ContactHamiltonian, theta):
-    """Bracket value dK(Y_H) - K dH(R) at theta."""
-    th, single = _batched(theta)
+    """Bracket value dK(Y_H) - K dH(R) at unit rows theta."""
+    th = _on_sphere(theta, "lie_bracket")
     Kv, gK = K.value_and_grad(th)
     YH, dH_R = _field_and_rate(*H.value_and_grad(th), th)
-    val = row_sum(gK * YH) - Kv * dH_R
-    return float(val[0]) if single else val
+    return row_sum(gK * YH) - Kv * dH_R
 
 
 def model_field_contracting(k: int, z):

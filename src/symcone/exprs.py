@@ -37,7 +37,7 @@ import re
 import numpy as np
 
 from .blends import plateau_bump, plateau_bump_with_deriv
-from .contact import ContactHamiltonian, SupportMeta
+from .contact import ZERO_TOL, ContactHamiltonian, SupportMeta
 from .errors import DomainError, ParseError
 from .geometry import angle_ratio_and_gradient, angle_ratio_of
 from . import sampling
@@ -197,12 +197,10 @@ class ExpressionHamiltonian(ContactHamiltonian):
         self._bumps, self._plan = _plan(terms)
         # the distinct profiles as (bumps, 1) columns, for one stacked pass
         self._bump_cols = tuple(np.array(col)[:, None] for col in zip(*self._bumps))
-        self.k = int(k)  # _eval needs these before the base constructor runs
-        self.n = int(n)
-        if meta is None:
-            meta = self._estimate_meta(terms, n, k, meta_seed)
         super().__init__(self._eval, k=k, n=n, meta=meta,
                          grad_fn=self._value_and_grad)
+        if meta is None:
+            self.meta = self._estimate_meta(terms, n, k, meta_seed)
 
     def scaled(self, s: float):
         """s times this Hamiltonian: coefficients scaled, metadata scaled,
@@ -275,7 +273,7 @@ class ExpressionHamiltonian(ContactHamiltonian):
         rho0 = max(rho0, 1e-3)
         probe = sampling.sphere_points(n, 4000, seed)
         vals = self._eval(probe)
-        if np.min(vals) < -1e-12:
+        if np.min(vals) < -ZERO_TOL:
             raise DomainError("expression takes negative values; not usable here")
         M = 1.02 * float(np.max(vals)) + 1e-12
         inner = sampling.sphere_points_with_angle_ratio(n, k, 2000, seed + 1,

@@ -142,7 +142,7 @@ class ConeFamily:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(num <= 0.0, 0.0,
                              np.where(den <= 0.0, np.inf, num / den))
-        return float(np.max(ratio)) if ratio.size else 0.0
+        return float(np.max(ratio))
 
 
 def relative_growth_bounds(fam: ConeFamily, fid: str, hid: str

@@ -467,10 +467,9 @@ def _label_floors(system: PlanarWellSystem, es: np.ndarray) -> np.ndarray:
     return floors
 
 
-def _confirms(entries, scan_min, bound) -> bool:
-    """A scan confirms the bound only if it scanned a label (an empty scan
-    is vacuous) and no floor fell below the bound."""
-    return bool(entries) and scan_min >= bound * (1.0 - 1e-3)
+def clears_bound(floor, bound) -> bool:
+    """A scanned action floor confirms the bound to a relative 1e-3."""
+    return floor >= bound * (1.0 - 1e-3)
 
 
 def characteristic_spectrum(D: IntegrableDomain, window_top: float,
@@ -512,7 +511,8 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
         group_i=group_i, group_ii_min_bound=bound, window_top=window_top,
         scan_min_floor=scan_min, scan_entries=tuple(entries),
         labels_scanned=len(entries),
-        scan_confirms_bound=_confirms(entries, scan_min, bound),
+        # an empty scan is vacuous: it confirms nothing
+        scan_confirms_bound=bool(entries) and clears_bound(scan_min, bound),
         partial=stop < scan_labels,
     )
     if spectrum.partial:

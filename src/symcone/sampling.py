@@ -21,9 +21,7 @@ def spawn(seed: int, count: int):
 
 def sphere_points(n: int, count: int, seed: int):
     """Uniform points of S^{2n-1} as rows."""
-    g = rng(seed)
-    z = g.standard_normal((count, 2 * n))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    return _unit_rows(rng(seed), count, 2 * n)
 
 
 def _unit_rows(g, count, dim):

@@ -100,3 +100,25 @@ def test_cutoff_deriv_matches_fd():
     np.testing.assert_array_equal(value, plateau_bump(r, 0.05, 1.0))
     np.testing.assert_allclose(deriv, fd(lambda x: plateau_bump(x, 0.05, 1.0), r),
                                rtol=1e-6, atol=1e-6)
+
+
+def test_stacked_plateau_bumps_are_one_minus_the_cutoff():
+    # the plateau profile is the cutoff's complement, bit for bit, also
+    # with (profiles, 1) columns stacking several profiles in one pass
+    t = np.random.default_rng(5).uniform(-1.0, 6.0, 100_000)
+    t_flat = np.array([0.3, 1.0, 0.0])[:, None]
+    t_zero = np.array([1.5, 3.0, 2.2])[:, None]
+    value, slope = plateau_bump_with_deriv(t, t_flat, t_zero)
+    c_value, c_slope = cutoff_with_deriv(t, t_flat, t_zero)
+    assert value.shape == slope.shape == (3, t.size)
+    np.testing.assert_array_equal(value, 1.0 - c_value)
+    np.testing.assert_array_equal(slope, -c_slope)
+    for i in range(3):
+        np.testing.assert_array_equal(
+            value[i], plateau_bump(t, t_flat[i, 0], t_zero[i, 0]))
+        np.testing.assert_array_equal(
+            value[i], 1.0 - cutoff(t, t_flat[i, 0], t_zero[i, 0]))
+    with pytest.raises(ValueError):
+        plateau_bump_with_deriv(t, np.array([[1.0], [-0.5]]), np.array([[2.0], [1.0]]))
+    with pytest.raises(ValueError):
+        cutoff_with_deriv(t, np.array([[1.0], [2.0]]), np.array([[2.0], [2.0]]))

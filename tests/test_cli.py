@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import symcone
-from symcone import cli, sampling, smoothing
+from symcone import cli, orbits, sampling, smoothing
 from symcone.cli import _build_parser, main
 from symcone.growth import ConeFamily
 from symcone.smoothing import (SmoothedSymplectization, symplecticity_defect,
@@ -204,6 +204,44 @@ def test_spectrum_csv_table(tmp_path, capsys):
     assert groups == {"i", "ii"}
     flags = {row.split(",")[3] for row in body if row.startswith("ii")}
     assert flags == {"ok"}
+
+
+def test_spectrum_csv_flags_a_floor_below_the_bound(tmp_path, capsys, monkeypatch):
+    label_floors = orbits._label_floors
+
+    def one_low(system, es):
+        floors = label_floors(system, es)
+        floors[3] = 0.0  # under any positive bound
+        return floors
+
+    monkeypatch.setattr(orbits, "_label_floors", one_low)
+    csv_path = tmp_path / "spec.csv"
+    code, out, err = run_cli(capsys, ["spectrum", "--labels", "20",
+                                      "--csv", str(csv_path)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["scan_confirms_bound"] is False
+    flags = [row.split(",")[3] for row in
+             csv_path.read_text(encoding="utf-8").splitlines()
+             if row.startswith("ii,")]
+    assert flags == ["ok"] * 3 + ["below"] + ["ok"] * 16
+
+
+def test_spectrum_takes_an_explicit_eps(capsys):
+    # C / 12 is the default blend width; giving it explicitly changes
+    # nothing but the recorded config, and a width past C / 10 is refused
+    argv = ["spectrum", "--C", "3", "--labels", "20"]
+    _, default, _ = run_cli(capsys, argv)
+    code, out, err = run_cli(capsys, argv + ["--eps", "0.25"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"] == json.loads(default)["result"]
+    assert json.loads(out)["config"]["eps"] == "0.25"
+    code, out, err = run_cli(capsys, argv + ["--eps", "0.2"])
+    assert code == 0
+    assert json.loads(out)["result"]["scan_min_floor"] != \
+        json.loads(default)["result"]["scan_min_floor"]
+    code, out, err = run_cli(capsys, argv + ["--eps", "0.3"])
+    assert code == 2 and out == ""
+    assert err == "symcone: need 0 < eps < C/10, got C=3.0, eps=0.3\n"
 
 
 def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
@@ -463,6 +501,32 @@ def test_metric_scaling_headline(capsys):
     assert float(d["hi"]) == pytest.approx(math.log(2.0), rel=1e-14)
     assert all(v["ok"] for v in res["dw_bound"].values())
     assert [sorted(c) for c in res["classes"]] == [["f"], ["2f"]]
+
+
+def test_metric_dw_bound_with_separated_capacities(capsys):
+    # at s = 64 the capacity enclosures of f and 64f do not overlap, so
+    # the log-gap bound is positive and still under d_hi = log 64
+    code, out, err = run_cli(capsys, ["metric", "--family", "scaling",
+                                      "--s", "64", "--grid", "500",
+                                      "--pool", "1"])
+    assert code == 0 and err == ""
+    entry = json.loads(out)["result"]["dw_bound"]["64f|f"]
+    assert entry == {"d_hi": "4.1588830833596715",
+                     "rhs": "0.34657359027997281", "ok": True}
+
+
+def test_metric_audit_failure_is_exit_4(capsys, monkeypatch):
+    dw_bound_check = cli.dw_bound_check
+
+    def failing(*args):
+        return dict(dw_bound_check(*args), ok=False)
+
+    monkeypatch.setattr(cli, "dw_bound_check", failing)
+    code, out, err = run_cli(capsys, ["metric", "--family", "scaling",
+                                      "--grid", "500", "--pool", "1"])
+    assert code == 4 and err == "symcone: metric audit failed\n"
+    res = json.loads(out)["result"]  # the envelope is still written
+    assert res["dw_bound"]["2f|f"]["ok"] is False
 
 
 @pytest.mark.parametrize("family", ["scaling", "random"])

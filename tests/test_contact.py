@@ -4,6 +4,7 @@ import pytest
 from symcone import (
     AuditError,
     ContactHamiltonian,
+    DimensionMismatchError,
     ContactIsotopy,
     DomainError,
     SupportMeta,
@@ -20,7 +21,7 @@ from symcone import (
     reeb_field,
     symplectic_pairing,
 )
-from symcone import sampling
+from symcone import contact, sampling
 
 from conftest import sphere
 
@@ -220,3 +221,45 @@ def test_flow_is_bitwise_independent_of_the_input_layout(n, k):
     ends_f, logc_f = iso.flow_many(np.asfortranarray(th), 1.0, 0.0)
     assert np.array_equal(ends_c, ends_f) and np.array_equal(logc_c, logc_f)
     assert ends_c.flags.f_contiguous and ends_f.flags.f_contiguous
+
+
+_ONE_ROW = [
+    ("reeb_field", lambda K, row: reeb_field(row)),
+    ("call", lambda K, row: K(row)),
+    ("value_and_grad", lambda K, row: K.value_and_grad(row)),
+    ("contact_vector_field", lambda K, row: contact_vector_field(K, row)),
+    ("reeb_derivative", lambda K, row: reeb_derivative(K, row)),
+    ("lie_bracket", lambda K, row: lie_bracket(K, K, row)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in _ONE_ROW],
+                         ids=[name for name, _ in _ONE_ROW])
+def test_kernels_refuse_a_single_row(call):
+    # the kernels take (N, 2n) batches only; one row is not unwrapped
+    K = random_hamiltonian(2, 1, seed=3)
+    row = sphere(np.random.default_rng(23), 1, 4)
+    call(K, row)  # the same point as a one-row batch is fine
+    with pytest.raises(DimensionMismatchError):
+        call(K, row[0])
+
+
+def test_lie_bracket_refuses_rows_off_the_sphere():
+    K = random_hamiltonian(2, 1, seed=5)
+    th = sphere(np.random.default_rng(24), 10, 4)
+    with pytest.raises(DomainError, match="unit vectors"):
+        lie_bracket(K, K, 1.5 * th)
+
+
+def test_flow_stages_skip_the_reeb_field_check(monkeypatch):
+    # the RK loop pairs gradients with the rotation field directly: rows
+    # it has just renormalised are not checked again on every stage
+    def refused(th):
+        raise AssertionError("reeb_field called inside an RK stage")
+
+    K = random_hamiltonian(2, 1, seed=3, amplitude=0.3)
+    th = sphere(np.random.default_rng(25), 30, 4)
+    want = ContactIsotopy(K, step=0.05).flow_many(th, 0.0, 1.0)
+    monkeypatch.setattr(contact, "reeb_field", refused)
+    got = ContactIsotopy(K, step=0.05).flow_many(th, 0.0, 1.0)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

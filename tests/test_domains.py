@@ -163,6 +163,21 @@ def test_well_array_forms_are_bitwise_the_where_form(well3):
     assert d.tolist() == [2.25, -3.0]
 
 
+@pytest.mark.parametrize("C", [0.5, 2.0, 3.0, 5.5, 8.0])
+def test_zero_d_well_input_gets_the_scalar_forms_bits(C):
+    # a 0-d input takes the float forms, never the array power, which
+    # rounds the band polynomial's last bit differently for some t
+    well = build_smoothed_well(C, C / 12.0)
+    t_lo, t_hi = well.band
+    rng = np.random.default_rng(int(4 * C))
+    for x in np.concatenate([rng.uniform(t_lo, t_hi, 1000),
+                             rng.uniform(-3.0 * C, 3.0 * C, 200)]):
+        value, deriv = well.value(x), well.deriv(x)
+        assert value.shape == () and deriv.shape == ()
+        assert value.tobytes() == np.float64(well.value_at(float(x))).tobytes()
+        assert deriv.tobytes() == np.float64(well.deriv_at(float(x))).tobytes()
+
+
 def test_well_radial_inequality_everywhere(well3):
     # (t/2) g'(t) - g(t) >= 0 is the convexity-type contract the builder
     # audits; spot-check it on a fresh random grid.

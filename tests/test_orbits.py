@@ -79,6 +79,15 @@ def test_turning_points_lie_on_level(planar3):
         turning_points(planar3, planar3.min_energy() - 0.1)
 
 
+def test_turning_points_widen_the_bracket_for_high_levels(planar3):
+    # at e = 100 the first bracket end 2C = 6 is still below the level,
+    # so the search doubles it before the root finder runs
+    assert planar3.well.value_at(2.0 * planar3.well.C) < 100.0
+    y_lo, y_hi = turning_points(planar3, 100.0)
+    assert (y_lo, y_hi) == (-6.733003292241385, 6.733003292241385)
+    assert planar3.well.value_at(y_hi) == 100.0
+
+
 def test_closed_orbit_closure_and_mirror(planar3):
     orb = closed_orbit_at_energy(planar3, -5.0)
     assert orb.closed and not orb.homoclinic_flag
