@@ -4,7 +4,10 @@ smoothed double wells, and the bounded integrable domains they define.
 The sandwich solver certifies that a star domain V(H) is pinched between
 an inner and an outer hyperboloid using only the support metadata of H;
 the Monte-Carlo audit then re-checks the containments by rejection
-sampling so no certificate is ever trusted on algebra alone.
+sampling so no certificate is ever trusted on algebra alone.  The audit
+streams its box samples in blocks of AUDIT_BLOCK rows, bitwise the one
+seeded draw of `sampling.box_points`, so its memory is bounded whatever
+the sample count.
 """
 from dataclasses import dataclass
 
@@ -13,12 +16,15 @@ import numpy as np
 from .blends import _step7, _step7_integral, smoothed_relu, smoothed_relu_deriv
 from .contact import ContactHamiltonian
 from .errors import AuditError, DomainError
-from .geometry import as_phase, row_sum, split_uv
+from .geometry import as_phase, row_sum, split_uv, squared_split
 from . import sampling
 
 # half-width of a rejection-sampling box, in largest semi-axes of the
 # hyperboloid it must hold
 BOX_FACTOR = 4.0
+# rows per block of the containment audit: 16384 points of R^4 are 512 KB,
+# so a block and its 1-D temporaries stay within a 2 MiB L2 cache
+AUDIT_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,10 @@ class Hyperboloid:
         return bool(self.contains_many(np.atleast_2d(as_phase(z, n=self.n)))[0])
 
     def defining_function(self, zs):
-        u, v = split_uv(as_phase(zs, n=self.n), self.k)
+        return self.level(*split_uv(as_phase(zs, n=self.n), self.k))
+
+    def level(self, u, v):
+        """G from the points' split masses (u, v)."""
         return u / self.a ** 2 - v / self.b ** 2
 
     def contains_many(self, zs):
@@ -63,14 +72,22 @@ class StarDomain:
 
     def contains_many(self, zs):
         zs = np.atleast_2d(as_phase(zs, n=self.H.n))
-        r = row_sum(zs * zs)
-        out = np.ones(zs.shape[0], dtype=bool)
+        return self.contains_rows(zs, row_sum(zs * zs))
+
+    def contains_rows(self, zs, r):
+        """Membership of the rows of zs, given their squared norms r.  The
+        origin (r = 0) is inside; the other rows are gathered only when
+        the batch holds an origin row."""
         nz = r > 0.0
-        if np.any(nz):
-            th = zs[nz] / np.sqrt(r[nz])[:, None]
-            vals = np.asarray(self.H.eval_fn(th), dtype=float)
-            out[nz] = r[nz] * vals < 1.0
+        if nz.all():
+            return r * self._values(zs / np.sqrt(r)[:, None]) < 1.0
+        out = np.ones(zs.shape[0], dtype=bool)
+        if nz.any():
+            out[nz] = r[nz] * self._values(zs[nz] / np.sqrt(r[nz])[:, None]) < 1.0
         return out
+
+    def _values(self, th):
+        return np.asarray(self.H.eval_fn(th), dtype=float)
 
     def scaled(self, s: float):
         # the image of {rH < 1} under z -> sz is {r H/s^2 < 1}
@@ -339,19 +356,31 @@ class ContainmentReport:
 
 def containment_audit(H: ContactHamiltonian, cert: SandwichCertificate,
                       samples: int = 100_000, seed: int = 0) -> ContainmentReport:
-    """Rejection-sample both inclusions inner ⊂ V(H) ⊂ outer."""
+    """Rejection-sample both inclusions inner ⊂ V(H) ⊂ outer.
+
+    The samples stream in blocks of AUDIT_BLOCK rows (`sampling.box_blocks`),
+    the same draws as `sampling.box_points`, so memory stays bounded at any
+    sample count.  Each block is squared and split once: both hyperboloids
+    read its (u, v) and the star test its r.
+    """
     if samples < 1:
         raise DomainError(f"need at least 1 audit sample, got {samples}")
+    if {(h.n, h.k) for h in (cert.inner, cert.outer)} != {(H.n, H.k)}:
+        raise DomainError("the certificate's hyperboloids must have the (n, k) of H")
     star = StarDomain(H)
     halfwidth = BOX_FACTOR * max(cert.outer.a, cert.outer.b)
-    pts = sampling.box_points(2 * H.n, halfwidth, samples, seed)
-    in_inner = cert.inner.contains_many(pts)
-    in_star = star.contains_many(pts)
-    in_outer = cert.outer.contains_many(pts)
-    viol_inner = int(np.sum(in_inner & ~in_star))
-    viol_outer = int(np.sum(in_star & ~in_outer))
+    n_inner = n_star = viol_inner = viol_outer = 0
+    for pts in sampling.box_blocks(2 * H.n, halfwidth, samples, seed, AUDIT_BLOCK):
+        r, u, v = squared_split(pts, H.k)
+        in_inner = cert.inner.level(u, v) < 1.0
+        in_star = star.contains_rows(pts, r)
+        in_outer = cert.outer.level(u, v) < 1.0
+        n_inner += np.count_nonzero(in_inner)
+        n_star += np.count_nonzero(in_star)
+        viol_inner += np.count_nonzero(in_inner & ~in_star)
+        viol_outer += np.count_nonzero(in_star & ~in_outer)
     return ContainmentReport(
-        samples_inner=int(np.sum(in_inner)), samples_outer=int(np.sum(in_star)),
-        violations_inner=viol_inner, violations_outer=viol_outer,
+        samples_inner=int(n_inner), samples_outer=int(n_star),
+        violations_inner=int(viol_inner), violations_outer=int(viol_outer),
         box_halfwidth=halfwidth,
     )

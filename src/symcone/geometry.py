@@ -84,16 +84,22 @@ def tangential(X, th):
     return X - row_sum(X * th)[:, None] * th
 
 
-def split_uv(z, k: int):
-    """Batched (u, v): u collects |x|^2 plus the first n-k y's squared,
-    v the last k y's squared."""
+def squared_split(z, k: int):
+    """Batched (r, u, v): r = |z|^2, v the last k y's squared and
+    u = r - v, which collects |x|^2 plus the first n-k y's squared."""
     z = as_phase(z)
     n = half_dim(z)
     if not 1 <= k <= n:
         raise DomainError(f"k = {k} outside 1..{n}")
     sq = np.square(z)
     v = row_sum(sq[..., 2 * n - k:])
-    u = row_sum(sq) - v
+    r = row_sum(sq)
+    return r, r - v, v
+
+
+def split_uv(z, k: int):
+    """Batched (u, v) of `squared_split`."""
+    _, u, v = squared_split(z, k)
     return u, v
 
 

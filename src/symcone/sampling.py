@@ -1,7 +1,8 @@
 """Seeded random sampling helpers.
 
 All randomness in the package flows through `rng(seed)` so every scan,
-audit, and CLI run is reproducible from a single 64-bit seed.
+audit, and CLI run is reproducible from a single nonnegative integer
+seed; a negative one is a DomainError.
 """
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -9,14 +10,20 @@ from scipy.special import betainc, betaincinv
 from .errors import DomainError
 
 
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
+    return np.random.default_rng(_seed_sequence(seed))
 
 
 def spawn(seed: int, count: int):
     """Independent child seeds (for parallelizable sweeps)."""
     return [int(s.generate_state(1, dtype=np.uint64)[0])
-            for s in np.random.SeedSequence(seed).spawn(count)]
+            for s in _seed_sequence(seed).spawn(count)]
 
 
 def sphere_points(n: int, count: int, seed: int):
@@ -54,6 +61,19 @@ def sphere_points_with_angle_ratio(n: int, k: int, count: int, seed: int,
     return out
 
 
-def box_points(dim: int, halfwidth: float, count: int, seed: int):
-    g = rng(seed)
+def _box_rows(g, dim, halfwidth, count):
     return g.uniform(-halfwidth, halfwidth, size=(count, dim))
+
+
+def box_points(dim: int, halfwidth: float, count: int, seed: int):
+    """Uniform points of the box [-halfwidth, halfwidth]^dim as rows."""
+    return _box_rows(rng(seed), dim, halfwidth, count)
+
+
+def box_blocks(dim: int, halfwidth: float, count: int, seed: int, block: int):
+    """`box_points` in consecutive blocks of at most `block` rows, drawn one
+    after another from the one seeded generator: the blocks concatenate to
+    `box_points(dim, halfwidth, count, seed)` bit for bit."""
+    g = rng(seed)
+    for start in range(0, count, block):
+        yield _box_rows(g, dim, halfwidth, min(block, count - start))

@@ -274,6 +274,21 @@ def test_sizes_below_one_are_exit_2(capsys, argv, message):
     assert err == f"symcone: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "--expr", "1 * bump(rho; 1, 3)", "--samples", "100"],
+    ["capacity", "--expr", "1 * bump(rho; 1, 3)"],
+    ["metric", "--grid", "10", "--pool", "1"],
+    ["squeeze", "--candidates", "1", "--samples", "10"],
+    ["smoothing-audit", "--points", "1"],
+])
+def test_negative_seed_is_exit_2(capsys, tmp_path, argv):
+    message = "symcone: seed must be a nonnegative integer, got -1\n"
+    assert run_cli(capsys, argv + ["--seed", "-1"]) == (2, "", message)
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"seed": -1}', encoding="utf-8")
+    assert run_cli(capsys, argv + ["--config", str(cfg)]) == (2, "", message)
+
+
 def test_spectrum_of_a_large_well_runs(capsys):
     code, out, err = run_cli(capsys, ["spectrum", "--C", "16", "--labels", "10"])
     assert code == 0 and err == ""

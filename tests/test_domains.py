@@ -1,3 +1,9 @@
+import importlib.util
+import random
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +16,10 @@ from symcone import (
     build_smoothed_well,
     containment_audit,
     sandwich_solve,
+    sampling,
 )
 from symcone.contact import SupportMeta
+from symcone.domains import AUDIT_BLOCK, BOX_FACTOR, ContainmentReport
 from symcone.exprs import hamiltonian_from_expression
 
 from conftest import sphere
@@ -314,3 +322,93 @@ def test_integrable_domain_scaled(domain3):
     assert scaled.a == 2.0 and scaled.well.C == 6.0
     with pytest.raises(DomainError):
         domain3.scaled(0.0)
+
+
+def whole_array_audit(H, cert, samples, seed):
+    """The containment audit as three whole-array membership passes over
+    one `box_points` draw: the reference for the blocked audit."""
+    halfwidth = BOX_FACTOR * max(cert.outer.a, cert.outer.b)
+    pts = sampling.box_points(2 * H.n, halfwidth, samples, seed)
+    in_inner = cert.inner.contains_many(pts)
+    in_star = StarDomain(H).contains_many(pts)
+    in_outer = cert.outer.contains_many(pts)
+    return ContainmentReport(
+        samples_inner=int(np.sum(in_inner)), samples_outer=int(np.sum(in_star)),
+        violations_inner=int(np.sum(in_inner & ~in_star)),
+        violations_outer=int(np.sum(in_star & ~in_outer)),
+        box_halfwidth=halfwidth)
+
+
+AUDIT_COUNTS = [1, AUDIT_BLOCK - 1, AUDIT_BLOCK + 1, 3 * AUDIT_BLOCK + 17]
+
+
+def _workload_expressions(count):
+    """`count` draws of the sandwich-audit workload's expression generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    rng = random.Random("blocked-audit")
+    return [module.random_expression(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("samples", AUDIT_COUNTS)
+def test_blocked_audit_matches_the_whole_array_route(samples, worked_hamiltonian,
+                                                     worked_certificate):
+    got = containment_audit(worked_hamiltonian, worked_certificate,
+                            samples=samples, seed=5)
+    assert got == whole_array_audit(worked_hamiltonian, worked_certificate,
+                                    samples, 5)
+    assert all(type(c) is int for c in (got.samples_inner, got.samples_outer,
+                                         got.violations_inner, got.violations_outer))
+
+
+def test_blocked_audit_counts_false_certificate_violations(worked_hamiltonian,
+                                                           worked_certificate):
+    bogus = type(worked_certificate)(inner=worked_certificate.inner.scaled(20.0),
+                                     outer=worked_certificate.outer.scaled(0.2),
+                                     provenance=worked_certificate.provenance)
+    for samples in AUDIT_COUNTS[1:]:
+        got = containment_audit(worked_hamiltonian, bogus, samples=samples, seed=5)
+        assert got.violations_inner > 0 and got.violations_outer > 0
+        assert got == whole_array_audit(worked_hamiltonian, bogus, samples, 5)
+
+
+@pytest.mark.parametrize("expr", _workload_expressions(3))
+def test_blocked_audit_matches_on_workload_expressions(expr):
+    H = hamiltonian_from_expression(expr, n=2, k=1)
+    cert = sandwich_solve(H)
+    for samples, seed in [(AUDIT_BLOCK + 1, 2), (3 * AUDIT_BLOCK + 17, 3)]:
+        assert (containment_audit(H, cert, samples=samples, seed=seed)
+                == whole_array_audit(H, cert, samples, seed))
+
+
+def test_blocked_audit_memory_is_bounded(worked_hamiltonian, worked_certificate):
+    # the whole-array audit of 10^6 samples peaks above 100 MB
+    tracemalloc.start()
+    try:
+        containment_audit(worked_hamiltonian, worked_certificate,
+                          samples=1_000_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_containment_audit_needs_the_split_of_H(worked_hamiltonian,
+                                                worked_certificate):
+    other_k = hamiltonian_from_expression("1 * bump(rho; 1, 3)", n=2, k=2,
+                                          meta=worked_hamiltonian.meta)
+    with pytest.raises(DomainError, match="hyperboloids"):
+        containment_audit(other_k, worked_certificate, samples=10)
+
+
+def test_star_membership_with_an_origin_row(worked_hamiltonian):
+    star = StarDomain(worked_hamiltonian)
+    pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(1000, 4))
+    got = star.contains_many(np.insert(pts, 417, 0.0, axis=0))
+    assert got[417]
+    others = np.delete(got, 417)
+    assert 0 < np.count_nonzero(others) < len(pts)
+    np.testing.assert_array_equal(others, star.contains_many(pts))

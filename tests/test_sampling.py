@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from symcone import sampling
+from symcone import DomainError, sampling
+from symcone.domains import AUDIT_BLOCK
 
 
 def beta_law_route(n, k, count, seed, rho_min, rho_max):
@@ -31,3 +32,21 @@ def test_angle_ratio_sampler_matches_the_beta_law(n, k, rho_min, rho_max):
                                                   rho_max=rho_max)
     np.testing.assert_array_equal(
         got, beta_law_route(n, k, 2000, seed, rho_min, rho_max))
+
+
+@pytest.mark.parametrize("count", [1, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1,
+                                   3 * AUDIT_BLOCK + 17])
+def test_box_blocks_concatenate_to_box_points(count):
+    blocks = list(sampling.box_blocks(4, 2.5, count, 11, AUDIT_BLOCK))
+    assert [len(b) for b in blocks[:-1]] == [AUDIT_BLOCK] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= AUDIT_BLOCK
+    np.testing.assert_array_equal(np.concatenate(blocks),
+                                  sampling.box_points(4, 2.5, count, 11))
+
+
+def test_negative_seed_is_a_domain_error():
+    with pytest.raises(DomainError, match="nonnegative"):
+        sampling.rng(-1)
+    with pytest.raises(DomainError, match="nonnegative"):
+        sampling.spawn(-3, 2)
+    assert sampling.spawn(0, 2) == sampling.spawn(0, 2)
