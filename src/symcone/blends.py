@@ -43,32 +43,13 @@ def smoothstep(u):
 
 
 # C^3 step and its antiderivative; the antiderivative is the C^4 profile
-# used by smoothed_relu.
+# of the double well's blend band (`domains.SmoothedWell`).
 def _step7(u):
     return u ** 4 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
 
 
 def _step7_integral(u):
     return u ** 5 * (7.0 + u * (-14.0 + u * (10.0 - 2.5 * u)))
-
-
-def smoothed_relu(d, half_width):
-    """C^4 overestimate of max(d, 0), exact outside [-half_width, half_width].
-
-    Satisfies max(d, 0) <= value <= max(d, 0) + 0.137 * half_width, with the
-    two branches returned verbatim outside the band (bitwise, not just to
-    rounding).
-    """
-    d = np.asarray(d, dtype=float)
-    u = np.clip((d + half_width) / (2.0 * half_width), 0.0, 1.0)
-    mid = 2.0 * half_width * _step7_integral(u)
-    return np.where(d >= half_width, d, np.where(d <= -half_width, 0.0, mid))
-
-
-def smoothed_relu_deriv(d, half_width):
-    d = np.asarray(d, dtype=float)
-    u = np.clip((d + half_width) / (2.0 * half_width), 0.0, 1.0)
-    return np.where(d >= half_width, 1.0, np.where(d <= -half_width, 0.0, _step7(u)))
 
 
 def cutoff(r, r_lo, r_hi):

@@ -13,8 +13,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .contact import ContactHamiltonian, ContactIsotopy
-from .domains import (BOX_FACTOR, Hyperboloid, SandwichCertificate, StarDomain,
-                      sandwich_solve)
+from .domains import BOX_FACTOR, Hyperboloid, StarDomain, sandwich_solve
 from .errors import DomainError
 from . import sampling
 from .smoothing import SmoothedSymplectization
@@ -56,20 +55,17 @@ def capacity_hyperboloid(V: Hyperboloid) -> CapacityInterval:
     return CapacityInterval(w, w, exact=True)
 
 
-def capacity_interval(D: StarDomain,
-                      cert: Optional[SandwichCertificate] = None
-                      ) -> CapacityInterval:
-    """[pi a^2, pi a'^2] from the sandwich around V(H)."""
-    if cert is None:
-        cert = sandwich_solve(D.H)
+def capacity_interval(D: StarDomain) -> CapacityInterval:
+    """[pi a^2, pi a'^2] from the sandwich `sandwich_solve` puts around
+    V(H)."""
+    cert = sandwich_solve(D.H)
     return CapacityInterval(math.pi * cert.inner.a ** 2,
                             math.pi * cert.outer.a ** 2, exact=False)
 
 
-def capacity_of_hamiltonian(H: ContactHamiltonian,
-                            cert: Optional[SandwichCertificate] = None
-                            ) -> CapacityInterval:
-    return capacity_interval(StarDomain(H), cert=cert)
+def capacity_of_hamiltonian(H: ContactHamiltonian) -> CapacityInterval:
+    """`capacity_interval` of the star domain V(H)."""
+    return capacity_interval(StarDomain(H))
 
 
 @dataclass
@@ -123,8 +119,11 @@ def nonsqueezing_verdict(V: Hyperboloid, s: float,
     The sweep then tries each candidate anyway: points of s*V are
     rejection-sampled, mapped, and a witness landing outside V is
     exhibited.  A candidate with no witness is reported as CONTRADICTION
-    (it would falsify the capacity axioms, i.e. expose a bug).
+    (it would falsify the capacity axioms, i.e. expose a bug).  Fewer
+    than one sample is a DomainError: no point mapped shows nothing.
     """
+    if samples < 1:
+        raise DomainError(f"need at least 1 sweep sample, got {samples}")
     w = capacity_hyperboloid(V)
     if s <= 1.0:
         return NonsqueezingReport(domain=V, s=s, w=w, candidates=(),

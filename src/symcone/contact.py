@@ -29,6 +29,9 @@ from . import sampling
 FD_STEP = 1e-5
 # values at most this large in magnitude count as zero in the metadata audit
 ZERO_TOL = 1e-12
+# sphere points of the metadata audit; a quarter as many more probe the
+# inner region {angle ratio <= rho0}
+AUDIT_SAMPLES = 2000
 
 
 def _rows(theta):
@@ -124,9 +127,10 @@ class ContactHamiltonian:
             grad_fn=None if gr is None else scaled_pair,
         )
 
-    def audit(self, samples: int = 10_000, seed: int = 0):
-        """Sampled contract check of the metadata; raises AuditError."""
-        thetas = sampling.sphere_points(self.n, samples, seed)
+    def audit(self, seed: int = 0):
+        """Sampled contract check of the metadata at AUDIT_SAMPLES seeded
+        sphere points; raises AuditError."""
+        thetas = sampling.sphere_points(self.n, AUDIT_SAMPLES, seed)
         vals = self(thetas)
         if np.any(vals < -ZERO_TOL):
             raise AuditError(f"negative value {vals.min():.3e} found")
@@ -139,7 +143,7 @@ class ContactHamiltonian:
         if not self.meta.m > 0:
             raise AuditError("m must be positive")
         inner = sampling.sphere_points_with_angle_ratio(
-            self.n, self.k, samples // 4, seed + 1, rho_max=self.meta.rho0)
+            self.n, self.k, AUDIT_SAMPLES // 4, seed + 1, rho_max=self.meta.rho0)
         inner_vals = self(inner)
         if np.min(inner_vals) < self.meta.m - 1e-12:
             raise AuditError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blends import _step7, _step7_integral, smoothed_relu, smoothed_relu_deriv
+from .blends import _step7, _step7_integral
 from .contact import ContactHamiltonian
 from .errors import AuditError, DomainError
 from .geometry import as_phase, row_sum, split_uv, squared_split
@@ -117,6 +117,17 @@ class SmoothedWell:
         # functools.cached_property read is no faster than recomputing it)
         object.__setattr__(self, "_four_c2", 4.0 * self.C ** 2)
 
+    def _band_value(self, t2, d):
+        """g inside the blend band |d| < delta, from t^2 and d = 4t^2 - 4C^2:
+        -t^2 plus a C^4 overestimate of max(d, 0) that stays within
+        0.137 delta of it."""
+        return -t2 + 2.0 * self.delta * _step7_integral((d + self.delta)
+                                                        / (2.0 * self.delta))
+
+    def _band_slope(self, t, d):
+        """g' inside the blend band, from t and d = 4t^2 - 4C^2."""
+        return t * (-2.0 + 8.0 * _step7((d + self.delta) / (2.0 * self.delta)))
+
     def value_at(self, t: float) -> float:
         t2 = t * t
         d = 4.0 * t2 - self._four_c2
@@ -124,8 +135,7 @@ class SmoothedWell:
             return 3.0 * t2 - self._four_c2
         if d <= -self.delta:
             return -t2
-        u = (d + self.delta) / (2.0 * self.delta)
-        return -t2 + 2.0 * self.delta * _step7_integral(u)
+        return self._band_value(t2, d)
 
     def deriv_at(self, t: float) -> float:
         d = 4.0 * t * t - self._four_c2
@@ -133,8 +143,7 @@ class SmoothedWell:
             return 6.0 * t
         if d <= -self.delta:
             return -2.0 * t
-        u = (d + self.delta) / (2.0 * self.delta)
-        return t * (-2.0 + 8.0 * _step7(u))
+        return self._band_slope(t, d)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -144,7 +153,7 @@ class SmoothedWell:
         d = 4.0 * t2 - self._four_c2
         out = np.where(d >= self.delta, 3.0 * t2 - self._four_c2, -t2)
         band = np.abs(d) < self.delta  # the blend runs on these entries only
-        out[band] = -t2[band] + smoothed_relu(d[band], self.delta)
+        out[band] = self._band_value(t2[band], d[band])
         return out
 
     def deriv(self, t):
@@ -154,7 +163,7 @@ class SmoothedWell:
         d = 4.0 * t * t - self._four_c2
         out = np.where(d >= self.delta, 6.0 * t, -2.0 * t)
         band = np.abs(d) < self.delta
-        out[band] = t[band] * (-2.0 + 8.0 * smoothed_relu_deriv(d[band], self.delta))
+        out[band] = self._band_slope(t[band], d[band])
         return out
 
     @property

@@ -89,8 +89,7 @@ class DistanceInterval:
 
 class ConeFamily:
     def __init__(self, n: int, k: int, elements: Sequence[ConeElement],
-                 seed: int = 0, pool_size: int = 8, grid_points: int = 10_000,
-                 audit_samples: int = 2000):
+                 seed: int = 0, pool_size: int = 8, grid_points: int = 10_000):
         if grid_points < 1:
             raise DomainError(f"need at least 1 grid point, got {grid_points}")
         self.n, self.k = n, k
@@ -107,7 +106,7 @@ class ConeFamily:
         self._values: Dict[str, np.ndarray] = {}
         self._caps: Dict[str, CapacityInterval] = {}
         for e in self.elements.values():
-            e.H.audit(samples=audit_samples, seed=seed)
+            e.H.audit(seed=seed)
 
     # -- cached evaluations ------------------------------------------------
 
@@ -357,6 +356,10 @@ def scaling_family(scales: Sequence[float] = (1.0, 2.0, 4.0), n: int = 2,
 
 def random_family(count: int = 5, n: int = 2, k: int = 1, seed: int = 0,
                   **kw) -> ConeFamily:
+    """A family of `count` seeded random Hamiltonians; fewer than two have
+    no pair to measure, which is a DomainError."""
+    if count < 2:
+        raise DomainError(f"need at least 2 family elements, got {count}")
     els = []
     for i, s in enumerate(sampling.spawn(seed + 17, count)):
         H = random_hamiltonian(n, k, seed=s)

@@ -111,7 +111,6 @@ class PlanarTrajectory:
     step: float
     energy_start: float
     energy_end: float
-    samples: Optional[np.ndarray] = None
 
     @property
     def energy_drift(self) -> float:
@@ -119,8 +118,7 @@ class PlanarTrajectory:
 
 
 def integrate_planar(system: PlanarWellSystem, z0, duration: float,
-                     step: float = 2e-4,
-                     record_stride: int = 0) -> PlanarTrajectory:
+                     step: float = 2e-4) -> PlanarTrajectory:
     """Fixed-step symplectic splitting integration of the planar flow.
 
     Energy drift over durations up to 1e3 stays below 1e-8 relative to
@@ -137,12 +135,6 @@ def integrate_planar(system: PlanarWellSystem, z0, duration: float,
     n_full = int(duration / step)
     rem = duration - n_full * step
 
-    rec = None
-    if record_stride:
-        rec = np.empty((n_full // record_stride + 2, 2))
-        rec[0] = (x, y)
-        ri = 1
-
     def advance(h: float, x: float, y: float):
         for i, d in enumerate(_KICKS):
             y += _DRIFTS[i] * h * ay * x
@@ -150,22 +142,16 @@ def integrate_planar(system: PlanarWellSystem, z0, duration: float,
         y += _DRIFTS[-1] * h * ay * x
         return x, y
 
-    for k in range(n_full):
+    for _ in range(n_full):
         x, y = advance(step, x, y)
-        if record_stride and (k + 1) % record_stride == 0:
-            rec[ri] = (x, y)
-            ri += 1
     if rem > 0.0:
         x, y = advance(rem, x, y)
-    if record_stride:
-        rec[ri] = (x, y)
-        rec = rec[:ri + 1]
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("integration diverged")
     return PlanarTrajectory(
         start=np.array([float(z0[0]), float(z0[1])]), end=np.array([x, y]),
         duration=duration, step=step, energy_start=e0,
-        energy_end=float(system.energy(x, y)), samples=rec,
+        energy_end=float(system.energy(x, y)),
     )
 
 
@@ -314,25 +300,15 @@ class OrbitRecord:
                 raise DomainError(f"closed orbit fails to close: gap {gap}")
 
 
-def _closed_level(system: PlanarWellSystem, e: float, branch: str = "auto"):
+def _closed_level(system: PlanarWellSystem, e: float):
     """(contour, y_lo, y_hi, shoelace area) of the closed component of
-    {h = e} on `branch`; see `closed_orbit_at_energy`."""
+    {h = e}; see `closed_orbit_at_energy`."""
     if e == 0.0:
         raise DomainError("zero level is the homoclinic figure-eight, not a "
                           "closed orbit; use homoclinic_loop")
     y_lo, y_hi = turning_points(system, e)
-    if e < 0.0:
-        if branch == "auto":
-            branch = "right"
-        if branch == "left":
-            y_lo, y_hi = -y_hi, -y_lo
-        elif branch != "right":
-            raise DomainError(f"unknown branch {branch!r} for e < 0")
-    elif branch not in ("auto", "outer"):
-        raise DomainError("levels above zero have a single outer component")
-
     pts = _contour(system, e, y_lo, y_hi)
-    return pts, min(y_lo, y_hi), max(y_lo, y_hi), _shoelace(pts)
+    return pts, y_lo, y_hi, _shoelace(pts)
 
 
 def _audited_areas(system: PlanarWellSystem, e, y_lo, y_hi, area) -> np.ndarray:
@@ -348,17 +324,16 @@ def _audited_areas(system: PlanarWellSystem, e, y_lo, y_hi, area) -> np.ndarray:
     return np.maximum(area, 0.0)
 
 
-def closed_orbit_at_energy(system: PlanarWellSystem, e: float,
-                           branch: str = "auto") -> OrbitRecord:
+def closed_orbit_at_energy(system: PlanarWellSystem, e: float) -> OrbitRecord:
     """Trace the closed component of {h = e} and measure period and action.
 
-    `branch` picks the connected component for e < 0 ("right" around the
-    positive well, "left" its mirror); levels with e > 0 have a single
+    For e < 0 the component is the right oval, around the positive well
+    (the left one is its mirror image); levels with e > 0 have a single
     outer component.  The action is the shoelace area of the traced
     contour, audited against the independent quadrature route to a
     relative 1e-4.
     """
-    pts, y_lo, y_hi, area = _closed_level(system, e, branch)
+    pts, y_lo, y_hi, area = _closed_level(system, e)
     action = float(_audited_areas(system, [e], [y_lo], [y_hi], [area])[0])
     period = _period_quadrature(system, e, y_lo, y_hi)
     return OrbitRecord(samples=pts, period=period, energy=e,
@@ -387,11 +362,10 @@ def homoclinic_loop(system: PlanarWellSystem) -> OrbitRecord:
                        homoclinic_flag=True)
 
 
-def single_period_return(system: PlanarWellSystem, orbit: OrbitRecord,
-                         step: float = 2e-4) -> float:
-    """Distance back to the start after integrating for one period."""
-    traj = integrate_planar(system, orbit.samples[0], orbit.period,
-                            step=step)
+def single_period_return(system: PlanarWellSystem, orbit: OrbitRecord) -> float:
+    """Distance back to the start after integrating for one period at the
+    integrator's default step."""
+    traj = integrate_planar(system, orbit.samples[0], orbit.period)
     return float(np.linalg.norm(traj.end - orbit.samples[0]))
 
 

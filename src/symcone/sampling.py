@@ -21,7 +21,10 @@ def rng(seed: int) -> np.random.Generator:
 
 
 def spawn(seed: int, count: int):
-    """Independent child seeds (for parallelizable sweeps)."""
+    """`count` independent child seeds (for parallelizable sweeps); a
+    negative count is a DomainError."""
+    if count < 0:
+        raise DomainError(f"count of seeds must be nonnegative, got {count}")
     return [int(s.generate_state(1, dtype=np.uint64)[0])
             for s in _seed_sequence(seed).spawn(count)]
 
@@ -37,19 +40,18 @@ def _unit_rows(g, count, dim):
 
 
 def sphere_points_with_angle_ratio(n: int, k: int, count: int, seed: int,
-                                   rho_min: float = 0.0, rho_max: float = np.inf):
+                                   rho_max: float):
     """Uniform sphere points conditioned on the angle ratio v/u lying in
-    [rho_min, rho_max], where v is the squared mass of the last k of the
+    [0, rho_max], where v is the squared mass of the last k of the
     y-block.  Exact conditioning via the Beta law of v on the sphere."""
     if not 1 <= k <= n:
         raise DomainError(f"k = {k} outside 1..{n}")
-    if not 0.0 <= rho_min < rho_max:
-        raise DomainError("need 0 <= rho_min < rho_max")
+    if not rho_max > 0.0:
+        raise DomainError(f"need rho_max > 0, got {rho_max}")
     g = rng(seed)
-    v_lo = rho_min / (1.0 + rho_min)
     v_hi = 1.0 if np.isinf(rho_max) else rho_max / (1.0 + rho_max)
     a, b = k / 2.0, (2.0 * n - k) / 2.0
-    q = g.uniform(betainc(a, b, v_lo), betainc(a, b, v_hi), size=count)
+    q = g.uniform(0.0, betainc(a, b, v_hi), size=count)
     v = betaincinv(a, b, q)
     v = np.clip(v, 0.0, 1.0)
     out = np.zeros((count, 2 * n))

@@ -32,6 +32,9 @@ from . import sampling
 # the finite-difference step of the symplecticity check: the stencil rows
 # and the Jacobians built from their images must use the same one
 FD_STEP = 3e-4
+# lattice points per axis of the squeeze witness in R^3: 22^3 = 10648 is
+# the least cube lattice of at least 10^4 points
+WITNESS_AXIS_POINTS = 22
 
 
 def _polar(zs):
@@ -261,31 +264,24 @@ def radial_step_bump(r1: float, r2: float):
     return H
 
 
-def liouville_squeeze_witness(H, r1: float, r2: float, dim: int = 3,
-                              grid_points: int = 10_000,
-                              tau: float = None) -> SqueezeWitness:
-    """Contract H through the model contracting flow and certify the
-    pointwise inequality Ad H <= scale * H on a lattice over the cube of
-    half-width 1.05 r2.
+def liouville_squeeze_witness(H, r1: float, r2: float) -> SqueezeWitness:
+    """Contract H, a function of a point of R^3, through the model
+    contracting flow for time tau = log(r2/r1), and certify the pointwise
+    inequality Ad H <= scale * H on the WITNESS_AXIS_POINTS^3 lattice
+    over the cube of half-width 1.05 r2.
 
-    The flow scales the first coordinate by e^{-2 tau} and the remaining
-    2n of them by e^{-tau}; its conformal factor is the constant e^{-2 tau}.
-    With tau at least log(r2/r1), the preimage of any support point of H
-    lies in the plateau ball, which forces the inequality everywhere.
+    The flow scales the first coordinate by e^{-2 tau} and the other two
+    by e^{-tau}; its conformal factor is the constant e^{-2 tau}.  At this
+    tau the preimage of any support point of H lies in the plateau ball,
+    which forces the inequality everywhere.
     """
     if not r2 > r1 > 0:
         raise DomainError("geometry infeasible: need r2 > r1 > 0")
-    if dim % 2 == 0 or dim < 3:
-        raise DomainError("dim must be odd and at least 3")
-    if tau is None:
-        tau = float(np.log(r2 / r1))
-    elif tau < np.log(r2 / r1) - 1e-12:
-        raise DomainError("tau below log(r2/r1) certifies nothing")
+    tau = float(np.log(r2 / r1))
     scale = float(np.exp(-2.0 * tau))
 
-    per_axis = int(np.ceil(grid_points ** (1.0 / dim)))
-    axes = [np.linspace(-1.05 * r2, 1.05 * r2, per_axis)] * dim
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    axes = [np.linspace(-1.05 * r2, 1.05 * r2, WITNESS_AXIS_POINTS)] * 3
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
     pre = mesh.copy()
     pre[:, 0] *= np.exp(2.0 * tau)

@@ -228,8 +228,7 @@ def test_criterion_09_contact_identities(capsys):
 def test_criterion_10_contraction_dominates_bump(capsys):
     t0 = time.monotonic()
     H = radial_step_bump(2.0, 3.0)
-    w = liouville_squeeze_witness(H, 2.0, 3.0, dim=3, grid_points=10_000,
-                                  tau=float(np.log(1.5)))
+    w = liouville_squeeze_witness(H, 2.0, 3.0)
     ok = (abs(w.scale - 4.0 / 9.0) < 1e-12 and w.grid_points >= 10_000
           and w.violations == 0)
     with capsys.disabled():

@@ -9,8 +9,6 @@ from symcone.blends import (
     cutoff_with_deriv,
     plateau_bump,
     plateau_bump_with_deriv,
-    smoothed_relu,
-    smoothed_relu_deriv,
     smoothstep,
 )
 
@@ -54,26 +52,6 @@ def test_smoothstep_high_order_contact():
             # C^4 contact leaves only the h^(5-order) tail (one-sided
             # stencils see the degree-5 term with an O(10^3) constant)
             assert abs(d) < 5000.0 * h ** (5 - order)
-
-
-def test_smoothed_relu_envelope():
-    d = np.linspace(-2, 2, 4001)
-    w = 0.3
-    v = smoothed_relu(d, w)
-    relu = np.maximum(d, 0.0)
-    assert np.all(v >= relu - 1e-15)
-    assert np.all(v <= relu + 0.137 * w)
-    # exact branches, bitwise
-    assert np.array_equal(v[d >= w], d[d >= w])
-    assert np.all(v[d <= -w] == 0.0)
-
-
-def test_smoothed_relu_deriv_matches_fd():
-    rng = np.random.default_rng(4)
-    d = rng.uniform(-0.29, 0.29, 300)
-    got = smoothed_relu_deriv(d, 0.3)
-    want = fd(lambda x: smoothed_relu(x, 0.3), d)
-    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
 
 def test_cutoff_and_bump_regions():

@@ -58,15 +58,16 @@ def test_domain_scaling_commutes_with_capacity():
 
 
 def test_star_interval_worked_values(worked_hamiltonian, worked_certificate):
-    w = capacity_interval(StarDomain(worked_hamiltonian),
-                          cert=worked_certificate)
+    w = capacity_interval(StarDomain(worked_hamiltonian))
     np.testing.assert_allclose(w.lo, math.pi * 0.125, rtol=1e-12)
     np.testing.assert_allclose(w.hi, math.pi * 4.0, rtol=1e-12)
     assert not w.exact
 
-    # Solving the certificate internally gives the same enclosure.
+    # The enclosure is the one of the worked sandwich, from either entry.
+    assert (w.lo, w.hi) == (math.pi * worked_certificate.inner.a ** 2,
+                            math.pi * worked_certificate.outer.a ** 2)
     w2 = capacity_of_hamiltonian(worked_hamiltonian)
-    np.testing.assert_allclose([w2.lo, w2.hi], [w.lo, w.hi], rtol=1e-12)
+    assert (w2.lo, w2.hi) == (w.lo, w.hi)
 
 
 def test_hamiltonian_scaling_commutes_with_interval(worked_hamiltonian):

@@ -266,9 +266,23 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
     (["smoothing-audit", "--points", "-3"], "need at least 1 audited point, got -3"),
     (["sandwich", "--expr", "1 * bump(rho; 1, 3)", "--samples", "0"],
      "need at least 1 audit sample, got 0"),
+    (["metric", "--pool", "-1", "--grid", "10"],
+     "count of seeds must be nonnegative, got -1"),
+    (["squeeze", "--candidates", "-1"], "count of seeds must be nonnegative, got -1"),
+    (["squeeze", "--candidates", "1", "--samples", "0"],
+     "need at least 1 sweep sample, got 0"),
+    (["squeeze", "--candidates", "1", "--samples", "-5"],
+     "need at least 1 sweep sample, got -5"),
+    (["metric", "--family", "random", "--count", "-1"],
+     "need at least 2 family elements, got -1"),
+    (["metric", "--family", "random", "--count", "0"],
+     "need at least 2 family elements, got 0"),
+    (["metric", "--family", "random", "--count", "1"],
+     "need at least 2 family elements, got 1"),
 ])
 def test_sizes_below_one_are_exit_2(capsys, argv, message):
-    # an empty grid or sample would give a vacuous bound or audit
+    # an empty grid, sample, sweep or family would give a vacuous bound,
+    # audit, verdict or metric, and a negative count has no meaning
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"symcone: {message}\n"

@@ -95,6 +95,37 @@ def test_well_branches_exact_outside_band(well3):
     assert np.min(well3.value(t_mid) - lower) >= -1e-12
 
 
+def test_well_band_envelope(well3):
+    # g - max(-t^2, 3t^2 - 4C^2) is max(d, 0)'s overestimate by the blend:
+    # within [0, 0.137 delta] to rounding, and exactly 0 outside the band
+    t_lo, t_hi = well3.band
+    t = np.concatenate([np.linspace(-9.0, 9.0, 4001),
+                        np.linspace(t_lo, t_hi, 2001), -np.linspace(t_lo, t_hi, 2001)])
+    for g in (well3.value(t), np.array([well3.value_at(x) for x in t.tolist()])):
+        t2 = t * t
+        gap = g - np.maximum(-t2, 3.0 * t2 - 36.0)
+        tol = 4.0 * np.spacing(36.0)
+        assert np.all(gap >= -tol)
+        assert np.all(gap <= 0.137 * well3.delta + tol)
+        outside = np.abs(4.0 * t2 - 36.0) >= well3.delta
+        assert np.all(gap[outside] == 0.0)
+        assert np.max(gap) > 0.1 * well3.delta  # the band is sampled
+
+
+def test_well_band_slope_matches_fd(well3):
+    t_lo, t_hi = well3.band
+    rng = np.random.default_rng(4)
+    t = rng.uniform(t_lo + 1e-5, t_hi - 1e-5, 300) * rng.choice([-1.0, 1.0], 300)
+    h = 1e-6
+    np.testing.assert_allclose(
+        well3.deriv(t), (well3.value(t + h) - well3.value(t - h)) / (2.0 * h),
+        rtol=1e-6, atol=1e-7)
+    got = [well3.deriv_at(x) for x in t.tolist()]
+    want = [(well3.value_at(x + h) - well3.value_at(x - h)) / (2.0 * h)
+            for x in t.tolist()]
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
+
+
 def test_well_minimum_window(well3):
     t_min, v_min = well3.min_point()
     assert abs(t_min - 2.991912307690364) < 1e-9
@@ -133,20 +164,23 @@ def test_well_scalar_forms_match_array_forms(well3):
 
 def test_well_array_forms_are_bitwise_the_where_form(well3):
     # value/deriv run the blend only on in-band entries; the result is
-    # bitwise the form that blends every entry and selects with np.where.
-    from symcone.blends import smoothed_relu, smoothed_relu_deriv
+    # bitwise the form that blends every entry, on a clipped blend
+    # variable u, and selects with np.where.
+    from symcone.blends import _step7, _step7_integral
 
     def where_forms(well, t):
         t = np.asarray(t, dtype=float)
         t2 = t * t
         d = 4.0 * t2 - well._four_c2
+        u = np.clip((d + well.delta) / (2.0 * well.delta), 0.0, 1.0)
         value = np.where(d >= well.delta, 3.0 * t2 - well._four_c2,
                          np.where(d <= -well.delta, -t2,
-                                  -t2 + smoothed_relu(d, well.delta)))
+                                  -t2 + 2.0 * well.delta * _step7_integral(u)))
         d = 4.0 * t * t - well._four_c2
+        u = np.clip((d + well.delta) / (2.0 * well.delta), 0.0, 1.0)
         deriv = np.where(d >= well.delta, 6.0 * t,
                          np.where(d <= -well.delta, -2.0 * t,
-                                  t * (-2.0 + 8.0 * smoothed_relu_deriv(d, well.delta))))
+                                  t * (-2.0 + 8.0 * _step7(u))))
         return value, deriv
 
     rng = np.random.default_rng(17)

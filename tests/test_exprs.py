@@ -82,7 +82,7 @@ def test_explicit_meta_is_kept():
     meta = SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0)
     H = hamiltonian_from_expression("1 * bump(rho; 1, 3)", n=2, k=1, meta=meta)
     assert H.meta == meta
-    H.audit(samples=500, seed=0)
+    H.audit(seed=0)
 
 
 def test_audit_catches_wrong_bound():
@@ -90,7 +90,7 @@ def test_audit_catches_wrong_bound():
     H = hamiltonian_from_expression("1 * bump(rho; 1, 3)", n=2, k=1, meta=bad)
     from symcone import AuditError
     with pytest.raises(AuditError):
-        H.audit(samples=500, seed=0)
+        H.audit(seed=0)
 
 
 def _fd_grad(H, th, h=1e-6):

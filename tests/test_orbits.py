@@ -51,11 +51,13 @@ def test_integrator_fourth_order_convergence(planar3):
 
 
 def test_integrator_records_on_level(planar3):
-    traj = integrate_planar(planar3, (0.4, 2.8), 5.0, step=1e-3,
-                            record_stride=100)
-    assert traj.samples is not None and traj.samples.shape[0] >= 50
-    es = planar3.energy(traj.samples[:, 0], traj.samples[:, 1])
-    assert np.max(np.abs(es - traj.energy_start)) < 1e-6
+    # 50 chunks of 0.1, each started from the previous chunk's end
+    z = (0.4, 2.8)
+    e0 = float(planar3.energy(*z))
+    for _ in range(50):
+        traj = integrate_planar(planar3, z, 0.1, step=1e-3)
+        assert abs(traj.energy_end - e0) < 1e-6
+        z = traj.end
 
 
 def test_integrator_guards(planar3):
@@ -93,10 +95,7 @@ def test_closed_orbit_closure_and_mirror(planar3):
     assert orb.closed and not orb.homoclinic_flag
     np.testing.assert_array_equal(orb.samples[0], orb.samples[-1])
     assert orb.action > 0
-
-    orb_left = closed_orbit_at_energy(planar3, -5.0, branch="left")
-    np.testing.assert_allclose(orb_left.action, orb.action, rtol=1e-12)
-    assert np.max(orb_left.samples[:, 1]) < 0 < np.min(orb.samples[:, 1])
+    assert np.min(orb.samples[:, 1]) > 0  # the right oval
 
 
 def test_period_two_routes_agree(planar3):
@@ -108,16 +107,12 @@ def test_period_two_routes_agree(planar3):
 def test_period_closes_the_flow(planar3):
     for e in (-5.0, 0.8):
         orb = closed_orbit_at_energy(planar3, e)
-        assert single_period_return(planar3, orb, step=2e-4) < 1e-6
+        assert single_period_return(planar3, orb) < 1e-6
 
 
 def test_zero_level_needs_homoclinic_route(planar3):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="homoclinic"):
         closed_orbit_at_energy(planar3, 0.0)
-    with pytest.raises(DomainError):
-        closed_orbit_at_energy(planar3, -1.0, branch="sideways")
-    with pytest.raises(DomainError):
-        closed_orbit_at_energy(planar3, 1.0, branch="left")
 
 
 def test_homoclinic_loop_geometry(planar3):
@@ -251,7 +246,7 @@ def test_action_floor_two_regimes(planar3):
     np.testing.assert_allclose(label_action_floor(planar3, -3.0),
                                np.pi * 4.0, rtol=1e-12)
     # Near the rim the planar orbit's own area binds.
-    orb = closed_orbit_at_energy(planar3, -1.0, branch="right")
+    orb = closed_orbit_at_energy(planar3, -1.0)
     np.testing.assert_allclose(label_action_floor(planar3, -1.0), orb.action,
                                rtol=1e-12)
 

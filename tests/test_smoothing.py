@@ -143,18 +143,18 @@ def test_radial_step_bump_profile():
 
 def test_squeeze_witness_certifies():
     H = radial_step_bump(2.0, 3.0)
-    w = liouville_squeeze_witness(H, 2.0, 3.0, grid_points=4000)
+    w = liouville_squeeze_witness(H, 2.0, 3.0)
+    assert w.tau == np.log(1.5)
     assert w.scale == pytest.approx((2.0 / 3.0) ** 2, abs=1e-15)
     assert w.violations == 0
-    assert w.grid_points >= 4000
+    assert w.grid_points == 22 ** 3
 
 
 def test_squeeze_witness_guards():
     H = radial_step_bump(2.0, 3.0)
-    with pytest.raises(DomainError):
-        liouville_squeeze_witness(H, 2.0, 3.0, tau=0.1)   # below log(3/2)
-    with pytest.raises(DomainError):
-        liouville_squeeze_witness(H, 2.0, 3.0, dim=4)     # even dimension
+    for r1, r2 in ((3.0, 2.0), (2.0, 2.0), (0.0, 3.0)):
+        with pytest.raises(DomainError, match="r2 > r1 > 0"):
+            liouville_squeeze_witness(H, r1, r2)
 
 
 def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
