@@ -32,16 +32,9 @@ class CapacityInterval:
         if self.exact and self.lo != self.hi:
             raise DomainError("exact intervals must be degenerate")
 
-    def scaled_domain(self, s: float) -> "CapacityInterval":
-        """Capacity of the image under z -> sz."""
-        return CapacityInterval(s * s * self.lo, s * s * self.hi, self.exact)
-
     def scaled_hamiltonian(self, s: float) -> "CapacityInterval":
         """Capacity of V(sH) given this enclosure of V(H)."""
         return CapacityInterval(self.lo / s, self.hi / s, self.exact)
-
-    def overlaps(self, other: "CapacityInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
 
 def capacity_hyperboloid(V: Hyperboloid) -> CapacityInterval:
@@ -120,10 +113,13 @@ def nonsqueezing_verdict(V: Hyperboloid, s: float,
     rejection-sampled, mapped, and a witness landing outside V is
     exhibited.  A candidate with no witness is reported as CONTRADICTION
     (it would falsify the capacity axioms, i.e. expose a bug).  Fewer
-    than one sample is a DomainError: no point mapped shows nothing.
+    than one sample or no candidate is a DomainError: a sweep that maps
+    no point, or tries no map, shows nothing.
     """
     if samples < 1:
         raise DomainError(f"need at least 1 sweep sample, got {samples}")
+    if not candidates:
+        raise DomainError("need at least 1 candidate map, got none")
     w = capacity_hyperboloid(V)
     if s <= 1.0:
         return NonsqueezingReport(domain=V, s=s, w=w, candidates=(),

@@ -16,7 +16,7 @@ function |z|^2 generates the counterclockwise rotation (-2y, 2x) of
 period pi.
 """
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .geometry import (as_phase, half_dim, angle_ratio_of, row_sum,
                        symplectic_gradient, tangential)
 from . import sampling
 
-FD_STEP = 1e-5
 # values at most this large in magnitude count as zero in the metadata audit
 ZERO_TOL = 1e-12
 # sphere points of the metadata audit; a quarter as many more probe the
@@ -41,17 +40,13 @@ def _rows(theta):
     return th
 
 
-def _on_sphere(theta, who):
-    th = _rows(theta)
-    if np.any(np.abs(np.sqrt(row_sum(th * th)) - 1.0) > 1e-10):
-        raise DomainError(f"{who} requires unit vectors")
-    return th
-
-
 def reeb_field(theta):
     """Rotation field (-2y, 2x), the field of |z|^2; unit pairing against
     the contact form.  Rows must have norm 1 to within 1e-10."""
-    return symplectic_gradient(2.0 * _on_sphere(theta, "reeb_field"))
+    th = _rows(theta)
+    if np.any(np.abs(np.sqrt(row_sum(th * th)) - 1.0) > 1e-10):
+        raise DomainError("reeb_field requires unit vectors")
+    return symplectic_gradient(2.0 * th)
 
 
 @dataclass(frozen=True)
@@ -76,12 +71,12 @@ class ContactHamiltonian:
     """A function on S^{2n-1}, vanishing past angle-ratio rho1 of the
     k-indexed coordinate split, with certified support metadata.
 
-    `eval_fn` maps a batch of rows to values; the optional `grad_fn` maps
-    it to the pair (values, ambient gradients) in one call.
+    `eval_fn` maps a batch of rows to values; `grad_fn` maps it to the
+    pair (values, ambient gradients) in one call.
     """
 
     def __init__(self, eval_fn: Callable, k: int, n: int, meta: SupportMeta,
-                 grad_fn: Optional[Callable] = None):
+                 grad_fn: Callable):
         self.eval_fn = eval_fn
         self.k = int(k)
         self.n = int(n)
@@ -93,39 +88,10 @@ class ContactHamiltonian:
 
     def value_and_grad(self, theta):
         """(K, gradient of the ambient 0-homogeneous-in-direction extension,
-        i.e. of K as a function of the unnormalized argument) at theta:
-        one `grad_fn` call when there is one, else `eval_fn` values and
-        central differences."""
-        th = _rows(theta)
-        if self.grad_fn is not None:
-            vals, g = self.grad_fn(th)
-            vals, g = np.asarray(vals, dtype=float), np.asarray(g, dtype=float)
-        else:
-            vals = np.asarray(self.eval_fn(th), dtype=float)
-            g = np.empty_like(th)
-            for i in range(th.shape[-1]):
-                e = np.zeros(th.shape[-1])
-                e[i] = FD_STEP
-                hi = np.asarray(self.eval_fn(_renorm(th + e)), dtype=float)
-                lo = np.asarray(self.eval_fn(_renorm(th - e)), dtype=float)
-                g[:, i] = (hi - lo) / (2.0 * FD_STEP)
-        return vals, g
-
-    def scaled(self, s: float):
-        if s <= 0:
-            raise DomainError("scale must be positive")
-        ev = self.eval_fn
-        gr = self.grad_fn
-
-        def scaled_pair(th):
-            vals, g = gr(th)
-            return s * np.asarray(vals, dtype=float), s * np.asarray(g, dtype=float)
-
-        return ContactHamiltonian(
-            eval_fn=lambda th: s * np.asarray(ev(th), dtype=float),
-            k=self.k, n=self.n, meta=self.meta.scaled(s),
-            grad_fn=None if gr is None else scaled_pair,
-        )
+        i.e. of K as a function of the unnormalized argument) at theta, from
+        one `grad_fn` call."""
+        vals, g = self.grad_fn(_rows(theta))
+        return np.asarray(vals, dtype=float), np.asarray(g, dtype=float)
 
     def audit(self, seed: int = 0):
         """Sampled contract check of the metadata at AUDIT_SAMPLES seeded
@@ -252,63 +218,6 @@ class ContactIsotopy:
         """
         pre, logc_back = self.flow_many(thetas, 1.0, 0.0)
         return pre, np.exp(-logc_back)
-
-
-def concatenate_isotopies(second: ContactIsotopy, first: ContactIsotopy):
-    """Isotopy whose time-1 map is (time-1 of second) o (time-1 of first)."""
-    if (second.k, second.n) != (first.k, first.n):
-        raise DomainError("isotopies act on different splits")
-
-    def gen(t):
-        if t < 0.5:
-            return first.hamiltonian_at(2.0 * t).scaled(2.0)
-        return second.hamiltonian_at(2.0 * t - 1.0).scaled(2.0)
-
-    return ContactIsotopy(gen, step=min(second.step, first.step) / 2.0)
-
-
-def identity_isotopy(n: int, k: int):
-    meta = SupportMeta(M=0.0, m=1.0, rho0=0.1, rho1=1.0)
-    zero = ContactHamiltonian(lambda th: np.zeros(th.shape[0]), k=k, n=n, meta=meta,
-                              grad_fn=lambda th: (np.zeros(th.shape[0]), np.zeros_like(th)))
-    return ContactIsotopy(zero)
-
-
-def adjoint_action(iso: ContactIsotopy, K: ContactHamiltonian,
-                   meta_samples: int = 2000) -> ContactHamiltonian:
-    """Pull K back through the time-1 map with its conformal weight.
-
-    The value at theta is c(pre) * K(pre) with pre the time-1 preimage of
-    theta; metadata is re-estimated on seeded sphere probes (seeds 0 and
-    3) and inflated, to be re-audited by the caller when it matters.
-    """
-    if (iso.k, iso.n) != (K.k, K.n):
-        raise DomainError("isotopy and Hamiltonian act on different splits")
-
-    def ev(th):
-        pre, c = iso.inverse_images(th)
-        return c * np.asarray(K.eval_fn(pre), dtype=float)
-
-    probe = sampling.sphere_points(K.n, meta_samples, 0)
-    vals = ev(probe)
-    rho = angle_ratio_of(probe, K.k)
-    support_rho = rho[np.abs(vals) > ZERO_TOL]
-    rho1_new = K.meta.rho1 if support_rho.size == 0 else max(
-        K.meta.rho1, 1.1 * float(np.max(support_rho)) + 0.1)
-    inner = sampling.sphere_points_with_angle_ratio(
-        K.n, K.k, meta_samples // 2, 3, rho_max=K.meta.rho0)
-    m_new = 0.75 * float(np.min(ev(inner)))
-    M_new = 1.05 * float(np.max(vals)) + 1e-9
-    meta = SupportMeta(M=M_new, m=m_new, rho0=K.meta.rho0, rho1=rho1_new)
-    return ContactHamiltonian(ev, k=K.k, n=K.n, meta=meta)
-
-
-def lie_bracket(H: ContactHamiltonian, K: ContactHamiltonian, theta):
-    """Bracket value dK(Y_H) - K dH(R) at unit rows theta."""
-    th = _on_sphere(theta, "lie_bracket")
-    Kv, gK = K.value_and_grad(th)
-    YH, dH_R = _field_and_rate(*H.value_and_grad(th), th)
-    return row_sum(gK * YH) - Kv * dH_R
 
 
 def model_field_contracting(k: int, z):

@@ -290,6 +290,10 @@ def hamiltonian_from_expression(text, n, k, meta=None,
 def random_hamiltonian(n, k, seed, amplitude=1.0):
     """Seeded nonnegative compactly supported expression Hamiltonian:
     a plateau bump plus two even-monomial bump terms."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    if not amplitude > 0:
+        raise DomainError(f"amplitude must be positive, got {amplitude}")
     g = sampling.rng(seed)
     a0 = g.uniform(0.4, 1.0)
     b0 = a0 + g.uniform(1.0, 2.2)

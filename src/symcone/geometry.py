@@ -35,11 +35,6 @@ def half_dim(z):
     return np.asarray(z).shape[-1] // 2
 
 
-def liouville_field(z):
-    """The radial scaling field: value z/2 at z."""
-    return 0.5 * as_phase(z)
-
-
 def symplectic_pairing(a, b):
     a = as_phase(a)
     b = as_phase(b, n=half_dim(a))

@@ -72,57 +72,3 @@ def load_config(path: str) -> dict:
         raise ParseError("config file must hold a JSON object")
     return cfg
 
-
-# --------------------------------------------------------------------------
-# domain serialization
-
-
-def domain_to_dict(V) -> dict:
-    from .domains import Hyperboloid, IntegrableDomain, StarDomain
-    from .exprs import ExpressionHamiltonian
-
-    if isinstance(V, Hyperboloid):
-        return {"type": "hyperboloid", "n": V.n, "k": V.k,
-                "a": fmt_float(V.a), "b": fmt_float(V.b)}
-    if isinstance(V, StarDomain):
-        H = V.H
-        if not isinstance(H, ExpressionHamiltonian):
-            raise ParseError("only expression-backed star domains serialize")
-        m = H.meta
-        return {"type": "star", "n": H.n, "k": H.k, "expr": H.text,
-                "meta": {"M": fmt_float(m.M), "m": fmt_float(m.m),
-                         "rho0": fmt_float(m.rho0), "rho1": fmt_float(m.rho1)}}
-    if isinstance(V, IntegrableDomain):
-        return {"type": "integrable", "n": V.n, "k": V.k,
-                "a": fmt_float(V.a), "b": fmt_float(V.b),
-                "C": fmt_float(V.well.C), "eps": fmt_float(V.well.eps),
-                "delta": fmt_float(V.well.delta)}
-    raise ParseError(f"cannot serialize domain {type(V).__name__}")
-
-
-def domain_from_dict(d: Mapping):
-    from .contact import SupportMeta
-    from .domains import Hyperboloid, IntegrableDomain, SmoothedWell, StarDomain
-    from .exprs import ExpressionHamiltonian
-
-    kind = d.get("type")
-    if kind == "hyperboloid":
-        return Hyperboloid(n=int(d["n"]), k=int(d["k"]),
-                           a=float(d["a"]), b=float(d["b"]))
-    if kind == "star":
-        meta = d.get("meta")
-        sm = None
-        if meta:
-            sm = SupportMeta(M=float(meta["M"]), m=float(meta["m"]),
-                             rho0=float(meta["rho0"]),
-                             rho1=float(meta["rho1"]))
-        H = ExpressionHamiltonian(d["expr"], n=int(d["n"]), k=int(d["k"]),
-                                  meta=sm)
-        return StarDomain(H)
-    if kind == "integrable":
-        well = SmoothedWell(C=float(d["C"]), eps=float(d["eps"]),
-                            delta=float(d["delta"]))
-        return IntegrableDomain(n=int(d["n"]), k=int(d["k"]),
-                                a=float(d["a"]), b=float(d["b"]),
-                                well=well)
-    raise ParseError(f"unknown domain type tag {kind!r}")

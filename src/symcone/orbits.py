@@ -26,8 +26,8 @@ from .errors import AuditError, DomainError, ScanBudgetError
 __all__ = [
     "PlanarWellSystem", "PlanarTrajectory", "OrbitRecord", "TorusLabel",
     "ActionSpectrum", "integrate_planar", "closed_orbit_at_energy",
-    "homoclinic_loop", "area_constant", "label_action_floor",
-    "characteristic_spectrum", "single_period_return",
+    "area_constant", "label_action_floor", "characteristic_spectrum",
+    "single_period_return",
 ]
 
 # 4th-order Yoshida composition for a two-map splitting: three kicks, and
@@ -37,9 +37,9 @@ _KICKS = (_W1, 1.0 - 2.0 * _W1, _W1)
 _DRIFTS = (0.5 * _W1, 0.5 * (_W1 + _KICKS[1]), 0.5 * (_W1 + _KICKS[1]),
            0.5 * _W1)
 
-# vertices of a traced level-set contour (closed orbits, homoclinic loop),
-# at u = 2 pi j / CONTOUR_POINTS on every level: cos u, and the sign of
-# sin u that puts a vertex on the left or the right half
+# vertices of a traced level-set contour, at u = 2 pi j / CONTOUR_POINTS
+# on every level: cos u, and the sign of sin u that puts a vertex on the
+# left or the right half
 CONTOUR_POINTS = 2048
 _CONTOUR_U = 2.0 * math.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS
 _CONTOUR_COS, _CONTOUR_SIDE = np.cos(_CONTOUR_U), np.sign(np.sin(_CONTOUR_U))
@@ -111,10 +111,6 @@ class PlanarTrajectory:
     step: float
     energy_start: float
     energy_end: float
-
-    @property
-    def energy_drift(self) -> float:
-        return abs(self.energy_end - self.energy_start)
 
 
 def integrate_planar(system: PlanarWellSystem, z0, duration: float,
@@ -286,18 +282,15 @@ class OrbitRecord:
     period: float
     energy: float
     action: float
-    closed: bool
-    homoclinic_flag: bool = False
 
     def __post_init__(self):
         if not self.period > 0:
             raise DomainError("period must be positive")
         if self.action < -1e-9:
             raise DomainError(f"negative orbit action {self.action}")
-        if self.closed:
-            gap = float(np.linalg.norm(self.samples[0] - self.samples[-1]))
-            if gap > 1e-6:
-                raise DomainError(f"closed orbit fails to close: gap {gap}")
+        gap = float(np.linalg.norm(self.samples[0] - self.samples[-1]))
+        if gap > 1e-6:
+            raise DomainError(f"closed orbit fails to close: gap {gap}")
 
 
 def _closed_level(system: PlanarWellSystem, e: float):
@@ -305,7 +298,7 @@ def _closed_level(system: PlanarWellSystem, e: float):
     {h = e}; see `closed_orbit_at_energy`."""
     if e == 0.0:
         raise DomainError("zero level is the homoclinic figure-eight, not a "
-                          "closed orbit; use homoclinic_loop")
+                          "closed orbit")
     y_lo, y_hi = turning_points(system, e)
     pts = _contour(system, e, y_lo, y_hi)
     return pts, y_lo, y_hi, _shoelace(pts)
@@ -336,30 +329,7 @@ def closed_orbit_at_energy(system: PlanarWellSystem, e: float) -> OrbitRecord:
     pts, y_lo, y_hi, area = _closed_level(system, e)
     action = float(_audited_areas(system, [e], [y_lo], [y_hi], [area])[0])
     period = _period_quadrature(system, e, y_lo, y_hi)
-    return OrbitRecord(samples=pts, period=period, energy=e,
-                       action=action, closed=True)
-
-
-def contour_period(system: PlanarWellSystem, orbit: OrbitRecord) -> float:
-    """Period re-estimated directly on the polygon as sum of dl/|grad h|."""
-    pts = orbit.samples
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    gx = 2.0 * mids[:, 0] / system.a ** 2
-    gy = system.well.deriv(mids[:, 1]) / system.b ** 2
-    speed = np.hypot(gx, gy)
-    return float(np.sum(seg / speed))
-
-
-def homoclinic_loop(system: PlanarWellSystem) -> OrbitRecord:
-    """The right loop of the zero level through the saddle (infinite
-    period); the left loop is its mirror image."""
-    y_top = turning_points(system, 0.0)[1]
-    pts = _contour(system, 0.0, 0.0, y_top)
-    area = _shoelace(pts)
-    return OrbitRecord(samples=pts, period=math.inf, energy=0.0,
-                       action=max(area, 0.0), closed=False,
-                       homoclinic_flag=True)
+    return OrbitRecord(samples=pts, period=period, energy=e, action=action)
 
 
 def single_period_return(system: PlanarWellSystem, orbit: OrbitRecord) -> float:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from symcone import (
+    ContactHamiltonian,
+    ContactIsotopy,
     IntegrableDomain,
     PlanarWellSystem,
     SupportMeta,
@@ -43,3 +45,12 @@ def worked_certificate(worked_hamiltonian):
 def sphere(rng, count, dim):
     v = rng.standard_normal((count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def zero_isotopy(n, k):
+    """The isotopy of the zero Hamiltonian: its flow is the identity."""
+    zero = ContactHamiltonian(
+        lambda th: np.zeros(th.shape[0]), k=k, n=n,
+        meta=SupportMeta(M=0.0, m=1.0, rho0=0.1, rho1=1.0),
+        grad_fn=lambda th: (np.zeros(th.shape[0]), np.zeros_like(th)))
+    return ContactIsotopy(zero)

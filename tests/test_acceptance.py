@@ -34,9 +34,11 @@ from symcone import (
     random_hamiltonian,
     reeb_derivative,
     reeb_field,
+    relative_growth_bounds,
     sandwich_solve,
     scaling_family,
     single_period_return,
+    submultiplicativity_check,
     symplectic_pairing,
 )
 from symcone.cli import main
@@ -296,11 +298,25 @@ def test_criterion_11_metric_suite(capsys):
     dw_ok = all(dw_bound_check(rfam, i, j, pseudo_distance(rfam, i, j))["ok"]
                 for i in rids for j in rids if i < j)
     ok &= dw_ok
+
+    # The multiplicative triangles above read the closed growth_hi matrix,
+    # which holds them by construction.  submultiplicativity_check instead
+    # composes the two best witnesses of a chain f -> g -> h and measures
+    # the composed map on the grid against the product of their ratios.
+    links = {pair: relative_growth_bounds(rfam, *pair).witnesses
+             for pair in itertools.permutations(rids, 2)}
+    composed = [submultiplicativity_check(rfam, f, g, h)
+                for f, g, h in itertools.permutations(rids, 3)
+                if links[(f, g)] and links[(g, h)]]
+    composed_ok = sum(c.ok for c in composed)
+    ok &= bool(composed) and composed_ok == len(composed)
     with capsys.disabled():
         _report(11, ok, f"scaling distances off log(s) by {err:.1e} (tol 1e-9); "
                 f"worst triangle slack {worst:.1e} over {substantive} "
                 f"substantive triples; capacity-vs-distance bound "
-                f"{'holds' if dw_ok else 'fails'} on all pairs",
+                f"{'holds' if dw_ok else 'fails'} on all pairs; "
+                f"{composed_ok}/{len(composed)} composed witnesses within "
+                f"the product of their links",
                 time.monotonic() - t0, 120.0)
 
 

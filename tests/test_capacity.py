@@ -24,14 +24,9 @@ def test_interval_validation():
         CapacityInterval(1.0, 2.0, exact=True)
 
 
-def test_interval_scalings_and_overlap():
-    w = CapacityInterval(2.0, 3.0)
-    sd = w.scaled_domain(2.0)
-    assert (sd.lo, sd.hi) == (8.0, 12.0)
-    sh = w.scaled_hamiltonian(4.0)
+def test_interval_hamiltonian_scaling():
+    sh = CapacityInterval(2.0, 3.0).scaled_hamiltonian(4.0)
     assert (sh.lo, sh.hi) == (0.5, 0.75)
-    assert w.overlaps(CapacityInterval(2.5, 9.0))
-    assert not w.overlaps(CapacityInterval(3.5, 9.0))
 
 
 def test_hyperboloid_capacity_exact_and_b_free():
@@ -52,9 +47,9 @@ def test_domain_scaling_commutes_with_capacity():
     V = Hyperboloid(n=3, k=2, a=0.8, b=2.0)
     s = 1.7
     direct = capacity_hyperboloid(V.scaled(s))
-    transported = capacity_hyperboloid(V).scaled_domain(s)
+    w = capacity_hyperboloid(V)
     np.testing.assert_allclose([direct.lo, direct.hi],
-                               [transported.lo, transported.hi], rtol=1e-14)
+                               [s * s * w.lo, s * s * w.hi], rtol=1e-14)
 
 
 def test_star_interval_worked_values(worked_hamiltonian, worked_certificate):

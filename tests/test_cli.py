@@ -279,10 +279,15 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
      "need at least 2 family elements, got 0"),
     (["metric", "--family", "random", "--count", "1"],
      "need at least 2 family elements, got 1"),
+    (["metric", "--family", "random", "--n", "0", "--grid", "10", "--pool", "1"],
+     "need n >= 1, got 0"),
+    (["squeeze", "--candidates", "0", "--samples", "100"],
+     "need at least 1 candidate map, got none"),
 ])
 def test_sizes_below_one_are_exit_2(capsys, argv, message):
-    # an empty grid, sample, sweep or family would give a vacuous bound,
-    # audit, verdict or metric, and a negative count has no meaning
+    # an empty grid, sample, sweep, candidate list or family would give a
+    # vacuous bound, audit, verdict or metric, and a negative count or an
+    # empty phase space has no meaning
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"symcone: {message}\n"
@@ -503,6 +508,14 @@ def test_smoothing_audit_failure_is_exit_4(capsys):
     assert "smoothing audit failed" in err
     checks = json.loads(out)["result"]["checks"]
     assert not (checks["agreement_pass"] and checks["symplecticity_pass"])
+
+
+@pytest.mark.parametrize("amplitude", ["-1", "0"])
+def test_nonpositive_amplitude_is_refused_by_name(capsys, amplitude):
+    code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "1",
+                                      "--amplitude", amplitude])
+    assert code == 2 and out == ""
+    assert err == f"symcone: amplitude must be positive, got {float(amplitude)}\n"
 
 
 def test_smoothing_audit_overflowing_bounds_is_exit_2(capsys):

@@ -3,17 +3,12 @@ import pytest
 
 from symcone import (
     AuditError,
-    ContactHamiltonian,
     DimensionMismatchError,
     ContactIsotopy,
     DomainError,
     SupportMeta,
-    adjoint_action,
-    concatenate_isotopies,
     contact_vector_field,
     hamiltonian_from_expression,
-    identity_isotopy,
-    lie_bracket,
     model_field_contracting,
     model_field_expanding,
     random_hamiltonian,
@@ -21,9 +16,9 @@ from symcone import (
     reeb_field,
     symplectic_pairing,
 )
-from symcone import contact, sampling
+from symcone import contact
 
-from conftest import sphere
+from conftest import sphere, zero_isotopy
 
 
 def test_reeb_field_basics():
@@ -108,40 +103,12 @@ def test_inverse_images_roundtrip():
 
 
 def test_identity_isotopy_fixes_everything():
-    iso = identity_isotopy(2, 1)
+    iso = zero_isotopy(2, 1)
     rng = np.random.default_rng(16)
     th = sphere(rng, 25, 4)
     out, logc = iso.flow_many(th, 0.0, 1.0)
     np.testing.assert_allclose(out, th, atol=1e-15)
     np.testing.assert_array_equal(logc, np.zeros(25))
-
-
-def test_adjoint_identity_and_positivity():
-    H = random_hamiltonian(2, 1, seed=9, amplitude=0.3)
-    rng = np.random.default_rng(17)
-    th = sphere(rng, 150, 4)
-    adH = adjoint_action(identity_isotopy(2, 1), H, meta_samples=200)
-    np.testing.assert_allclose(np.asarray(adH(th)), np.asarray(H(th)), atol=1e-13)
-
-    psi = ContactIsotopy(random_hamiltonian(2, 1, seed=5, amplitude=0.3), step=2e-3)
-    conj = adjoint_action(psi, H, meta_samples=200)
-    vals = np.asarray(conj(th))
-    assert np.all(vals >= -1e-12)  # conjugation preserves the cone
-    assert conj.meta.M >= np.max(vals)
-
-
-def test_adjoint_composition_cocycle():
-    """Conjugating by a concatenation agrees with conjugating twice."""
-    H = random_hamiltonian(2, 1, seed=9, amplitude=0.3)
-    psi1 = ContactIsotopy(random_hamiltonian(2, 1, seed=5, amplitude=0.3), step=2e-3)
-    psi2 = ContactIsotopy(random_hamiltonian(2, 1, seed=6, amplitude=0.3), step=2e-3)
-    rng = np.random.default_rng(18)
-    th = sphere(rng, 100, 4)
-    lhs = adjoint_action(concatenate_isotopies(psi2, psi1), H, meta_samples=150)
-    rhs = adjoint_action(psi2, adjoint_action(psi1, H, meta_samples=150),
-                         meta_samples=150)
-    err = np.max(np.abs(np.asarray(lhs(th)) - np.asarray(rhs(th))))
-    assert err < 1e-3
 
 
 @pytest.mark.parametrize("suffix, changed, message", [
@@ -157,17 +124,6 @@ def test_audit_rejects_wrong_metadata(suffix, changed, message):
                                     meta=SupportMeta(**meta))
     with pytest.raises(AuditError, match=message):
         H.audit()
-
-
-def test_lie_bracket_antisymmetric():
-    K = random_hamiltonian(2, 1, seed=5)
-    H = random_hamiltonian(2, 1, seed=9)
-    th = sampling.sphere_points(2, 200, 19)
-    b1 = np.asarray(lie_bracket(K, H, th))
-    b2 = np.asarray(lie_bracket(H, K, th))
-    scale = max(1.0, np.max(np.abs(b1)))
-    np.testing.assert_allclose(b1, -b2, atol=1e-12 * scale)
-    np.testing.assert_allclose(np.asarray(lie_bracket(K, K, th)), 0.0, atol=1e-12)
 
 
 def test_model_fields():
@@ -200,15 +156,6 @@ def test_flow_makes_one_kernel_call_per_rk_stage():
     assert evals == []
 
 
-def test_scaled_plain_hamiltonian_scales_the_pair():
-    K = random_hamiltonian(2, 1, seed=8)
-    plain = ContactHamiltonian(K.eval_fn, k=1, n=2, meta=K.meta, grad_fn=K.grad_fn)
-    th = sphere(np.random.default_rng(21), 50, 4)
-    vals, g = plain.scaled(3.0).value_and_grad(th)
-    np.testing.assert_array_equal(vals, 3.0 * K.eval_fn(th))
-    np.testing.assert_array_equal(g, 3.0 * K.grad_fn(th)[1])
-
-
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2)])
 def test_flow_is_bitwise_independent_of_the_input_layout(n, k):
     # the flow holds its batch column-major; a row-major batch must give
@@ -229,7 +176,6 @@ _ONE_ROW = [
     ("value_and_grad", lambda K, row: K.value_and_grad(row)),
     ("contact_vector_field", lambda K, row: contact_vector_field(K, row)),
     ("reeb_derivative", lambda K, row: reeb_derivative(K, row)),
-    ("lie_bracket", lambda K, row: lie_bracket(K, K, row)),
 ]
 
 
@@ -242,13 +188,6 @@ def test_kernels_refuse_a_single_row(call):
     call(K, row)  # the same point as a one-row batch is fine
     with pytest.raises(DimensionMismatchError):
         call(K, row[0])
-
-
-def test_lie_bracket_refuses_rows_off_the_sphere():
-    K = random_hamiltonian(2, 1, seed=5)
-    th = sphere(np.random.default_rng(24), 10, 4)
-    with pytest.raises(DomainError, match="unit vectors"):
-        lie_bracket(K, K, 1.5 * th)
 
 
 def test_flow_stages_skip_the_reeb_field_check(monkeypatch):

@@ -6,7 +6,6 @@ from symcone import (
     DomainError,
     angle_ratio_of,
     as_phase,
-    liouville_field,
     omega_matrix,
     split_uv,
     symplectic_pairing,
@@ -58,11 +57,6 @@ def test_pairing_antisymmetric_and_nondegenerate():
     rot = np.concatenate([-a[:, 2:], a[:, :2]], axis=1)
     np.testing.assert_allclose(symplectic_pairing(a, rot),
                                np.sum(a * a, axis=1), rtol=1e-13)
-
-
-def test_liouville_field_is_half_position():
-    z = np.arange(1.0, 9.0)
-    np.testing.assert_array_equal(liouville_field(z), z / 2)
 
 
 def test_split_uv():

@@ -6,10 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from symcone import Hyperboloid, IntegrableDomain, ParseError, StarDomain
+from symcone import ParseError
 from symcone.jsonio import (
-    domain_from_dict,
-    domain_to_dict,
     dumps_json,
     fmt_float,
     load_config,
@@ -97,37 +95,3 @@ def test_config_loading_and_merge(tmp_path):
         load_config(str(bad))
     with pytest.raises(ParseError):
         load_config(str(tmp_path / "missing.json"))
-
-
-def test_hyperboloid_roundtrip():
-    V = Hyperboloid(n=3, k=2, a=0.7, b=1.9)
-    d = domain_to_dict(V)
-    assert d["type"] == "hyperboloid" and d["a"] == "0.69999999999999996"
-    W = domain_from_dict(d)
-    assert W == V
-
-
-def test_star_domain_roundtrip(worked_hamiltonian):
-    V = StarDomain(worked_hamiltonian)
-    d = domain_to_dict(V)
-    assert d["type"] == "star" and d["expr"] == "1 * bump(rho; 1, 3)"
-    W = domain_from_dict(json.loads(json.dumps(d)))
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-3, 3, size=(200, 4))
-    np.testing.assert_array_equal(W.contains_many(pts), V.contains_many(pts))
-    meta = W.H.meta
-    assert (meta.M, meta.m, meta.rho0, meta.rho1) == (1.0, 0.5, 0.1, 3.0)
-
-
-def test_integrable_roundtrip(domain3):
-    d = domain_to_dict(domain3)
-    W = domain_from_dict(d)
-    assert (W.n, W.k, W.a, W.b) == (2, 1, 1.0, 1.0)
-    assert (W.well.C, W.well.eps, W.well.delta) == (3.0, 0.25, 0.8)
-
-
-def test_unknown_domain_tags_rejected():
-    with pytest.raises(ParseError):
-        domain_from_dict({"type": "torus"})
-    with pytest.raises(ParseError):
-        domain_to_dict(42)

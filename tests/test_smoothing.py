@@ -6,7 +6,6 @@ from symcone import (
     ContactIsotopy,
     DomainError,
     SmoothedSymplectization,
-    identity_isotopy,
     liouville_squeeze_witness,
     radial_step_bump,
     random_hamiltonian,
@@ -16,7 +15,7 @@ from symcone import (
 from symcone import smoothing
 from symcone.smoothing import symplecticity_defect_of_images, symplecticity_stencil
 
-from conftest import sphere
+from conftest import sphere, zero_isotopy
 
 
 def shell(rng, npts, dim, r2lo, r2hi):
@@ -33,7 +32,7 @@ def tame_map():
 
 
 def test_identity_isotopy_certificate_is_tight():
-    sm = SmoothedSymplectization(identity_isotopy(2, 1), 0.1)
+    sm = SmoothedSymplectization(zero_isotopy(2, 1), 0.1)
     cert = sm.certificate
     assert cert.M == 1.0 and cert.m == 1.0
     assert cert.K_factor == 4.0
@@ -118,7 +117,7 @@ def test_lift_scales_like_rays():
 
 def test_smoothed_map_rejects_bad_eps():
     with pytest.raises(DomainError):
-        SmoothedSymplectization(identity_isotopy(2, 1), -0.05)
+        SmoothedSymplectization(zero_isotopy(2, 1), -0.05)
 
 
 def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
