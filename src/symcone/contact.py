@@ -158,30 +158,22 @@ def reeb_derivative(K: ContactHamiltonian, theta):
 
 
 class ContactIsotopy:
-    """A path of sphere Hamiltonians on [0, 1] and its flow.
+    """The autonomous flow of one sphere Hamiltonian over [0, 1].
 
-    `generator` is either a single ContactHamiltonian (autonomous case) or
-    a callable t -> ContactHamiltonian.  The flow integrates the sphere
-    field with a fixed-step fourth-order scheme, renormalizing to the
-    sphere each step, and carries log of the conformal factor along every
-    trajectory as one extra scalar.
+    The flow integrates the sphere field with a fixed-step fourth-order
+    scheme, renormalizing to the sphere each step, and carries log of the
+    conformal factor along every trajectory as one extra scalar.
     """
 
-    def __init__(self, generator, step: float = 1e-3):
-        if isinstance(generator, ContactHamiltonian):
-            const = generator
-            self.hamiltonian_at = lambda t: const
-            self.k, self.n = const.k, const.n
-        else:
-            self.hamiltonian_at = generator
-            probe = generator(0.0)
-            self.k, self.n = probe.k, probe.n
+    def __init__(self, hamiltonian: ContactHamiltonian, step: float = 1e-3):
         if not step > 0:
             raise IntegrationError("step underflow", {"step": step})
+        self.hamiltonian = hamiltonian
+        self.k, self.n = hamiltonian.k, hamiltonian.n
         self.step = step
 
-    def _rhs(self, t, thetas):
-        return _field_and_rate(*self.hamiltonian_at(t).value_and_grad(thetas), thetas)
+    def _rhs(self, thetas):
+        return _field_and_rate(*self.hamiltonian.value_and_grad(thetas), thetas)
 
     def flow_many(self, thetas, t_from: float = 0.0, t_to: float = 1.0):
         """Integrate a batch from t_from to t_to (either direction).
@@ -198,11 +190,10 @@ class ContactIsotopy:
         h = span / n_steps
         logc = np.zeros(th.shape[0])
         for i in range(n_steps):
-            t = t_from + i * h
-            f1, c1 = self._rhs(t, th)
-            f2, c2 = self._rhs(t + 0.5 * h, _renorm(th + 0.5 * h * f1))
-            f3, c3 = self._rhs(t + 0.5 * h, _renorm(th + 0.5 * h * f2))
-            f4, c4 = self._rhs(t + h, _renorm(th + h * f3))
+            f1, c1 = self._rhs(th)
+            f2, c2 = self._rhs(_renorm(th + 0.5 * h * f1))
+            f3, c3 = self._rhs(_renorm(th + 0.5 * h * f2))
+            f4, c4 = self._rhs(_renorm(th + h * f3))
             th = _renorm(_rk4_increment(h, f1, f2, f3, f4) + th)
             logc += _rk4_increment(h, c1, c2, c3, c4)
             if not np.all(np.isfinite(th)):

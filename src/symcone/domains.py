@@ -174,13 +174,22 @@ class SmoothedWell:
 
     def min_point(self):
         """(t, g(t)) at the positive minimum, searched once per well and
-        held like 4C^2, so it is neither a field nor serialized."""
+        held like 4C^2, so it is neither a field nor serialized.  In the
+        band g'(t) = t (-2 + 8 step7(u)) with u rising in t, so g' changes
+        sign once, where the degree-7 step7(u) crosses 1/4.  Bisection on
+        the sign of g' narrows the band to two adjacent floats; t is the
+        upper one, the least float at which g' is not negative."""
         found = self.__dict__.get("_min_point")
         if found is None:
-            from scipy import optimize
-            res = optimize.minimize_scalar(self.value_at, bounds=self.band,
-                                           method="bounded", options={"xatol": 1e-13})
-            found = (float(res.x), float(res.fun))
+            lo, hi = (float(t) for t in self.band)  # g' < 0 at lo, > 0 at hi
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
+                if self.deriv_at(mid) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                mid = 0.5 * (lo + hi)
+            found = (hi, self.value_at(hi))
             object.__setattr__(self, "_min_point", found)
         return found
 

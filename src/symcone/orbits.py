@@ -155,33 +155,49 @@ def integrate_planar(system: PlanarWellSystem, z0, duration: float,
 # level-curve geometry
 
 
-def turning_points(system: PlanarWellSystem, e: float):
-    """y-interval(s) of the level {h = e}: x vanishes at the endpoints.
+def turning_points(system: PlanarWellSystem, es):
+    """y-intervals (y_lo, y_hi) of the levels {h = e} at every energy of
+    es, as arrays of its shape: x vanishes at the endpoints.  For e in
+    (min energy, 0) they bound the right-hand oval (mirror for the left);
+    for e > 0 they are (-y_max, y_max) of the single outer loop.
 
-    Returns (y_lo, y_hi) for the selected structure: for e in
-    (min energy, 0) these bound the right-hand oval (mirror for the
-    left); for e > 0 they are (-y_max, y_max) of the single outer loop.
+    Past the blend band each crossing is a branch's root in closed form:
+    y = sqrt((b^2 e + 4C^2)/3) on the outer branch 3y^2 - 4C^2 and
+    y = sqrt(-b^2 e) on the inner branch -y^2, taken where the well's own
+    branch test holds at that y.  The crossings left lie in the band, on
+    either side of the minimum t_min, and one vectorised bisection on
+    g(y) <= b^2 e narrows them all to adjacent floats; each is the float on
+    the inside of the level.
     """
-    from scipy import optimize
-
+    es = np.asarray(es, dtype=float)
     well, b2 = system.well, system.b ** 2
     t_min, v_min = well.min_point()
     e_min = v_min / b2
-    if e <= e_min:
-        raise DomainError(f"energy {e} at or below the minimum {e_min}: empty level")
-    target = b2 * e
-
-    def f(y):
-        return well.value_at(y) - target
-
-    hi = max(2.0 * well.C, 2.0 * t_min)
-    while f(hi) <= 0.0:
-        hi *= 2.0
-    y_top = optimize.brentq(f, t_min, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-    if e >= 0.0:
-        return -y_top, y_top
-    y_bot = optimize.brentq(f, 0.0, t_min, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-    return y_bot, y_top
+    if np.any(es <= e_min):
+        raise DomainError(f"energy {es.min()} at or below the minimum {e_min}: "
+                          f"empty level")
+    target = b2 * np.atleast_1d(es)
+    four_c2 = 4.0 * well.C ** 2
+    y_hi = np.sqrt((target + four_c2) / 3.0)
+    y_lo = np.sqrt(np.maximum(-target, 0.0))
+    # the band's crossings, where the branch test fails at the branch root
+    top = 4.0 * (y_hi * y_hi) - four_c2 < well.delta
+    bottom = 4.0 * (y_lo * y_lo) - four_c2 > -well.delta
+    t_lo, t_hi = well.band
+    level = np.concatenate([target[top], target[bottom]])
+    y_in = np.full(level.shape, t_min)  # g <= level from here to the root
+    y_out = np.concatenate([np.full(np.count_nonzero(top), t_hi),
+                            np.full(np.count_nonzero(bottom), t_lo)])
+    while True:
+        mid = 0.5 * (y_in + y_out)
+        if not np.any((mid != y_in) & (mid != y_out)):
+            break
+        inside = well.value(mid) <= level
+        y_in, y_out = np.where(inside, mid, y_in), np.where(inside, y_out, mid)
+    n_top = np.count_nonzero(top)
+    y_hi[top], y_lo[bottom] = y_in[:n_top], y_in[n_top:]
+    return (np.where(target >= 0.0, -y_hi, y_lo).reshape(es.shape),
+            y_hi.reshape(es.shape))
 
 
 def _level_quadrature(system: PlanarWellSystem, e, y_lo, y_hi,
@@ -257,23 +273,21 @@ def _action_quadrature(system: PlanarWellSystem, e, y_lo, y_hi) -> np.ndarray:
                                               lambda w, val: w * np.sqrt(val))
 
 
-def _contour(system: PlanarWellSystem, e: float, y_lo: float,
-             y_hi: float) -> np.ndarray:
-    """Closed level-curve polygon, cosine-clustered, first point repeated."""
+def _contours(system: PlanarWellSystem, es, y_lo, y_hi):
+    """Vertices (x, y) of the closed level-curve polygons of the levels
+    (es, y_lo, y_hi), one cosine-clustered row of CONTOUR_POINTS each, from
+    one array call of the well."""
     well, b2, a = system.well, system.b ** 2, system.a
-    y = 0.5 * (y_lo + y_hi) - 0.5 * (y_hi - y_lo) * _CONTOUR_COS
-    val = np.maximum(e - well.value(y) / b2, 0.0)
-    pts = np.empty((CONTOUR_POINTS + 1, 2))
-    pts[:-1, 0] = a * np.sqrt(val) * _CONTOUR_SIDE
-    pts[:-1, 1] = y
-    pts[-1] = pts[0]
-    return pts
+    mid, half = 0.5 * (y_lo + y_hi), 0.5 * (y_hi - y_lo)
+    y = mid[:, None] - half[:, None] * _CONTOUR_COS
+    val = np.maximum(es[:, None] - well.value(y) / b2, 0.0)
+    return a * np.sqrt(val) * _CONTOUR_SIDE, y
 
 
-def _shoelace(pts: np.ndarray) -> float:
-    x, y = pts[:-1, 0], pts[:-1, 1]
-    xn, yn = pts[1:, 0], pts[1:, 1]
-    return 0.5 * float(np.sum(x * yn - xn * y))
+def _shoelace(x, y) -> np.ndarray:
+    """Areas of the closed polygons with vertex rows x, y."""
+    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    return 0.5 * np.sum(x * yn - xn * y, axis=1)
 
 
 @dataclass
@@ -293,15 +307,14 @@ class OrbitRecord:
             raise DomainError(f"closed orbit fails to close: gap {gap}")
 
 
-def _closed_level(system: PlanarWellSystem, e: float):
-    """(contour, y_lo, y_hi, shoelace area) of the closed component of
-    {h = e}; see `closed_orbit_at_energy`."""
-    if e == 0.0:
+def _closed_levels(system: PlanarWellSystem, es):
+    """(contour x, contour y, y_lo, y_hi) of the closed components of the
+    levels {h = e} at every energy of es; see `closed_orbit_at_energy`."""
+    if np.any(es == 0.0):
         raise DomainError("zero level is the homoclinic figure-eight, not a "
                           "closed orbit")
-    y_lo, y_hi = turning_points(system, e)
-    pts = _contour(system, e, y_lo, y_hi)
-    return pts, y_lo, y_hi, _shoelace(pts)
+    y_lo, y_hi = turning_points(system, es)
+    return (*_contours(system, es, y_lo, y_hi), y_lo, y_hi)
 
 
 def _audited_areas(system: PlanarWellSystem, e, y_lo, y_hi, area) -> np.ndarray:
@@ -326,9 +339,11 @@ def closed_orbit_at_energy(system: PlanarWellSystem, e: float) -> OrbitRecord:
     contour, audited against the independent quadrature route to a
     relative 1e-4.
     """
-    pts, y_lo, y_hi, area = _closed_level(system, e)
-    action = float(_audited_areas(system, [e], [y_lo], [y_hi], [area])[0])
-    period = _period_quadrature(system, e, y_lo, y_hi)
+    es = np.array([e], dtype=float)
+    x, y, y_lo, y_hi = _closed_levels(system, es)
+    action = float(_audited_areas(system, es, y_lo, y_hi, _shoelace(x, y))[0])
+    period = _period_quadrature(system, e, float(y_lo[0]), float(y_hi[0]))
+    pts = np.column_stack([np.append(x[0], x[0, 0]), np.append(y[0], y[0, 0])])
     return OrbitRecord(samples=pts, period=period, energy=e, action=action)
 
 
@@ -399,15 +414,16 @@ def label_action_floor(system: PlanarWellSystem, e: float) -> float:
 
 
 def _label_floors(system: PlanarWellSystem, es: np.ndarray) -> np.ndarray:
-    """`label_action_floor` at every energy of es: contours level by level,
-    their areas audited in one kernel call."""
+    """`label_action_floor` at every energy of es: the turning points of
+    all levels above the threshold in one solve, their contours in one
+    array call of the well, and their areas audited in one kernel call."""
     threshold = -system.well.C ** 2 / (4.0 * system.b ** 2)
     floors = math.pi * system.a ** 2 * (1.0 - es)
     above = es >= threshold
     if above.any():
-        _, y_lo, y_hi, area = zip(*(_closed_level(system, float(e))
-                                    for e in es[above]))
-        floors[above] = _audited_areas(system, es[above], y_lo, y_hi, area)
+        x, y, y_lo, y_hi = _closed_levels(system, es[above])
+        floors[above] = _audited_areas(system, es[above], y_lo, y_hi,
+                                       _shoelace(x, y))
     return floors
 
 

@@ -2,7 +2,7 @@
 
 A sphere map phi with conformal factor c lifts to the homogeneous map
 (r, theta) -> (r / c(theta), phi(theta)), which is singular at 0.  The
-smoothed version flows the ambient Hamiltonian chi(r) * r * K_t(theta)
+smoothed version flows the ambient Hamiltonian chi(r) * r * K(theta)
 instead: the radial switch chi vanishes on a small ball (so the flow is
 exactly the identity there) and equals 1 far enough out that trajectories
 of the homogeneous flow never see the transition band — agreement outside
@@ -12,7 +12,7 @@ not of any error estimate.
 The smoothed map steps on its isotopy's time grid in one RK4 loop that
 also carries sphere rows: 512 seeded probes of the conformal factor, and
 the rows of a homogeneous lift when one is asked for (`map_and_lift`).
-Each stage evaluates K_t once on all rows stacked; the ambient rows then
+Each stage evaluates K once on all rows stacked; the ambient rows then
 take the map's chi-weighted field and the sphere rows Y_K and dK(R), so
 the two routes share only the evaluation of K.  Every integration checks
 the probes' sampled conformal factor against the rate-derived
@@ -90,18 +90,15 @@ def _conformal_envelope(cert: SmoothingCertificate, lo: float, hi: float):
 def _rate_envelope(iso: ContactIsotopy):
     """Bound (min, max) of the conformal factor from the generator's rate.
 
-    log c is the time integral of dK_t(R), so a sup bound on that rate over
-    the sphere bounds the factor itself uniformly over all trajectories —
-    no dependence on which trajectories happen to get sampled.  The sup is
-    taken on a seeded 4096-point sphere grid at 9 equally spaced times and
-    inflated by 25% to cover between-node variation.
+    log c is the time integral of dK(R) over [0, 1], so a sup bound on that
+    rate over the sphere bounds the factor itself uniformly over all
+    trajectories — no dependence on which trajectories happen to get
+    sampled.  The generator is autonomous, so the rate is one function on
+    the sphere: its extremes are taken on a seeded 4096-point sphere grid
+    and inflated by 25% to cover what the grid misses between its points.
     """
-    th = sampling.sphere_points(iso.n, 4096, 7)
-    lo, hi = 0.0, 0.0
-    for t in np.linspace(0.0, 1.0, 9):
-        rate = reeb_derivative(iso.hamiltonian_at(t), th)
-        lo = min(lo, float(np.min(rate)))
-        hi = max(hi, float(np.max(rate)))
+    rate = reeb_derivative(iso.hamiltonian, sampling.sphere_points(iso.n, 4096, 7))
+    lo, hi = min(0.0, float(np.min(rate))), max(0.0, float(np.max(rate)))
     with np.errstate(over="ignore"):  # an overflow is reported by the caller
         return np.exp(1.25 * lo), np.exp(1.25 * hi)
 
@@ -134,8 +131,8 @@ class SmoothedSymplectization:
         self.step = iso.step
         self._probes = sampling.sphere_points(iso.n, 512, 7)
 
-    def _stage(self, t, zs, th):
-        """One RK stage of both routes from one K_t kernel call on the map's
+    def _stage(self, zs, th):
+        """One RK stage of both routes from one K kernel call on the map's
         live unit rows stacked over the sphere rows th: the map's field at
         zs, then (Y_K, dK(R)) at th."""
         cert = self.certificate
@@ -147,7 +144,7 @@ class SmoothedSymplectization:
         sq = np.sqrt(rl)
         u = z / sq[:, None]
         # u and th are column-major, so their stack is too
-        Kv, g = self.iso.hamiltonian_at(t).value_and_grad(np.concatenate([u, th]))
+        Kv, g = self.iso.hamiltonian.value_and_grad(np.concatenate([u, th]))
         nl = u.shape[0]
         tang = tangential(g[:nl], u)
         chi, chi_d = cutoff_with_deriv(rl, cert.chi_zero_below, cert.chi_one_above)
@@ -173,13 +170,10 @@ class SmoothedSymplectization:
         n_steps = max(1, int(round(abs(t_final) / self.step)))
         h = t_final / n_steps
         for i in range(n_steps):
-            t = i * h
-            k1, f1, c1 = self._stage(t, z, th)
-            k2, f2, c2 = self._stage(t + 0.5 * h, z + 0.5 * h * k1,
-                                     _renorm(th + 0.5 * h * f1))
-            k3, f3, c3 = self._stage(t + 0.5 * h, z + 0.5 * h * k2,
-                                     _renorm(th + 0.5 * h * f2))
-            k4, f4, c4 = self._stage(t + h, z + h * k3, _renorm(th + h * f3))
+            k1, f1, c1 = self._stage(z, th)
+            k2, f2, c2 = self._stage(z + 0.5 * h * k1, _renorm(th + 0.5 * h * f1))
+            k3, f3, c3 = self._stage(z + 0.5 * h * k2, _renorm(th + 0.5 * h * f2))
+            k4, f4, c4 = self._stage(z + h * k3, _renorm(th + h * f3))
             z = _rk4_increment(h, k1, k2, k3, k4) + z
             th = _renorm(_rk4_increment(h, f1, f2, f3, f4) + th)
             logc += _rk4_increment(h, c1, c2, c3, c4)

@@ -478,11 +478,12 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
     monkeypatch.setattr(cli, "random_hamiltonian", counted_generator)
     code, _, err = run_cli(capsys, ["smoothing-audit", "--points", "10"])
     assert code == 0 and err == ""
-    # 9 rate-bound times, then 1000 steps x 4 stages, each stage one call
-    # on the map's live rows, the 10 lift rows and the 512 probes
-    assert len(rows) == 9 + 1000 * 4
-    assert rows[:9] == [4096] * 9
-    assert min(rows[9:]) >= 10 + 512
+    # one call for the autonomous generator's rate bound, then 1000 steps x
+    # 4 stages, each stage one call on the map's live rows, the 10 lift
+    # rows and the 512 probes
+    assert len(rows) == 1 + 1000 * 4
+    assert rows[0] == 4096
+    assert min(rows[1:]) >= 10 + 512
 
 
 @pytest.mark.parametrize("argv", [
@@ -616,26 +617,31 @@ def test_spectrum_never_confirms_on_an_empty_scan(tmp_path, capsys):
     assert res["scan_confirms_bound"] is False
 
 
-def test_capacity_run_loads_no_heavy_scipy_modules():
-    # A fresh interpreter pays for every import; scipy.stats, optimize and
-    # integrate are only loaded by the commands that use them, and the
-    # package itself never imports scipy.integrate.
-    heavy = {"capacity": ("scipy.stats", "scipy.optimize", "scipy.integrate"),
-             "spectrum": ("scipy.stats", "scipy.integrate")}
-    for argv in (["capacity", "--hyperboloid", "--a", "1", "--b", "1"],
-                 ["spectrum", "--labels", "20"]):
-        proc = run_python(["-c", (
-            "import sys\n"
-            "from symcone import cli\n"
-            f"code = cli.main({argv!r})\n"
-            f"heavy = {heavy[argv[0]]!r}\n"
-            "print(code, [m for m in heavy if m in sys.modules], file=sys.stderr)\n")])
-        assert proc.stderr == "0 []\n"
-        assert json.loads(proc.stdout)["config"]["command"] == argv[0]
+def test_no_subcommand_loads_scipy():
+    # scipy is a test dependency only: every subcommand, run at a tiny size
+    # in a fresh interpreter, leaves no scipy module loaded (the sandwich
+    # and capacity runs estimate metadata, so they draw the Beta law), and
+    # no file of the package names it
+    runs = [["spectrum", "--labels", "20"],
+            ["sandwich", "--expr", "1 * bump(rho; 1, 3)", "--samples", "1000"],
+            ["capacity", "--expr", "1 * bump(rho; 1, 3)"],
+            ["squeeze", "--candidates", "1", "--samples", "100"],
+            ["metric", "--grid", "100", "--pool", "1"],
+            ["smoothing-audit", "--points", "1"]]
+    assert sorted(argv[0] for argv in runs) == sorted(cli._COMMANDS)
+    proc = run_python(["-c", (
+        "import contextlib, io, sys\n"
+        "from symcone import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, [m for m in sys.modules\n"
+        "                          if m == 'scipy' or m.startswith('scipy.')])\n")])
+    assert proc.stdout.splitlines() == [f"{argv[0]} 0 []" for argv in runs], proc.stderr
     src = Path(symcone.__file__).resolve().parent
-    for path in src.glob("*.py"):
-        text = path.read_text(encoding="utf-8")
-        assert "scipy.integrate" not in text and "import integrate" not in text, path
+    for path in src.rglob("*"):
+        if path.is_file() and "__pycache__" not in path.parts:
+            assert "scipy" not in path.read_text(encoding="utf-8"), path
 
 
 def test_capacity_seed_reaches_the_estimated_metadata(capsys, tmp_path):

@@ -128,11 +128,30 @@ def test_well_band_slope_matches_fd(well3):
 
 def test_well_minimum_window(well3):
     t_min, v_min = well3.min_point()
-    assert abs(t_min - 2.991912307690364) < 1e-9
-    assert abs(v_min - -8.91413614821392) < 1e-9
+    # the root of step7(u) = 1/4 and g there, to 20 digits (mpmath at 50)
+    assert abs(t_min - 2.9919123276354009749) < 1e-14
+    assert abs(v_min - -8.9141361482140494206) < 1e-14
     # Contract window: the minimum sits within eps above -C^2, near t = C.
     assert -9.0 <= v_min <= -9.0 + well3.eps
     assert abs(t_min - 3.0) <= well3.eps
+
+
+@pytest.mark.parametrize("C, eps_share", [(0.5, 1 / 12), (2.0, 1 / 50), (3.0, 1 / 12),
+                                          (8.0, 1 / 50), (40.0, 1 / 12)])
+def test_well_minimum_matches_minimize_scalar(C, eps_share):
+    # scipy's bounded Brent search stops once it is within sqrt(eps) |x| +
+    # xatol / 3 of its root, so it is no closer than that (1.0e-7 off at
+    # C = 40); the bisection's t is where g' changes sign between adjacent
+    # floats, and its g(t) is never above scipy's
+    from scipy import optimize
+
+    well = build_smoothed_well(C, C * eps_share)
+    t, v = well.min_point()
+    res = optimize.minimize_scalar(well.value_at, bounds=well.band, method="bounded",
+                                   options={"xatol": 1e-13})
+    assert abs(t - res.x) <= np.sqrt(np.finfo(float).eps) * res.x + 1e-13
+    assert v <= res.fun and v == well.value_at(t)
+    assert well.deriv_at(np.nextafter(t, 0.0)) < 0.0 <= well.deriv_at(t)
 
 
 def test_well_derivative_matches_value(well3):

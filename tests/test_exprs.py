@@ -184,8 +184,8 @@ def test_rhs_agrees_with_the_finite_difference_route():
 
     plain = ContactHamiltonian(H.eval_fn, k=H.k, n=H.n, meta=H.meta, grad_fn=fd_pair)
     th = sphere(np.random.default_rng(26), 200, 4)
-    Y, rate = ContactIsotopy(H)._rhs(0.0, th)
-    Y_fd, rate_fd = ContactIsotopy(plain)._rhs(0.0, th)
+    Y, rate = ContactIsotopy(H)._rhs(th)
+    Y_fd, rate_fd = ContactIsotopy(plain)._rhs(th)
     np.testing.assert_allclose(Y, Y_fd, atol=1e-6)
     np.testing.assert_allclose(rate, rate_fd, atol=1e-6)
 

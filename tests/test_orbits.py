@@ -79,13 +79,56 @@ def test_turning_points_lie_on_level(planar3):
         turning_points(planar3, planar3.min_energy() - 0.1)
 
 
-def test_turning_points_widen_the_bracket_for_high_levels(planar3):
-    # at e = 100 the first bracket end 2C = 6 is still below the level,
-    # so the search doubles it before the root finder runs
+def test_turning_points_solve_the_outer_branch_for_high_levels(planar3):
+    # at e = 100, far past 2C = 6, the crossing is the outer branch's root
+    # sqrt((e + 4C^2)/3) = sqrt(136/3), and g = 3y^2 - 36 there is e to
+    # within an ulp of 3y^2 = 136
     assert planar3.well.value_at(2.0 * planar3.well.C) < 100.0
     y_lo, y_hi = turning_points(planar3, 100.0)
-    assert (y_lo, y_hi) == (-6.733003292241385, 6.733003292241385)
-    assert planar3.well.value_at(y_hi) == 100.0
+    assert (y_lo, y_hi) == (-math.sqrt(136.0 / 3.0), math.sqrt(136.0 / 3.0))
+    assert abs(planar3.well.value_at(float(y_hi)) - 100.0) <= np.spacing(136.0)
+
+
+def _brentq_turning_points(system, e):
+    """The scalar brentq route the batched turning points replaced: each
+    crossing bracketed by the minimum and a band edge or 2C."""
+    from scipy import optimize
+
+    well, target = system.well, system.b ** 2 * e
+    t_min = well.min_point()[0]
+
+    def f(y):
+        return well.value_at(y) - target
+
+    y_top = optimize.brentq(f, t_min, max(2.0 * well.C, 2.0 * t_min),
+                            xtol=1e-15, rtol=8.9e-16, maxiter=300)
+    if e >= 0.0:
+        return -y_top, y_top
+    return optimize.brentq(f, 0.0, t_min, xtol=1e-15, rtol=8.9e-16,
+                           maxiter=300), y_top
+
+
+@pytest.mark.parametrize("C", [2.0, 4.0, 8.0])
+def test_turning_points_match_brentq_on_every_criterion_03_level(C):
+    # every level of the criterion-03 scan of 1000 labels, the deep ones
+    # whose crossings lie in the blend band included: within brentq's own
+    # xtol of 1e-15, plus 4 ulps of y, plus what 8 ulps of the level move
+    # the crossing, 8 ulp(e) / |g'(y)|, which rules at the deepest levels,
+    # where g' nearly vanishes
+    system = PlanarWellSystem(a=1.0, b=1.0, well=build_smoothed_well(C, C / 12.0))
+    e_min = system.min_energy()
+    es = np.linspace(e_min + 1e-9 * max(1.0, abs(e_min)), 1.0, 1000)
+    es = es[np.abs(es) >= 1e-9]
+    y_lo, y_hi = turning_points(system, es)
+    want_lo, want_hi = np.array([_brentq_turning_points(system, e)
+                                 for e in es.tolist()]).T
+    t_lo, t_hi = system.well.band
+    in_band = ((want_lo > t_lo) & (want_lo < t_hi)) | (want_hi < t_hi)
+    assert in_band.any() and not in_band.all()
+    for got, want in ((y_lo, want_lo), (y_hi, want_hi)):
+        slope = np.abs(system.well.deriv(want))
+        assert np.all(np.abs(got - want) <= 1e-15 + 4.0 * np.spacing(np.abs(want))
+                      + 8.0 * np.spacing(np.abs(es)) / slope)
 
 
 def test_closed_orbit_closure_and_mirror(planar3):
@@ -151,7 +194,7 @@ def test_kernel_matches_scipy_quad_on_every_scan_level(C):
     e_min = system.min_energy()
     grid = np.linspace(e_min + 1e-9 * max(1.0, abs(e_min)), 1.0, 200)
     es = grid[(grid >= -C * C / 4.0) & (np.abs(grid) >= 1e-9)]
-    _, y_lo, y_hi, _ = zip(*(orbits._closed_level(system, float(e)) for e in es))
+    y_lo, y_hi = turning_points(system, es)
     area = orbits._action_quadrature(system, es, y_lo, y_hi)
     ref = [2.0 * _quad_level(system, e, lo, hi, lambda w, val: w * math.sqrt(val))
            for e, lo, hi in zip(es, y_lo, y_hi)]
@@ -239,11 +282,11 @@ def test_spectrum_round_actions_and_scan(domain3):
 
 
 def test_level_scan_keeps_to_the_scalar_well(domain3, monkeypatch):
-    # Root finding evaluates g one point at a time on the float form, never
-    # on 0-d arrays through the array form.  The array form serves one
-    # contour per audited level and one call per round of the quadrature
-    # kernel, whose first round holds one panel per blend-band piece of
-    # every audited level at once.
+    # No 0-d array reaches the array form of g.  It serves one contour call
+    # for all audited levels at once, a row of CONTOUR_POINTS each, and one
+    # call per round of the quadrature kernel, whose first round holds one
+    # panel per blend-band piece of every audited level.  Every turning
+    # point of the scan lies past the band, so no bisection runs.
     array_value = SmoothedWell.value
     shapes = []
 
@@ -255,12 +298,10 @@ def test_level_scan_keeps_to_the_scalar_well(domain3, monkeypatch):
     spec = characteristic_spectrum(domain3, 10.0, scan_labels=20)
     assert spec.labels_scanned == 20
     assert () not in shapes
-    contours = shapes.count((orbits.CONTOUR_POINTS,))
-    rounds = [shape for shape in shapes if len(shape) == 2]
-    assert 0 < contours <= spec.labels_scanned
-    assert len(shapes) == contours + len(rounds)
+    (levels, points), rounds = shapes[0], shapes[1:]
+    assert 0 < levels <= spec.labels_scanned and points == orbits.CONTOUR_POINTS
     assert 0 < len(rounds) <= orbits._GK_ROUNDS
-    assert contours <= rounds[0][0] <= 5 * contours
+    assert levels <= rounds[0][0] <= 5 * levels
     assert all(shape[1] == orbits._GK_NODES.size for shape in rounds)
 
 
@@ -282,23 +323,22 @@ def test_level_scan_computes_no_period(domain3, monkeypatch):
 
 def test_level_scan_searches_the_well_minimum_once(monkeypatch):
     # Every label needs the well's minimum; it is searched once per well
-    # and held on it without becoming a field.
-    from scipy import optimize
+    # and held on it without becoming a field.  The search is a bisection
+    # on the sign of g', the only reader of deriv_at in a scan.
+    deriv_at, calls = SmoothedWell.deriv_at, []
 
-    minimize_scalar, calls = optimize.minimize_scalar, []
+    def counting(self, t):
+        calls.append(t)
+        return deriv_at(self, t)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return minimize_scalar(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "minimize_scalar", counting)
+    monkeypatch.setattr(SmoothedWell, "deriv_at", counting)
     well = build_smoothed_well(C=3.0, eps=0.25)
+    searched = len(calls)
+    assert 40 <= searched <= 64  # halvings of the band down to one ulp
     D = IntegrableDomain(n=2, k=1, a=1.0, b=1.0, well=well)
     spec = characteristic_spectrum(D, 10.0, scan_labels=20)
-    assert spec.labels_scanned == 20 and len(calls) == 1
-    res = minimize_scalar(well.value_at, bounds=well.band, method="bounded",
-                          options={"xatol": 1e-13})
-    assert well.min_point() == (float(res.x), float(res.fun))
+    assert spec.labels_scanned == 20 and len(calls) == searched
+    assert well.min_point() == well.min_point() and len(calls) == searched
     assert [f.name for f in dataclasses.fields(well)] == ["C", "eps", "delta"]
     assert well == SmoothedWell(C=well.C, eps=well.eps, delta=well.delta)
 

@@ -158,7 +158,7 @@ def test_squeeze_witness_guards():
 
 def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
     iso, sm = tame_map
-    K = iso.hamiltonian_at(0.0)
+    K = iso.hamiltonian
     original, grads = K.grad_fn, []
 
     def counted(th):
