@@ -87,7 +87,8 @@ class NonsqueezingReport:
 def candidate_pool(n: int, k: int, count: int, seed: int = 0,
                    eps: float = 0.05) -> list:
     """Smoothed symplectizations of random compactly supported isotopies,
-    flowed at step 1e-2.
+    each stepping on the ladder's largest passing rung from a floor of
+    1e-2 (`SmoothedSymplectization._choose_step`).
 
     The generator amplitude 0.15 keeps the conformal envelope moderate, so
     the smoothed maps act nontrivially at unit scale instead of pushing

@@ -28,8 +28,8 @@ from .growth import dw_bound_check, equivalence_and_order, random_family, scalin
 from .jsonio import dumps_json, fmt_float, load_config, write_csv
 from .orbits import characteristic_spectrum, clears_bound
 from . import sampling
-from .smoothing import (SmoothedSymplectization, symplecticity_defect_of_images,
-                        symplecticity_stencil)
+from .smoothing import (AUDIT_TOL, IDENTITY_TOL, SmoothedSymplectization,
+                        symplecticity_defect_of_images, symplecticity_stencil)
 
 
 class _Param(NamedTuple):
@@ -288,8 +288,9 @@ def cmd_smoothing_audit(params: dict):
     zs_all = np.sqrt(r_all)[:, None] * sampling.sphere_points(n, 100, seed + 3)
 
     # One integration serves all three checks and the direct lift: the
-    # fixed-step flow treats rows independently, so each block's images
-    # are bitwise those of its own call, for one call's fixed overhead.
+    # map's step is chosen at construction, not from the rows, so each
+    # block's images are bitwise those of its own call, for one call's
+    # fixed overhead.
     images, direct = sm.map_and_lift(
         np.concatenate([zs_in, zs_out, symplecticity_stencil(zs_all)]), zs_out)
     moved = np.linalg.norm(images[:pts] - zs_in, axis=1)
@@ -299,14 +300,14 @@ def cmd_smoothing_audit(params: dict):
 
     checks = {
         "identity_ball_max_move": identity_max,
-        "identity_ball_pass": bool(identity_max < 1e-9),
+        "identity_ball_pass": bool(identity_max < IDENTITY_TOL),
         "agreement_max_diff": agree_max,
-        "agreement_pass": bool(agree_max < 1e-6),
+        "agreement_pass": bool(agree_max < AUDIT_TOL),
         "symplecticity_defect": defect,
-        "symplecticity_pass": bool(defect < 1e-6),
+        "symplecticity_pass": bool(defect < AUDIT_TOL),
     }
     result = {"M": cert.M, "m": cert.m, "K_factor": cert.K_factor,
-              "eps": eps, "checks": checks}
+              "eps": eps, "step": sm.step_choice, "checks": checks}
     if not all(v for key, v in checks.items() if key.endswith("_pass")):
         return result, (4, "smoothing audit failed")
     return result, None

@@ -135,6 +135,11 @@ def _rk4_increment(h, k1, k2, k3, k4):
     return k2
 
 
+def _step_count(span: float, step: float) -> int:
+    """Fixed RK4 steps over a time span on a nominal step."""
+    return max(1, int(round(abs(span) / step)))
+
+
 def _field_and_rate(Kv, g, th):
     """(Y_K, dK(R)) at unit rows th, from K's values and ambient gradients
     there (one value_and_grad call); Y_K is the tangential part of the
@@ -186,7 +191,7 @@ class ContactIsotopy:
         """
         th = _renorm(np.asfortranarray(_rows(thetas)))
         span = t_to - t_from
-        n_steps = max(1, int(round(abs(span) / self.step)))
+        n_steps = _step_count(span, self.step)
         h = span / n_steps
         logc = np.zeros(th.shape[0])
         for i in range(n_steps):

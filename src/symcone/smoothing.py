@@ -5,30 +5,61 @@ A sphere map phi with conformal factor c lifts to the homogeneous map
 smoothed version flows the ambient Hamiltonian chi(r) * r * K(theta)
 instead: the radial switch chi vanishes on a small ball (so the flow is
 exactly the identity there) and equals 1 far enough out that trajectories
-of the homogeneous flow never see the transition band — agreement outside
-a certified multiple of the ball is then a consequence of ODE uniqueness,
-not of any error estimate.
+of the homogeneous flow never see the transition band.  Outside a
+certified multiple of the ball the exact smoothed flow therefore equals
+the exact lift by ODE uniqueness; what the agreement check measures is
+the gap between two RK4 discretisations of that one flow, the ambient
+rows and the sphere rows with their log conformal factor, at the map's
+step.
 
-The smoothed map steps on its isotopy's time grid in one RK4 loop that
-also carries sphere rows: 512 seeded probes of the conformal factor, and
-the rows of a homogeneous lift when one is asked for (`map_and_lift`).
-Each stage evaluates K once on all rows stacked; the ambient rows then
-take the map's chi-weighted field and the sphere rows Y_K and dK(R), so
-the two routes share only the evaluation of K.  Every integration checks
-the probes' sampled conformal factor against the rate-derived
-certificate before it returns anything.
+The map chooses that step once, at construction, from the ladder
+iso.step * 2^j (j < LADDER_RUNGS): the largest rung whose step-doubling
+estimate of the time-1 error on pilot rows the map owns is at most
+STEP_TOL (`SmoothedSymplectization._choose_step`).  The pilot measures
+the top rungs only, the same for every isotopy, and predicts the rungs
+below them from the observed order of the error.  It then steps every
+integration on that grid in one RK4 loop that also carries sphere rows:
+512 seeded probes of the conformal factor, and the rows of a homogeneous
+lift when one is asked for (`map_and_lift`).  Each stage evaluates K
+once on all rows stacked; the ambient rows then take the map's
+chi-weighted field and the sphere rows Y_K and dK(R), so the two routes
+share only the evaluation of K.  Every integration checks the probes'
+sampled conformal factor against the rate-derived certificate before it
+returns anything.
 """
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .blends import cutoff_with_deriv, plateau_bump
 from .contact import (ContactIsotopy, _field_and_rate, _renorm, _rk4_increment,
-                      reeb_derivative)
+                      _step_count, reeb_derivative)
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
 from . import sampling
 
+# the smoothing contract's thresholds: points of the identity ball move by
+# less than IDENTITY_TOL, and the lift agreement and the symplecticity
+# defect stay below AUDIT_TOL
+IDENTITY_TOL = 1e-9
+AUDIT_TOL = 1e-6
+# the step-doubling tolerance of the map's RK4 step: 1% of AUDIT_TOL, so
+# the discretisation spends a small share of the audit's margin
+STEP_TOL = 1e-8
+# rungs of the step ladder iso.step * 2^j; the floor is the isotopy's step
+LADDER_RUNGS = 6
+# the top rungs whose step-doubling estimates the pilot measures; a rung
+# below them is predicted from the observed order of the error, which must
+# be at least ORDER_MIN (RK4's is 4) for the prediction to be used
+MEASURED_RUNGS = 3
+ORDER_MIN = 3.5
+# pilot rows of the step choice: every PILOT_PROBE_STRIDE-th probe and
+# PILOT_AMBIENT ambient rows, 112 rows in all, since a stage under 128
+# rows costs little more than its fixed overhead
+PILOT_PROBE_STRIDE = 8
+PILOT_AMBIENT = 48
 # the finite-difference step of the symplecticity check: the stencil rows
 # and the Jacobians built from their images must use the same one
 FD_STEP = 3e-4
@@ -75,11 +106,11 @@ class SmoothingCertificate:
 
 def _conformal_envelope(cert: SmoothingCertificate, lo: float, hi: float):
     """Audit of the certificate by sampling: (lo, hi) are the extremes of
-    log c over the 512 seeded sphere probes that ride in every smoothed-map
-    integration, read at the ends of 50 equal time chunks (and 0 at the
-    start).  Raises AuditError when the sampled factor leaves (m, M): the
-    rate grid then missed structure and the certificate would be built on
-    sand."""
+    log c over the seeded sphere probes that ride in a smoothed-map
+    integration (all 512, or the step choice's subset), read at the ends
+    of 50 equal time chunks (and 0 at the start).  Raises AuditError when
+    the sampled factor leaves (m, M): the rate grid then missed structure
+    and the certificate would be built on sand."""
     m_samp, M_samp = np.exp(lo), np.exp(hi)
     if M_samp > cert.M or m_samp < cert.m:
         raise AuditError(f"sampled conformal factor escapes its bound: "
@@ -103,13 +134,31 @@ def _rate_envelope(iso: ContactIsotopy):
         return np.exp(1.25 * lo), np.exp(1.25 * hi)
 
 
+@dataclass(frozen=True)
+class StepChoice:
+    """The map's RK4 step h, the ladder rung floor * 2^j chosen at
+    construction.  estimate is the step-doubling estimate of h's time-1
+    error on the pilot rows, at most tol: measured on the top
+    MEASURED_RUNGS rungs, predicted from the observed order below them.
+    It is None at the floor, which the map takes unmeasured when no rung
+    above it passes."""
+
+    h: float
+    estimate: Optional[float]
+    tol: float
+    floor: float
+
+
 class SmoothedSymplectization:
     """Time-1 map of the cutoff Hamiltonian flow, with its certificate.
 
-    The certificate comes from the rate bound at construction.  The map
-    integrates on the isotopy's step, and each integration flows the 512
-    conformal-factor probes beside its rows and audits them
-    (`_conformal_envelope`) before it returns an image.
+    The certificate comes from the rate bound at construction, and so
+    does the RK4 step (`_choose_step`, reported as `step_choice`): the
+    map never steps finer than the isotopy it is given, and `self.iso`
+    is that isotopy at the chosen step.  Every integration runs on that
+    step, whatever its rows, so a row's image does not depend on the rows
+    beside it; each flows the 512 conformal-factor probes beside its rows
+    and audits them (`_conformal_envelope`) before it returns an image.
     """
 
     def __init__(self, iso: ContactIsotopy, eps: float):
@@ -128,8 +177,10 @@ class SmoothedSymplectization:
             M=M, m=m, K_factor=K_factor, eps=float(eps),
             chi_zero_below=float(eps), chi_one_above=4.0 * eps / m,
         )
-        self.step = iso.step
         self._probes = sampling.sphere_points(iso.n, 512, 7)
+        self.step_choice = self._choose_step(iso.step)
+        self.step = self.step_choice.h
+        self.iso = ContactIsotopy(iso.hamiltonian, step=self.step)
 
     def _stage(self, zs, th):
         """One RK stage of both routes from one K kernel call on the map's
@@ -154,20 +205,16 @@ class SmoothedSymplectization:
         out[live] = symplectic_gradient(grad)
         return (out,) + _field_and_rate(Kv[nl:], g[nl:], th)
 
-    def _integrate(self, zs, thetas, t_final):
-        """Lockstep RK4 over [0, t_final]: the ambient rows zs under the
-        map's field, and the sphere rows thetas, then the probes, as
-        `ContactIsotopy.flow_many` steps them.  Returns the images of zs
-        and the ends and log conformal factors of thetas, once the probes
-        have passed `_conformal_envelope`.  Both batches are held
-        column-major (see `geometry`), so the images come back
-        Fortran-ordered."""
-        z = np.array(np.atleast_2d(zs), dtype=float, order="F")
-        nt = len(thetas)
-        th = _renorm(np.asfortranarray(np.concatenate([thetas, self._probes])))
+    def _flow(self, z, th, n_probes, t_final, n_steps):
+        """Lockstep RK4 over [0, t_final] in n_steps equal steps: the
+        column-major ambient rows z under the map's field, and the
+        column-major unit sphere rows th as `ContactIsotopy.flow_many` steps
+        them.  Returns (images, ends, log conformal factors, lo, hi), where
+        (lo, hi) are the extremes of log c over the last n_probes sphere
+        rows at the ends of 50 equal time chunks (and 0 at the start).
+        Raises IntegrationError when a step leaves the finite numbers."""
         logc = np.zeros(th.shape[0])
         lo, hi = 0.0, 0.0
-        n_steps = max(1, int(round(abs(t_final) / self.step)))
         h = t_final / n_steps
         for i in range(n_steps):
             k1, f1, c1 = self._stage(z, th)
@@ -180,8 +227,96 @@ class SmoothedSymplectization:
             if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
                 raise IntegrationError("smoothed flow diverged", {"step_index": i})
             if (i + 1) * 50 // n_steps > i * 50 // n_steps:  # a chunk ends
-                lo = min(lo, float(np.min(logc[nt:])))
-                hi = max(hi, float(np.max(logc[nt:])))
+                lo = min(lo, float(np.min(logc[-n_probes:])))
+                hi = max(hi, float(np.max(logc[-n_probes:])))
+        return z, th, logc, lo, hi
+
+    def _pilot_rows(self):
+        """The rows the step choice integrates: ambient rows log-spaced in
+        squared radius over (eps, 8 K_factor eps], through the chi band and
+        the conjugated zone, and every PILOT_PROBE_STRIDE-th probe, both
+        column-major."""
+        cert = self.certificate
+        r = cert.eps * np.geomspace(1.0, 8.0 * cert.K_factor, PILOT_AMBIENT + 1)[1:]
+        dirs = sampling.sphere_points(self.iso.n, PILOT_AMBIENT, 11)
+        return (np.asfortranarray(np.sqrt(r)[:, None] * dirs),
+                _renorm(np.asfortranarray(self._probes[::PILOT_PROBE_STRIDE])))
+
+    def _choose_step(self, floor):
+        """The largest rung h = floor * 2^j (j < LADDER_RUNGS) whose
+        step-doubling estimate is at most STEP_TOL, as a `StepChoice`.
+
+        The pilot runs the `_pilot_rows` to time 1 at the step counts of
+        the top MEASURED_RUNGS rungs and of twice the top step, whatever
+        the isotopy, so every map pays the same pilot steps.  Rung j's
+        estimate is |y_2h - y_h| / (ratio^4 - 1), where y_h is the pilot's
+        time-1 state (the ambient images, and the probes' ends and log c;
+        the gap is the largest row norm of any of the three differences)
+        and ratio is the pair's actual step ratio, 2 up to the rounding of
+        the step counts.  A pilot run that diverges or whose probes leave
+        the certificate fails its rungs without raising.
+
+        When no measured rung passes, the two lowest measured estimates
+        give the observed order p of the error, and a rung below them is
+        predicted at the lowest one times (h / h_low)^min(p, 4): capping p
+        at RK4's order can only overstate an error that falls faster.  The
+        prediction is trusted only when p is at least ORDER_MIN; the floor
+        is taken unmeasured when no rung above it passes or no order can
+        be trusted.
+        """
+        pilot_z, pilot_th = self._pilot_rows()
+        top = LADDER_RUNGS - 1
+        low = max(1, LADDER_RUNGS - MEASURED_RUNGS)
+        counts = {j: _step_count(1.0, floor * 2.0 ** j) for j in range(top + 2)}
+        runs = {}
+        for j in range(low, top + 2):
+            try:
+                z, th, logc, lo, hi = self._flow(
+                    pilot_z, pilot_th, len(pilot_th), 1.0, counts[j])
+                _conformal_envelope(self.certificate, lo, hi)
+                runs[j] = z, th, logc
+            except (IntegrationError, AuditError):
+                runs[j] = None
+
+        estimates = {}
+        for j in range(low, top + 1):
+            n, m = counts[j], counts[j + 1]
+            if runs[j] is None or runs[j + 1] is None or m >= n:
+                estimates[j] = np.inf
+                continue
+            dz, dth, dlogc = (a - b for a, b in zip(runs[j], runs[j + 1]))
+            gap = max(float(np.max(np.sqrt(row_sum(dz * dz)))),
+                      float(np.max(np.sqrt(row_sum(dth * dth)))),
+                      float(np.max(np.abs(dlogc))))
+            estimates[j] = gap / ((n / m) ** 4 - 1.0)
+
+        for j in range(top, low - 1, -1):
+            if estimates[j] <= STEP_TOL:
+                return StepChoice(h=floor * 2.0 ** j, estimate=estimates[j],
+                                  tol=STEP_TOL, floor=floor)
+        e_low, e_next = estimates[low], estimates[low + 1]
+        if 0.0 < e_low < e_next < np.inf:
+            order = math.log(e_next / e_low) / math.log(counts[low] / counts[low + 1])
+            if order >= ORDER_MIN:
+                for j in range(low - 1, 0, -1):
+                    e = e_low * (counts[low] / counts[j]) ** min(order, 4.0)
+                    if e <= STEP_TOL:
+                        return StepChoice(h=floor * 2.0 ** j, estimate=e,
+                                          tol=STEP_TOL, floor=floor)
+        return StepChoice(h=floor, estimate=None, tol=STEP_TOL, floor=floor)
+
+    def _integrate(self, zs, thetas, t_final):
+        """Lockstep RK4 over [0, t_final] on the map's step (`_flow`): the
+        ambient rows zs, and the sphere rows thetas, then the probes.
+        Returns the images of zs and the ends and log conformal factors of
+        thetas, once the probes have passed `_conformal_envelope`.  Both
+        batches are held column-major (see `geometry`), so the images come
+        back Fortran-ordered."""
+        z = np.array(np.atleast_2d(zs), dtype=float, order="F")
+        nt = len(thetas)
+        th = _renorm(np.asfortranarray(np.concatenate([thetas, self._probes])))
+        z, th, logc, lo, hi = self._flow(z, th, len(self._probes), t_final,
+                                         _step_count(t_final, self.step))
         _conformal_envelope(self.certificate, lo, hi)
         return z, th[:nt], logc[:nt]
 

@@ -476,14 +476,20 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
         return K
 
     monkeypatch.setattr(cli, "random_hamiltonian", counted_generator)
-    code, _, err = run_cli(capsys, ["smoothing-audit", "--points", "10"])
+    code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "10"])
     assert code == 0 and err == ""
-    # one call for the autonomous generator's rate bound, then 1000 steps x
-    # 4 stages, each stage one call on the map's live rows, the 10 lift
-    # rows and the 512 probes
-    assert len(rows) == 1 + 1000 * 4
+    # one call for the autonomous generator's rate bound, then the step
+    # choice's pilot runs on the map's own 112 rows at most (the step
+    # counts of the top three rungs, 125, 62 and 31, and 16 for twice the
+    # top step, whatever rung is chosen), then round(1 / h) steps x 4
+    # stages at the chosen step h, each stage one call on the map's live
+    # rows, the 10 lift rows and the 512 probes
+    main = 4 * round(1.0 / float(json.loads(out)["result"]["step"]["h"]))
     assert rows[0] == 4096
-    assert min(rows[1:]) >= 10 + 512
+    pilot = rows[1:-main]
+    assert len(pilot) == 4 * (125 + 62 + 31 + 16)
+    assert max(pilot) <= smoothing.PILOT_AMBIENT + 512 // smoothing.PILOT_PROBE_STRIDE
+    assert min(rows[-main:]) >= 10 + 512
 
 
 @pytest.mark.parametrize("argv", [
@@ -507,8 +513,12 @@ def test_smoothing_audit_failure_is_exit_4(capsys):
                                       "--seed", "3", "--amplitude", "1.0"])
     assert code == 4
     assert "smoothing audit failed" in err
-    checks = json.loads(out)["result"]["checks"]
-    assert not (checks["agreement_pass"] and checks["symplecticity_pass"])
+    result = json.loads(out)["result"]
+    assert not (result["checks"]["agreement_pass"]
+                and result["checks"]["symplecticity_pass"])
+    # no rung above the floor passes: the map steps on the floor, unmeasured
+    assert result["step"] == {"h": "0.001", "estimate": None,
+                              "tol": "1e-08", "floor": "0.001"}
 
 
 @pytest.mark.parametrize("amplitude", ["-1", "0"])

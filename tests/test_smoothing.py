@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from symcone import (
     symplectize_ambient,
     symplecticity_defect,
 )
-from symcone import smoothing
-from symcone.smoothing import symplecticity_defect_of_images, symplecticity_stencil
+from symcone import IntegrationError, smoothing
+from symcone.smoothing import (LADDER_RUNGS, MEASURED_RUNGS, ORDER_MIN, STEP_TOL,
+                               StepChoice, symplecticity_defect_of_images,
+                               symplecticity_stencil)
 
 from conftest import sphere, zero_isotopy
 
@@ -80,9 +84,11 @@ def test_symplecticity_all_regions(tame_map):
 
 
 def test_stacked_blocks_map_bitwise_like_separate_calls(tame_map):
-    """The fixed-step flow treats rows independently, so one call on
-    stacked blocks gives each block exactly its own call's images."""
-    _, sm = tame_map
+    """The map's step is chosen at construction, not from the rows it is
+    called on, so one call on stacked blocks gives each block exactly its
+    own call's images."""
+    iso, sm = tame_map
+    assert sm.step > iso.step  # a chosen step, not the floor
     cert = sm.certificate
     rng = np.random.default_rng(34)
     base = shell(rng, 3, 4, 1e-4, cert.K_factor * sm.eps * 4.0)
@@ -127,8 +133,102 @@ def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
     monkeypatch.setattr(smoothing, "_rate_envelope", lambda iso: (1.0, 1.0))
     iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
     sm = SmoothedSymplectization(iso, 0.05)
+    # the step choice's pilot runs fail the same audit, without raising
+    assert sm.step_choice == StepChoice(h=iso.step, estimate=None,
+                                        tol=STEP_TOL, floor=iso.step)
     with pytest.raises(AuditError, match="escapes its bound"):
         sm(np.array([[0.1, 0.0, 0.0, 0.0]]))
+
+
+def doubling_estimate(sm, h):
+    """Reference step-doubling estimate of the time-1 error at step h on
+    the map's pilot rows: the largest gap between the runs at h and 2h,
+    over (2h / h)^4 - 1 with the steps the runs actually take."""
+    n, m = round(1.0 / h), round(0.5 / h)
+    z, th = sm._pilot_rows()
+    fine, coarse = (sm._flow(z, th, len(th), 1.0, k)[:3] for k in (n, m))
+    gap = max(np.max(np.linalg.norm(fine[0] - coarse[0], axis=1)),
+              np.max(np.linalg.norm(fine[1] - coarse[1], axis=1)),
+              np.max(np.abs(fine[2] - coarse[2])))
+    return gap / ((n / m) ** 4 - 1.0)
+
+
+def test_step_choice_is_the_largest_rung_within_tolerance(tame_map):
+    """Seed 31 needs the rung below the measured ones: its estimate is the
+    lowest measured estimate carried down at the observed order, and it
+    overstates that rung's own step-doubling estimate by less than 2x."""
+    iso, sm = tame_map
+    choice = sm.step_choice
+    assert choice.floor == iso.step and choice.tol == STEP_TOL
+    low = iso.step * 2.0 ** (LADDER_RUNGS - MEASURED_RUNGS)
+    assert choice.h == low / 2.0
+    assert sm.step == sm.iso.step == choice.h
+    assert sm.iso.hamiltonian is iso.hamiltonian
+    e_low, e_next = doubling_estimate(sm, low), doubling_estimate(sm, 2.0 * low)
+    assert e_low > STEP_TOL  # the next step up does not pass
+    n_low, n_next, n = round(1.0 / low), round(0.5 / low), round(1.0 / choice.h)
+    order = math.log(e_next / e_low) / math.log(n_low / n_next)
+    assert ORDER_MIN <= order
+    assert choice.estimate == pytest.approx(
+        e_low * (n_low / n) ** min(order, 4.0), rel=1e-12)
+    assert choice.estimate <= STEP_TOL
+    measured = doubling_estimate(sm, choice.h)
+    assert measured <= choice.estimate < 2.0 * measured
+    # a second construction chooses the same step
+    assert SmoothedSymplectization(iso, sm.eps).step_choice == choice
+    assert SmoothedSymplectization(
+        ContactIsotopy(random_hamiltonian(2, 1, seed=31, amplitude=0.1)),
+        sm.eps).step_choice == choice
+
+
+def test_measured_rung_carries_its_own_doubling_estimate():
+    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
+    sm = SmoothedSymplectization(iso, 0.05)
+    choice = sm.step_choice
+    assert choice.h == iso.step * 2.0 ** (LADDER_RUNGS - MEASURED_RUNGS)
+    assert choice.estimate == pytest.approx(doubling_estimate(sm, choice.h),
+                                            rel=1e-12)
+    assert choice.estimate <= STEP_TOL < doubling_estimate(sm, 2.0 * choice.h)
+
+
+def test_every_map_pays_the_same_pilot_steps(monkeypatch):
+    """The pilot runs the same step counts whichever rung a generator
+    takes, so a map's construction costs the same for every isotopy."""
+    pilot_steps = []
+    flow = SmoothedSymplectization._flow
+
+    def counted(self, z, th, n_probes, t_final, n_steps):
+        pilot_steps[-1].append(n_steps)
+        return flow(self, z, th, n_probes, t_final, n_steps)
+
+    monkeypatch.setattr(SmoothedSymplectization, "_flow", counted)
+    chosen = []
+    for seed in (12, 2, 31):
+        pilot_steps.append([])
+        iso = ContactIsotopy(random_hamiltonian(2, 1, seed=seed, amplitude=0.1))
+        chosen.append(SmoothedSymplectization(iso, 0.05).step)
+    assert chosen == [1.6e-2, 8e-3, 4e-3]
+    # the top MEASURED_RUNGS rungs and twice the top step
+    assert pilot_steps == [[125, 62, 31, 16]] * 3
+
+
+def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
+    def diverging(self, *args):
+        raise IntegrationError("smoothed flow diverged")
+
+    monkeypatch.setattr(SmoothedSymplectization, "_flow", diverging)
+    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
+    sm = SmoothedSymplectization(iso, 0.05)
+    assert sm.step_choice.h == iso.step and sm.step_choice.estimate is None
+    with pytest.raises(IntegrationError, match="diverged"):
+        sm(np.array([[0.5, 0.0, 0.0, 0.0]]))
+
+
+def test_zero_isotopy_takes_the_top_rung():
+    iso = zero_isotopy(2, 1)
+    choice = SmoothedSymplectization(iso, 0.1).step_choice
+    assert choice == StepChoice(h=iso.step * 2.0 ** (LADDER_RUNGS - 1),
+                                estimate=0.0, tol=STEP_TOL, floor=iso.step)
 
 
 def test_radial_step_bump_profile():
@@ -168,14 +268,16 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
     monkeypatch.setattr(K, "grad_fn", counted)
     zs = shell(np.random.default_rng(30), 25, 4, 1.0, 2.0)  # all outside the ball
     sm(zs, t_final=0.01)
-    # the 512 conformal-factor probes ride in the same call
-    assert grads == [25 + 512] * (4 * 10)
+    # round(0.01 / step) steps of 4 stages at the map's chosen step; the
+    # 512 conformal-factor probes ride in the same call
+    assert grads == [25 + 512] * (4 * max(1, round(0.01 / sm.step)))
 
 
 def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
     """One lockstep integration gives, bitwise, the map's own images and
-    the homogeneous lift through `ContactIsotopy.flow_many`."""
-    iso, sm = tame_map
+    the homogeneous lift through `ContactIsotopy.flow_many` at the map's
+    chosen step."""
+    _, sm = tame_map
     cert = sm.certificate
     rng = np.random.default_rng(35)
     zs = np.vstack([shell(rng, 6, 4, 1e-4, sm.eps * 0.999),
@@ -184,7 +286,7 @@ def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
                     cert.K_factor * sm.eps * 4.0)
     images, lift = sm.map_and_lift(zs, lift_zs)
     assert np.array_equal(images, sm(zs))
-    assert np.array_equal(lift, symplectize_ambient(iso, lift_zs))
+    assert np.array_equal(lift, symplectize_ambient(sm.iso, lift_zs))
     with pytest.raises(DomainError, match="origin"):
         sm.map_and_lift(zs, np.zeros((1, 4)))
 
