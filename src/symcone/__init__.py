@@ -17,7 +17,7 @@ from .domains import (ContainmentReport, Hyperboloid, IntegrableDomain,
                       SandwichCertificate, SmoothedWell, StarDomain,
                       build_smoothed_well, containment_audit, sandwich_solve)
 from .orbits import (ActionSpectrum, OrbitRecord, PlanarWellSystem,
-                     TorusLabel, area_constant, characteristic_spectrum,
+                     area_constant, characteristic_spectrum,
                      closed_orbit_at_energy, integrate_planar,
                      label_action_floor, single_period_return)
 from .smoothing import (SmoothedSymplectization, SmoothingCertificate,

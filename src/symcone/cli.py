@@ -127,8 +127,7 @@ def _spectrum_csv(spec, params: dict) -> str:
     rows = []
     for i, act in enumerate(spec.group_i, start=1):
         rows.append(("i", str(i), act, "exact"))
-    for label, floor in spec.scan_entries:
-        e = label.c[label.n - label.k]
+    for e, floor in zip(spec.scan_energies.tolist(), spec.scan_floors.tolist()):
         flag = "ok" if clears_bound(floor, spec.group_ii_min_bound) else "below"
         rows.append(("ii", fmt_float(e), floor, flag))
     buf = io.StringIO()

@@ -150,6 +150,38 @@ def _field_and_rate(Kv, g, th):
     return Y, row_sum(g * symplectic_gradient(2.0 * th))
 
 
+def _lockstep_rk4(stage, z, th, span, n_steps, n_probes):
+    """The one RK4 loop of the package: n_steps equal steps over a time
+    span of the column-major ambient rows z and the column-major unit
+    sphere rows th in lockstep, where stage(z, th) returns the ambient
+    field at z and (Y_K, dK(R)) at th.  The sphere rows are renormalised
+    after every stage and step, and carry log of the conformal factor.
+
+    Returns (z, th, log conformal factors, lo, hi), where (lo, hi) are the
+    extremes of log c over the last n_probes sphere rows at the ends of 50
+    equal time chunks (and 0 at the start; both 0 without probes).
+    Raises IntegrationError when a step leaves the finite numbers.
+    """
+    h = span / n_steps
+    logc = np.zeros(th.shape[0])
+    lo, hi = 0.0, 0.0
+    for i in range(n_steps):
+        k1, f1, c1 = stage(z, th)
+        k2, f2, c2 = stage(z + 0.5 * h * k1, _renorm(th + 0.5 * h * f1))
+        k3, f3, c3 = stage(z + 0.5 * h * k2, _renorm(th + 0.5 * h * f2))
+        k4, f4, c4 = stage(z + h * k3, _renorm(th + h * f3))
+        z = _rk4_increment(h, k1, k2, k3, k4) + z
+        th = _renorm(_rk4_increment(h, f1, f2, f3, f4) + th)
+        logc += _rk4_increment(h, c1, c2, c3, c4)
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
+            raise IntegrationError("flow diverged", {"step_index": i})
+        # logc[-0:] would be every row, so without probes there is no chunk
+        if n_probes and (i + 1) * 50 // n_steps > i * 50 // n_steps:
+            lo = min(lo, float(np.min(logc[-n_probes:])))
+            hi = max(hi, float(np.max(logc[-n_probes:])))
+    return z, th, logc, lo, hi
+
+
 def contact_vector_field(K: ContactHamiltonian, theta):
     """Sphere field Y_K: tangential projection of the homogeneous field."""
     th = _rows(theta)
@@ -165,9 +197,9 @@ def reeb_derivative(K: ContactHamiltonian, theta):
 class ContactIsotopy:
     """The autonomous flow of one sphere Hamiltonian over [0, 1].
 
-    The flow integrates the sphere field with a fixed-step fourth-order
-    scheme, renormalizing to the sphere each step, and carries log of the
-    conformal factor along every trajectory as one extra scalar.
+    The flow integrates the sphere field with the fixed-step RK4 loop
+    `_lockstep_rk4`, renormalizing to the sphere each stage, and carries
+    log of the conformal factor along every trajectory as one extra scalar.
     """
 
     def __init__(self, hamiltonian: ContactHamiltonian, step: float = 1e-3):
@@ -176,9 +208,6 @@ class ContactIsotopy:
         self.hamiltonian = hamiltonian
         self.k, self.n = hamiltonian.k, hamiltonian.n
         self.step = step
-
-    def _rhs(self, thetas):
-        return _field_and_rate(*self.hamiltonian.value_and_grad(thetas), thetas)
 
     def flow_many(self, thetas, t_from: float = 0.0, t_to: float = 1.0):
         """Integrate a batch from t_from to t_to (either direction).
@@ -189,20 +218,18 @@ class ContactIsotopy:
         so the endpoints come back Fortran-ordered; the values do not
         depend on the layout the rows arrive in.
         """
-        th = _renorm(np.asfortranarray(_rows(thetas)))
+        rows = _rows(thetas)
+        K = self.hamiltonian
+
+        def stage(z, th):  # z is the empty ambient batch, its own field
+            return (z,) + _field_and_rate(*K.value_and_grad(th), th)
+
+        # the start rows go straight into the loop, so no name here keeps
+        # them alive while it steps
         span = t_to - t_from
-        n_steps = _step_count(span, self.step)
-        h = span / n_steps
-        logc = np.zeros(th.shape[0])
-        for i in range(n_steps):
-            f1, c1 = self._rhs(th)
-            f2, c2 = self._rhs(_renorm(th + 0.5 * h * f1))
-            f3, c3 = self._rhs(_renorm(th + 0.5 * h * f2))
-            f4, c4 = self._rhs(_renorm(th + h * f3))
-            th = _renorm(_rk4_increment(h, f1, f2, f3, f4) + th)
-            logc += _rk4_increment(h, c1, c2, c3, c4)
-            if not np.all(np.isfinite(th)):
-                raise IntegrationError("flow diverged", {"step_index": i})
+        _, th, logc, _, _ = _lockstep_rk4(
+            stage, np.empty((0, rows.shape[1]), order="F"),
+            _renorm(np.asfortranarray(rows)), span, _step_count(span, self.step), 0)
         return th, logc
 
     def inverse_images(self, thetas):

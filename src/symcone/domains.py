@@ -257,9 +257,6 @@ class IntegrableDomain:
         zs = np.atleast_2d(as_phase(zs, n=self.n))
         return 0.5 * np.sum(zs * self.gradient(zs), axis=1)
 
-    def contains_many(self, zs):
-        return self.defining_function(zs) < 1.0
-
     def boundary_project(self, directions):
         """Scale each direction onto {G = 1}: bisection along the ray, at
         most 200 halvings, stopping once every |G - 1| < 1e-12."""

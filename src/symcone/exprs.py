@@ -27,10 +27,11 @@ and the fused values are bitwise those of `eval_fn`.  A flow or
 smoothed-map RK stage makes exactly one `grad_fn` call.
 
 Both kernels take an (N, 2n) batch of rows in either memory layout.
-The RK loops pass theirs column-major (see `geometry`), so a coordinate
-`th[:, idx]` is one contiguous vector; `grad_fn` allocates its gradient
-with `zeros_like`, so the gradient comes back in the layout the batch
-came in, and the bits do not depend on that layout.
+The RK loop (`contact._lockstep_rk4`) passes its rows column-major
+(see `geometry`), so a coordinate `th[:, idx]` is one contiguous vector;
+`grad_fn` allocates its gradient with `zeros_like`, so the gradient
+comes back in the layout the batch came in, and the bits do not depend
+on that layout.
 """
 import re
 

@@ -339,7 +339,8 @@ _WORKED_BASE = "1 * bump(rho; 1, 3)"
 
 def scaling_family(scales: Sequence[float] = (1.0, 2.0, 4.0), n: int = 2,
                    k: int = 1, seed: int = 0, **kw) -> ConeFamily:
-    """The family {s_i * f} of scalings of one bump Hamiltonian."""
+    """The family {s_i * f} of scalings of one bump Hamiltonian; every
+    element's capacity is read from f's, so scales must hold 1.0."""
     from .contact import SupportMeta
 
     base = hamiltonian_from_expression(
@@ -349,8 +350,6 @@ def scaling_family(scales: Sequence[float] = (1.0, 2.0, 4.0), n: int = 2,
         eid = "f" if s == 1.0 else f"{s:g}f"
         H = base if s == 1.0 else base.scaled(s)
         els.append(ConeElement(eid=eid, H=H, base_id="f", scale=float(s)))
-    if all(e.scale != 1.0 for e in els):
-        els.append(ConeElement(eid="f", H=base, base_id="f", scale=1.0))
     return ConeFamily(n, k, els, seed=seed, **kw)
 
 

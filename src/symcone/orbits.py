@@ -24,10 +24,9 @@ from .domains import IntegrableDomain, SmoothedWell
 from .errors import AuditError, DomainError, ScanBudgetError
 
 __all__ = [
-    "PlanarWellSystem", "PlanarTrajectory", "OrbitRecord", "TorusLabel",
-    "ActionSpectrum", "integrate_planar", "closed_orbit_at_energy",
-    "area_constant", "label_action_floor", "characteristic_spectrum",
-    "single_period_return",
+    "PlanarWellSystem", "PlanarTrajectory", "OrbitRecord", "ActionSpectrum",
+    "integrate_planar", "closed_orbit_at_energy", "area_constant",
+    "label_action_floor", "characteristic_spectrum", "single_period_return",
 ]
 
 # 4th-order Yoshida composition for a two-map splitting: three kicks, and
@@ -366,30 +365,17 @@ def area_constant(a: float, b: float) -> float:
     return (a / b) * _SEGMENT_AREA
 
 
-@dataclass(frozen=True)
-class TorusLabel:
-    """Values (c_1..c_n) of the commuting integrals, summing to one on
-    the boundary; the first n-k entries are round and must be >= 0."""
-    c: tuple
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if len(self.c) != self.n:
-            raise DomainError("label length must equal n")
-        if abs(sum(self.c) - 1.0) > 1e-10:
-            raise DomainError("label entries must sum to 1")
-        if any(cj < 0 for cj in self.c[: self.n - self.k]):
-            raise DomainError("round-factor entries must be nonnegative")
-
-
 @dataclass
 class ActionSpectrum:
     group_i: tuple
     group_ii_min_bound: float
     window_top: float
     scan_min_floor: float = math.inf
-    scan_entries: tuple = field(default_factory=tuple)
+    # the well energy e of each scanned torus label, whose commuting
+    # integrals are c_1 = 1 - e and c_{n-k+1} = e (0 elsewhere), and the
+    # label's action floor
+    scan_energies: np.ndarray = field(default_factory=lambda: np.empty(0))
+    scan_floors: np.ndarray = field(default_factory=lambda: np.empty(0))
     labels_scanned: int = 0
     scan_confirms_bound: bool = False
     partial: bool = False
@@ -459,20 +445,14 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
     stop = scan_labels if budget is None else min(max(budget, 0), scan_labels)
     es = grid[:stop]
     es = es[np.abs(es) >= 1e-9]  # a vanishing well factor belongs to group (i)
-    entries = []
-    scan_min = math.inf
-    for e, floor in zip(es.tolist(), _label_floors(system, es).tolist()):
-        c = [0.0] * D.n
-        c[0] = 1.0 - e
-        c[D.n - D.k] = e
-        entries.append((TorusLabel(c=tuple(c), n=D.n, k=D.k), floor))
-        scan_min = min(scan_min, floor)
+    floors = _label_floors(system, es)
+    scan_min = float(np.min(floors)) if es.size else math.inf
     spectrum = ActionSpectrum(
         group_i=group_i, group_ii_min_bound=bound, window_top=window_top,
-        scan_min_floor=scan_min, scan_entries=tuple(entries),
-        labels_scanned=len(entries),
+        scan_min_floor=scan_min, scan_energies=es, scan_floors=floors,
+        labels_scanned=int(es.size),
         # an empty scan is vacuous: it confirms nothing
-        scan_confirms_bound=bool(entries) and clears_bound(scan_min, bound),
+        scan_confirms_bound=bool(es.size) and clears_bound(scan_min, bound),
         partial=stop < scan_labels,
     )
     if spectrum.partial:

@@ -18,14 +18,16 @@ estimate of the time-1 error on pilot rows the map owns is at most
 STEP_TOL (`SmoothedSymplectization._choose_step`).  The pilot measures
 the top rungs only, the same for every isotopy, and predicts the rungs
 below them from the observed order of the error.  It then steps every
-integration on that grid in one RK4 loop that also carries sphere rows:
+integration on that grid in the package's one RK4 loop,
+`contact._lockstep_rk4`, which `ContactIsotopy.flow_many` runs with no
+ambient rows.  Beside the ambient rows the loop carries sphere rows:
 512 seeded probes of the conformal factor, and the rows of a homogeneous
-lift when one is asked for (`map_and_lift`).  Each stage evaluates K
-once on all rows stacked; the ambient rows then take the map's
-chi-weighted field and the sphere rows Y_K and dK(R), so the two routes
-share only the evaluation of K.  Every integration checks the probes'
-sampled conformal factor against the rate-derived certificate before it
-returns anything.
+lift when one is asked for (`map_and_lift`).  Each stage (`_stage`)
+evaluates K once on all rows stacked; the ambient rows then take the
+map's chi-weighted field and the sphere rows Y_K and dK(R), so the two
+routes share only the evaluation of K.  Every integration checks the
+probes' sampled conformal factor against the rate-derived certificate
+before it returns anything.
 """
 import math
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .blends import cutoff_with_deriv, plateau_bump
-from .contact import (ContactIsotopy, _field_and_rate, _renorm, _rk4_increment,
+from .contact import (ContactIsotopy, _field_and_rate, _lockstep_rk4, _renorm,
                       _step_count, reeb_derivative)
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
@@ -205,32 +207,6 @@ class SmoothedSymplectization:
         out[live] = symplectic_gradient(grad)
         return (out,) + _field_and_rate(Kv[nl:], g[nl:], th)
 
-    def _flow(self, z, th, n_probes, t_final, n_steps):
-        """Lockstep RK4 over [0, t_final] in n_steps equal steps: the
-        column-major ambient rows z under the map's field, and the
-        column-major unit sphere rows th as `ContactIsotopy.flow_many` steps
-        them.  Returns (images, ends, log conformal factors, lo, hi), where
-        (lo, hi) are the extremes of log c over the last n_probes sphere
-        rows at the ends of 50 equal time chunks (and 0 at the start).
-        Raises IntegrationError when a step leaves the finite numbers."""
-        logc = np.zeros(th.shape[0])
-        lo, hi = 0.0, 0.0
-        h = t_final / n_steps
-        for i in range(n_steps):
-            k1, f1, c1 = self._stage(z, th)
-            k2, f2, c2 = self._stage(z + 0.5 * h * k1, _renorm(th + 0.5 * h * f1))
-            k3, f3, c3 = self._stage(z + 0.5 * h * k2, _renorm(th + 0.5 * h * f2))
-            k4, f4, c4 = self._stage(z + h * k3, _renorm(th + h * f3))
-            z = _rk4_increment(h, k1, k2, k3, k4) + z
-            th = _renorm(_rk4_increment(h, f1, f2, f3, f4) + th)
-            logc += _rk4_increment(h, c1, c2, c3, c4)
-            if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
-                raise IntegrationError("smoothed flow diverged", {"step_index": i})
-            if (i + 1) * 50 // n_steps > i * 50 // n_steps:  # a chunk ends
-                lo = min(lo, float(np.min(logc[-n_probes:])))
-                hi = max(hi, float(np.max(logc[-n_probes:])))
-        return z, th, logc, lo, hi
-
     def _pilot_rows(self):
         """The rows the step choice integrates: ambient rows log-spaced in
         squared radius over (eps, 8 K_factor eps], through the chi band and
@@ -271,8 +247,8 @@ class SmoothedSymplectization:
         runs = {}
         for j in range(low, top + 2):
             try:
-                z, th, logc, lo, hi = self._flow(
-                    pilot_z, pilot_th, len(pilot_th), 1.0, counts[j])
+                z, th, logc, lo, hi = _lockstep_rk4(
+                    self._stage, pilot_z, pilot_th, 1.0, counts[j], len(pilot_th))
                 _conformal_envelope(self.certificate, lo, hi)
                 runs[j] = z, th, logc
             except (IntegrationError, AuditError):
@@ -306,17 +282,19 @@ class SmoothedSymplectization:
         return StepChoice(h=floor, estimate=None, tol=STEP_TOL, floor=floor)
 
     def _integrate(self, zs, thetas, t_final):
-        """Lockstep RK4 over [0, t_final] on the map's step (`_flow`): the
-        ambient rows zs, and the sphere rows thetas, then the probes.
-        Returns the images of zs and the ends and log conformal factors of
-        thetas, once the probes have passed `_conformal_envelope`.  Both
-        batches are held column-major (see `geometry`), so the images come
-        back Fortran-ordered."""
+        """Lockstep RK4 over [0, t_final] on the map's step
+        (`contact._lockstep_rk4` under `_stage`): the ambient rows zs, and
+        the sphere rows thetas, then the probes.  Returns the images of zs
+        and the ends and log conformal factors of thetas, once the probes
+        have passed `_conformal_envelope`.  Both batches are held
+        column-major (see `geometry`), so the images come back
+        Fortran-ordered."""
         z = np.array(np.atleast_2d(zs), dtype=float, order="F")
         nt = len(thetas)
         th = _renorm(np.asfortranarray(np.concatenate([thetas, self._probes])))
-        z, th, logc, lo, hi = self._flow(z, th, len(self._probes), t_final,
-                                         _step_count(t_final, self.step))
+        z, th, logc, lo, hi = _lockstep_rk4(
+            self._stage, z, th, t_final, _step_count(t_final, self.step),
+            len(self._probes))
         _conformal_envelope(self.certificate, lo, hi)
         return z, th[:nt], logc[:nt]
 

@@ -99,6 +99,15 @@ def test_integer_config_value_for_a_float_matches_the_flag(tmp_path, capsys):
     assert json.loads(outs[0][1])["config"]["a"] == "2"
 
 
+def test_config_null_where_the_default_is_unset_is_the_default(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"eps": null}', encoding="utf-8")
+    outs = [run_cli(capsys, ["spectrum", "--labels", "20"] + extra)
+            for extra in (["--config", str(path)], [])]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert json.loads(outs[0][1])["config"]["eps"] is None
+
+
 def test_readme_examples_parse():
     """Every `symcone ...` line of the README's Command line section names
     a subcommand and flags the parameter table declares."""

@@ -6,6 +6,7 @@ from symcone import (
     DimensionMismatchError,
     ContactIsotopy,
     DomainError,
+    IntegrationError,
     SupportMeta,
     contact_vector_field,
     hamiltonian_from_expression,
@@ -202,3 +203,56 @@ def test_flow_stages_skip_the_reeb_field_check(monkeypatch):
     monkeypatch.setattr(contact, "reeb_field", refused)
     got = ContactIsotopy(K, step=0.05).flow_many(th, 0.0, 1.0)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _reference_flow(iso, thetas, t_from, t_to):
+    """A sphere-only RK4 loop of its own, the reference route for the
+    package's one loop: the same stage kernels, stepped with the RK4 sums
+    written out."""
+    K = iso.hamiltonian
+
+    def rhs(th):
+        return contact._field_and_rate(*K.value_and_grad(th), th)
+
+    th = contact._renorm(np.asfortranarray(thetas))
+    span = t_to - t_from
+    n_steps = max(1, int(round(abs(span) / iso.step)))
+    h = span / n_steps
+    logc = np.zeros(th.shape[0])
+    for _ in range(n_steps):
+        f1, c1 = rhs(th)
+        f2, c2 = rhs(contact._renorm(th + 0.5 * h * f1))
+        f3, c3 = rhs(contact._renorm(th + 0.5 * h * f2))
+        f4, c4 = rhs(contact._renorm(th + h * f3))
+        th = contact._renorm((h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4) + th)
+        logc += (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    return th, logc
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("t_from, t_to", [(0.0, 1.0), (1.0, 0.0)],
+                         ids=["forward", "backward"])
+def test_flow_is_bitwise_the_reference_sphere_loop(n, k, t_from, t_to):
+    iso = ContactIsotopy(random_hamiltonian(n, k, seed=5, amplitude=0.5), step=0.05)
+    th = sphere(np.random.default_rng(24), 97, 2 * n)
+    ends, logc = iso.flow_many(th, t_from, t_to)
+    want_ends, want_logc = _reference_flow(iso, th, t_from, t_to)
+    assert np.array_equal(ends, want_ends) and np.array_equal(logc, want_logc)
+    assert np.any(logc != 0.0)
+
+
+def test_diverging_flow_names_its_step():
+    K = random_hamiltonian(2, 1, seed=3)
+    K.grad_fn = lambda th: (np.full(th.shape[0], np.inf), np.full_like(th, np.inf))
+    iso = ContactIsotopy(K)
+    th = sphere(np.random.default_rng(26), 5, 4)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(IntegrationError, match="flow diverged") as exc:
+        iso.flow_many(th)
+    assert exc.value.diagnostics == {"step_index": 0}
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3])
+def test_isotopy_refuses_a_step_that_is_not_positive(step):
+    with pytest.raises(IntegrationError, match="step underflow"):
+        ContactIsotopy(random_hamiltonian(2, 1, seed=3), step=step)

@@ -3,7 +3,6 @@ import pytest
 
 from symcone import (
     ContactHamiltonian,
-    ContactIsotopy,
     ExpressionHamiltonian,
     ParseError,
     StarDomain,
@@ -12,7 +11,7 @@ from symcone import (
     hamiltonian_from_expression,
     random_hamiltonian,
 )
-from symcone import exprs
+from symcone import contact, exprs
 from symcone.blends import plateau_bump, plateau_bump_with_deriv
 
 from conftest import sphere
@@ -184,8 +183,8 @@ def test_rhs_agrees_with_the_finite_difference_route():
 
     plain = ContactHamiltonian(H.eval_fn, k=H.k, n=H.n, meta=H.meta, grad_fn=fd_pair)
     th = sphere(np.random.default_rng(26), 200, 4)
-    Y, rate = ContactIsotopy(H)._rhs(th)
-    Y_fd, rate_fd = ContactIsotopy(plain)._rhs(th)
+    Y, rate = contact._field_and_rate(*H.value_and_grad(th), th)
+    Y_fd, rate_fd = contact._field_and_rate(*plain.value_and_grad(th), th)
     np.testing.assert_allclose(Y, Y_fd, atol=1e-6)
     np.testing.assert_allclose(rate, rate_fd, atol=1e-6)
 

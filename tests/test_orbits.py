@@ -17,7 +17,6 @@ from symcone.orbits import (
     label_action_floor,
     single_period_return,
     turning_points,
-    TorusLabel,
 )
 
 
@@ -216,6 +215,27 @@ def test_kernel_round_cap_raises(planar3, monkeypatch):
         label_action_floor(planar3, 0.5)
 
 
+def test_kernel_panel_cap_raises(well3, monkeypatch):
+    # a level a hair below the rim at b = 3 keeps bisecting at its inner
+    # turning point until it holds more than _GK_PANELS live panels, long
+    # before the round cap: one call of the well per round, then the raise
+    system = PlanarWellSystem(a=1.0, b=3.0, well=well3)
+    e = -1e-12
+    (y_lo,), (y_hi,) = turning_points(system, np.array([e]))
+    array_value = SmoothedWell.value
+    rounds = []
+
+    def counting(self, t):
+        rounds.append(np.shape(t))
+        return array_value(self, t)
+
+    monkeypatch.setattr(SmoothedWell, "value", counting)
+    with pytest.raises(AuditError, match="at most 256 panels"):
+        orbits._period_quadrature(system, e, float(y_lo), float(y_hi))
+    assert len(rounds) == 23 < orbits._GK_ROUNDS
+    assert orbits._GK_PANELS / 2 < rounds[-1][0] <= orbits._GK_PANELS
+
+
 def test_orbit_record_validation():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DomainError):
@@ -252,16 +272,6 @@ def test_area_constant_is_bitwise_the_segment_quadrature():
         assert area_constant(a, b) == (a / b) * seg
 
 
-def test_torus_label_validation():
-    TorusLabel(c=(0.25, 0.75), n=2, k=1)
-    with pytest.raises(DomainError):
-        TorusLabel(c=(0.25, 0.25), n=2, k=1)     # does not sum to one
-    with pytest.raises(DomainError):
-        TorusLabel(c=(1.0,), n=2, k=1)           # wrong length
-    with pytest.raises(DomainError):
-        TorusLabel(c=(-0.5, 1.5), n=2, k=1)      # round entry negative
-
-
 def test_action_floor_two_regimes(planar3):
     # Deep in the well the round factor must wind: floor is pi a^2 (1-e).
     np.testing.assert_allclose(label_action_floor(planar3, -3.0),
@@ -279,6 +289,14 @@ def test_spectrum_round_actions_and_scan(domain3):
     assert spec.scan_min_floor > spec.group_ii_min_bound
     assert spec.scan_confirms_bound and not spec.partial
     assert spec.labels_scanned == 120
+    assert spec.scan_energies.shape == spec.scan_floors.shape == (120,)
+    assert np.all(np.diff(spec.scan_energies) > 0) and spec.scan_energies[-1] == 1.0
+    assert spec.scan_min_floor == np.min(spec.scan_floors)
+    e = spec.scan_energies[::30]
+    np.testing.assert_allclose(
+        spec.scan_floors[::30],
+        [label_action_floor(PlanarWellSystem.from_domain(domain3), x) for x in e],
+        rtol=1e-12)
 
 
 def test_level_scan_keeps_to_the_scalar_well(domain3, monkeypatch):

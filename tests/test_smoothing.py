@@ -15,6 +15,7 @@ from symcone import (
     symplecticity_defect,
 )
 from symcone import IntegrationError, smoothing
+from symcone.contact import _lockstep_rk4
 from symcone.smoothing import (LADDER_RUNGS, MEASURED_RUNGS, ORDER_MIN, STEP_TOL,
                                StepChoice, symplecticity_defect_of_images,
                                symplecticity_stencil)
@@ -146,7 +147,8 @@ def doubling_estimate(sm, h):
     over (2h / h)^4 - 1 with the steps the runs actually take."""
     n, m = round(1.0 / h), round(0.5 / h)
     z, th = sm._pilot_rows()
-    fine, coarse = (sm._flow(z, th, len(th), 1.0, k)[:3] for k in (n, m))
+    fine, coarse = (_lockstep_rk4(sm._stage, z, th, 1.0, k, len(th))[:3]
+                    for k in (n, m))
     gap = max(np.max(np.linalg.norm(fine[0] - coarse[0], axis=1)),
               np.max(np.linalg.norm(fine[1] - coarse[1], axis=1)),
               np.max(np.abs(fine[2] - coarse[2])))
@@ -195,13 +197,12 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
     """The pilot runs the same step counts whichever rung a generator
     takes, so a map's construction costs the same for every isotopy."""
     pilot_steps = []
-    flow = SmoothedSymplectization._flow
 
-    def counted(self, z, th, n_probes, t_final, n_steps):
+    def counted(stage, z, th, span, n_steps, n_probes):
         pilot_steps[-1].append(n_steps)
-        return flow(self, z, th, n_probes, t_final, n_steps)
+        return _lockstep_rk4(stage, z, th, span, n_steps, n_probes)
 
-    monkeypatch.setattr(SmoothedSymplectization, "_flow", counted)
+    monkeypatch.setattr(smoothing, "_lockstep_rk4", counted)
     chosen = []
     for seed in (12, 2, 31):
         pilot_steps.append([])
@@ -213,15 +214,27 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
 
 
 def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
-    def diverging(self, *args):
-        raise IntegrationError("smoothed flow diverged")
+    def diverging(*args):
+        raise IntegrationError("flow diverged")
 
-    monkeypatch.setattr(SmoothedSymplectization, "_flow", diverging)
+    monkeypatch.setattr(smoothing, "_lockstep_rk4", diverging)
     iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
     sm = SmoothedSymplectization(iso, 0.05)
     assert sm.step_choice.h == iso.step and sm.step_choice.estimate is None
     with pytest.raises(IntegrationError, match="diverged"):
         sm(np.array([[0.5, 0.0, 0.0, 0.0]]))
+
+
+def test_diverging_map_names_its_step():
+    """The map steps the one RK4 loop `flow_many` steps, so a stage that
+    leaves the finite numbers raises the same error at the same step."""
+    K = random_hamiltonian(2, 1, seed=2, amplitude=0.1)
+    sm = SmoothedSymplectization(ContactIsotopy(K), 0.05)
+    K.grad_fn = lambda th: (np.full(th.shape[0], np.inf), np.full_like(th, np.inf))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(IntegrationError, match="flow diverged") as exc:
+        sm(np.array([[0.5, 0.0, 0.0, 0.0]]))
+    assert exc.value.diagnostics == {"step_index": 0}
 
 
 def test_zero_isotopy_takes_the_top_rung():
@@ -276,7 +289,9 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
 def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
     """One lockstep integration gives, bitwise, the map's own images and
     the homogeneous lift through `ContactIsotopy.flow_many` at the map's
-    chosen step."""
+    chosen step.  Both routes step one loop, `contact._lockstep_rk4`;
+    `test_flow_is_bitwise_the_reference_sphere_loop` (test_contact.py)
+    holds that loop to a separate one."""
     _, sm = tame_map
     cert = sm.certificate
     rng = np.random.default_rng(35)
