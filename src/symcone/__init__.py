@@ -11,8 +11,7 @@ from .geometry import (angle_ratio_of, as_phase, omega_matrix, split_uv,
 from .contact import (ContactHamiltonian, ContactIsotopy, SupportMeta,
                       contact_vector_field, model_field_contracting,
                       model_field_expanding, reeb_derivative, reeb_field)
-from .exprs import (ExpressionHamiltonian, hamiltonian_from_expression,
-                    random_hamiltonian)
+from .exprs import ExpressionHamiltonian, random_hamiltonian
 from .domains import (ContainmentReport, Hyperboloid, IntegrableDomain,
                       SandwichCertificate, SmoothedWell, StarDomain,
                       build_smoothed_well, containment_audit, sandwich_solve)
@@ -22,8 +21,7 @@ from .orbits import (ActionSpectrum, OrbitRecord, PlanarWellSystem,
                      label_action_floor, single_period_return)
 from .smoothing import (SmoothedSymplectization, SmoothingCertificate,
                         SqueezeWitness, liouville_squeeze_witness,
-                        radial_step_bump, symplecticity_defect,
-                        symplectize_ambient)
+                        radial_step_bump, symplecticity_defect)
 from .capacity import (CapacityInterval, NonsqueezingReport, candidate_pool,
                        capacity_hyperboloid, capacity_interval,
                        capacity_of_hamiltonian, nonsqueezing_verdict)

@@ -23,7 +23,7 @@ from .contact import ContactIsotopy, SupportMeta
 from .domains import (Hyperboloid, IntegrableDomain, build_smoothed_well,
                       containment_audit, sandwich_solve)
 from .errors import AuditError, DomainError, ParseError, ScanBudgetError
-from .exprs import hamiltonian_from_expression, random_hamiltonian
+from .exprs import ExpressionHamiltonian, random_hamiltonian
 from .growth import dw_bound_check, equivalence_and_order, random_family, scaling_family
 from .jsonio import dumps_json, fmt_float, load_config, write_csv
 from .orbits import characteristic_spectrum, clears_bound
@@ -167,9 +167,8 @@ def _hamiltonian_from_params(params: dict, meta_seed: int = 0):
             raise ParseError("support metadata requires all of M, m, rho0, rho1")
         meta = SupportMeta(M=params["M"], m=params["m"],
                            rho0=params["rho0"], rho1=params["rho1"])
-    return hamiltonian_from_expression(params["expr"], n=params["n"],
-                                       k=params["k"], meta=meta,
-                                       meta_seed=meta_seed)
+    return ExpressionHamiltonian(params["expr"], n=params["n"], k=params["k"],
+                                 meta=meta, meta_seed=meta_seed)
 
 
 def cmd_sandwich(params: dict):

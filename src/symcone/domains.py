@@ -16,7 +16,7 @@ import numpy as np
 from .blends import _step7, _step7_integral
 from .contact import ContactHamiltonian
 from .errors import AuditError, DomainError
-from .geometry import as_phase, row_sum, split_uv, squared_split
+from .geometry import as_phase, split_uv, squared_split
 from . import sampling
 
 # half-width of a rejection-sampling box, in largest semi-axes of the
@@ -42,9 +42,6 @@ class Hyperboloid:
         if not 1 <= self.k <= self.n:
             raise DomainError(f"k = {self.k} outside 1..{self.n}")
 
-    def contains(self, z) -> bool:
-        return bool(self.contains_many(np.atleast_2d(as_phase(z, n=self.n)))[0])
-
     def defining_function(self, zs):
         return self.level(*split_uv(as_phase(zs, n=self.n), self.k))
 
@@ -67,33 +64,18 @@ class StarDomain:
 
     H: ContactHamiltonian
 
-    def contains(self, z) -> bool:
-        return bool(self.contains_many(np.atleast_2d(as_phase(z, n=self.H.n)))[0])
-
-    def contains_many(self, zs):
-        zs = np.atleast_2d(as_phase(zs, n=self.H.n))
-        return self.contains_rows(zs, row_sum(zs * zs))
-
     def contains_rows(self, zs, r):
         """Membership of the rows of zs, given their squared norms r.  The
         origin (r = 0) is inside; the other rows are gathered only when
         the batch holds an origin row."""
+        values = self.H.eval_fn
         nz = r > 0.0
         if nz.all():
-            return r * self._values(zs / np.sqrt(r)[:, None]) < 1.0
+            return r * values(zs / np.sqrt(r)[:, None]) < 1.0
         out = np.ones(zs.shape[0], dtype=bool)
         if nz.any():
-            out[nz] = r[nz] * self._values(zs[nz] / np.sqrt(r[nz])[:, None]) < 1.0
+            out[nz] = r[nz] * values(zs[nz] / np.sqrt(r[nz])[:, None]) < 1.0
         return out
-
-    def _values(self, th):
-        return np.asarray(self.H.eval_fn(th), dtype=float)
-
-    def scaled(self, s: float):
-        # the image of {rH < 1} under z -> sz is {r H/s^2 < 1}
-        if not s > 0:
-            raise DomainError("scale must be positive")
-        return StarDomain(H=self.H.scaled(1.0 / (s * s)))
 
 
 @dataclass(frozen=True)
@@ -193,9 +175,6 @@ class SmoothedWell:
             object.__setattr__(self, "_min_point", found)
         return found
 
-    def scaled(self, s: float):
-        return SmoothedWell(C=s * self.C, eps=s * self.eps, delta=s * s * self.delta)
-
 
 def build_smoothed_well(C: float, eps: float) -> SmoothedWell:
     """Construct the well and verify its contracts on a 10^4-point grid."""
@@ -290,12 +269,6 @@ class IntegrableDomain:
         if np.max(np.abs(G - 1.0)) > 1e-8:
             raise DomainError("transversality margin needs boundary points")
         return self.liouville_derivative(zs) - 1.0
-
-    def scaled(self, s: float):
-        if not s > 0:
-            raise DomainError("scale must be positive")
-        return IntegrableDomain(n=self.n, k=self.k, a=s * self.a, b=s * self.b,
-                                well=self.well.scaled(s))
 
 
 @dataclass(frozen=True)

@@ -283,11 +283,6 @@ class ExpressionHamiltonian(ContactHamiltonian):
         return SupportMeta(M=M, m=m, rho0=rho0, rho1=rho1)
 
 
-def hamiltonian_from_expression(text, n, k, meta=None,
-                                meta_seed: int = 0) -> ExpressionHamiltonian:
-    return ExpressionHamiltonian(text, n=n, k=k, meta=meta, meta_seed=meta_seed)
-
-
 def random_hamiltonian(n, k, seed, amplitude=1.0):
     """Seeded nonnegative compactly supported expression Hamiltonian:
     a plateau bump plus two even-monomial bump terms."""

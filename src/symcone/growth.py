@@ -19,7 +19,7 @@ import numpy as np
 from .capacity import CapacityInterval, capacity_of_hamiltonian
 from .contact import ContactHamiltonian, ContactIsotopy
 from .errors import AuditError, DomainError
-from .exprs import hamiltonian_from_expression, random_hamiltonian
+from .exprs import ExpressionHamiltonian, random_hamiltonian
 from . import sampling
 
 __all__ = [
@@ -343,7 +343,7 @@ def scaling_family(scales: Sequence[float] = (1.0, 2.0, 4.0), n: int = 2,
     element's capacity is read from f's, so scales must hold 1.0."""
     from .contact import SupportMeta
 
-    base = hamiltonian_from_expression(
+    base = ExpressionHamiltonian(
         _WORKED_BASE, n=n, k=k, meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
     els = []
     for s in scales:

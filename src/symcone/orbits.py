@@ -93,11 +93,6 @@ class PlanarWellSystem:
         return (np.asarray(x, dtype=float) ** 2 / self.a ** 2
                 + self.well.value(y) / self.b ** 2)
 
-    def field(self, x, y):
-        """(dx/dt, dy/dt) of the planar flow."""
-        return (-self.well.deriv(y) / self.b ** 2,
-                2.0 * np.asarray(x, dtype=float) / self.a ** 2)
-
     def min_energy(self) -> float:
         return self.well.min_point()[1] / self.b ** 2
 

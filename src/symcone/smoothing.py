@@ -85,13 +85,6 @@ def _lift(r, ends, logc):
     return np.sqrt(r / np.exp(logc))[:, None] * ends
 
 
-def symplectize_ambient(iso: ContactIsotopy, zs):
-    """The homogeneous lift (r, theta) -> (r / c(theta), phi(theta)) of the
-    time-1 map, at rows of nonzero cartesian points."""
-    r, th = _polar(zs)
-    return _lift(r, *iso.flow_many(th, 0.0, 1.0))
-
-
 @dataclass(frozen=True)
 class SmoothingCertificate:
     """(M, m) bound the conformal factor over the whole isotopy;
@@ -302,8 +295,11 @@ class SmoothedSymplectization:
         return self._integrate(zs, np.empty((0, 2 * self.iso.n)), t_final)[0]
 
     def map_and_lift(self, zs, lift_zs):
-        """(images of zs, homogeneous lift of lift_zs) from one integration;
-        the lift equals `symplectize_ambient(self.iso, lift_zs)` bitwise."""
+        """(images of zs, homogeneous lift of lift_zs) from one integration:
+        the lift (r, theta) -> (r / c(theta), phi(theta)) of the time-1 map
+        takes phi and c from the directions of lift_zs, which ride as
+        sphere rows beside the probes, so it is bitwise the lift built on
+        `self.iso.flow_many` at those directions."""
         r, th = _polar(lift_zs)
         images, ends, logc = self._integrate(zs, th, 1.0)
         return images, _lift(r, ends, logc)
@@ -312,7 +308,9 @@ class SmoothedSymplectization:
 def symplecticity_stencil(zs):
     """Rows at which a map is evaluated for `symplecticity_defect`: for
     each coordinate j and c in (-2, -1, 1, 2), every row of zs moved by
-    c * FD_STEP along e_j, stacked in that order."""
+    c * FD_STEP along e_j, stacked in that order.  Raises DomainError when
+    rounding leaves a moved row equal to its base row in the moved
+    coordinate: the Jacobian would then measure the stencil, not the map."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     dim = zs.shape[1]
     probes = []
@@ -320,7 +318,13 @@ def symplecticity_stencil(zs):
         e = np.zeros(dim)
         e[j] = 1.0
         for c in (-2.0, -1.0, 1.0, 2.0):
-            probes.append(zs + c * FD_STEP * e)
+            moved = zs + c * FD_STEP * e
+            if np.any(moved[:, j] == zs[:, j]):
+                raise DomainError(
+                    f"symplecticity stencil step FD_STEP = {FD_STEP:g} is lost "
+                    f"to rounding at audited |z| up to "
+                    f"{float(np.max(np.sqrt(row_sum(zs * zs)))):.6g}")
+            probes.append(moved)
     return np.concatenate(probes, axis=0)
 
 

@@ -4,13 +4,14 @@ import pytest
 from symcone import (
     ContactHamiltonian,
     ContactIsotopy,
+    ExpressionHamiltonian,
     IntegrableDomain,
     PlanarWellSystem,
     SupportMeta,
     build_smoothed_well,
-    hamiltonian_from_expression,
     sandwich_solve,
 )
+from symcone.smoothing import _lift, _polar
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +33,7 @@ def domain3(well3):
 @pytest.fixture(scope="session")
 def worked_hamiltonian():
     """The plateau bump with the worked support constants."""
-    return hamiltonian_from_expression(
+    return ExpressionHamiltonian(
         "1 * bump(rho; 1, 3)", n=2, k=1,
         meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
 
@@ -54,3 +55,11 @@ def zero_isotopy(n, k):
         meta=SupportMeta(M=0.0, m=1.0, rho0=0.1, rho1=1.0),
         grad_fn=lambda th: (np.zeros(th.shape[0]), np.zeros_like(th)))
     return ContactIsotopy(zero)
+
+
+def symplectize_ambient(iso, zs):
+    """The homogeneous lift (r, theta) -> (r / c(theta), phi(theta)) of the
+    time-1 map of iso at rows of nonzero points, with phi and c from
+    `flow_many`: the reference route for the smoothed map and its lift."""
+    r, th = _polar(zs)
+    return _lift(r, *iso.flow_many(th, 0.0, 1.0))

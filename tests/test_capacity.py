@@ -88,7 +88,7 @@ def test_sweep_finds_witnesses():
     for cand in rep.candidates:
         assert cand.escapes and cand.excess > 0
         assert cand.witness_point is not None
-        assert not V.contains(cand.witness_point)
+        assert not V.contains_many(cand.witness_point)
 
 
 def test_sweep_flags_impossible_squeezer():

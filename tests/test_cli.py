@@ -14,8 +14,9 @@ import symcone
 from symcone import cli, orbits, sampling, smoothing
 from symcone.cli import _build_parser, main
 from symcone.growth import ConeFamily
-from symcone.smoothing import (SmoothedSymplectization, symplecticity_defect,
-                               symplectize_ambient)
+from symcone.smoothing import SmoothedSymplectization, symplecticity_defect
+
+from conftest import symplectize_ambient
 
 
 def run_cli(capsys, argv):
@@ -292,11 +293,12 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
      "need n >= 1, got 0"),
     (["squeeze", "--candidates", "0", "--samples", "100"],
      "need at least 1 candidate map, got none"),
+    (["spectrum", "--top", "0"], "window top must be positive"),
 ])
 def test_sizes_below_one_are_exit_2(capsys, argv, message):
-    # an empty grid, sample, sweep, candidate list or family would give a
-    # vacuous bound, audit, verdict or metric, and a negative count or an
-    # empty phase space has no meaning
+    # an empty grid, sample, sweep, candidate list, family or spectrum
+    # window would give a vacuous bound, audit, verdict, metric or spectrum,
+    # and a negative count or an empty phase space has no meaning
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"symcone: {message}\n"
@@ -402,7 +404,11 @@ def test_bad_expression_is_exit_2(capsys):
      "exponent must be a positive integer, got 1.5"),
     ("1 * bump(rho; 1, 3) * mono()", "empty mono()"),
     ("1 * rho", "expected bump or mono, got 'rho'"),
-], ids=["trailing-input", "fractional-exponent", "empty-mono", "bare-rho"])
+    # parses, but the metadata estimate finds negative values
+    ("1 * bump(rho; 1, 3) * mono(x1)",
+     "expression takes negative values; not usable here"),
+], ids=["trailing-input", "fractional-exponent", "empty-mono", "bare-rho",
+        "negative-values"])
 def test_expression_parse_errors_are_exit_2(capsys, expr, message):
     code, out, err = run_cli(capsys, ["capacity", "--expr", expr])
     assert code == 2 and out == ""
@@ -551,6 +557,19 @@ def test_smoothing_audit_overflowing_bounds_is_exit_2(capsys):
     assert err.endswith(", K_factor=inf\n") and err.count("\n") == 1
 
 
+def test_smoothing_audit_stencil_lost_to_rounding_is_exit_2(capsys):
+    # At amplitude 5 the audited rows sit out to |z| near 1e33, where the
+    # stencil's step is below one ulp: the moved rows equal their base
+    # rows, and a defect read from them would be the stencil's own.
+    code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "5",
+                                      "--amplitude", "5"])
+    assert code == 2 and out == ""
+    head = ("symcone: symplecticity stencil step FD_STEP = 0.0003 is lost to "
+            "rounding at audited |z| up to ")
+    assert err.startswith(head) and err.count("\n") == 1
+    assert float(err[len(head):]) > 1e30
+
+
 def test_metric_scaling_headline(capsys):
     code, out, err = run_cli(capsys, ["metric", "--family", "scaling",
                                       "--s", "2.0", "--grid", "2000",
@@ -674,7 +693,7 @@ def test_capacity_seed_reaches_the_estimated_metadata(capsys, tmp_path):
     results = {seed: json.loads(out)["result"] for seed, (_, out, _) in runs.items()}
     assert results["0"]["lo"] != results["5"]["lo"]
     for seed in (0, 5):
-        H = symcone.hamiltonian_from_expression(expr, n=2, k=1, meta_seed=seed)
+        H = symcone.ExpressionHamiltonian(expr, n=2, k=1, meta_seed=seed)
         w = symcone.capacity_of_hamiltonian(H)
         assert results[str(seed)]["lo"] == f"{w.lo:.17g}"
     # nothing random runs in spectrum, so it takes no seed

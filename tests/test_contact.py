@@ -6,10 +6,10 @@ from symcone import (
     DimensionMismatchError,
     ContactIsotopy,
     DomainError,
+    ExpressionHamiltonian,
     IntegrationError,
     SupportMeta,
     contact_vector_field,
-    hamiltonian_from_expression,
     model_field_contracting,
     model_field_expanding,
     random_hamiltonian,
@@ -121,8 +121,8 @@ def test_identity_isotopy_fixes_everything():
 def test_audit_rejects_wrong_metadata(suffix, changed, message):
     """The sampled route refutes metadata the declared route gets wrong."""
     meta = {"M": 1.0, "m": 0.5, "rho0": 0.1, "rho1": 3.0, **changed}
-    H = hamiltonian_from_expression("1 * bump(rho; 1, 3)" + suffix, n=2, k=1,
-                                    meta=SupportMeta(**meta))
+    H = ExpressionHamiltonian("1 * bump(rho; 1, 3)" + suffix, n=2, k=1,
+                              meta=SupportMeta(**meta))
     with pytest.raises(AuditError, match=message):
         H.audit()
 

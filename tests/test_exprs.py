@@ -5,10 +5,8 @@ from symcone import (
     ContactHamiltonian,
     ExpressionHamiltonian,
     ParseError,
-    StarDomain,
     SupportMeta,
     angle_ratio_of,
-    hamiltonian_from_expression,
     random_hamiltonian,
 )
 from symcone import contact, exprs
@@ -19,8 +17,8 @@ from conftest import sphere
 
 def test_eval_matches_hand_rolled():
     """bump-of-ratio times a coordinate monomial, written out by hand."""
-    H = hamiltonian_from_expression("2.5 * bump(rho; 0.5, 2) * mono(x1^2 y2^2)",
-                                    n=2, k=1)
+    H = ExpressionHamiltonian("2.5 * bump(rho; 0.5, 2) * mono(x1^2 y2^2)",
+                              n=2, k=1)
     rng = np.random.default_rng(21)
     th = sphere(rng, 300, 4)
     rho = angle_ratio_of(th, 1)
@@ -29,7 +27,7 @@ def test_eval_matches_hand_rolled():
 
 
 def test_gradient_matches_fd():
-    H = hamiltonian_from_expression(
+    H = ExpressionHamiltonian(
         "1 * bump(rho; 0.4, 1.8) + 0.3 * bump(rho; 0.2, 2.2) * mono(y1^2)",
         n=2, k=1)
     rng = np.random.default_rng(22)
@@ -44,7 +42,7 @@ def test_gradient_matches_fd():
 
 
 def test_compact_support_in_ratio():
-    H = hamiltonian_from_expression("1 * bump(rho; 0.5, 2)", n=2, k=1)
+    H = ExpressionHamiltonian("1 * bump(rho; 0.5, 2)", n=2, k=1)
     # points leaning entirely into the last-k slot have infinite ratio
     far = np.array([[0.0, 0.0, 0.0, 1.0], [0.1, 0.0, 0.0, np.sqrt(0.99)]])
     vals = np.asarray(H(far))
@@ -62,7 +60,7 @@ def test_parse_errors():
                 "1 * bump(rho; 1, 3) +",    # dangling operator
                 "1 * bump(r; 1, 3)"):       # unknown symbol
         with pytest.raises(ParseError):
-            hamiltonian_from_expression(bad, n=2, k=1)
+            ExpressionHamiltonian(bad, n=2, k=1)
 
 
 def test_estimated_meta_brackets_values():
@@ -77,14 +75,14 @@ def test_estimated_meta_brackets_values():
 
 def test_explicit_meta_is_kept():
     meta = SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0)
-    H = hamiltonian_from_expression("1 * bump(rho; 1, 3)", n=2, k=1, meta=meta)
+    H = ExpressionHamiltonian("1 * bump(rho; 1, 3)", n=2, k=1, meta=meta)
     assert H.meta == meta
     H.audit(seed=0)
 
 
 def test_audit_catches_wrong_bound():
     bad = SupportMeta(M=0.2, m=0.5, rho0=0.1, rho1=3.0)  # M too small
-    H = hamiltonian_from_expression("1 * bump(rho; 1, 3)", n=2, k=1, meta=bad)
+    H = ExpressionHamiltonian("1 * bump(rho; 1, 3)", n=2, k=1, meta=bad)
     from symcone import AuditError
     with pytest.raises(AuditError):
         H.audit(seed=0)
@@ -124,7 +122,7 @@ _GIVEN_META = SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0)
 
 @pytest.mark.parametrize("text", _HAND_WRITTEN)
 def test_fused_kernel_matches_fd_on_hand_written(text):
-    H = hamiltonian_from_expression(text, n=2, k=1, meta=_GIVEN_META)
+    H = ExpressionHamiltonian(text, n=2, k=1, meta=_GIVEN_META)
     _check_fused_kernel(H, sphere(np.random.default_rng(25), 80, 4))
 
 
@@ -132,7 +130,7 @@ def test_stacked_bump_profiles_are_bitwise_per_bump_calls(monkeypatch):
     """The kernel evaluates all distinct bumps in one stacked call; making
     that call one profile at a time changes no bit of its output."""
     Hs = [random_hamiltonian(2, 1, seed=seed) for seed in range(20)]
-    Hs += [hamiltonian_from_expression(text, n=2, k=1, meta=_GIVEN_META)
+    Hs += [ExpressionHamiltonian(text, n=2, k=1, meta=_GIVEN_META)
            for text in _HAND_WRITTEN + ["1 * bump(rho; 1, 3)"]]  # single bump
     th = np.vstack([sphere(np.random.default_rng(28), 200, 4),
                     [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]]])  # rho = inf, 0
@@ -200,10 +198,8 @@ def test_scaled_stays_an_expression():
     _, g = Hs.grad_fn(th)
     np.testing.assert_allclose(g, s * H.grad_fn(th)[1], rtol=1e-14, atol=1e-15)
     # the scaled text parses back to bitwise the same values
-    back = hamiltonian_from_expression(Hs.text, n=2, k=1, meta=Hs.meta)
+    back = ExpressionHamiltonian(Hs.text, n=2, k=1, meta=Hs.meta)
     np.testing.assert_array_equal(back.eval_fn(th), Hs.eval_fn(th))
-    # StarDomain.scaled goes through the same path
-    assert isinstance(StarDomain(H).scaled(2.0).H, ExpressionHamiltonian)
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2)])

@@ -5,7 +5,7 @@ import pytest
 
 from symcone import AuditError, DomainError, sampling
 from symcone.contact import SupportMeta
-from symcone.exprs import hamiltonian_from_expression
+from symcone.exprs import ExpressionHamiltonian
 from symcone.growth import (
     ConeElement,
     ConeFamily,
@@ -190,7 +190,7 @@ def test_dw_bound_interval_shape(scale_fam):
 
 
 def test_capacity_without_a_base_element_is_a_domain_error():
-    base = hamiltonian_from_expression(
+    base = ExpressionHamiltonian(
         "1 * bump(rho; 1, 3)", n=2, k=1,
         meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
     fam = ConeFamily(2, 1, [ConeElement("2f", base.scaled(2.0), base_id="f", scale=2.0)],
@@ -199,10 +199,18 @@ def test_capacity_without_a_base_element_is_a_domain_error():
         fam.capacity("2f")
 
 
+def test_composing_without_finite_witnesses_is_a_domain_error():
+    # on this family the pair (h1, h0) has no finite growth witness, so the
+    # chain through it has nothing to compose
+    fam = random_family(count=3, seed=1, grid_points=500, pool_size=1)
+    with pytest.raises(DomainError, match="no finite witnesses to compose"):
+        submultiplicativity_check(fam, "h0", "h1", "h0")
+
+
 def test_declared_scale_contradicting_the_witnesses_is_an_audit_error():
     # 2f declared as a quarter of f: the capacity route puts rho(f, 2f) at
     # 4, while the identity witnesses f <= 0.5 * (2f).
-    base = hamiltonian_from_expression(
+    base = ExpressionHamiltonian(
         "1 * bump(rho; 1, 3)", n=2, k=1,
         meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
     fam = ConeFamily(2, 1, [ConeElement("f", base, base_id="f"),

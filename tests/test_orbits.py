@@ -20,19 +20,6 @@ from symcone.orbits import (
 )
 
 
-def test_field_is_rotated_gradient(planar3):
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-3.0, 3.0, size=(60, 2))
-    h = 1e-6
-    fx, fy = planar3.field(pts[:, 0], pts[:, 1])
-    dhdx = (planar3.energy(pts[:, 0] + h, pts[:, 1])
-            - planar3.energy(pts[:, 0] - h, pts[:, 1])) / (2 * h)
-    dhdy = (planar3.energy(pts[:, 0], pts[:, 1] + h)
-            - planar3.energy(pts[:, 0], pts[:, 1] - h)) / (2 * h)
-    np.testing.assert_allclose(fx, -dhdy, rtol=0, atol=5e-5)
-    np.testing.assert_allclose(fy, dhdx, rtol=0, atol=5e-5)
-
-
 def test_energy_conservation_long_run(planar3):
     traj = integrate_planar(planar3, (0.4, 2.8), 100.0, step=2e-4)
     assert abs(traj.energy_end - traj.energy_start) < 1e-9

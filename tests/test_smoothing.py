@@ -11,7 +11,6 @@ from symcone import (
     liouville_squeeze_witness,
     radial_step_bump,
     random_hamiltonian,
-    symplectize_ambient,
     symplecticity_defect,
 )
 from symcone import IntegrationError, smoothing
@@ -20,7 +19,7 @@ from symcone.smoothing import (LADDER_RUNGS, MEASURED_RUNGS, ORDER_MIN, STEP_TOL
                                StepChoice, symplecticity_defect_of_images,
                                symplecticity_stencil)
 
-from conftest import sphere, zero_isotopy
+from conftest import sphere, symplectize_ambient, zero_isotopy
 
 
 def shell(rng, npts, dim, r2lo, r2hi):
