@@ -115,7 +115,8 @@ def nonsqueezing_verdict(V: Hyperboloid, s: float,
     exhibited.  A candidate with no witness is reported as CONTRADICTION
     (it would falsify the capacity axioms, i.e. expose a bug).  Fewer
     than one sample or no candidate is a DomainError: a sweep that maps
-    no point, or tries no map, shows nothing.
+    no point, or tries no map, shows nothing.  So is a sweep whose 64
+    blocks of box draws hold fewer than `samples` points of s*V.
     """
     if samples < 1:
         raise DomainError(f"need at least 1 sweep sample, got {samples}")
@@ -139,7 +140,10 @@ def nonsqueezing_verdict(V: Hyperboloid, s: float,
             break
     zs = np.vstack(pts)[:samples]
     if zs.shape[0] < samples:
-        raise DomainError("rejection sampling starved; enlarge the box")
+        raise DomainError(
+            f"rejection sampling starved: s*V fills too little of the cube of "
+            f"half-width {BOX_FACTOR:g}*s*max(a, b) = {halfwidth:.6g} (kept "
+            f"{zs.shape[0]} of {samples} samples in {len(streams) * samples} draws)")
 
     results = []
     verdict = "IMPOSSIBLE"

@@ -63,9 +63,6 @@ class SupportMeta:
     rho0: float
     rho1: float
 
-    def scaled(self, s: float):
-        return SupportMeta(M=self.M * s, m=self.m * s, rho0=self.rho0, rho1=self.rho1)
-
 
 class ContactHamiltonian:
     """A function on S^{2n-1}, vanishing past angle-ratio rho1 of the

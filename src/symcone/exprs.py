@@ -14,15 +14,16 @@ coordinate monomial, e.g. `mono(x1^2 y2^4)`.  Every term must contain at
 least one bump factor so the parsed function has certified compact
 support away from the small-ratio region's complement.
 
-Parsing yields a plan: the distinct bump profiles, and per term its
-coefficient, its bumps and its merged monomial powers.  Two kernels run
-that plan.  `eval_fn` computes values only.  `grad_fn` is the fused
-kernel: one pass returns (values, ambient gradients), computing rho and
-grad rho once and the values and derivatives of all distinct bumps in
-one stacked (bumps, rows) pass, however many terms share a bump.  The
-rho-part of every term's product rule is summed into one coefficient
-per row, which multiplies grad rho once; monomial parts are added column
-by column.  Integer powers are built by repeated squaring, never by `**`,
+The parser emits a plan, the one form in which an expression is kept
+(neither its text nor a parse tree is stored): the distinct bump
+profiles, and per term its coefficient, the indices of its bumps and
+its merged monomial powers.  Two kernels run that plan.  `eval_fn`
+computes values only.  `grad_fn` is the fused kernel: one pass returns
+(values, ambient gradients), computing rho and grad rho once and the
+values and derivatives of all distinct bumps in one stacked (bumps,
+rows) pass, however many terms share a bump.  The rho-part of every
+term's product rule is summed into one coefficient per row, which
+multiplies grad rho once; monomial parts are added column by column.  Integer powers are built by repeated squaring, never by `**`,
 and the fused values are bitwise those of `eval_fn`.  A flow or
 smoothed-map RK stage makes exactly one `grad_fn` call.
 
@@ -67,6 +68,7 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.n = n
+        self.bumps = []
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None)
@@ -82,23 +84,33 @@ class _Parser:
         return v
 
     def parse(self):
-        terms = [self.term()]
+        """The plan: the distinct (a, b) bump profiles, and per term
+        (coefficient, indices of its bumps, merged monomial powers as
+        ((coordinate, power), ...))."""
+        plan = [self.term()]
         while self.peek() == ("sym", "+"):
             self.take()
-            terms.append(self.term())
+            plan.append(self.term())
         if self.i != len(self.toks):
             raise ParseError(f"trailing input near {self.peek()[1]!r}")
-        return terms
+        return tuple(self.bumps), tuple(plan)
 
     def term(self):
         coeff = float(self.take("num"))
-        factors = []
+        ids, powers = [], {}
         while self.peek() == ("sym", "*"):
             self.take()
-            factors.append(self.factor())
-        if not any(f[0] == "bump" for f in factors):
+            kind, val = self.factor()
+            if kind == "bump":
+                if val not in self.bumps:
+                    self.bumps.append(val)
+                ids.append(self.bumps.index(val))
+            else:
+                for idx, p in val:
+                    powers[idx] = powers.get(idx, 0) + p
+        if not ids:
             raise ParseError("every term needs a bump factor (compact support)")
-        return coeff, factors
+        return coeff, tuple(ids), tuple(powers.items())
 
     def factor(self):
         k, v = self.peek()
@@ -113,7 +125,7 @@ class _Parser:
             self.take("sym", ")")
             if not 0.0 <= a < b:
                 raise ParseError(f"bump needs 0 <= a < b, got ({a}, {b})")
-            return ("bump", a, b)
+            return "bump", (a, b)
         if (k, v) == ("name", "mono"):
             self.take()
             self.take("sym", "(")
@@ -131,7 +143,7 @@ class _Parser:
             self.take("sym", ")")
             if not powers:
                 raise ParseError("empty mono()")
-            return ("mono", tuple(powers))
+            return "mono", tuple(powers)
         raise ParseError(f"expected bump or mono, got {v!r}")
 
     def _index(self, var):
@@ -153,64 +165,19 @@ def _ipow(x, p):
         x = x * x
 
 
-def _plan(terms):
-    """Evaluation plan of parsed terms: the distinct (a, b) bump profiles,
-    and per term (coefficient, indices of its bumps, merged monomial
-    powers as ((coordinate, power), ...))."""
-    bumps, plan = [], []
-    for coeff, factors in terms:
-        ids, powers = [], {}
-        for f in factors:
-            if f[0] == "bump":
-                if f[1:] not in bumps:
-                    bumps.append(f[1:])
-                ids.append(bumps.index(f[1:]))
-            else:
-                for idx, p in f[1]:
-                    powers[idx] = powers.get(idx, 0) + p
-        plan.append((coeff, tuple(ids), tuple(powers.items())))
-    return tuple(bumps), tuple(plan)
-
-
-def _format_terms(terms, n):
-    """Expression text of parsed terms (float repr, so it parses back exactly)."""
-    def var(idx):
-        return f"x{idx + 1}" if idx < n else f"y{idx - n + 1}"
-
-    def factor(f):
-        if f[0] == "bump":
-            return f"bump(rho; {f[1]!r}, {f[2]!r})"
-        return "mono(" + " ".join(f"{var(idx)}^{p}" for idx, p in f[1]) + ")"
-
-    return " + ".join(" * ".join([repr(coeff)] + [factor(f) for f in factors])
-                      for coeff, factors in terms)
-
-
 class ExpressionHamiltonian(ContactHamiltonian):
     """ContactHamiltonian backed by a parsed expression; its `grad_fn` is
     the fused value-and-gradient kernel."""
 
     def __init__(self, text: str, n: int, k: int, meta: SupportMeta = None,
                  meta_seed: int = 0):
-        terms = _Parser(_tokenize(text), n).parse()
-        self.text = text
-        self.terms = terms
-        self._bumps, self._plan = _plan(terms)
+        self._bumps, self._plan = _Parser(_tokenize(text), n).parse()
         # the distinct profiles as (bumps, 1) columns, for one stacked pass
         self._bump_cols = tuple(np.array(col)[:, None] for col in zip(*self._bumps))
         super().__init__(self._eval, k=k, n=n, meta=meta,
                          grad_fn=self._value_and_grad)
         if meta is None:
-            self.meta = self._estimate_meta(terms, n, k, meta_seed)
-
-    def scaled(self, s: float):
-        """s times this Hamiltonian: coefficients scaled, metadata scaled,
-        nothing re-estimated."""
-        if s <= 0:
-            raise DomainError("scale must be positive")
-        terms = [(s * coeff, factors) for coeff, factors in self.terms]
-        return ExpressionHamiltonian(_format_terms(terms, self.n), n=self.n,
-                                     k=self.k, meta=self.meta.scaled(s))
+            self.meta = self._estimate_meta(meta_seed)
 
     # -- evaluation ----------------------------------------------------
     def _eval(self, th):
@@ -265,20 +232,19 @@ class ExpressionHamiltonian(ContactHamiltonian):
         return total, grad
 
     # -- metadata -------------------------------------------------------
-    def _estimate_meta(self, terms, n, k, seed):
-        """Metadata from 4000 seeded sphere probes and 2000 inner ones."""
-        rho1 = max(min(f[2] for f in factors if f[0] == "bump")
-                   for _, factors in terms)
-        rho0 = 0.5 * min(min(f[1] for f in factors if f[0] == "bump")
-                         for _, factors in terms)
-        rho0 = max(rho0, 1e-3)
-        probe = sampling.sphere_points(n, 4000, seed)
+    def _estimate_meta(self, seed):
+        """Metadata from 4000 seeded sphere probes and 2000 inner ones;
+        rho1 is the largest over terms of a term's least bump end, rho0
+        half the least bump start, floored at 1e-3."""
+        rho1 = max(min(self._bumps[j][1] for j in ids) for _, ids, _ in self._plan)
+        rho0 = max(0.5 * min(a for a, _ in self._bumps), 1e-3)
+        probe = sampling.sphere_points(self.n, 4000, seed)
         vals = self._eval(probe)
         if np.min(vals) < -ZERO_TOL:
             raise DomainError("expression takes negative values; not usable here")
         M = 1.02 * float(np.max(vals)) + 1e-12
-        inner = sampling.sphere_points_with_angle_ratio(n, k, 2000, seed + 1,
-                                                        rho_max=rho0)
+        inner = sampling.sphere_points_with_angle_ratio(self.n, self.k, 2000,
+                                                        seed + 1, rho_max=rho0)
         m = 0.75 * float(np.min(self._eval(inner)))
         return SupportMeta(M=M, m=m, rho0=rho0, rho1=rho1)
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .capacity import CapacityInterval, capacity_of_hamiltonian
-from .contact import ContactHamiltonian, ContactIsotopy
+from .contact import ContactHamiltonian, ContactIsotopy, SupportMeta
 from .errors import AuditError, DomainError
 from .exprs import ExpressionHamiltonian, random_hamiltonian
 from . import sampling
@@ -334,21 +334,23 @@ def equivalence_and_order(fam: ConeFamily) -> QuotientReport:
 # --------------------------------------------------------------------------
 # family constructors
 
-_WORKED_BASE = "1 * bump(rho; 1, 3)"
-
-
 def scaling_family(scales: Sequence[float] = (1.0, 2.0, 4.0), n: int = 2,
                    k: int = 1, seed: int = 0, **kw) -> ConeFamily:
-    """The family {s_i * f} of scalings of one bump Hamiltonian; every
-    element's capacity is read from f's, so scales must hold 1.0."""
-    from .contact import SupportMeta
-
-    base = ExpressionHamiltonian(
-        _WORKED_BASE, n=n, k=k, meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
+    """The family {s_i * f} of scalings of f = bump(rho; 1, 3), each
+    element parsed with the coefficient s_i and given the metadata of f
+    scaled by s_i; every element's capacity is read from f's, so scales
+    must hold 1.0.  A scale that is not positive, or one whose element id
+    f"{s:g}f" is taken already, is a DomainError."""
     els = []
     for s in scales:
+        if s <= 0:
+            raise DomainError("scale must be positive")
         eid = "f" if s == 1.0 else f"{s:g}f"
-        H = base if s == 1.0 else base.scaled(s)
+        if any(el.eid == eid for el in els):
+            raise DomainError(f"scale {float(s)!r} repeats element {eid}")
+        H = ExpressionHamiltonian(
+            f"{float(s)!r} * bump(rho; 1, 3)", n=n, k=k,
+            meta=SupportMeta(M=1.0 * s, m=0.5 * s, rho0=0.1, rho1=3.0))
         els.append(ConeElement(eid=eid, H=H, base_id="f", scale=float(s)))
     return ConeFamily(n, k, els, seed=seed, **kw)
 

@@ -274,8 +274,8 @@ class SmoothedSymplectization:
                                           tol=STEP_TOL, floor=floor)
         return StepChoice(h=floor, estimate=None, tol=STEP_TOL, floor=floor)
 
-    def _integrate(self, zs, thetas, t_final):
-        """Lockstep RK4 over [0, t_final] on the map's step
+    def _integrate(self, zs, thetas):
+        """Lockstep RK4 over [0, 1] on the map's step
         (`contact._lockstep_rk4` under `_stage`): the ambient rows zs, and
         the sphere rows thetas, then the probes.  Returns the images of zs
         and the ends and log conformal factors of thetas, once the probes
@@ -286,13 +286,13 @@ class SmoothedSymplectization:
         nt = len(thetas)
         th = _renorm(np.asfortranarray(np.concatenate([thetas, self._probes])))
         z, th, logc, lo, hi = _lockstep_rk4(
-            self._stage, z, th, t_final, _step_count(t_final, self.step),
-            len(self._probes))
+            self._stage, z, th, 1.0, _step_count(1.0, self.step), len(self._probes))
         _conformal_envelope(self.certificate, lo, hi)
         return z, th[:nt], logc[:nt]
 
-    def __call__(self, zs, t_final: float = 1.0):
-        return self._integrate(zs, np.empty((0, 2 * self.iso.n)), t_final)[0]
+    def __call__(self, zs):
+        """Images of the rows zs under the time-1 map."""
+        return self._integrate(zs, np.empty((0, 2 * self.iso.n)))[0]
 
     def map_and_lift(self, zs, lift_zs):
         """(images of zs, homogeneous lift of lift_zs) from one integration:
@@ -301,7 +301,7 @@ class SmoothedSymplectization:
         sphere rows beside the probes, so it is bitwise the lift built on
         `self.iso.flow_many` at those directions."""
         r, th = _polar(lift_zs)
-        images, ends, logc = self._integrate(zs, th, 1.0)
+        images, ends, logc = self._integrate(zs, th)
         return images, _lift(r, ends, logc)
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from symcone import DomainError, Hyperboloid, StarDomain
+from symcone import (DomainError, ExpressionHamiltonian, Hyperboloid,
+                     StarDomain, SupportMeta)
 from symcone.capacity import (
     CapacityInterval,
     candidate_pool,
@@ -67,7 +68,10 @@ def test_star_interval_worked_values(worked_hamiltonian, worked_certificate):
 
 def test_hamiltonian_scaling_commutes_with_interval(worked_hamiltonian):
     s = 2.5
-    direct = capacity_of_hamiltonian(worked_hamiltonian.scaled(s))
+    scaled = ExpressionHamiltonian(
+        f"{s!r} * bump(rho; 1, 3)", n=2, k=1,
+        meta=SupportMeta(M=s, m=0.5 * s, rho0=0.1, rho1=3.0))
+    direct = capacity_of_hamiltonian(scaled)
     transported = capacity_of_hamiltonian(worked_hamiltonian).scaled_hamiltonian(s)
     np.testing.assert_allclose([direct.lo, direct.hi],
                                [transported.lo, transported.hi], rtol=1e-12)

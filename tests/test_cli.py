@@ -186,9 +186,12 @@ def test_unwritable_output_path_is_exit_2(tmp_path, capsys, flag):
     ("sandwich_readme_samples20000.json",
      ["sandwich", "--expr", "1 * bump(rho; 1, 3)", "--M", "1", "--m", "0.5",
       "--rho0", "0.1", "--rho1", "3", "--samples", "20000"]),
+    ("metric_scaling_pool0_grid2000.json",
+     ["metric", "--pool", "0", "--grid", "2000"]),
 ])
 def test_envelope_matches_golden_bytes(capsys, name, argv):
-    # Both runs use exact arithmetic and seeded PCG64 draws only, so the
+    # The runs use exact arithmetic and seeded PCG64 draws only (the metric
+    # run's one conjugator is the identity, so it steps no flow), so the
     # recorded envelopes hold on every platform.
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
@@ -294,11 +297,19 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
     (["squeeze", "--candidates", "0", "--samples", "100"],
      "need at least 1 candidate map, got none"),
     (["spectrum", "--top", "0"], "window top must be positive"),
+    (["metric", "--s", "0"], "scale must be positive"),
+    (["metric", "--s", "-2"], "scale must be positive"),
+    (["metric", "--s", "1"], "scale 1.0 repeats element f"),
+    (["squeeze", "--a", "1", "--b", "30", "--samples", "100", "--candidates", "1"],
+     "rejection sampling starved: s*V fills too little of the cube of "
+     "half-width 4*s*max(a, b) = 180 (kept 0 of 100 samples in 6400 draws)"),
 ])
 def test_sizes_below_one_are_exit_2(capsys, argv, message):
     # an empty grid, sample, sweep, candidate list, family or spectrum
     # window would give a vacuous bound, audit, verdict, metric or spectrum,
-    # and a negative count or an empty phase space has no meaning
+    # and a negative count or an empty phase space has no meaning; so has a
+    # scale that is not positive, a scaling family that holds one element
+    # twice, and a sweep whose box draws hold too few points of s*V
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"symcone: {message}\n"
@@ -438,9 +449,9 @@ def test_smoothing_audit_passes(capsys, monkeypatch):
     maps = []
     original = SmoothedSymplectization._integrate
 
-    def counted(self, *args, **kwargs):
+    def counted(self, zs, thetas):
         maps.append(self)
-        return original(self, *args, **kwargs)
+        return original(self, zs, thetas)
 
     monkeypatch.setattr(SmoothedSymplectization, "_integrate", counted)
     code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "150",

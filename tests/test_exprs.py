@@ -8,6 +8,7 @@ from symcone import (
     SupportMeta,
     angle_ratio_of,
     random_hamiltonian,
+    scaling_family,
 )
 from symcone import contact, exprs
 from symcone.blends import plateau_bump, plateau_bump_with_deriv
@@ -187,19 +188,23 @@ def test_rhs_agrees_with_the_finite_difference_route():
     np.testing.assert_allclose(rate, rate_fd, atol=1e-6)
 
 
-def test_scaled_stays_an_expression():
-    H = random_hamiltonian(2, 1, seed=12)
-    s = 2.75
-    Hs = H.scaled(s)
-    assert isinstance(Hs, ExpressionHamiltonian)
-    assert Hs.meta == H.meta.scaled(s)
+@pytest.mark.parametrize("s", [2.0, 3.5, 0.3])
+def test_scaling_family_elements_are_bitwise_s_times_f(s):
+    """Each element of the scaling family is s * f: its values are
+    bitwise s times those of f = bump(rho; 1, 3), its gradients are so up
+    to the rounding of one reassociated product, and its metadata is f's
+    with M and m scaled."""
+    fam = scaling_family(scales=(1.0, s), grid_points=10, pool_size=0)
+    f, sf = fam.elements["f"].H, fam.elements[f"{s:g}f"].H
+    assert isinstance(sf, ExpressionHamiltonian)
+    assert sf.meta == SupportMeta(M=s * f.meta.M, m=s * f.meta.m,
+                                  rho0=f.meta.rho0, rho1=f.meta.rho1)
     th = sphere(np.random.default_rng(27), 300, 4)
-    np.testing.assert_allclose(Hs.eval_fn(th), s * H.eval_fn(th), rtol=1e-15, atol=0.0)
-    _, g = Hs.grad_fn(th)
-    np.testing.assert_allclose(g, s * H.grad_fn(th)[1], rtol=1e-14, atol=1e-15)
-    # the scaled text parses back to bitwise the same values
-    back = ExpressionHamiltonian(Hs.text, n=2, k=1, meta=Hs.meta)
-    np.testing.assert_array_equal(back.eval_fn(th), Hs.eval_fn(th))
+    np.testing.assert_array_equal(sf.eval_fn(th), s * f.eval_fn(th))
+    vals, grad = sf.grad_fn(th)
+    f_vals, f_grad = f.grad_fn(th)
+    np.testing.assert_array_equal(vals, s * f_vals)
+    np.testing.assert_allclose(grad, s * f_grad, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2)])

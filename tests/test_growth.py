@@ -189,11 +189,15 @@ def test_dw_bound_interval_shape(scale_fam):
     assert out["rhs"] == 0.0
 
 
+def _twice_f():
+    """2 * bump(rho; 1, 3) with its support constants."""
+    return ExpressionHamiltonian(
+        "2.0 * bump(rho; 1, 3)", n=2, k=1,
+        meta=SupportMeta(M=2.0, m=1.0, rho0=0.1, rho1=3.0))
+
+
 def test_capacity_without_a_base_element_is_a_domain_error():
-    base = ExpressionHamiltonian(
-        "1 * bump(rho; 1, 3)", n=2, k=1,
-        meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
-    fam = ConeFamily(2, 1, [ConeElement("2f", base.scaled(2.0), base_id="f", scale=2.0)],
+    fam = ConeFamily(2, 1, [ConeElement("2f", _twice_f(), base_id="f", scale=2.0)],
                      pool_size=0, grid_points=100)
     with pytest.raises(DomainError):
         fam.capacity("2f")
@@ -214,7 +218,7 @@ def test_declared_scale_contradicting_the_witnesses_is_an_audit_error():
         "1 * bump(rho; 1, 3)", n=2, k=1,
         meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
     fam = ConeFamily(2, 1, [ConeElement("f", base, base_id="f"),
-                            ConeElement("2f", base.scaled(2.0), base_id="f",
+                            ConeElement("2f", _twice_f(), base_id="f",
                                         scale=0.25)],
                      pool_size=0, grid_points=100)
     with pytest.raises(AuditError, match="exceeds witnessed upper bound"):

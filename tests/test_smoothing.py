@@ -279,10 +279,10 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
 
     monkeypatch.setattr(K, "grad_fn", counted)
     zs = shell(np.random.default_rng(30), 25, 4, 1.0, 2.0)  # all outside the ball
-    sm(zs, t_final=0.01)
-    # round(0.01 / step) steps of 4 stages at the map's chosen step; the
-    # 512 conformal-factor probes ride in the same call
-    assert grads == [25 + 512] * (4 * max(1, round(0.01 / sm.step)))
+    sm(zs)
+    # round(1 / step) steps of 4 stages at the map's chosen step; the 512
+    # conformal-factor probes ride in the same call
+    assert grads == [25 + 512] * (4 * round(1.0 / sm.step))
 
 
 def test_map_and_lift_is_bitwise_the_two_routes(tame_map):

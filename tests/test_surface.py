@@ -58,10 +58,9 @@ def test_every_exported_name_has_a_caller():
 
 def test_every_public_method_is_taken_as_an_attribute():
     """A name-level tripwire: a public method of an exported class passes
-    when any attribute of its name is taken, whatever the object.  Names
-    that several classes share (`scaled`, `contains_many`) pass on one
-    class's caller, so a call trace, not this test, shows that each of
-    them is reached."""
+    when any attribute of its name is taken, whatever the object.  A name
+    that several classes share would pass on one class's caller, so a
+    call trace, not this test, would show that each of them is reached."""
     exported = _exported()
     _, attrs = _reads()
     unused = sorted(
