@@ -37,7 +37,12 @@ def _step_slope(u, u4):
 
 
 def smoothstep(u):
-    """C^4 monotone step: 0 for u <= 0, 1 for u >= 1 (degree-9 polynomial)."""
+    """C^4 monotone step: exactly 0 for u <= 0, exactly 1 for u >= 1
+    (degree-9 polynomial).  Between them the rounded values lie in
+    [0, 1 + 9.2e-14]: near u = 1 the Horner form rounds up to 1 + 9.13e-14
+    (the largest over 2e7 grid points of [0, 1]), and between neighbouring
+    points of a 10^6-point grid they fall back by up to 1.2e-13.  They are
+    not clamped to 1, which would change their bits."""
     u = np.clip(u, 0.0, 1.0)
     return _step_value(u, u * u * u * u)
 
@@ -72,7 +77,9 @@ def cutoff_with_deriv(r, r_lo, r_hi):
 
 
 def plateau_bump(t, t_flat, t_zero):
-    """C^4 decreasing profile: 1 on [0, t_flat], 0 on [t_zero, inf)."""
+    """C^4 decreasing profile: exactly 1 on [0, t_flat], exactly 0 on
+    [t_zero, inf), and one minus `smoothstep` between, so its values lie
+    in [-9.2e-14, 1]."""
     if not 0.0 <= t_flat < t_zero:
         raise ValueError("plateau_bump needs 0 <= t_flat < t_zero")
     return 1.0 - cutoff(t, t_flat, t_zero)

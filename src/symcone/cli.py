@@ -24,7 +24,8 @@ from .domains import (Hyperboloid, IntegrableDomain, build_smoothed_well,
                       containment_audit, sandwich_solve)
 from .errors import AuditError, DomainError, ParseError, ScanBudgetError
 from .exprs import ExpressionHamiltonian, random_hamiltonian
-from .growth import dw_bound_check, equivalence_and_order, random_family, scaling_family
+from .growth import (dw_bound_check, equivalence_and_order, random_family,
+                     scale_id, scaling_family)
 from .jsonio import dumps_json, fmt_float, load_config, write_csv
 from .orbits import characteristic_spectrum, clears_bound
 from . import sampling
@@ -234,7 +235,7 @@ def cmd_metric(params: dict):
     if params["family"] == "scaling":
         s = params["s"]
         fam = scaling_family(scales=(1.0, s), n=params["n"], k=params["k"], **kw)
-        pair = ("f", f"{s:g}f")
+        pair = ("f", scale_id(s))
     else:
         fam = random_family(count=params["count"], n=params["n"],
                             k=params["k"], **kw)

@@ -70,7 +70,16 @@ class ContactHamiltonian:
 
     `eval_fn` maps a batch of rows to values; `grad_fn` maps it to the
     pair (values, ambient gradients) in one call.
+
+    Exact facts in the angle ratio rho, as `eval_fn` computes values on
+    unit rows: the value is exactly 0 where rho >= `zero_rho`, and at
+    least `floor` where rho <= `floor_rho`.  These defaults hold for no
+    ratio; an `exprs.ExpressionHamiltonian` reads its own from its plan.
     """
+
+    zero_rho = np.inf
+    floor_rho = -np.inf
+    floor = -np.inf
 
     def __init__(self, eval_fn: Callable, k: int, n: int, meta: SupportMeta,
                  grad_fn: Callable):

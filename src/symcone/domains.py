@@ -8,6 +8,17 @@ sampling so no certificate is ever trusted on algebra alone.  The audit
 streams its box samples in blocks of AUDIT_BLOCK rows, bitwise the one
 seeded draw of `sampling.box_points`, so its memory is bounded whatever
 the sample count.
+
+Most audit rows never reach H.  A row's raw split (u, v) gives its angle
+ratio v/u, which its unit row shares up to rounding, and H's exact rho
+facts (`ContactHamiltonian.zero_rho`, `floor_rho`, `floor`) settle it:
+inside where the ratio clears `zero_rho`, since H is exactly 0 there,
+and outside where it stays below `floor_rho` and r times `floor` is at
+least 1, since r H is at least that.  Each ratio must clear its fact by
+a relative SETTLE_DELTA, far above the rows' rounding gap, and since r H
+rounds monotonically in H, every settled row gets the answer that
+evaluating H would give, bit for bit.  Only the other rows are
+normalised and evaluated.
 """
 from dataclasses import dataclass
 
@@ -25,6 +36,14 @@ BOX_FACTOR = 4.0
 # rows per block of the containment audit: 16384 points of R^4 are 512 KB,
 # so a block and its 1-D temporaries stay within a 2 MiB L2 cache
 AUDIT_BLOCK = 16384
+# relative margin by which a row's raw angle ratio must clear one of H's
+# rho facts for `StarDomain.contains_rows` to settle the row without H:
+# over 8e6 rows (n = 2 and 3, four scales) the ratio of a raw row and that
+# of its unit row differed by at most 8.4 (1 + rho) 2^-53
+SETTLE_DELTA = 1e-9
+# facts at larger ratios settle nothing, so that gap stays below
+# SETTLE_DELTA / 100
+SETTLE_RHO_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -64,17 +83,28 @@ class StarDomain:
 
     H: ContactHamiltonian
 
-    def contains_rows(self, zs, r):
-        """Membership of the rows of zs, given their squared norms r.  The
-        origin (r = 0) is inside; the other rows are gathered only when
-        the batch holds an origin row."""
-        values = self.H.eval_fn
-        nz = r > 0.0
-        if nz.all():
-            return r * values(zs / np.sqrt(r)[:, None]) < 1.0
-        out = np.ones(zs.shape[0], dtype=bool)
-        if nz.any():
-            out[nz] = r[nz] * values(zs[nz] / np.sqrt(r[nz])[:, None]) < 1.0
+    def contains_rows(self, zs, r, u, v):
+        """Membership of the rows of zs, given their `squared_split`
+        (r, u, v).  The origin (r = 0) is inside.  A row is settled inside
+        where v >= zero_rho (1 + SETTLE_DELTA) u, rows with u = 0
+        included, and outside where v <= floor_rho (1 - SETTLE_DELTA) u
+        and r floor >= 1; only the other rows are normalised and passed to
+        `H.eval_fn`.  Comparing v with a threshold times u needs no
+        division, and an infinite threshold times u = 0 is NaN, which
+        settles nothing.  Exact for rows whose nonzero coordinates square
+        to normal floats (see the module docstring)."""
+        H = self.H
+        zero = (H.zero_rho * (1.0 + SETTLE_DELTA)
+                if H.zero_rho <= SETTLE_RHO_MAX else np.inf)
+        low = (H.floor_rho * (1.0 - SETTLE_DELTA)
+               if H.floor_rho <= SETTLE_RHO_MAX else -np.inf)
+        with np.errstate(invalid="ignore"):  # an infinite threshold times u = 0
+            out = (v >= zero * u) | (r == 0.0)
+            rest = ~(out | ((v <= low * u) & (r * H.floor >= 1.0)))
+        # gathered by index: a boolean mask gathers rows several times slower
+        rest = np.flatnonzero(rest)
+        r = r.take(rest)
+        out[rest] = r * H.eval_fn(zs.take(rest, axis=0) / np.sqrt(r)[:, None]) < 1.0
         return out
 
 
@@ -349,7 +379,7 @@ def containment_audit(H: ContactHamiltonian, cert: SandwichCertificate,
     The samples stream in blocks of AUDIT_BLOCK rows (`sampling.box_blocks`),
     the same draws as `sampling.box_points`, so memory stays bounded at any
     sample count.  Each block is squared and split once: both hyperboloids
-    read its (u, v) and the star test its r.
+    read its (u, v), and the star test all three.
     """
     if samples < 1:
         raise DomainError(f"need at least 1 audit sample, got {samples}")
@@ -361,7 +391,7 @@ def containment_audit(H: ContactHamiltonian, cert: SandwichCertificate,
     for pts in sampling.box_blocks(2 * H.n, halfwidth, samples, seed, AUDIT_BLOCK):
         r, u, v = squared_split(pts, H.k)
         in_inner = cert.inner.level(u, v) < 1.0
-        in_star = star.contains_rows(pts, r)
+        in_star = star.contains_rows(pts, r, u, v)
         in_outer = cert.outer.level(u, v) < 1.0
         n_inner += np.count_nonzero(in_inner)
         n_star += np.count_nonzero(in_star)

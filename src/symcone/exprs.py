@@ -27,6 +27,17 @@ multiplies grad rho once; monomial parts are added column by column.  Integer po
 and the fused values are bitwise those of `eval_fn`.  A flow or
 smoothed-map RK stage makes exactly one `grad_fn` call.
 
+The plan also states exact facts in rho (`ContactHamiltonian`), read
+from the bump ends alone.  `plateau_bump` returns exactly 1.0 at
+rho <= a and exactly 0.0 at rho >= b, since its clip makes the step
+polynomial exact there.  So `eval_fn` is exactly 0 from `zero_rho`, the
+largest over terms of a term's least bump end, on.  When every merged
+power is even (coefficients carry no sign in the grammar), every term
+is at least 0 up to the profile's overshoot, and on rho <= `floor_rho`,
+the least bump start of the pure-bump term (no monomial) with the
+largest coefficient c, the sum is at least `floor` = c less
+FLOOR_SLACK times the sum of all coefficients.
+
 Both kernels take an (N, 2n) batch of rows in either memory layout.
 The RK loop (`contact._lockstep_rk4`) passes its rows column-major
 (see `geometry`), so a coordinate `th[:, idx]` is one contiguous vector;
@@ -43,6 +54,11 @@ from .contact import ZERO_TOL, ContactHamiltonian, SupportMeta
 from .errors import DomainError, ParseError
 from .geometry import angle_ratio_and_gradient, angle_ratio_of
 from . import sampling
+
+# relative slack of the plan's floor, in sums of coefficients: a bump
+# reads as low as -9.1e-14 (`blends.smoothstep` rounds up to 1 + 9.1e-14),
+# so a nonnegative term can fall that far below 0 times its coefficient
+FLOOR_SLACK = 1e-12
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -153,6 +169,25 @@ class _Parser:
         return (j - 1) if var[0] == "x" else (self.n + j - 1)
 
 
+def _zero_rho(bumps, plan):
+    """The least rho from which every term vanishes: the largest over
+    terms of the term's least bump end."""
+    return max(min(bumps[j][1] for j in ids) for _, ids, _ in plan)
+
+
+def _floor(bumps, plan):
+    """(floor_rho, floor): the sum is at least floor wherever
+    rho <= floor_rho, from the pure-bump term with the largest
+    coefficient; (-inf, -inf) when the plan has no pure-bump term or a
+    term of odd power, which can be negative."""
+    if any(p % 2 for _, _, powers in plan for _, p in powers):
+        return -np.inf, -np.inf
+    c, start = max(((c, min(bumps[j][0] for j in ids))
+                    for c, ids, powers in plan if not powers),
+                   default=(-np.inf, -np.inf))
+    return start, c - FLOOR_SLACK * sum(c for c, _, _ in plan)
+
+
 def _ipow(x, p):
     """x**p for an integer p >= 1 by repeated squaring (p = 1 returns x)."""
     out = None
@@ -174,6 +209,8 @@ class ExpressionHamiltonian(ContactHamiltonian):
         self._bumps, self._plan = _Parser(_tokenize(text), n).parse()
         # the distinct profiles as (bumps, 1) columns, for one stacked pass
         self._bump_cols = tuple(np.array(col)[:, None] for col in zip(*self._bumps))
+        self.zero_rho = _zero_rho(self._bumps, self._plan)
+        self.floor_rho, self.floor = _floor(self._bumps, self._plan)
         super().__init__(self._eval, k=k, n=n, meta=meta,
                          grad_fn=self._value_and_grad)
         if meta is None:
@@ -234,9 +271,9 @@ class ExpressionHamiltonian(ContactHamiltonian):
     # -- metadata -------------------------------------------------------
     def _estimate_meta(self, seed):
         """Metadata from 4000 seeded sphere probes and 2000 inner ones;
-        rho1 is the largest over terms of a term's least bump end, rho0
-        half the least bump start, floored at 1e-3."""
-        rho1 = max(min(self._bumps[j][1] for j in ids) for _, ids, _ in self._plan)
+        rho1 is `zero_rho`, rho0 half the least bump start, floored at
+        1e-3."""
+        rho1 = self.zero_rho
         rho0 = max(0.5 * min(a for a, _ in self._bumps), 1e-3)
         probe = sampling.sphere_points(self.n, 4000, seed)
         vals = self._eval(probe)

@@ -334,18 +334,29 @@ def equivalence_and_order(fam: ConeFamily) -> QuotientReport:
 # --------------------------------------------------------------------------
 # family constructors
 
+def scale_id(s: float) -> str:
+    """The id of the element s * f of `scaling_family`: "f" at s = 1,
+    otherwise f"{s:g}f" when that label reads back as s, and repr(s)
+    followed by "f" when it would name another scale."""
+    s = float(s)
+    if s == 1.0:
+        return "f"
+    label = f"{s:g}"
+    return (label if float(label) == s else repr(s)) + "f"
+
+
 def scaling_family(scales: Sequence[float] = (1.0, 2.0, 4.0), n: int = 2,
                    k: int = 1, seed: int = 0, **kw) -> ConeFamily:
     """The family {s_i * f} of scalings of f = bump(rho; 1, 3), each
     element parsed with the coefficient s_i and given the metadata of f
     scaled by s_i; every element's capacity is read from f's, so scales
     must hold 1.0.  A scale that is not positive, or one whose element id
-    f"{s:g}f" is taken already, is a DomainError."""
+    (`scale_id`) is taken already, is a DomainError."""
     els = []
     for s in scales:
         if s <= 0:
             raise DomainError("scale must be positive")
-        eid = "f" if s == 1.0 else f"{s:g}f"
+        eid = scale_id(s)
         if any(el.eid == eid for el in els):
             raise DomainError(f"scale {float(s)!r} repeats element {eid}")
         H = ExpressionHamiltonian(

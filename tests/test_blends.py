@@ -26,6 +26,18 @@ def test_smoothstep_branches_and_monotone():
     assert np.all((s >= 0) & (s <= 1))
 
 
+def test_profiles_overshoot_their_range_by_less_than_1e_13():
+    # near u = 1 the step rounds up to 1 + 9.1e-14, so a bump reads as low
+    # as -9.1e-14; the floor slack of `exprs` (FLOOR_SLACK) relies on it
+    u = np.concatenate([np.linspace(0.0, 1.0, 1_000_001),
+                        np.random.default_rng(5).uniform(0.9, 1.0, 1_000_000)])
+    s = smoothstep(u)
+    assert s.min() >= 0.0 and s.max() <= 1.0 + 1e-13
+    for a, b in [(0.0, 1.0), (1.0, 3.0), (1e-6, 1e7), (0.5, 2.0)]:
+        p = plateau_bump(np.linspace(a, b, 500_001), a, b)
+        assert p.min() >= -1e-13 and p.max() <= 1.0
+
+
 def test_smoothstep_deriv_matches_fd():
     rng = np.random.default_rng(3)
     u = rng.uniform(0.02, 0.98, 200)

@@ -180,6 +180,12 @@ def test_unwritable_output_path_is_exit_2(tmp_path, capsys, flag):
     assert err.startswith(f"symcone: cannot write {path}: ")
 
 
+# workload-style (see perfbench/workloads.py): a pure bump and two
+# monomial terms, its metadata estimated
+WORKLOAD_EXPR = ("0.83 * bump(rho; 0.62, 2.1) + 0.31 * bump(rho; 0.45, 1.9) * mono(y2^4)"
+                 " + 0.22 * bump(rho; 0.9, 2.4) * mono(y2^4)")
+
+
 @pytest.mark.parametrize("name, argv", [
     ("capacity_hyperboloid_a2_b3.json",
      ["capacity", "--hyperboloid", "--a", "2", "--b", "3"]),
@@ -188,11 +194,17 @@ def test_unwritable_output_path_is_exit_2(tmp_path, capsys, flag):
       "--rho0", "0.1", "--rho1", "3", "--samples", "20000"]),
     ("metric_scaling_pool0_grid2000.json",
      ["metric", "--pool", "0", "--grid", "2000"]),
+    ("sandwich_workload_expr_samples200000.json",
+     ["sandwich", "--expr", WORKLOAD_EXPR, "--samples", "200000"]),
 ])
 def test_envelope_matches_golden_bytes(capsys, name, argv):
     # The runs use exact arithmetic and seeded PCG64 draws only (the metric
     # run's one conjugator is the identity, so it steps no flow), so the
-    # recorded envelopes hold on every platform.
+    # recorded envelopes hold on every platform.  The workload expression's
+    # metadata is estimated: its inner probes pass through numpy's log and
+    # exp, but both monomials are in y2, so m is 0.75 * 0.83 whatever their
+    # last bits (the least monomial part, 1.3e-18, is 40 times below half
+    # an ulp of 0.83).
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
     golden = Path(__file__).resolve().parent / "golden" / name
@@ -593,6 +605,15 @@ def test_metric_scaling_headline(capsys):
     assert float(d["hi"]) == pytest.approx(math.log(2.0), rel=1e-14)
     assert all(v["ok"] for v in res["dw_bound"].values())
     assert [sorted(c) for c in res["classes"]] == [["f"], ["2f"]]
+
+
+def test_metric_headline_names_a_scale_past_six_digits(capsys):
+    code, out, err = run_cli(capsys, ["metric", "--s", "1.0000001",
+                                      "--grid", "100", "--pool", "0"])
+    assert code == 0 and err == ""
+    res = json.loads(out)["result"]
+    assert res["headline"]["pair"] == ["f", "1.0000001f"]
+    assert [sorted(c) for c in res["classes"]] == [["f"], ["1.0000001f"]]
 
 
 def test_metric_dw_bound_with_separated_capacities(capsys):

@@ -18,10 +18,11 @@ from symcone import (
     sandwich_solve,
     sampling,
 )
-from symcone.contact import SupportMeta
-from symcone.domains import AUDIT_BLOCK, BOX_FACTOR, ContainmentReport
-from symcone.exprs import ExpressionHamiltonian
-from symcone.geometry import row_sum
+from symcone.contact import ContactHamiltonian, SupportMeta
+from symcone.domains import (AUDIT_BLOCK, BOX_FACTOR, SETTLE_DELTA,
+                             ContainmentReport)
+from symcone.exprs import FLOOR_SLACK, ExpressionHamiltonian
+from symcone.geometry import row_sum, squared_split
 
 from conftest import sphere
 
@@ -50,9 +51,9 @@ def test_hyperboloid_membership_and_scaling():
 
 
 def contains(star, zs):
-    """`StarDomain.contains_rows` at the rows of zs, with their squared norms."""
+    """`StarDomain.contains_rows` at the rows of zs, with their split."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    return star.contains_rows(zs, row_sum(zs * zs))
+    return star.contains_rows(zs, *squared_split(zs, star.H.k))
 
 
 def test_star_domain_membership(worked_hamiltonian):
@@ -357,13 +358,23 @@ def test_certificate_check_rejects_thin_margins(worked_certificate):
         bad.check()
 
 
+def evaluated_membership(H, zs):
+    """r H(z / sqrt r) < 1 at every row but the origin, which is inside:
+    star membership with H evaluated on every row and no ratio facts."""
+    r = row_sum(zs * zs)
+    out = np.ones(zs.shape[0], dtype=bool)
+    nz = r > 0.0
+    out[nz] = r[nz] * H.eval_fn(zs[nz] / np.sqrt(r[nz])[:, None]) < 1.0
+    return out
+
+
 def whole_array_audit(H, cert, samples, seed):
     """The containment audit as three whole-array membership passes over
     one `box_points` draw: the reference for the blocked audit."""
     halfwidth = BOX_FACTOR * max(cert.outer.a, cert.outer.b)
     pts = sampling.box_points(2 * H.n, halfwidth, samples, seed)
     in_inner = cert.inner.contains_many(pts)
-    in_star = contains(StarDomain(H), pts)
+    in_star = evaluated_membership(H, pts)
     in_outer = cert.outer.contains_many(pts)
     return ContainmentReport(
         samples_inner=int(np.sum(in_inner)), samples_outer=int(np.sum(in_star)),
@@ -445,3 +456,116 @@ def test_star_membership_with_an_origin_row(worked_hamiltonian):
     others = np.delete(got, 417)
     assert 0 < np.count_nonzero(others) < len(pts)
     np.testing.assert_array_equal(others, contains(star, pts))
+
+
+def rows_at_ratio(rng, n, k, rho, r, count):
+    """`count` rows of squared norm about r and angle ratio about rho,
+    in random directions within each block."""
+    u_part = sphere(rng, count, 2 * n - k) * np.sqrt(1.0 / (1.0 + rho))
+    v_part = sphere(rng, count, k) * np.sqrt(rho / (1.0 + rho))
+    return np.hstack([u_part, v_part]) * np.sqrt(r)
+
+
+def adversarial_rows(H, seed):
+    """Rows on which a settled decision could go wrong: ratios at each of
+    H's finite rho facts times 1 +- j 1e-10 and 1 +- 2 SETTLE_DELTA, for
+    r from 1e-5 to 1e15 (past 1e13, r times a bump's rounding near its
+    end reaches 1); squared norms that put r times the floor (and
+    r times the floor's coefficient) within a few ulps of 1, at ratios
+    up to floor_rho that include the ends of every bump; rows with
+    u = 0; and origin rows."""
+    rng = np.random.default_rng(seed)
+    n, k = H.n, H.k
+    facts = [t for t in (H.zero_rho, H.floor_rho) if np.isfinite(t)]
+    steps = np.concatenate([np.arange(-8, 9) * 1e-10,
+                            [-2 * SETTLE_DELTA, 2 * SETTLE_DELTA]])
+    blocks = [rows_at_ratio(rng, n, k, t * (1.0 + d), r, 3)
+              for t in facts for d in steps
+              for r in 10.0 ** np.arange(-5, 16, 2)]
+    if H.floor > 0:
+        c = H.floor + FLOOR_SLACK * sum(coeff for coeff, _, _ in H._plan)
+        # below floor_rho, and where a bump's profile ends (u in [0.9, 1]),
+        # whose values dip below 0 by up to 9.1e-14
+        ends = [a + (b - a) * rng.uniform(0.9, 1.0, 40) for a, b in H._bumps]
+        ratios = np.concatenate([[0.0, 0.5 * H.floor_rho,
+                                  H.floor_rho * (1.0 - 2 * SETTLE_DELTA)], *ends])
+        for target in (1.0 / H.floor, 1.0 / c):
+            for rho in ratios[ratios <= H.floor_rho]:
+                r = target * (1.0 + np.arange(-40, 41) * 2.0 ** -52)
+                blocks += [rows_at_ratio(rng, n, k, rho, ri, 2) for ri in r]
+        # rows (x, 0, ..., 0) with fl(x^2) * floor within an ulp of 1
+        x = np.sqrt(1.0 / H.floor) * (1.0 + np.arange(-400, 401) * 2.0 ** -53)
+        on_axis = np.zeros((len(x), 2 * n))
+        on_axis[:, 0] = x
+        blocks.append(on_axis[np.abs(x * x * H.floor - 1.0) <= 2.0 ** -52])
+    u_zero = np.zeros((20, 2 * n))
+    u_zero[:, 2 * n - k:] = rng.uniform(-3.0, 3.0, (20, k))
+    return np.vstack(blocks + [u_zero, np.zeros((3, 2 * n))])
+
+
+DECISION_CASES = [
+    ("1 * bump(rho; 1, 3)", 2, 1),  # the README expression
+    *[(expr, 2, 1) for expr in _workload_expressions(3)],
+    ("1 * bump(rho; 1, 3) + 0.5 * bump(rho; 0.5, 2) * mono(x1^3 y1)", 2, 1),
+    ("0.8 * bump(rho; 0.5, 2) * mono(x1^2) + 0.3 * bump(rho; 0.2, 1) * mono(y2^4)",
+     2, 1),
+    ("1 * bump(rho; 2e4, 5e4) + 0.5 * bump(rho; 1e4, 3e4) * mono(x2^2)", 2, 1),
+    ("1 * bump(rho; 1, 3) + 0.2 * bump(rho; 0.5, 4) * mono(x3^2)", 3, 2),
+    # the second bump dips below 0 inside the floor's ratio range, which
+    # the floor's slack must cover
+    ("1 * bump(rho; 2, 3) + 1 * bump(rho; 0.5, 1)", 2, 1),
+]
+
+
+@pytest.mark.parametrize("expr, n, k", DECISION_CASES)
+def test_settled_rows_get_the_evaluated_decision(expr, n, k):
+    H = ExpressionHamiltonian(expr, n=n, k=k)
+    zs = adversarial_rows(H, seed=len(expr))
+    if H.floor > 0:  # the rows bracket r * floor = 1 to the ulp
+        products = row_sum(zs * zs) * H.floor
+        assert products[products < 1.0].max() >= 1.0 - 2.0 ** -52
+        assert 1.0 <= products[products >= 1.0].min() <= 1.0 + 2.0 ** -52
+    got = contains(StarDomain(H), zs)
+    np.testing.assert_array_equal(got, evaluated_membership(H, zs))
+
+
+def _evaluated_rows(H):
+    """A list that gathers the row count of every `H.eval_fn` call."""
+    counts, values = [], H.eval_fn
+
+    def counted(th):
+        counts.append(th.shape[0])
+        return values(th)
+
+    H.eval_fn = counted
+    return counts
+
+
+def test_most_box_rows_are_settled_without_H(worked_certificate):
+    # a fresh H, not the shared fixture, since the count wraps its eval_fn
+    H = ExpressionHamiltonian("1 * bump(rho; 1, 3)", n=2, k=1)
+    counts = _evaluated_rows(H)
+    halfwidth = BOX_FACTOR * max(worked_certificate.outer.a,
+                                 worked_certificate.outer.b)
+    pts = sampling.box_points(4, halfwidth, 20_000, 3)
+    got = contains(StarDomain(H), pts)
+    assert counts and sum(counts) < 0.5 * len(pts)
+    np.testing.assert_array_equal(got, evaluated_membership(H, pts))
+
+
+@pytest.mark.parametrize("H", [
+    ExpressionHamiltonian("1 * bump(rho; 2e4, 5e4) + 0.5 * bump(rho; 1e4, 3e4)",
+                          n=2, k=1, meta=SupportMeta(M=1.5, m=1.0, rho0=0.1,
+                                                     rho1=5e4)),
+    ContactHamiltonian(lambda th: np.zeros(th.shape[0]), k=1, n=2,
+                       meta=SupportMeta(M=0.0, m=1.0, rho0=0.1, rho1=1.0),
+                       grad_fn=None),
+], ids=["facts-above-1e4", "no-plan"])
+def test_rows_are_evaluated_where_no_fact_applies(H):
+    # every row but the origin reaches H, the u = 0 rows included
+    zs = adversarial_rows(ExpressionHamiltonian("1 * bump(rho; 1, 3)", n=2, k=1),
+                          seed=9)
+    counts = _evaluated_rows(H)
+    got = contains(StarDomain(H), zs)
+    assert sum(counts) == np.count_nonzero(row_sum(zs * zs) > 0.0)
+    np.testing.assert_array_equal(got, evaluated_membership(H, zs))

@@ -10,7 +10,8 @@ from symcone import (
     random_hamiltonian,
     scaling_family,
 )
-from symcone import contact, exprs
+from symcone import contact, exprs, sampling
+from symcone.growth import scale_id
 from symcone.blends import plateau_bump, plateau_bump_with_deriv
 
 from conftest import sphere
@@ -51,6 +52,47 @@ def test_compact_support_in_ratio():
     assert vals[1] == 0.0  # ratio 99 is far past the cutoff
     near = np.array([[1.0, 0.0, 0.0, 0.0]])
     assert np.asarray(H(near))[0] == 1.0
+
+
+@pytest.mark.parametrize("text, zero_rho, floor_rho, c", [
+    ("1 * bump(rho; 1, 3)", 3.0, 1.0, 1.0),
+    # the floor comes from the larger pure-bump coefficient, and its ratio
+    # from that term's least bump start
+    ("0.4 * bump(rho; 0.2, 1.5) + 0.9 * bump(rho; 0.6, 1) * bump(rho; 0.3, 2)"
+     " + 0.2 * bump(rho; 0.1, 4) * mono(x1^2 y2^4)", 4.0, 0.3, 0.9),
+    # x1 * x1 merges to an even power
+    ("1 * bump(rho; 1, 3) * mono(x1) * mono(x1) + 0.5 * bump(rho; 0.5, 2)",
+     3.0, 0.5, 0.5),
+    # an odd power can make a term negative, and with no pure-bump term
+    # there is no floor; either way the zero ratio stands
+    ("1 * bump(rho; 1, 3) + 0.5 * bump(rho; 0.5, 2) * mono(x1^3 y1)",
+     3.0, -np.inf, None),
+    ("0.8 * bump(rho; 0.5, 2) * mono(x1^2) + 0.3 * bump(rho; 0.2, 1) * mono(y2^4)",
+     2.0, -np.inf, None),
+])
+def test_plan_states_its_rho_facts(text, zero_rho, floor_rho, c):
+    H = ExpressionHamiltonian(text, n=2, k=1)
+    assert H.zero_rho == zero_rho == H.meta.rho1
+    assert H.floor_rho == floor_rho
+    total = sum(coeff for coeff, _, _ in H._plan)
+    assert H.floor == (-np.inf if c is None else c - exprs.FLOOR_SLACK * total)
+    # the facts hold as eval_fn computes: exactly 0 from zero_rho on, and
+    # at least the floor up to floor_rho
+    th = sphere(np.random.default_rng(41), 20_000, 4)
+    rho = angle_ratio_of(th, 1)
+    vals = H.eval_fn(th)
+    assert np.count_nonzero(rho >= zero_rho) > 100
+    assert np.all(vals[rho >= zero_rho] == 0.0)
+    if c is not None:
+        low = sampling.sphere_points_with_angle_ratio(2, 1, 2000, 3, floor_rho)
+        assert np.all(H.eval_fn(low) >= H.floor)
+
+
+def test_a_plain_hamiltonian_states_no_rho_facts():
+    H = ContactHamiltonian(lambda th: np.ones(th.shape[0]), k=1, n=2,
+                           meta=SupportMeta(M=1.0, m=1.0, rho0=0.1, rho1=1.0),
+                           grad_fn=None)
+    assert (H.zero_rho, H.floor_rho, H.floor) == (np.inf, -np.inf, -np.inf)
 
 
 def test_parse_errors():
@@ -195,7 +237,7 @@ def test_scaling_family_elements_are_bitwise_s_times_f(s):
     to the rounding of one reassociated product, and its metadata is f's
     with M and m scaled."""
     fam = scaling_family(scales=(1.0, s), grid_points=10, pool_size=0)
-    f, sf = fam.elements["f"].H, fam.elements[f"{s:g}f"].H
+    f, sf = fam.elements["f"].H, fam.elements[scale_id(s)].H
     assert isinstance(sf, ExpressionHamiltonian)
     assert sf.meta == SupportMeta(M=s * f.meta.M, m=s * f.meta.m,
                                   rho0=f.meta.rho0, rho1=f.meta.rho1)

@@ -17,6 +17,7 @@ from symcone.growth import (
     pseudo_distance,
     random_family,
     relative_growth_bounds,
+    scale_id,
     scaling_family,
     submultiplicativity_check,
 )
@@ -223,3 +224,17 @@ def test_declared_scale_contradicting_the_witnesses_is_an_audit_error():
                      pool_size=0, grid_points=100)
     with pytest.raises(AuditError, match="exceeds witnessed upper bound"):
         relative_growth_bounds(fam, "f", "2f")
+
+
+def test_scale_ids_name_their_scales():
+    # %g keeps six significant digits, so a scale past them is named by
+    # its repr; ids that %g names exactly keep their short form
+    assert [scale_id(s) for s in (1.0, 2.0, 4.0, 0.5, 1.5, 64, 1e-7)] == [
+        "f", "2f", "4f", "0.5f", "1.5f", "64f", "1e-07f"]
+    assert scale_id(1.0000001) == "1.0000001f"
+    fam = scaling_family(scales=(1.0, 2.0000001, 2.0000002), grid_points=10,
+                         pool_size=0)
+    assert list(fam.elements) == ["f", "2.0000001f", "2.0000002f"]
+    with pytest.raises(DomainError, match="scale 2.0000001 repeats element"):
+        scaling_family(scales=(1.0, 2.0000001, 2.0000001), grid_points=10,
+                       pool_size=0)
