@@ -163,7 +163,8 @@ class SmoothedWell:
             return np.asarray(self.value_at(float(t)))
         t2 = t * t
         d = 4.0 * t2 - self._four_c2
-        out = np.where(d >= self.delta, 3.0 * t2 - self._four_c2, -t2)
+        # outside the band g is the larger branch: 3t^2 - 4C^2 - (-t^2) = d
+        out = np.maximum(3.0 * t2 - self._four_c2, -t2)
         band = np.abs(d) < self.delta  # the blend runs on these entries only
         out[band] = self._band_value(t2[band], d[band])
         return out

@@ -104,6 +104,8 @@ class ConeFamily:
             self.pool.append(
                 Conjugator(f"flow-{i}", ContactIsotopy(gen, step=2e-2)))
         self._values: Dict[str, np.ndarray] = {}
+        # c * f(pre) per (element id, conjugator); pairs of elements share it
+        self._pulled: Dict[Tuple[str, Conjugator], np.ndarray] = {}
         self._caps: Dict[str, CapacityInterval] = {}
         for e in self.elements.values():
             e.H.audit(seed=seed)
@@ -135,8 +137,11 @@ class ConeFamily:
     def sup_ratio(self, fid: str, hid: str, conj: Conjugator) -> float:
         """Smallest s with Ad_conj f <= s h on the grid (0/0 counts as
         dominated; a positive numerator over a vanishing h gives inf)."""
-        pre, c = conj.pulled_back(self.grid)
-        num = c * np.asarray(self.elements[fid].H.eval_fn(pre), dtype=float)
+        num = self._pulled.get((fid, conj))
+        if num is None:
+            pre, c = conj.pulled_back(self.grid)
+            num = c * np.asarray(self.elements[fid].H.eval_fn(pre), dtype=float)
+            self._pulled[(fid, conj)] = num
         den = self.values_on_grid(hid)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(num <= 0.0, 0.0,

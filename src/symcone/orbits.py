@@ -11,8 +11,10 @@ geometry, which lets the two routes audit each other.
 The quadrature route is one adaptive Gauss-Kronrod kernel (QUADPACK's
 G7-K15 pair) that integrates a whole batch of levels at once: every live
 panel of every level is evaluated in one array call of the well per
-round.  A level's floor is the shoelace area of its traced contour; the
-kernel's area of all scanned levels audits those floors in one call.
+round.  A level's floor is the shoelace area of its traced contour.  The
+label scan traces its contours CONTOUR_BLOCK levels at a time, so only
+their areas outlive a block, and the kernel's area of all scanned levels
+audits those floors in one call.
 """
 import math
 from dataclasses import dataclass, field
@@ -42,6 +44,17 @@ _DRIFTS = (0.5 * _W1, 0.5 * (_W1 + _KICKS[1]), 0.5 * (_W1 + _KICKS[1]),
 CONTOUR_POINTS = 2048
 _CONTOUR_U = 2.0 * math.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS
 _CONTOUR_COS, _CONTOUR_SIDE = np.cos(_CONTOUR_U), np.sign(np.sin(_CONTOUR_U))
+# levels per block of the label scan's contours: a (4, 2048) array of
+# doubles is 64 KiB.  Tracing all audited levels at once made every
+# temporary 200-330 KB, over glibc's 128 KiB mmap threshold, so each was
+# mapped, faulted in and unmapped on every scan.  Minor faults per job
+# (`resource.getrusage`) over the 26 `spectrum-wells` seed-1 jobs, best of
+# 3 passes, on a 2-core Xeon with glibc 2.36: 0 at 3 and 4 levels a block,
+# 85 at 2, up to 320 at 5, 488 at 7 (112 KiB arrays) and 552 at 16, as
+# many as the whole batch took; median job 1.73-1.85 ms at 4 levels,
+# 2.05-2.19 at 2, 2.29-2.44 at 7 and 2.59-2.84 at 16.  Staying under the
+# threshold is not enough: size the block by counting faults.
+CONTOUR_BLOCK = 4
 
 # QUADPACK's qk15 rule on [-1, 1] (Piessens et al., QUADPACK, Springer
 # 1983): nodes from -1 up to the midpoint, their Kronrod weights, and the
@@ -270,7 +283,7 @@ def _action_quadrature(system: PlanarWellSystem, e, y_lo, y_hi) -> np.ndarray:
 def _contours(system: PlanarWellSystem, es, y_lo, y_hi):
     """Vertices (x, y) of the closed level-curve polygons of the levels
     (es, y_lo, y_hi), one cosine-clustered row of CONTOUR_POINTS each, from
-    one array call of the well."""
+    one array call of the well on all the rows it is given."""
     well, b2, a = system.well, system.b ** 2, system.a
     mid, half = 0.5 * (y_lo + y_hi), 0.5 * (y_hi - y_lo)
     y = mid[:, None] - half[:, None] * _CONTOUR_COS
@@ -302,13 +315,23 @@ class OrbitRecord:
 
 
 def _closed_levels(system: PlanarWellSystem, es):
-    """(contour x, contour y, y_lo, y_hi) of the closed components of the
-    levels {h = e} at every energy of es; see `closed_orbit_at_energy`."""
+    """Turning points (y_lo, y_hi) of the closed components of the levels
+    {h = e} at every energy of es; see `closed_orbit_at_energy`."""
     if np.any(es == 0.0):
         raise DomainError("zero level is the homoclinic figure-eight, not a "
                           "closed orbit")
-    y_lo, y_hi = turning_points(system, es)
-    return (*_contours(system, es, y_lo, y_hi), y_lo, y_hi)
+    return turning_points(system, es)
+
+
+def _contour_areas(system: PlanarWellSystem, es, y_lo, y_hi) -> np.ndarray:
+    """Shoelace areas of the levels' contours, traced CONTOUR_BLOCK levels
+    at a time.  Each row's area is reduced on its own, so it is bitwise
+    the area of that row traced in any batch."""
+    area = np.empty(es.size)
+    for i in range(0, es.size, CONTOUR_BLOCK):
+        rows = slice(i, i + CONTOUR_BLOCK)
+        area[rows] = _shoelace(*_contours(system, es[rows], y_lo[rows], y_hi[rows]))
+    return area
 
 
 def _audited_areas(system: PlanarWellSystem, e, y_lo, y_hi, area) -> np.ndarray:
@@ -334,7 +357,8 @@ def closed_orbit_at_energy(system: PlanarWellSystem, e: float) -> OrbitRecord:
     relative 1e-4.
     """
     es = np.array([e], dtype=float)
-    x, y, y_lo, y_hi = _closed_levels(system, es)
+    y_lo, y_hi = _closed_levels(system, es)
+    x, y = _contours(system, es, y_lo, y_hi)
     action = float(_audited_areas(system, es, y_lo, y_hi, _shoelace(x, y))[0])
     period = _period_quadrature(system, e, float(y_lo[0]), float(y_hi[0]))
     pts = np.column_stack([np.append(x[0], x[0, 0]), np.append(y[0], y[0, 0])])
@@ -396,15 +420,17 @@ def label_action_floor(system: PlanarWellSystem, e: float) -> float:
 
 def _label_floors(system: PlanarWellSystem, es: np.ndarray) -> np.ndarray:
     """`label_action_floor` at every energy of es: the turning points of
-    all levels above the threshold in one solve, their contours in one
-    array call of the well, and their areas audited in one kernel call."""
+    all levels above the threshold in one solve, their contours and areas
+    in blocks of CONTOUR_BLOCK levels, and those areas audited in one
+    kernel call."""
     threshold = -system.well.C ** 2 / (4.0 * system.b ** 2)
     floors = math.pi * system.a ** 2 * (1.0 - es)
     above = es >= threshold
     if above.any():
-        x, y, y_lo, y_hi = _closed_levels(system, es[above])
-        floors[above] = _audited_areas(system, es[above], y_lo, y_hi,
-                                       _shoelace(x, y))
+        e = es[above]
+        y_lo, y_hi = _closed_levels(system, e)
+        floors[above] = _audited_areas(system, e, y_lo, y_hi,
+                                       _contour_areas(system, e, y_lo, y_hi))
     return floors
 
 

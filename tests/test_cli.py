@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 import symcone
 from symcone import cli, orbits, sampling, smoothing
 from symcone.cli import _build_parser, main
-from symcone.growth import ConeFamily
+from symcone.growth import ConeFamily, Conjugator
 from symcone.smoothing import SmoothedSymplectization, symplecticity_defect
 
 from conftest import symplectize_ambient
@@ -196,6 +198,8 @@ WORKLOAD_EXPR = ("0.83 * bump(rho; 0.62, 2.1) + 0.31 * bump(rho; 0.45, 1.9) * mo
      ["metric", "--pool", "0", "--grid", "2000"]),
     ("sandwich_workload_expr_samples200000.json",
      ["sandwich", "--expr", WORKLOAD_EXPR, "--samples", "200000"]),
+    ("spectrum_C3_labels200.json",
+     ["spectrum", "--C", "3", "--labels", "200"]),
 ])
 def test_envelope_matches_golden_bytes(capsys, name, argv):
     # The runs use exact arithmetic and seeded PCG64 draws only (the metric
@@ -204,7 +208,9 @@ def test_envelope_matches_golden_bytes(capsys, name, argv):
     # metadata is estimated: its inner probes pass through numpy's log and
     # exp, but both monomials are in y2, so m is 0.75 * 0.83 whatever their
     # last bits (the least monomial part, 1.3e-18, is 40 times below half
-    # an ulp of 0.83).
+    # an ulp of 0.83).  The spectrum run goes through numpy's cos, sqrt
+    # and power, so its bytes pin those of the x86-64 Linux build they
+    # were recorded on.
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
     golden = Path(__file__).resolve().parent / "golden" / name
@@ -652,20 +658,27 @@ def test_metric_family_takes_the_split(capsys, family):
 
 
 def test_metric_bounds_each_pair_once(monkeypatch, capsys):
-    sup_ratio = ConeFamily.sup_ratio
-    calls = []
+    sup_ratio, pulled_back = ConeFamily.sup_ratio, Conjugator.pulled_back
+    calls, pullbacks = [], []
 
     def counting(self, fid, hid, conj):
         calls.append((fid, hid, conj.cid))
         return sup_ratio(self, fid, hid, conj)
 
+    def counting_pullbacks(self, grid):
+        pullbacks.append(self.cid)
+        return pulled_back(self, grid)
+
     monkeypatch.setattr(ConeFamily, "sup_ratio", counting)
+    monkeypatch.setattr(Conjugator, "pulled_back", counting_pullbacks)
     code, out, err = run_cli(capsys, ["metric", "--family", "random",
                                       "--count", "3", "--pool", "1",
                                       "--grid", "500"])
     assert code == 0 and err == ""
-    # 3 x 3 ordered pairs against the identity and one flow conjugator
+    # 3 x 3 ordered pairs against the identity and one flow conjugator,
+    # which share one pullback of each element through each conjugator
     assert len(calls) == 18 and len(set(calls)) == 18
+    assert sorted(pullbacks) == ["flow-0"] * 3 + ["identity"] * 3
     res = json.loads(out)["result"]
     dists = res["distances"]
     assert len(res["dw_bound"]) == 3
@@ -673,6 +686,28 @@ def test_metric_bounds_each_pair_once(monkeypatch, capsys):
         i, j = key.split("|")
         d = dists.get(f"{i}|{j}") or dists[f"{j}|{i}"]
         assert entry["d_hi"] == d["hi"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc"
+                    or importlib.util.find_spec("resource") is None,
+                    reason="counts glibc's minor page faults")
+def test_repeated_spectrum_job_takes_no_fresh_pages():
+    # The label scan traces its contours CONTOUR_BLOCK levels at a time, so
+    # every temporary stays below glibc's mmap threshold and a repeated job
+    # reuses the heap's pages; tracing all 50 levels at once took about
+    # 550 minor faults a job.
+    proc = run_python(["-c", (
+        "import contextlib, io, resource\n"
+        "from symcone import cli\n"
+        "for _ in range(3):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['spectrum', '--C', '5', '--labels', '50']) == 0\n"
+        "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "print(faults)\n")])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
 
 
 def test_spectrum_never_confirms_on_an_empty_scan(tmp_path, capsys):

@@ -287,11 +287,12 @@ def test_spectrum_round_actions_and_scan(domain3):
 
 
 def test_level_scan_keeps_to_the_scalar_well(domain3, monkeypatch):
-    # No 0-d array reaches the array form of g.  It serves one contour call
-    # for all audited levels at once, a row of CONTOUR_POINTS each, and one
-    # call per round of the quadrature kernel, whose first round holds one
-    # panel per blend-band piece of every audited level.  Every turning
-    # point of the scan lies past the band, so no bisection runs.
+    # No 0-d array reaches the array form of g.  It serves the contour
+    # calls first, full blocks of CONTOUR_BLOCK levels and then the rest, a
+    # row of CONTOUR_POINTS each, and then one call per round of the
+    # quadrature kernel, whose first round holds one panel per blend-band
+    # piece of every audited level.  Every turning point of the scan lies
+    # past the band, so no bisection runs.
     array_value = SmoothedWell.value
     shapes = []
 
@@ -303,11 +304,42 @@ def test_level_scan_keeps_to_the_scalar_well(domain3, monkeypatch):
     spec = characteristic_spectrum(domain3, 10.0, scan_labels=20)
     assert spec.labels_scanned == 20
     assert () not in shapes
-    (levels, points), rounds = shapes[0], shapes[1:]
-    assert 0 < levels <= spec.labels_scanned and points == orbits.CONTOUR_POINTS
+    n_contours = next(i for i, shape in enumerate(shapes)
+                      if shape[1] != orbits.CONTOUR_POINTS)
+    contours, rounds = shapes[:n_contours], shapes[n_contours:]
+    levels = sum(rows for rows, _ in contours)
+    assert 0 < levels <= spec.labels_scanned
+    full, rest = divmod(levels, orbits.CONTOUR_BLOCK)
+    assert contours == ([(orbits.CONTOUR_BLOCK, orbits.CONTOUR_POINTS)] * full
+                        + [(rest, orbits.CONTOUR_POINTS)] * (rest > 0))
     assert 0 < len(rounds) <= orbits._GK_ROUNDS
     assert levels <= rounds[0][0] <= 5 * levels
     assert all(shape[1] == orbits._GK_NODES.size for shape in rounds)
+
+
+@pytest.mark.parametrize("C", [3.0, 5.0, 8.0])
+def test_blocked_floors_are_the_one_block_areas(C):
+    # Each contour row's area is reduced on its own, so the scan's blocks
+    # give the floors of one contour call over all audited levels bit for
+    # bit; 40 labels audit 11 to 13 levels, three blocks and a ragged one.
+    D = IntegrableDomain(n=2, k=1, a=1.0, b=1.0,
+                         well=build_smoothed_well(C, C / 12.0))
+    system = PlanarWellSystem.from_domain(D)
+    spec = characteristic_spectrum(D, 10.0, scan_labels=40)
+    above = spec.scan_energies >= -C ** 2 / 4.0
+    e = spec.scan_energies[above]
+    assert e.size > 2 * orbits.CONTOUR_BLOCK and e.size % orbits.CONTOUR_BLOCK
+    y_lo, y_hi = turning_points(system, e)
+    x, y = orbits._contours(system, e, y_lo, y_hi)
+    one_block = orbits._shoelace(x, y)
+    assert np.array_equal(orbits._contour_areas(system, e, y_lo, y_hi), one_block)
+    assert np.array_equal(spec.scan_floors[above], np.maximum(one_block, 0.0))
+    # the orbit record still traces its one level as that call's row
+    for i in (0, e.size // 2, e.size - 1):
+        rec = closed_orbit_at_energy(system, float(e[i]))
+        assert rec.action == max(one_block[i], 0.0)
+        assert np.array_equal(rec.samples[:-1], np.column_stack([x[i], y[i]]))
+        assert np.array_equal(rec.samples[-1], rec.samples[0])
 
 
 def test_level_scan_computes_no_period(domain3, monkeypatch):
