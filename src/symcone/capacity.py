@@ -37,20 +37,27 @@ class CapacityInterval:
         return CapacityInterval(self.lo / s, self.hi / s, self.exact)
 
 
-def capacity_hyperboloid(V: Hyperboloid) -> CapacityInterval:
-    """Exact value pi*a^2; only defined for k < n (for k >= n no capacity
-    with the required monotonicity/conjugation properties exists)."""
-    if V.k >= V.n:
+def require_capacity(n: int, k: int):
+    """Refuse k >= n with a DomainError: no capacity with the required
+    monotonicity/conjugation properties exists there, so no number derived
+    from one is true."""
+    if k >= n:
         raise DomainError(
-            f"capacity is undefined for k = {V.k} >= n = {V.n}: this regime "
+            f"capacity is undefined for k = {k} >= n = {n}: this regime "
             "admits arbitrarily contracting conjugations")
+
+
+def capacity_hyperboloid(V: Hyperboloid) -> CapacityInterval:
+    """Exact value pi*a^2; only defined for k < n (`require_capacity`)."""
+    require_capacity(V.n, V.k)
     w = math.pi * V.a ** 2
     return CapacityInterval(w, w, exact=True)
 
 
 def capacity_interval(D: StarDomain) -> CapacityInterval:
     """[pi a^2, pi a'^2] from the sandwich `sandwich_solve` puts around
-    V(H)."""
+    V(H); only defined for k < n (`require_capacity`)."""
+    require_capacity(D.H.n, D.H.k)
     cert = sandwich_solve(D.H)
     return CapacityInterval(math.pi * cert.inner.a ** 2,
                             math.pi * cert.outer.a ** 2, exact=False)

@@ -175,6 +175,8 @@ def _hamiltonian_from_params(params: dict, meta_seed: int = 0):
 def cmd_sandwich(params: dict):
     H = _hamiltonian_from_params(params)
     cert = sandwich_solve(H)
+    if params["M"] is not None:  # supplied metadata is a claim to check
+        H.audit(seed=params["seed"])
     report = containment_audit(H, cert, samples=params["samples"],
                                seed=params["seed"])
     result = {

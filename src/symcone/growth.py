@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import CapacityInterval, capacity_of_hamiltonian
+from .capacity import (CapacityInterval, capacity_of_hamiltonian,
+                       require_capacity)
 from .contact import ContactHamiltonian, ContactIsotopy, SupportMeta
 from .errors import AuditError, DomainError
 from .exprs import ExpressionHamiltonian, random_hamiltonian
@@ -92,6 +93,9 @@ class ConeFamily:
                  seed: int = 0, pool_size: int = 8, grid_points: int = 10_000):
         if grid_points < 1:
             raise DomainError(f"need at least 1 grid point, got {grid_points}")
+        if not 1 <= k <= n:
+            raise DomainError(f"k = {k} outside 1..{n}")
+        require_capacity(n, k)
         self.n, self.k = n, k
         self.elements: Dict[str, ConeElement] = {e.eid: e for e in elements}
         if len(self.elements) != len(elements):
@@ -103,7 +107,6 @@ class ConeFamily:
             gen = random_hamiltonian(n, k, seed=s)
             self.pool.append(
                 Conjugator(f"flow-{i}", ContactIsotopy(gen, step=2e-2)))
-        self._values: Dict[str, np.ndarray] = {}
         # c * f(pre) per (element id, conjugator); pairs of elements share it
         self._pulled: Dict[Tuple[str, Conjugator], np.ndarray] = {}
         self._caps: Dict[str, CapacityInterval] = {}
@@ -112,12 +115,12 @@ class ConeFamily:
 
     # -- cached evaluations ------------------------------------------------
 
-    def values_on_grid(self, eid: str) -> np.ndarray:
-        if eid not in self._values:
-            vals = np.asarray(
-                self.elements[eid].H.eval_fn(self.grid), dtype=float)
-            self._values[eid] = vals
-        return self._values[eid]
+    def _pulled_values(self, eid: str, conj: Conjugator) -> np.ndarray:
+        if (eid, conj) not in self._pulled:
+            pre, c = conj.pulled_back(self.grid)
+            self._pulled[(eid, conj)] = c * np.asarray(
+                self.elements[eid].H.eval_fn(pre), dtype=float)
+        return self._pulled[(eid, conj)]
 
     def capacity(self, eid: str) -> CapacityInterval:
         """Enclosure of w for the element, transported exactly from its
@@ -137,12 +140,8 @@ class ConeFamily:
     def sup_ratio(self, fid: str, hid: str, conj: Conjugator) -> float:
         """Smallest s with Ad_conj f <= s h on the grid (0/0 counts as
         dominated; a positive numerator over a vanishing h gives inf)."""
-        num = self._pulled.get((fid, conj))
-        if num is None:
-            pre, c = conj.pulled_back(self.grid)
-            num = c * np.asarray(self.elements[fid].H.eval_fn(pre), dtype=float)
-            self._pulled[(fid, conj)] = num
-        den = self.values_on_grid(hid)
+        num = self._pulled_values(fid, conj)
+        den = self._pulled_values(hid, self.pool[0])  # identity: h on the grid
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(num <= 0.0, 0.0,
                              np.where(den <= 0.0, np.inf, num / den))
@@ -183,24 +182,26 @@ def _min_abs_log(lo: float, hi: float) -> float:
     return abs(math.log(lo))
 
 
-def pseudo_distance(fam: ConeFamily, fid: str, hid: str,
-                    forward: Optional[GrowthInterval] = None,
-                    backward: Optional[GrowthInterval] = None
-                    ) -> DistanceInterval:
-    """Enclosure of d(f, h) = max(|log rho(f,h)|, |log rho(h,f)|).
+def _distance(I1: GrowthInterval, I2: GrowthInterval) -> DistanceInterval:
+    """Enclosure of d(f, h) = max(|log rho(f,h)|, |log rho(h,f)|) from
+    enclosures I1 of rho(f,h) and I2 of rho(h,f).
 
     The upper endpoint uses rho(f,h) * rho(h,f) >= 1: each |log rho| is
     bounded by max(log hi_fwd, log hi_bwd), so naive endpoint
     combinations (which would violate the triangle inequality) are never
     needed.
     """
-    I1 = forward or relative_growth_bounds(fam, fid, hid)
-    I2 = backward or relative_growth_bounds(fam, hid, fid)
     d_lo = max(_min_abs_log(I1.lo, I1.hi), _min_abs_log(I2.lo, I2.hi))
     if math.isinf(I1.hi) or math.isinf(I2.hi):
         return DistanceInterval(lo=d_lo, hi=math.inf)
     d_hi = max(math.log(I1.hi), math.log(I2.hi), 0.0)
     return DistanceInterval(lo=d_lo, hi=max(d_lo, d_hi))
+
+
+def pseudo_distance(fam: ConeFamily, fid: str, hid: str) -> DistanceInterval:
+    """`_distance` of the witnessed growth intervals of (f, h) and (h, f)."""
+    return _distance(relative_growth_bounds(fam, fid, hid),
+                     relative_growth_bounds(fam, hid, fid))
 
 
 @dataclass
@@ -293,13 +294,11 @@ def equivalence_and_order(fam: ConeFamily) -> QuotientReport:
     raw = {(i, j): relative_growth_bounds(fam, i, j) for i in ids for j in ids}
     hi = _closed_hi_matrix({key: iv.hi for key, iv in raw.items()})
 
-    dists: Dict[Tuple[str, str], DistanceInterval] = {}
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            i, j = ids[a], ids[b]
-            f_iv = GrowthInterval(min(raw[(i, j)].lo, hi[(i, j)]), hi[(i, j)])
-            b_iv = GrowthInterval(min(raw[(j, i)].lo, hi[(j, i)]), hi[(j, i)])
-            dists[(i, j)] = pseudo_distance(fam, i, j, f_iv, b_iv)
+    # the closure may lower hi below a raw lo, which then drops to it
+    closed = {key: GrowthInterval(min(iv.lo, hi[key]), hi[key])
+              for key, iv in raw.items()}
+    dists = {(i, j): _distance(closed[(i, j)], closed[(j, i)])
+             for a, i in enumerate(ids) for j in ids[a + 1:]}
 
     parent = list(range(len(ids)))
 

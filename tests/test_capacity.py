@@ -40,8 +40,12 @@ def test_hyperboloid_capacity_exact_and_b_free():
 
 
 def test_no_capacity_at_full_index():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="capacity is undefined for k = 2"):
         capacity_hyperboloid(Hyperboloid(n=2, k=2, a=1.0, b=1.0))
+    H = ExpressionHamiltonian("1 * bump(rho; 1, 3)", n=2, k=2,
+                              meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
+    with pytest.raises(DomainError, match="capacity is undefined for k = 2"):
+        capacity_of_hamiltonian(H)
 
 
 def test_domain_scaling_commutes_with_capacity():

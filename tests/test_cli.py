@@ -376,16 +376,31 @@ def test_sandwich_metadata_must_be_complete(capsys):
 
 
 def test_sandwich_containment_failure_is_exit_4(capsys):
-    # m = 5 overstates the floor of 1 on rho <= 0.1, so the outer
-    # hyperboloid is too small: the report is still written and the exit
-    # code flags it.
+    # The estimated metadata of this Hamiltonian put a sample outside the
+    # certified sandwich: the report is still written and the exit code
+    # flags it.
     code, out, err = run_cli(capsys, [
-        "sandwich", "--expr", "1 * bump(rho; 1, 3)",
-        "--M", "5", "--m", "5", "--rho0", "0.1", "--rho1", "3",
+        "sandwich", "--expr", "1 * bump(rho; 1, 3) * mono(x1^8)",
         "--samples", "20000"])
     violations = json.loads(out)["result"]["audit"]["violations"]
     assert code == 4 and violations > 0
     assert err == f"symcone: containment audit failed with {violations} violations\n"
+
+
+@pytest.mark.parametrize("M, m, rho0, rho1, message", [
+    ("0.5", "0.5", "0.1", "3", "sampled sup 1 exceeds M=0.5"),
+    ("1", "0.5", "0.1", "1.2", "support leaks past rho1"),
+    ("5", "5", "0.1", "3",
+     "m=5.0 is not a lower bound on the inner region (sampled min 1)")],
+    ids=["M-below-sup", "support-past-rho1", "m-above-floor"])
+def test_sandwich_audits_supplied_metadata(capsys, M, m, rho0, rho1, message):
+    # Metadata the Hamiltonian breaks is refused before the containment
+    # audit, so nothing is written.
+    code, out, err = run_cli(capsys, [
+        "sandwich", "--expr", "1 * bump(rho; 1, 3)",
+        "--M", M, "--m", m, "--rho0", rho0, "--rho1", rho1])
+    assert code == 4 and out == ""
+    assert err == f"symcone: {message}\n"
 
 
 def test_sandwich_rejects_nonpositive_floor(capsys):
@@ -657,9 +672,32 @@ def test_metric_family_takes_the_split(capsys, family):
     assert err == "symcone: k = 7 outside 1..2\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--expr", "1 * bump(rho; 1, 3)", "--k", "2"],
+    ["metric", "--k", "2", "--grid", "100", "--pool", "0"]],
+    ids=["capacity-expr", "metric"])
+def test_no_capacity_numbers_at_full_index(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("symcone: capacity is undefined for k = 2 >= n = 2")
+
+
 def test_metric_bounds_each_pair_once(monkeypatch, capsys):
+    init = ConeFamily.__init__
     sup_ratio, pulled_back = ConeFamily.sup_ratio, Conjugator.pulled_back
-    calls, pullbacks = [], []
+    calls, pullbacks, evals, fams, eval_fns = [], [], [], [], {}
+
+    def counting_evals(self, *args, **kw):
+        # the elements' own audits are done by now; count what follows
+        init(self, *args, **kw)
+        fams.append(self)
+        for eid, el in self.elements.items():
+            eval_fns[eid] = el.H.eval_fn
+
+            def count(th, eval_fn=el.H.eval_fn):
+                evals.append(th.shape[0])
+                return eval_fn(th)
+            el.H.eval_fn = count
 
     def counting(self, fid, hid, conj):
         calls.append((fid, hid, conj.cid))
@@ -669,6 +707,7 @@ def test_metric_bounds_each_pair_once(monkeypatch, capsys):
         pullbacks.append(self.cid)
         return pulled_back(self, grid)
 
+    monkeypatch.setattr(ConeFamily, "__init__", counting_evals)
     monkeypatch.setattr(ConeFamily, "sup_ratio", counting)
     monkeypatch.setattr(Conjugator, "pulled_back", counting_pullbacks)
     code, out, err = run_cli(capsys, ["metric", "--family", "random",
@@ -679,6 +718,13 @@ def test_metric_bounds_each_pair_once(monkeypatch, capsys):
     # which share one pullback of each element through each conjugator
     assert len(calls) == 18 and len(set(calls)) == 18
     assert sorted(pullbacks) == ["flow-0"] * 3 + ["identity"] * 3
+    # one evaluation per (element, conjugator): the denominators read the
+    # identity's entries, which are the elements' values on the grid
+    assert evals == [500] * 6
+    (fam,) = fams
+    for eid, eval_fn in eval_fns.items():
+        assert np.array_equal(fam._pulled[(eid, fam.pool[0])],
+                              eval_fn(fam.grid))
     res = json.loads(out)["result"]
     dists = res["distances"]
     assert len(res["dw_bound"]) == 3
@@ -795,3 +841,34 @@ def test_readme_library_example_runs(capsys):
     lo, hi = map(float, capsys.readouterr().out.split())
     assert lo == pytest.approx(math.pi / 8.0, rel=1e-12)
     assert hi == pytest.approx(4.0 * math.pi, rel=1e-12)
+
+
+# Every subcommand at small sizes off the default split (n, k) = (2, 1)
+N3_RUNS = {
+    "spectrum": ["spectrum", "--labels", "50"],
+    "sandwich": ["sandwich", "--expr", "1 * bump(rho; 1, 3)",
+                 "--samples", "20000"],
+    "capacity-expr": ["capacity", "--expr", "1 * bump(rho; 1, 3)"],
+    "capacity-hyperboloid": ["capacity", "--hyperboloid"],
+    "metric-scaling": ["metric", "--grid", "1000", "--pool", "1"],
+    "metric-random": ["metric", "--family", "random", "--grid", "1000",
+                      "--pool", "1"],
+    "smoothing-audit": ["smoothing-audit", "--points", "20"],
+    "squeeze": ["squeeze", "--candidates", "1", "--samples", "500"],
+}
+
+
+def _n3_case(k, name):
+    # the candidate's sampled conformal factor escapes its rate envelope
+    marks = (pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+             if (k, name) == (1, "squeeze") else ())
+    return pytest.param(k, name, id=f"3-{k}-{name}", marks=marks)
+
+
+@pytest.mark.parametrize("k, name", [_n3_case(k, name) for k in (1, 2)
+                                     for name in N3_RUNS])
+def test_every_subcommand_runs_at_n_3(capsys, k, name):
+    code, out, err = run_cli(capsys, N3_RUNS[name] + ["--n", "3", "--k", str(k)])
+    assert (code, err) == (0, "")
+    if name == "sandwich":
+        assert json.loads(out)["result"]["audit"]["samples_inner"] > 0
