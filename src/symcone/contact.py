@@ -158,16 +158,19 @@ def _field_and_rate(Kv, g, th):
 
 def _lockstep_rk4(stage, z, th, span, n_steps, n_probes):
     """The one RK4 loop of the package: n_steps equal steps over a time
-    span of the column-major ambient rows z and the column-major unit
-    sphere rows th in lockstep, where stage(z, th) returns the ambient
-    field at z and (Y_K, dK(R)) at th.  The sphere rows are renormalised
-    after every stage and step, and carry log of the conformal factor.
+    span of the ambient rows z and the sphere rows th in lockstep, where
+    stage(z, th) returns the ambient field at z and (Y_K, dK(R)) at th.
+    Both batches are made column-major on entry (see `geometry`); th is
+    normalised on entry, after every stage and after every step, and
+    carries log of the conformal factor.
 
     Returns (z, th, log conformal factors, lo, hi), where (lo, hi) are the
     extremes of log c over the last n_probes sphere rows at the ends of 50
     equal time chunks (and 0 at the start; both 0 without probes).
     Raises IntegrationError when a step leaves the finite numbers.
     """
+    z = np.asfortranarray(z, dtype=float)
+    th = _renorm(np.asfortranarray(th, dtype=float))
     h = span / n_steps
     logc = np.zeros(th.shape[0])
     lo, hi = 0.0, 0.0
@@ -220,9 +223,9 @@ class ContactIsotopy:
 
         Returns (endpoints, log_conformal) where log_conformal is the
         accumulated log-derivative integral along each trajectory.  The
-        batch is held column-major (see `geometry`) from entry to return,
-        so the endpoints come back Fortran-ordered; the values do not
-        depend on the layout the rows arrive in.
+        loop holds the batch column-major (see `geometry`), so the
+        endpoints come back Fortran-ordered; the values do not depend on
+        the layout the rows arrive in.
         """
         rows = _rows(thetas)
         K = self.hamiltonian
@@ -230,12 +233,9 @@ class ContactIsotopy:
         def stage(z, th):  # z is the empty ambient batch, its own field
             return (z,) + _field_and_rate(*K.value_and_grad(th), th)
 
-        # the start rows go straight into the loop, so no name here keeps
-        # them alive while it steps
         span = t_to - t_from
-        _, th, logc, _, _ = _lockstep_rk4(
-            stage, np.empty((0, rows.shape[1]), order="F"),
-            _renorm(np.asfortranarray(rows)), span, _step_count(span, self.step), 0)
+        _, th, logc, _, _ = _lockstep_rk4(stage, np.empty((0, rows.shape[1])), rows,
+                                          span, _step_count(span, self.step), 0)
         return th, logc
 
     def inverse_images(self, thetas):

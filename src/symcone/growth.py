@@ -100,7 +100,11 @@ class ConeFamily:
         self.elements: Dict[str, ConeElement] = {e.eid: e for e in elements}
         if len(self.elements) != len(elements):
             raise DomainError("duplicate element ids")
-        # column-major, as the flows that pull it back hold their batches
+        for e in elements:
+            if (e.H.n, e.H.k) != (n, k):
+                raise DomainError(f"element {e.eid!r} has (n, k) = ({e.H.n}, "
+                                  f"{e.H.k}), not the family's ({n}, {k})")
+        # column-major like the RK loop's batches, so a flow skips a copy
         self.grid = np.asfortranarray(sampling.sphere_points(n, grid_points, seed))
         self.pool: List[Conjugator] = [Conjugator("identity")]
         for i, s in enumerate(sampling.spawn(seed + 1, pool_size)):
@@ -282,7 +286,6 @@ class QuotientReport:
     distances: Dict[Tuple[str, str], DistanceInterval]
     edges: Dict[float, Tuple[Tuple[int, int], ...]]
     antisymmetry_ok: bool
-    growth_hi: Dict[Tuple[str, str], float]
 
 
 def equivalence_and_order(fam: ConeFamily) -> QuotientReport:
@@ -332,7 +335,7 @@ def equivalence_and_order(fam: ConeFamily) -> QuotientReport:
                 anti_ok = False
         edges[eps] = tuple(found)
     return QuotientReport(classes=classes, distances=dists, edges=edges,
-                          antisymmetry_ok=anti_ok, growth_hi=hi)
+                          antisymmetry_ok=anti_ok)
 
 
 # --------------------------------------------------------------------------

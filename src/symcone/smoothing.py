@@ -25,9 +25,10 @@ ambient rows.  Beside the ambient rows the loop carries sphere rows:
 lift when one is asked for (`map_and_lift`).  Each stage (`_stage`)
 evaluates K once on all rows stacked; the ambient rows then take the
 map's chi-weighted field and the sphere rows Y_K and dK(R), so the two
-routes share only the evaluation of K.  Every integration checks the
-probes' sampled conformal factor against the rate-derived certificate
-before it returns anything.
+routes share only the evaluation of K.  chi and its slope are exactly 0
+on the ball, so its rows take that field too and stay put.  Every
+integration checks the probes' sampled conformal factor against the
+rate-derived certificate before it returns anything.
 """
 import math
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .blends import cutoff_with_deriv, plateau_bump
-from .contact import (ContactIsotopy, _field_and_rate, _lockstep_rk4, _renorm,
+from .contact import (ContactIsotopy, _field_and_rate, _lockstep_rk4,
                       _step_count, reeb_derivative)
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
@@ -179,37 +180,31 @@ class SmoothedSymplectization:
 
     def _stage(self, zs, th):
         """One RK stage of both routes from one K kernel call on the map's
-        live unit rows stacked over the sphere rows th: the map's field at
-        zs, then (Y_K, dK(R)) at th."""
+        unit rows stacked over the sphere rows th: the map's field at zs,
+        which vanishes on the ball r <= eps with chi and its slope, then
+        (Y_K, dK(R)) at th.  The origin divides by 1, not by sqrt(0)."""
         cert = self.certificate
         r = row_sum(zs * zs)
-        out = np.zeros_like(zs)
-        live = r > cert.chi_zero_below  # chi = 0 there: field vanishes exactly
-        z = np.asfortranarray(zs[live])  # a boolean row pick returns C order
-        rl = r[live]
-        sq = np.sqrt(rl)
-        u = z / sq[:, None]
+        sq = np.sqrt(np.where(r > 0.0, r, 1.0))
+        u = zs / sq[:, None]
         # u and th are column-major, so their stack is too
         Kv, g = self.iso.hamiltonian.value_and_grad(np.concatenate([u, th]))
-        nl = u.shape[0]
-        tang = tangential(g[:nl], u)
-        chi, chi_d = cutoff_with_deriv(rl, cert.chi_zero_below, cert.chi_one_above)
-        w = chi * rl
-        w_d = chi_d * rl + chi
-        grad = (2.0 * w_d * Kv[:nl])[:, None] * z + (w / sq)[:, None] * tang
-        out[live] = symplectic_gradient(grad)
-        return (out,) + _field_and_rate(Kv[nl:], g[nl:], th)
+        nz = u.shape[0]
+        tang = tangential(g[:nz], u)
+        chi, chi_d = cutoff_with_deriv(r, cert.chi_zero_below, cert.chi_one_above)
+        w = chi * r
+        w_d = chi_d * r + chi
+        grad = (2.0 * w_d * Kv[:nz])[:, None] * zs + (w / sq)[:, None] * tang
+        return (symplectic_gradient(grad),) + _field_and_rate(Kv[nz:], g[nz:], th)
 
     def _pilot_rows(self):
         """The rows the step choice integrates: ambient rows log-spaced in
         squared radius over (eps, 8 K_factor eps], through the chi band and
-        the conjugated zone, and every PILOT_PROBE_STRIDE-th probe, both
-        column-major."""
+        the conjugated zone, and every PILOT_PROBE_STRIDE-th probe."""
         cert = self.certificate
         r = cert.eps * np.geomspace(1.0, 8.0 * cert.K_factor, PILOT_AMBIENT + 1)[1:]
         dirs = sampling.sphere_points(self.iso.n, PILOT_AMBIENT, 11)
-        return (np.asfortranarray(np.sqrt(r)[:, None] * dirs),
-                _renorm(np.asfortranarray(self._probes[::PILOT_PROBE_STRIDE])))
+        return np.sqrt(r)[:, None] * dirs, self._probes[::PILOT_PROBE_STRIDE]
 
     def _choose_step(self, floor):
         """The largest rung h = floor * 2^j (j < LADDER_RUNGS) whose
@@ -279,14 +274,13 @@ class SmoothedSymplectization:
         (`contact._lockstep_rk4` under `_stage`): the ambient rows zs, and
         the sphere rows thetas, then the probes.  Returns the images of zs
         and the ends and log conformal factors of thetas, once the probes
-        have passed `_conformal_envelope`.  Both batches are held
+        have passed `_conformal_envelope`.  The loop holds both batches
         column-major (see `geometry`), so the images come back
         Fortran-ordered."""
-        z = np.array(np.atleast_2d(zs), dtype=float, order="F")
         nt = len(thetas)
-        th = _renorm(np.asfortranarray(np.concatenate([thetas, self._probes])))
         z, th, logc, lo, hi = _lockstep_rk4(
-            self._stage, z, th, 1.0, _step_count(1.0, self.step), len(self._probes))
+            self._stage, np.atleast_2d(zs), np.concatenate([thetas, self._probes]),
+            1.0, _step_count(1.0, self.step), len(self._probes))
         _conformal_envelope(self.certificate, lo, hi)
         return z, th[:nt], logc[:nt]
 

@@ -200,6 +200,10 @@ WORKLOAD_EXPR = ("0.83 * bump(rho; 0.62, 2.1) + 0.31 * bump(rho; 0.45, 1.9) * mo
      ["sandwich", "--expr", WORKLOAD_EXPR, "--samples", "200000"]),
     ("spectrum_C3_labels200.json",
      ["spectrum", "--C", "3", "--labels", "200"]),
+    ("squeeze_candidates1_samples500.json",
+     ["squeeze", "--candidates", "1", "--samples", "500"]),
+    ("smoothing_audit_points50_seed7.json",
+     ["smoothing-audit", "--points", "50", "--seed", "7"]),
 ])
 def test_envelope_matches_golden_bytes(capsys, name, argv):
     # The runs use exact arithmetic and seeded PCG64 draws only (the metric
@@ -210,7 +214,9 @@ def test_envelope_matches_golden_bytes(capsys, name, argv):
     # last bits (the least monomial part, 1.3e-18, is 40 times below half
     # an ulp of 0.83).  The spectrum run goes through numpy's cos, sqrt
     # and power, so its bytes pin those of the x86-64 Linux build they
-    # were recorded on.
+    # were recorded on.  Like it, the squeeze and smoothing-audit runs pin
+    # the exp, sqrt and power bits of that build: their sphere samples and
+    # smoothed maps go through all three.
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
     golden = Path(__file__).resolve().parent / "golden" / name
@@ -541,14 +547,15 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
     # choice's pilot runs on the map's own 112 rows at most (the step
     # counts of the top three rungs, 125, 62 and 31, and 16 for twice the
     # top step, whatever rung is chosen), then round(1 / h) steps x 4
-    # stages at the chosen step h, each stage one call on the map's live
-    # rows, the 10 lift rows and the 512 probes
+    # stages at the chosen step h, each stage one call on every ambient
+    # row (10 in the ball, 10 outside and 16 stencil copies of 100 rows),
+    # the 10 lift rows and the 512 probes
     main = 4 * round(1.0 / float(json.loads(out)["result"]["step"]["h"]))
     assert rows[0] == 4096
     pilot = rows[1:-main]
     assert len(pilot) == 4 * (125 + 62 + 31 + 16)
     assert max(pilot) <= smoothing.PILOT_AMBIENT + 512 // smoothing.PILOT_PROBE_STRIDE
-    assert min(rows[-main:]) >= 10 + 512
+    assert rows[-main:] == [10 + 10 + 16 * 100 + 10 + 512] * main
 
 
 @pytest.mark.parametrize("argv", [

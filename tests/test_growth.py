@@ -68,9 +68,12 @@ def test_quotient_order_of_scalings(scale_fam):
     # Strict order f < 2f < 4f is witnessed at every tolerance level.
     for eps, found in rep.edges.items():
         assert set(found) == {(0, 1), (0, 2), (1, 2)}
-    # Multiplicative triangle with exact equality along the scaling chain.
-    assert rep.growth_hi[("f", "4f")] == (rep.growth_hi[("f", "2f")]
-                                          * rep.growth_hi[("2f", "4f")])
+    # Multiplicative triangle with exact equality along the scaling chain,
+    # on the closed growth matrix the report's distances are built on.
+    ids = list(scale_fam.elements)
+    G = _closed_hi_matrix({(a, b): relative_growth_bounds(scale_fam, a, b).hi
+                           for a in ids for b in ids})
+    assert G[("f", "4f")] == G[("f", "2f")] * G[("2f", "4f")]
     d12 = rep.distances[("f", "2f")]
     d24 = rep.distances[("2f", "4f")]
     d14 = rep.distances[("f", "4f")]
@@ -93,6 +96,23 @@ def test_duplicate_ids_rejected(worked_hamiltonian):
            ConeElement(eid="f", H=worked_hamiltonian, base_id="f", scale=1.0)]
     with pytest.raises(DomainError):
         ConeFamily(2, 1, els, seed=0, pool_size=1, grid_points=500)
+
+
+def test_elements_off_the_family_split_are_refused(monkeypatch):
+    # n = 2, k = 1 expressions in a (3, 2) family would be evaluated on
+    # 6-column rows; the refusal comes before any metadata audit
+    audited = []
+    monkeypatch.setattr(ExpressionHamiltonian, "audit",
+                        lambda H, seed=0: audited.append(H))
+    base = ExpressionHamiltonian(
+        "1 * bump(rho; 1, 3)", n=2, k=1,
+        meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
+    els = [ConeElement("f", base, base_id="f"),
+           ConeElement("2f", _twice_f(), base_id="f", scale=2.0)]
+    with pytest.raises(DomainError, match=r"^element 'f' has \(n, k\) = "
+                       r"\(2, 1\), not the family's \(3, 2\)$"):
+        ConeFamily(3, 2, els, pool_size=0, grid_points=100)
+    assert audited == []
 
 
 def test_capacity_transport_along_scale(scale_fam):

@@ -234,6 +234,24 @@ def test_orbit_record_validation():
         OrbitRecord(samples=open_pts, period=1.0, energy=1.0, action=1.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -2.0)])
+def test_planar_system_needs_positive_scales(well3, a, b):
+    with pytest.raises(DomainError, match=r"^need a, b > 0$"):
+        PlanarWellSystem(a=a, b=b, well=well3)
+
+
+@pytest.mark.parametrize("group_i, bound, message", [
+    ((1.0, 2.0, 2.0), 1.0, "round-orbit actions must be strictly increasing"),
+    ((3.0, 1.0), 1.0, "round-orbit actions must be strictly increasing"),
+    ((1.0, 2.0), 0.0, "well-orbit action bound must be positive"),
+    ((1.0, 2.0), -1.0, "well-orbit action bound must be positive"),
+])
+def test_action_spectrum_refuses_bad_groups(group_i, bound, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        orbits.ActionSpectrum(group_i=group_i, group_ii_min_bound=bound,
+                              window_top=10.0)
+
+
 def test_area_constant_value_and_scaling():
     assert abs(area_constant(1.0, 1.0) - 0.13780111571209303) < 1e-13
     np.testing.assert_allclose(area_constant(2.0, 5.0),

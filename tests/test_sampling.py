@@ -104,6 +104,12 @@ def test_angle_ratio_sampler_needs_a_positive_top(rho_max):
         sampling.sphere_points_with_angle_ratio(2, 1, 10, 0, rho_max)
 
 
+@pytest.mark.parametrize("n, k", [(2, 0), (2, 3), (3, -1)])
+def test_angle_ratio_sampler_needs_k_in_1_to_n(n, k):
+    with pytest.raises(DomainError, match=rf"^k = {k} outside 1\.\.{n}$"):
+        sampling.sphere_points_with_angle_ratio(n, k, 10, 0, 1.0)
+
+
 @pytest.mark.parametrize("count", [1, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1,
                                    3 * AUDIT_BLOCK + 17])
 def test_box_blocks_concatenate_to_box_points(count):

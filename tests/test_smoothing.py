@@ -51,13 +51,25 @@ def test_certificate_brackets_one(tame_map):
 
 
 def test_identity_ball_is_exact(tame_map):
-    """Inside the switch-off ball the field vanishes branch-exactly, so
-    the map does not move points at all."""
+    """Inside the switch-off ball chi and its slope are exactly 0, so the
+    field vanishes and the map does not move points at all."""
     _, sm = tame_map
     rng = np.random.default_rng(30)
     zs = shell(rng, 300, 4, 1e-6, sm.eps * 0.999)
+    assert np.array_equal(sm(zs), zs)
+
+
+def test_origin_maps_to_itself(tame_map):
+    """The origin's divisor is 1, where sqrt(r) would give 0/0; the rows
+    beside it keep their own images."""
+    _, sm = tame_map
+    cert = sm.certificate
+    rng = np.random.default_rng(37)
+    zs = np.vstack([np.zeros((1, 4)),
+                    shell(rng, 4, 4, 1e-4, cert.K_factor * sm.eps * 4.0)])
     out = sm(zs)
-    assert np.max(np.linalg.norm(out - zs, axis=1)) == 0.0
+    assert np.array_equal(out[0], np.zeros(4))
+    assert np.array_equal(out[1:], sm(zs[1:]))
 
 
 def test_agreement_with_homogeneous_lift(tame_map):
@@ -278,10 +290,10 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
         return original(th)
 
     monkeypatch.setattr(K, "grad_fn", counted)
-    zs = shell(np.random.default_rng(30), 25, 4, 1.0, 2.0)  # all outside the ball
+    zs = shell(np.random.default_rng(30), 25, 4, 1e-4, 2.0)  # the ball's rows too
     sm(zs)
-    # round(1 / step) steps of 4 stages at the map's chosen step; the 512
-    # conformal-factor probes ride in the same call
+    # round(1 / step) steps of 4 stages at the map's chosen step, each on
+    # every row; the 512 conformal-factor probes ride in the same call
     assert grads == [25 + 512] * (4 * round(1.0 / sm.step))
 
 
