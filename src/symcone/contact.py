@@ -156,39 +156,108 @@ def _field_and_rate(Kv, g, th):
     return Y, row_sum(g * symplectic_gradient(2.0 * th))
 
 
-def _lockstep_rk4(stage, z, th, span, n_steps, n_probes):
-    """The one RK4 loop of the package: n_steps equal steps over a time
-    span of the ambient rows z and the sphere rows th in lockstep, where
-    stage(z, th) returns the ambient field at z and (Y_K, dK(R)) at th.
-    Both batches are made column-major on entry (see `geometry`); th is
-    normalised on entry, after every stage and after every step, and
-    carries log of the conformal factor.
+def _stacked(parts):
+    """The rows of parts stacked in one column-major float array, by one
+    copy."""
+    parts = [np.asarray(p, dtype=float) for p in parts]
+    out = np.empty((sum(len(p) for p in parts), parts[0].shape[1]), order="F")
+    return np.concatenate(parts, out=out)
 
-    Returns (z, th, log conformal factors, lo, hi), where (lo, hi) are the
-    extremes of log c over the last n_probes sphere rows at the ends of 50
-    equal time chunks (and 0 at the start; both 0 without probes).
-    Raises IntegrationError when a step leaves the finite numbers.
+
+def _row_blocks(groups, live):
+    """(group, slice of its ambient rows, slice of its sphere rows) for
+    the groups live, stacked in that order."""
+    blocks, nz, nth = [], 0, 0
+    for g in live:
+        z, th = groups[g][:2]
+        blocks.append((g, slice(nz, nz + len(z)), slice(nth, nth + len(th))))
+        nz, nth = nz + len(z), nth + len(th)
+    return blocks
+
+
+def _block_steps(span, groups, blocks):
+    """The step of every stacked row, for the ambient rows, the sphere
+    rows and their log c: a (rows, 1) column each where several groups
+    are live, and span / n_steps itself where one is."""
+    if len(blocks) == 1:
+        h = span / groups[blocks[0][0]][2]
+        return h, h, h
+    hz = np.empty((blocks[-1][1].stop, 1))
+    hth = np.empty((blocks[-1][2].stop, 1))
+    for g, zr, tr in blocks:
+        hz[zr] = hth[tr] = span / groups[g][2]
+    return hz, hth, hth[:, 0]
+
+
+def _lockstep_rk4(stage, groups, span):
+    """The one RK4 loop of the package.  Each group (z, th, n_steps,
+    n_probes) holds ambient rows z and sphere rows th that take n_steps
+    equal steps of span / n_steps over the span, where stage(z, th)
+    returns the ambient field at z and (Y_K, dK(R)) at th.  Every RK
+    stage is one stage call on the live rows of all groups stacked, so
+    the groups share each stage's fixed overhead.  They are stacked in
+    descending order of n_steps, so a group that has taken its steps
+    leaves as the tail of the stack.  Rows never interact and every row
+    takes its own group's step, so each group's result is bitwise that
+    of a call with that group alone.  Both batches are made column-major
+    on entry (see `geometry`); th is normalised on entry, after every
+    stage and after every step, and carries log of the conformal factor.
+
+    Returns one entry per group, in the order given: (z, th, log
+    conformal factors, lo, hi), where (lo, hi) are the extremes of log c
+    over the group's last n_probes sphere rows at the ends of 50 equal
+    time chunks (and 0 at the start; both 0 without probes).  A group
+    whose rows leave the finite numbers at step i leaves the loop alone,
+    and its entry is IntegrationError("flow diverged", {"step_index": i}).
     """
-    z = np.asfortranarray(z, dtype=float)
-    th = _renorm(np.asfortranarray(th, dtype=float))
-    h = span / n_steps
+    live = sorted(range(len(groups)), key=lambda g: -groups[g][2])
+    z = _stacked([groups[g][0] for g in live])
+    th = _renorm(_stacked([groups[g][1] for g in live]))
     logc = np.zeros(th.shape[0])
-    lo, hi = 0.0, 0.0
-    for i in range(n_steps):
+    lo, hi = [0.0] * len(groups), [0.0] * len(groups)
+    out = [None] * len(groups)
+    blocks = _row_blocks(groups, live)
+    h = _block_steps(span, groups, blocks)
+    for i in range(groups[live[0]][2]):
+        hz, hth, hc = h
         k1, f1, c1 = stage(z, th)
-        k2, f2, c2 = stage(z + 0.5 * h * k1, _renorm(th + 0.5 * h * f1))
-        k3, f3, c3 = stage(z + 0.5 * h * k2, _renorm(th + 0.5 * h * f2))
-        k4, f4, c4 = stage(z + h * k3, _renorm(th + h * f3))
-        z = _rk4_increment(h, k1, k2, k3, k4) + z
-        th = _renorm(_rk4_increment(h, f1, f2, f3, f4) + th)
-        logc += _rk4_increment(h, c1, c2, c3, c4)
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
-            raise IntegrationError("flow diverged", {"step_index": i})
-        # logc[-0:] would be every row, so without probes there is no chunk
-        if n_probes and (i + 1) * 50 // n_steps > i * 50 // n_steps:
-            lo = min(lo, float(np.min(logc[-n_probes:])))
-            hi = max(hi, float(np.max(logc[-n_probes:])))
-    return z, th, logc, lo, hi
+        k2, f2, c2 = stage(z + 0.5 * hz * k1, _renorm(th + 0.5 * hth * f1))
+        k3, f3, c3 = stage(z + 0.5 * hz * k2, _renorm(th + 0.5 * hth * f2))
+        k4, f4, c4 = stage(z + hz * k3, _renorm(th + hth * f3))
+        z = _rk4_increment(hz, k1, k2, k3, k4) + z
+        th = _renorm(_rk4_increment(hth, f1, f2, f3, f4) + th)
+        logc += _rk4_increment(hc, c1, c2, c3, c4)
+        finite = np.all(np.isfinite(z)) and np.all(np.isfinite(th))
+        done = []
+        for g, zr, tr in blocks:
+            n_steps, n_probes = groups[g][2:]
+            if not (finite or (np.all(np.isfinite(z[zr]))
+                               and np.all(np.isfinite(th[tr])))):
+                out[g] = IntegrationError("flow diverged", {"step_index": i})
+                done.append(g)
+                continue
+            # a group without probes has no chunk extremes to read
+            if n_probes and (i + 1) * 50 // n_steps > i * 50 // n_steps:
+                probes = logc[tr.stop - n_probes:tr.stop]
+                lo[g] = min(lo[g], float(np.min(probes)))
+                hi[g] = max(hi[g], float(np.max(probes)))
+            if i + 1 == n_steps:
+                out[g] = z[zr], th[tr], logc[tr], lo[g], hi[g]
+                done.append(g)
+        if done:
+            kept = [b for b in blocks if b[0] not in done]
+            if not kept:
+                break
+            if kept == blocks[:len(kept)]:  # the tail left: keep the head
+                z, th, logc = z[:kept[-1][1].stop], th[:kept[-1][2].stop], \
+                    logc[:kept[-1][2].stop]
+            else:  # a group diverged mid-stack: gather the rest
+                z = _stacked([z[zr] for _, zr, _ in kept])
+                th = _stacked([th[tr] for _, _, tr in kept])
+                logc = np.concatenate([logc[tr] for _, _, tr in kept])
+            blocks = _row_blocks(groups, [g for g, _, _ in kept])
+            h = _block_steps(span, groups, blocks)
+    return out
 
 
 def contact_vector_field(K: ContactHamiltonian, theta):
@@ -234,9 +303,11 @@ class ContactIsotopy:
             return (z,) + _field_and_rate(*K.value_and_grad(th), th)
 
         span = t_to - t_from
-        _, th, logc, _, _ = _lockstep_rk4(stage, np.empty((0, rows.shape[1])), rows,
-                                          span, _step_count(span, self.step), 0)
-        return th, logc
+        (flowed,) = _lockstep_rk4(stage, [(np.empty((0, rows.shape[1])), rows,
+                                           _step_count(span, self.step), 0)], span)
+        if isinstance(flowed, IntegrationError):
+            raise flowed
+        return flowed[1:3]
 
     def inverse_images(self, thetas):
         """psi_1^{-1}(theta) together with c_{psi_1} evaluated there.

@@ -293,6 +293,8 @@ def random_hamiltonian(n, k, seed, amplitude=1.0):
         raise DomainError(f"need n >= 1, got {n}")
     if not amplitude > 0:
         raise DomainError(f"amplitude must be positive, got {amplitude}")
+    if not amplitude < np.inf:
+        raise DomainError(f"amplitude must be finite, got {amplitude}")
     g = sampling.rng(seed)
     a0 = g.uniform(0.4, 1.0)
     b0 = a0 + g.uniform(1.0, 2.2)

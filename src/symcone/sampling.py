@@ -20,13 +20,13 @@ from .errors import AuditError, DomainError
 _NEWTON_ROUNDS = 60
 
 
-def _seed_sequence(seed: int) -> np.random.SeedSequence:
+def _seed_sequence(seed: int) -> "np.random.SeedSequence":
     if seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     return np.random.SeedSequence(seed)
 
 
-def rng(seed: int) -> np.random.Generator:
+def rng(seed: int) -> "np.random.Generator":
     return np.random.default_rng(_seed_sequence(seed))
 
 

@@ -16,19 +16,22 @@ The map chooses that step once, at construction, from the ladder
 iso.step * 2^j (j < LADDER_RUNGS): the largest rung whose step-doubling
 estimate of the time-1 error on pilot rows the map owns is at most
 STEP_TOL (`SmoothedSymplectization._choose_step`).  The pilot measures
-the top rungs only, the same for every isotopy, and predicts the rungs
-below them from the observed order of the error.  It then steps every
-integration on that grid in the package's one RK4 loop,
-`contact._lockstep_rk4`, which `ContactIsotopy.flow_many` runs with no
-ambient rows.  Beside the ambient rows the loop carries sphere rows:
-512 seeded probes of the conformal factor, and the rows of a homogeneous
-lift when one is asked for (`map_and_lift`).  Each stage (`_stage`)
-evaluates K once on all rows stacked; the ambient rows then take the
-map's chi-weighted field and the sphere rows Y_K and dK(R), so the two
-routes share only the evaluation of K.  chi and its slope are exactly 0
-on the ball, so its rows take that field too and stay put.  Every
-integration checks the probes' sampled conformal factor against the
-rate-derived certificate before it returns anything.
+the top rungs only, the same for every isotopy, in one call of the
+package's one RK4 loop, `contact._lockstep_rk4`, with one row group per
+step count; it predicts the rungs below them from the observed order of
+the error.  The map then steps every integration on that grid in the
+same loop, which `ContactIsotopy.flow_many` runs with no ambient rows.
+Beside the ambient rows the loop carries sphere rows: 512 seeded probes
+of the conformal factor, and the rows of a homogeneous lift when one is
+asked for (`map_and_lift`).  Each stage (`_stage`) evaluates K once on
+all rows stacked; the ambient rows then take the map's chi-weighted
+field and the sphere rows Y_K and dK(R), so the two routes share only
+the evaluation of K.  chi and its slope are exactly 0 on the ball, where
+the field is made of signed zeros, so a ball row stays out of the loop
+and is its own image, unless a coordinate of it is +-0.0 and the field
+could flip that zero's sign.  Every integration checks the probes'
+sampled conformal factor against the rate-derived certificate before it
+returns anything.
 """
 import math
 from dataclasses import dataclass
@@ -160,6 +163,8 @@ class SmoothedSymplectization:
     def __init__(self, iso: ContactIsotopy, eps: float):
         if not eps > 0:
             raise DomainError("eps must be positive")
+        if not eps < np.inf:
+            raise DomainError(f"eps must be finite, got {eps}")
         m, M = _rate_envelope(iso)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             K_factor = 4.0 * M / m
@@ -212,7 +217,11 @@ class SmoothedSymplectization:
 
         The pilot runs the `_pilot_rows` to time 1 at the step counts of
         the top MEASURED_RUNGS rungs and of twice the top step, whatever
-        the isotopy, so every map pays the same pilot steps.  Rung j's
+        the isotopy, so every map pays the same pilot steps: one loop
+        call with one row group per step count, so every RK stage of the
+        four runs is one kernel call on the groups still stepping, 500
+        calls on 448 down to 112 rows where four runs would take 936 on
+        112 rows.  Each group's result is bitwise its own run's.  Rung j's
         estimate is |y_2h - y_h| / (ratio^4 - 1), where y_h is the pilot's
         time-1 state (the ambient images, and the probes' ends and log c;
         the gap is the largest row norm of any of the three differences)
@@ -232,15 +241,19 @@ class SmoothedSymplectization:
         top = LADDER_RUNGS - 1
         low = max(1, LADDER_RUNGS - MEASURED_RUNGS)
         counts = {j: _step_count(1.0, floor * 2.0 ** j) for j in range(top + 2)}
+        rungs = range(low, top + 2)
+        flowed = _lockstep_rk4(self._stage, [(pilot_z, pilot_th, counts[j], len(pilot_th))
+                                             for j in rungs], 1.0)
         runs = {}
-        for j in range(low, top + 2):
+        for j, run in zip(rungs, flowed):
+            runs[j] = None
+            if isinstance(run, IntegrationError):
+                continue
             try:
-                z, th, logc, lo, hi = _lockstep_rk4(
-                    self._stage, pilot_z, pilot_th, 1.0, counts[j], len(pilot_th))
-                _conformal_envelope(self.certificate, lo, hi)
-                runs[j] = z, th, logc
-            except (IntegrationError, AuditError):
-                runs[j] = None
+                _conformal_envelope(self.certificate, *run[3:])
+                runs[j] = run[:3]
+            except AuditError:
+                pass
 
         estimates = {}
         for j in range(low, top + 1):
@@ -271,18 +284,31 @@ class SmoothedSymplectization:
 
     def _integrate(self, zs, thetas):
         """Lockstep RK4 over [0, 1] on the map's step
-        (`contact._lockstep_rk4` under `_stage`): the ambient rows zs, and
-        the sphere rows thetas, then the probes.  Returns the images of zs
-        and the ends and log conformal factors of thetas, once the probes
-        have passed `_conformal_envelope`.  The loop holds both batches
+        (`contact._lockstep_rk4` under `_stage`): the ambient rows zs that
+        can move, and the sphere rows thetas, then the probes.  Returns
+        the images of zs and the ends and log conformal factors of
+        thetas, once the probes have passed `_conformal_envelope`.
+
+        A row of the identity ball takes a field of signed zeros at every
+        stage, so it stays put unless one of its coordinates is itself
+        +-0.0, whose sign the sum can flip; every other ball row skips the
+        loop and is its own image.  The loop holds both batches
         column-major (see `geometry`), so the images come back
         Fortran-ordered."""
-        nt = len(thetas)
-        z, th, logc, lo, hi = _lockstep_rk4(
-            self._stage, np.atleast_2d(zs), np.concatenate([thetas, self._probes]),
-            1.0, _step_count(1.0, self.step), len(self._probes))
+        zs = np.array(np.atleast_2d(zs), dtype=float, order="F")
+        # the stage's own squared radius, so the two agree on the ball
+        still = (row_sum(zs * zs) <= self.certificate.chi_zero_below) \
+            & np.all(zs != 0.0, axis=1)
+        (flowed,) = _lockstep_rk4(
+            self._stage, [(zs[~still], np.concatenate([thetas, self._probes]),
+                           _step_count(1.0, self.step), len(self._probes))], 1.0)
+        if isinstance(flowed, IntegrationError):
+            raise flowed
+        z, th, logc, lo, hi = flowed
         _conformal_envelope(self.certificate, lo, hi)
-        return z, th[:nt], logc[:nt]
+        zs[~still] = z
+        nt = len(thetas)
+        return zs, th[:nt], logc[:nt]
 
     def __call__(self, zs):
         """Images of the rows zs under the time-1 map."""

@@ -204,6 +204,8 @@ WORKLOAD_EXPR = ("0.83 * bump(rho; 0.62, 2.1) + 0.31 * bump(rho; 0.45, 1.9) * mo
      ["squeeze", "--candidates", "1", "--samples", "500"]),
     ("smoothing_audit_points50_seed7.json",
      ["smoothing-audit", "--points", "50", "--seed", "7"]),
+    ("smoothing_audit_points50_seed12.json",
+     ["smoothing-audit", "--points", "50", "--seed", "12"]),
 ])
 def test_envelope_matches_golden_bytes(capsys, name, argv):
     # The runs use exact arithmetic and seeded PCG64 draws only (the metric
@@ -526,8 +528,9 @@ def test_smoothing_audit_passes(capsys, monkeypatch):
 
 
 def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch):
-    rows = []
+    rows, mapped = [], []
     original = cli.random_hamiltonian
+    integrate = SmoothedSymplectization._integrate
 
     def counted_generator(*args, **kwargs):
         K = original(*args, **kwargs)
@@ -540,22 +543,35 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
         K.grad_fn = counted
         return K
 
+    def recorded(self, zs, thetas):
+        mapped.append(zs)
+        return integrate(self, zs, thetas)
+
     monkeypatch.setattr(cli, "random_hamiltonian", counted_generator)
+    monkeypatch.setattr(SmoothedSymplectization, "_integrate", recorded)
     code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "10"])
     assert code == 0 and err == ""
-    # one call for the autonomous generator's rate bound, then the step
-    # choice's pilot runs on the map's own 112 rows at most (the step
-    # counts of the top three rungs, 125, 62 and 31, and 16 for twice the
-    # top step, whatever rung is chosen), then round(1 / h) steps x 4
-    # stages at the chosen step h, each stage one call on every ambient
-    # row (10 in the ball, 10 outside and 16 stencil copies of 100 rows),
-    # the 10 lift rows and the 512 probes
+    # one call for the autonomous generator's rate bound, then one pilot
+    # run whose groups are the step counts of the top three rungs, 125, 62
+    # and 31, and 16 for twice the top step, whatever rung is chosen, each
+    # on the map's own 112 rows: all four groups for 16 steps x 4 stages,
+    # three up to step 31, two up to step 62 and one up to step 125
+    rungs = smoothing.PILOT_AMBIENT + 512 // smoothing.PILOT_PROBE_STRIDE
     main = 4 * round(1.0 / float(json.loads(out)["result"]["step"]["h"]))
     assert rows[0] == 4096
     pilot = rows[1:-main]
-    assert len(pilot) == 4 * (125 + 62 + 31 + 16)
-    assert max(pilot) <= smoothing.PILOT_AMBIENT + 512 // smoothing.PILOT_PROBE_STRIDE
-    assert rows[-main:] == [10 + 10 + 16 * 100 + 10 + 512] * main
+    assert pilot == ([4 * rungs] * 4 * 16 + [3 * rungs] * 4 * (31 - 16)
+                     + [2 * rungs] * 4 * (62 - 31) + [rungs] * 4 * (125 - 62))
+    # then round(1 / h) steps x 4 stages at the chosen step h, each stage
+    # one call on every ambient row outside the identity ball (10 outside,
+    # and the 16 stencil copies of the 66 of 100 rows drawn outside it),
+    # the 10 lift rows and the 512 probes; the 10 rows inside the ball and
+    # the stencil copies of the 34 drawn there take no steps
+    (zs,) = mapped
+    outside = np.sum(zs * zs, axis=1) > 0.05  # the default eps
+    assert not outside[:10].any() and outside[10:20].all()
+    assert np.sum(outside[20:]) == 16 * 66
+    assert rows[-main:] == [10 + 16 * 66 + 10 + 512] * main
 
 
 @pytest.mark.parametrize("argv", [
@@ -593,6 +609,27 @@ def test_nonpositive_amplitude_is_refused_by_name(capsys, amplitude):
                                       "--amplitude", amplitude])
     assert code == 2 and out == ""
     assert err == f"symcone: amplitude must be positive, got {float(amplitude)}\n"
+
+
+def test_infinite_amplitude_is_refused_by_name(capsys):
+    code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "1",
+                                      "--amplitude", "inf"])
+    assert code == 2 and out == ""
+    assert err == "symcone: amplitude must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["smoothing-audit", "--points", "3", "--eps", "inf"],
+    ["squeeze", "--candidates", "1", "--samples", "50", "--eps", "inf"],
+], ids=["smoothing-audit", "squeeze"])
+def test_infinite_eps_is_refused_by_name(capsys, argv):
+    # refused before any pilot row is built from it, so numpy warns of
+    # nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "symcone: eps must be finite, got inf\n"
 
 
 def test_smoothing_audit_overflowing_bounds_is_exit_2(capsys):
@@ -800,6 +837,18 @@ def test_no_subcommand_loads_scipy():
     for path in src.rglob("*"):
         if path.is_file() and "__pycache__" not in path.parts:
             assert "scipy" not in path.read_text(encoding="utf-8"), path
+
+
+def test_exact_capacity_never_loads_numpy_random():
+    # numpy loads numpy.random on first use; an exact hyperboloid capacity
+    # draws nothing, so its import and run leave it unloaded
+    proc = run_python(["-c", (
+        "import contextlib, io, sys\n"
+        "from symcone import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['capacity', '--hyperboloid', '--a', '2', '--b', '3'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n")])
+    assert proc.stdout == "0 False\n", proc.stderr
 
 
 def test_capacity_seed_reaches_the_estimated_metadata(capsys, tmp_path):

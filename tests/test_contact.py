@@ -252,6 +252,47 @@ def test_diverging_flow_names_its_step():
     assert exc.value.diagnostics == {"step_index": 0}
 
 
+def test_row_groups_step_bitwise_as_their_own_calls():
+    """One call on several row groups gives each group, bitwise, what a
+    call on that group alone gives: its own step over the shared span and
+    its own probe extremes.  A group that the stage drives out of the
+    finite numbers fails alone, mid-stack, at its own step."""
+    K = random_hamiltonian(2, 1, seed=5, amplitude=0.5)
+    calls = []
+
+    def stage(z, th):  # z grows like e^{50 t}: finite from 1, not from 1e303
+        calls.append(len(z) + len(th))
+        return (50.0 * z,) + contact._field_and_rate(*K.value_and_grad(th), th)
+
+    rng = np.random.default_rng(27)
+
+    def group(z0, n_ambient, n_sphere, n_steps, n_probes):
+        z = z0 * rng.uniform(0.5, 1.0, (n_ambient, 4))
+        return z, sphere(rng, n_sphere, 4), n_steps, n_probes
+
+    groups = [group(1.0, 3, 7, 9, 2), group(1.0, 0, 5, 20, 0),
+              group(1e303, 2, 4, 20, 4), group(1.0, 5, 6, 3, 6),
+              group(1.0, 4, 8, 20, 3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = contact._lockstep_rk4(stage, groups, 0.7)
+        # one stage call on the live rows: all 44 up to step 2, then
+        # without the 3-step group, without the diverged one after step 4
+        # and without the 9-step one after step 8
+        rows = [len(z) + len(th) for z, th, _, _ in groups]
+        steps = ([44] * 3 + [44 - rows[3]] * 2 + [44 - rows[3] - rows[2]] * 4
+                 + [rows[1] + rows[4]] * 11)
+        assert calls == [live for live in steps for _ in range(4)]
+        alone = [contact._lockstep_rk4(stage, [grp], 0.7)[0] for grp in groups]
+    failed = got[2]
+    assert isinstance(failed, IntegrationError) and str(failed) == "flow diverged"
+    assert failed.diagnostics == alone[2].diagnostics == {"step_index": 4}
+    for g in (0, 1, 3, 4):
+        assert len(got[g]) == len(alone[g]) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(got[g], alone[g]))
+    assert got[4][3] < 0.0 < got[4][4] and got[1][3:] == (0.0, 0.0)
+    assert np.all(np.isfinite(got[4][0])) and np.max(got[4][0]) > 1e14
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-3])
 def test_isotopy_refuses_a_step_that_is_not_positive(step):
     with pytest.raises(IntegrationError, match="step underflow"):

@@ -72,6 +72,37 @@ def test_origin_maps_to_itself(tame_map):
     assert np.array_equal(out[1:], sm(zs[1:]))
 
 
+def _counted_grads(K, monkeypatch):
+    original, rows = K.grad_fn, []
+
+    def counted(th):
+        rows.append(th.shape[0])
+        return original(th)
+
+    monkeypatch.setattr(K, "grad_fn", counted)
+    return rows
+
+
+def test_ball_row_with_a_signed_zero_is_stepped(tame_map, monkeypatch):
+    """The field of the ball is made of signed zeros, and adding one can
+    flip the sign of a zero coordinate, so a ball row with a +-0.0
+    coordinate takes the loop's steps: its image, signs included, is the
+    one the loop gives it beside the probes."""
+    iso, sm = tame_map
+    zs = np.array([[-0.0, -0.0, -0.0, -0.1], [0.1, 0.0, -0.1, 0.1],
+                   [0.1, -0.1, 0.1, 0.1]])
+    rows = _counted_grads(iso.hamiltonian, monkeypatch)
+    images = sm(zs)
+    assert rows == [2 + 512] * (4 * round(1.0 / sm.step))
+    (stepped,) = _lockstep_rk4(sm._stage, [(zs[:2], sm._probes, round(1.0 / sm.step),
+                                            len(sm._probes))], 1.0)
+    assert np.array_equal(images[:2], stepped[0])
+    assert np.array_equal(np.signbit(images[:2]), np.signbit(stepped[0]))
+    # the loop turns the first row's third zero from -0.0 to +0.0
+    assert np.signbit(zs[0, 2]) and not np.signbit(images[0, 2])
+    assert np.array_equal(images[2], zs[2])
+
+
 def test_agreement_with_homogeneous_lift(tame_map):
     iso, sm = tame_map
     cert = sm.certificate
@@ -158,7 +189,7 @@ def doubling_estimate(sm, h):
     over (2h / h)^4 - 1 with the steps the runs actually take."""
     n, m = round(1.0 / h), round(0.5 / h)
     z, th = sm._pilot_rows()
-    fine, coarse = (_lockstep_rk4(sm._stage, z, th, 1.0, k, len(th))[:3]
+    fine, coarse = (_lockstep_rk4(sm._stage, [(z, th, k, len(th))], 1.0)[0][:3]
                     for k in (n, m))
     gap = max(np.max(np.linalg.norm(fine[0] - coarse[0], axis=1)),
               np.max(np.linalg.norm(fine[1] - coarse[1], axis=1)),
@@ -209,9 +240,9 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
     takes, so a map's construction costs the same for every isotopy."""
     pilot_steps = []
 
-    def counted(stage, z, th, span, n_steps, n_probes):
-        pilot_steps[-1].append(n_steps)
-        return _lockstep_rk4(stage, z, th, span, n_steps, n_probes)
+    def counted(stage, groups, span):
+        pilot_steps[-1].append([n_steps for _, _, n_steps, _ in groups])
+        return _lockstep_rk4(stage, groups, span)
 
     monkeypatch.setattr(smoothing, "_lockstep_rk4", counted)
     chosen = []
@@ -220,13 +251,13 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
         iso = ContactIsotopy(random_hamiltonian(2, 1, seed=seed, amplitude=0.1))
         chosen.append(SmoothedSymplectization(iso, 0.05).step)
     assert chosen == [1.6e-2, 8e-3, 4e-3]
-    # the top MEASURED_RUNGS rungs and twice the top step
-    assert pilot_steps == [[125, 62, 31, 16]] * 3
+    # one call, its groups the top MEASURED_RUNGS rungs and twice the top step
+    assert pilot_steps == [[[125, 62, 31, 16]]] * 3
 
 
 def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
-    def diverging(*args):
-        raise IntegrationError("flow diverged")
+    def diverging(stage, groups, span):
+        return [IntegrationError("flow diverged", {"step_index": 0})] * len(groups)
 
     monkeypatch.setattr(smoothing, "_lockstep_rk4", diverging)
     iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
@@ -281,20 +312,24 @@ def test_squeeze_witness_guards():
 
 
 def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
+    """Every RK stage is one kernel call on the rows outside the identity
+    ball and the probes.  The ball's rows, down to its edge r = eps, take
+    no steps: they are their own images, bitwise, and the rows beside
+    them keep their own."""
     iso, sm = tame_map
-    K = iso.hamiltonian
-    original, grads = K.grad_fn, []
-
-    def counted(th):
-        grads.append(th.shape[0])
-        return original(th)
-
-    monkeypatch.setattr(K, "grad_fn", counted)
-    zs = shell(np.random.default_rng(30), 25, 4, 1e-4, 2.0)  # the ball's rows too
-    sm(zs)
-    # round(1 / step) steps of 4 stages at the map's chosen step, each on
-    # every row; the 512 conformal-factor probes ride in the same call
-    assert grads == [25 + 512] * (4 * round(1.0 / sm.step))
+    rng = np.random.default_rng(30)
+    ball = np.vstack([shell(rng, 10, 4, 1e-300, sm.eps * 0.999),
+                      [[0.125, 0.18540496217739158, 1e-200, -1e-200]]])
+    assert np.sum(ball * ball, axis=1)[-1] == sm.eps
+    outside = shell(rng, 15, 4, sm.eps * 1.001, 2.0)
+    want = sm(outside)
+    grads = _counted_grads(iso.hamiltonian, monkeypatch)
+    images = sm(np.vstack([ball[:5], outside, ball[5:]]))
+    # round(1 / step) steps of 4 stages at the map's chosen step; the 512
+    # conformal-factor probes ride in the same call
+    assert grads == [15 + 512] * (4 * round(1.0 / sm.step))
+    assert np.array_equal(images[5:20], want)
+    assert np.array_equal(np.delete(images, np.s_[5:20], axis=0), ball)
 
 
 def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
