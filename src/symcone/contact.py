@@ -164,29 +164,23 @@ def _stacked(parts):
     return np.concatenate(parts, out=out)
 
 
-def _row_blocks(groups, live):
-    """(group, slice of its ambient rows, slice of its sphere rows) for
-    the groups live, stacked in that order."""
+def _layout(span, groups, live):
+    """(group, slice of its ambient rows, slice of its sphere rows) of
+    each group live, stacked in that order, and the steps of the stacked
+    ambient rows, sphere rows and log c: span / n_steps itself, the
+    cheaper operand, while one group is live, else a (rows, 1) column."""
     blocks, nz, nth = [], 0, 0
     for g in live:
         z, th = groups[g][:2]
         blocks.append((g, slice(nz, nz + len(z)), slice(nth, nth + len(th))))
         nz, nth = nz + len(z), nth + len(th)
-    return blocks
-
-
-def _block_steps(span, groups, blocks):
-    """The step of every stacked row, for the ambient rows, the sphere
-    rows and their log c: a (rows, 1) column each where several groups
-    are live, and span / n_steps itself where one is."""
     if len(blocks) == 1:
         h = span / groups[blocks[0][0]][2]
-        return h, h, h
-    hz = np.empty((blocks[-1][1].stop, 1))
-    hth = np.empty((blocks[-1][2].stop, 1))
+        return blocks, (h, h, h)
+    hz, hth = np.empty((nz, 1)), np.empty((nth, 1))
     for g, zr, tr in blocks:
         hz[zr] = hth[tr] = span / groups[g][2]
-    return hz, hth, hth[:, 0]
+    return blocks, (hz, hth, hth[:, 0])
 
 
 def _lockstep_rk4(stage, groups, span):
@@ -195,9 +189,9 @@ def _lockstep_rk4(stage, groups, span):
     equal steps of span / n_steps over the span, where stage(z, th)
     returns the ambient field at z and (Y_K, dK(R)) at th.  Every RK
     stage is one stage call on the live rows of all groups stacked, so
-    the groups share each stage's fixed overhead.  They are stacked in
-    descending order of n_steps, so a group that has taken its steps
-    leaves as the tail of the stack.  Rows never interact and every row
+    the groups share each stage's fixed overhead.  A group that has taken
+    its steps or diverged leaves the stack, and the live groups are
+    gathered by one copy, in order.  Rows never interact and every row
     takes its own group's step, so each group's result is bitwise that
     of a call with that group alone.  Both batches are made column-major
     on entry (see `geometry`); th is normalised on entry, after every
@@ -210,16 +204,13 @@ def _lockstep_rk4(stage, groups, span):
     whose rows leave the finite numbers at step i leaves the loop alone,
     and its entry is IntegrationError("flow diverged", {"step_index": i}).
     """
-    live = sorted(range(len(groups)), key=lambda g: -groups[g][2])
-    z = _stacked([groups[g][0] for g in live])
-    th = _renorm(_stacked([groups[g][1] for g in live]))
+    z = _stacked([g[0] for g in groups])
+    th = _renorm(_stacked([g[1] for g in groups]))
     logc = np.zeros(th.shape[0])
     lo, hi = [0.0] * len(groups), [0.0] * len(groups)
     out = [None] * len(groups)
-    blocks = _row_blocks(groups, live)
-    h = _block_steps(span, groups, blocks)
-    for i in range(groups[live[0]][2]):
-        hz, hth, hc = h
+    blocks, (hz, hth, hc) = _layout(span, groups, range(len(groups)))
+    for i in range(max(g[2] for g in groups)):
         k1, f1, c1 = stage(z, th)
         k2, f2, c2 = stage(z + 0.5 * hz * k1, _renorm(th + 0.5 * hth * f1))
         k3, f3, c3 = stage(z + 0.5 * hz * k2, _renorm(th + 0.5 * hth * f2))
@@ -228,13 +219,12 @@ def _lockstep_rk4(stage, groups, span):
         th = _renorm(_rk4_increment(hth, f1, f2, f3, f4) + th)
         logc += _rk4_increment(hc, c1, c2, c3, c4)
         finite = np.all(np.isfinite(z)) and np.all(np.isfinite(th))
-        done = []
+        kept = []
         for g, zr, tr in blocks:
             n_steps, n_probes = groups[g][2:]
             if not (finite or (np.all(np.isfinite(z[zr]))
                                and np.all(np.isfinite(th[tr])))):
                 out[g] = IntegrationError("flow diverged", {"step_index": i})
-                done.append(g)
                 continue
             # a group without probes has no chunk extremes to read
             if n_probes and (i + 1) * 50 // n_steps > i * 50 // n_steps:
@@ -243,20 +233,15 @@ def _lockstep_rk4(stage, groups, span):
                 hi[g] = max(hi[g], float(np.max(probes)))
             if i + 1 == n_steps:
                 out[g] = z[zr], th[tr], logc[tr], lo[g], hi[g]
-                done.append(g)
-        if done:
-            kept = [b for b in blocks if b[0] not in done]
-            if not kept:
-                break
-            if kept == blocks[:len(kept)]:  # the tail left: keep the head
-                z, th, logc = z[:kept[-1][1].stop], th[:kept[-1][2].stop], \
-                    logc[:kept[-1][2].stop]
-            else:  # a group diverged mid-stack: gather the rest
-                z = _stacked([z[zr] for _, zr, _ in kept])
-                th = _stacked([th[tr] for _, _, tr in kept])
-                logc = np.concatenate([logc[tr] for _, _, tr in kept])
-            blocks = _row_blocks(groups, [g for g, _, _ in kept])
-            h = _block_steps(span, groups, blocks)
+            else:
+                kept.append((g, zr, tr))
+        if not kept:
+            break
+        if len(kept) < len(blocks):
+            z = _stacked([z[zr] for _, zr, _ in kept])
+            th = _stacked([th[tr] for _, _, tr in kept])
+            logc = np.concatenate([logc[tr] for _, _, tr in kept])
+            blocks, (hz, hth, hc) = _layout(span, groups, [g for g, _, _ in kept])
     return out
 
 

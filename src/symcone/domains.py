@@ -46,6 +46,15 @@ SETTLE_DELTA = 1e-9
 SETTLE_RHO_MAX = 1e4
 
 
+def _require_squares(named: dict):
+    """Refuse, with a DomainError that names it, any value x of named
+    unless x > 0 and x^2 is a positive finite float."""
+    for name, x in named.items():
+        if not (x > 0 and 0.0 < float(x) * float(x) < np.inf):
+            raise DomainError(f"{name} must be positive with a positive "
+                              f"finite square, got {name} = {x:g}")
+
+
 @dataclass(frozen=True)
 class Hyperboloid:
     """Model domain {G < 1}, G = u/a^2 - v/b^2, of the k-indexed split."""
@@ -56,8 +65,7 @@ class Hyperboloid:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError("hyperboloid needs a, b > 0")
+        _require_squares({"a": self.a, "b": self.b})
         if not 1 <= self.k <= self.n:
             raise DomainError(f"k = {self.k} outside 1..{self.n}")
 
@@ -74,6 +82,7 @@ class Hyperboloid:
     def scaled(self, s: float):
         if not s > 0:
             raise DomainError("scale must be positive")
+        _require_squares({"s * a": s * self.a, "s * b": s * self.b})
         return Hyperboloid(n=self.n, k=self.k, a=s * self.a, b=s * self.b)
 
 
@@ -211,6 +220,8 @@ def build_smoothed_well(C: float, eps: float) -> SmoothedWell:
     """Construct the well and verify its contracts on a 10^4-point grid."""
     if not (C > 0 and 0 < eps < C / 10.0):
         raise DomainError(f"need 0 < eps < C/10, got C={C}, eps={eps}")
+    if not 0.0 < 4.0 * C * C < np.inf:
+        raise DomainError(f"4C^2 must be a positive finite float, got C = {C:g}")
     well = SmoothedWell(C=C, eps=eps, delta=min(3.2 * eps, 7.6 * C * eps))
     t = np.linspace(-3.0 * C, 3.0 * C, 10_000)
     g, gp = well.value(t), well.deriv(t)
@@ -246,8 +257,7 @@ class IntegrableDomain:
     def __post_init__(self):
         if not 1 <= self.k < self.n:
             raise DomainError(f"k = {self.k} outside 1..{self.n - 1}")
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError("need a, b > 0")
+        _require_squares({"a": self.a, "b": self.b})
 
     def defining_function(self, zs):
         zs = np.atleast_2d(as_phase(zs, n=self.n))

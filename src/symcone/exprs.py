@@ -23,8 +23,9 @@ computes values only.  `grad_fn` is the fused kernel: one pass returns
 values and derivatives of all distinct bumps in one stacked (bumps,
 rows) pass, however many terms share a bump.  The rho-part of every
 term's product rule is summed into one coefficient per row, which
-multiplies grad rho once; monomial parts are added column by column.  Integer powers are built by repeated squaring, never by `**`,
-and the fused values are bitwise those of `eval_fn`.  A flow or
+multiplies grad rho once; monomial parts are added column by column.
+Integer powers are built by repeated squaring, never by `**`, and the
+fused values are bitwise those of `eval_fn`.  A flow or
 smoothed-map RK stage makes exactly one `grad_fn` call.
 
 The plan also states exact facts in rho (`ContactHamiltonian`), read

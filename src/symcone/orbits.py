@@ -457,6 +457,9 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
     system = PlanarWellSystem.from_domain(D)
     a, b, C = D.a, D.b, D.well.C
     pa2 = math.pi * a * a
+    if not window_top / pa2 < math.inf:
+        raise DomainError(f"window top {window_top:g} holds no finite count of "
+                          f"round orbits of action pi a^2 = {pa2:g}")
     group_i = tuple(j * pa2 for j in range(1, int(window_top / pa2) + 1))
     b_hat = min(area_constant(a, b), pa2 / (4.0 * b * b))
     bound = C * C * b_hat

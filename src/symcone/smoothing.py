@@ -18,9 +18,10 @@ estimate of the time-1 error on pilot rows the map owns is at most
 STEP_TOL (`SmoothedSymplectization._choose_step`).  The pilot measures
 the top rungs only, the same for every isotopy, in one call of the
 package's one RK4 loop, `contact._lockstep_rk4`, with one row group per
-step count; it predicts the rungs below them from the observed order of
-the error.  The map then steps every integration on that grid in the
-same loop, which `ContactIsotopy.flow_many` runs with no ambient rows.
+step count; it predicts the rungs below them into the same table from
+the observed order of the error.  The map then steps every integration
+on that grid in the same loop, which `ContactIsotopy.flow_many` runs
+with no ambient rows.
 Beside the ambient rows the loop carries sphere rows: 512 seeded probes
 of the conformal factor, and the rows of a homogeneous lift when one is
 asked for (`map_and_lift`).  Each stage (`_stage`) evaluates K once on
@@ -229,13 +230,14 @@ class SmoothedSymplectization:
         the step counts.  A pilot run that diverges or whose probes leave
         the certificate fails its rungs without raising.
 
-        When no measured rung passes, the two lowest measured estimates
-        give the observed order p of the error, and a rung below them is
-        predicted at the lowest one times (h / h_low)^min(p, 4): capping p
-        at RK4's order can only overstate an error that falls faster.  The
-        prediction is trusted only when p is at least ORDER_MIN; the floor
-        is taken unmeasured when no rung above it passes or no order can
-        be trusted.
+        The two lowest measured estimates give the observed order p of
+        the error, and a rung below them is predicted at the lowest one
+        times (h / h_low)^min(p, 4): capping p at RK4's order can only
+        overstate an error that falls faster.  The prediction is trusted
+        only when p is at least ORDER_MIN, and the rung is estimated at
+        inf otherwise.  One scan of this table from the top rung down to
+        rung 1 takes the first rung that passes; the floor is taken
+        unmeasured when none does.
         """
         pilot_z, pilot_th = self._pilot_rows()
         top = LADDER_RUNGS - 1
@@ -267,19 +269,16 @@ class SmoothedSymplectization:
                       float(np.max(np.abs(dlogc))))
             estimates[j] = gap / ((n / m) ** 4 - 1.0)
 
-        for j in range(top, low - 1, -1):
+        e_low, e_next = estimates[low], estimates[low + 1]
+        order = (math.log(e_next / e_low) / math.log(counts[low] / counts[low + 1])
+                 if 0.0 < e_low < e_next < np.inf else 0.0)
+        for j in range(1, low):
+            estimates[j] = (e_low * (counts[low] / counts[j]) ** min(order, 4.0)
+                            if order >= ORDER_MIN else np.inf)
+        for j in range(top, 0, -1):
             if estimates[j] <= STEP_TOL:
                 return StepChoice(h=floor * 2.0 ** j, estimate=estimates[j],
                                   tol=STEP_TOL, floor=floor)
-        e_low, e_next = estimates[low], estimates[low + 1]
-        if 0.0 < e_low < e_next < np.inf:
-            order = math.log(e_next / e_low) / math.log(counts[low] / counts[low + 1])
-            if order >= ORDER_MIN:
-                for j in range(low - 1, 0, -1):
-                    e = e_low * (counts[low] / counts[j]) ** min(order, 4.0)
-                    if e <= STEP_TOL:
-                        return StepChoice(h=floor * 2.0 ** j, estimate=e,
-                                          tol=STEP_TOL, floor=floor)
         return StepChoice(h=floor, estimate=None, tol=STEP_TOL, floor=floor)
 
     def _integrate(self, zs, thetas):

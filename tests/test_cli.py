@@ -54,12 +54,32 @@ def test_capacity_needs_an_input(capsys):
     assert "symcone:" in err
 
 
-def test_invalid_geometry_is_exit_2(capsys):
-    code, _, err = run_cli(capsys, ["capacity", "--hyperboloid", "--a", "-1"])
-    assert code == 2 and "symcone:" in err
-    code, _, err = run_cli(capsys, ["capacity", "--hyperboloid",
-                                    "--k", "2", "--n", "2"])
-    assert code == 2  # no capacity at full index
+@pytest.mark.parametrize("argv, named", [
+    (["capacity", "--hyperboloid", "--a", "-1"], "got a = -1"),
+    # no capacity at full index
+    (["capacity", "--hyperboloid", "--k", "2", "--n", "2"], "k = 2 >= n = 2"),
+    # squares that leave the positive finite floats
+    (["capacity", "--hyperboloid", "--a", "1e200"], "got a = 1e+200"),
+    (["capacity", "--hyperboloid", "--a", "inf"], "got a = inf"),
+    (["spectrum", "--a", "1e200"], "got a = 1e+200"),
+    (["spectrum", "--a", "inf", "--labels", "5"], "got a = inf"),
+    (["spectrum", "--C", "1e200"], "got C = 1e+200"),
+    (["spectrum", "--b", "1e-200", "--labels", "5"], "got b = 1e-200"),
+    (["squeeze", "--s", "1e200", "--candidates", "1", "--samples", "50"],
+     "got s * a = 1e+200"),
+    (["squeeze", "--a", "inf"], "got a = inf"),
+    (["squeeze", "--s", "inf"], "got s * a = inf"),
+    # round-orbit counts that are not finite
+    (["spectrum", "--top", "inf", "--labels", "5"], "window top inf"),
+    (["spectrum", "--top", "1e300", "--a", "1e-100"], "window top 1e+300"),
+], ids=["negative-a", "full-index", "capacity-a-overflows", "capacity-a-inf",
+        "spectrum-a-overflows", "spectrum-a-inf", "spectrum-C-overflows",
+        "spectrum-b-underflows", "squeeze-s-overflows", "squeeze-a-inf",
+        "squeeze-s-inf", "spectrum-top-inf", "spectrum-count-overflows"])
+def test_invalid_geometry_is_exit_2(capsys, argv, named):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("symcone: ") and named in err
 
 
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
@@ -206,6 +226,8 @@ WORKLOAD_EXPR = ("0.83 * bump(rho; 0.62, 2.1) + 0.31 * bump(rho; 0.45, 1.9) * mo
      ["smoothing-audit", "--points", "50", "--seed", "7"]),
     ("smoothing_audit_points50_seed12.json",
      ["smoothing-audit", "--points", "50", "--seed", "12"]),
+    ("smoothing_audit_n3_k2_points50.json",
+     ["smoothing-audit", "--n", "3", "--k", "2", "--points", "50"]),
 ])
 def test_envelope_matches_golden_bytes(capsys, name, argv):
     # The runs use exact arithmetic and seeded PCG64 draws only (the metric

@@ -252,11 +252,15 @@ def test_diverging_flow_names_its_step():
     assert exc.value.diagnostics == {"step_index": 0}
 
 
-def test_row_groups_step_bitwise_as_their_own_calls():
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]],
+                         ids=["given", "reversed"])
+def test_row_groups_step_bitwise_as_their_own_calls(order):
     """One call on several row groups gives each group, bitwise, what a
     call on that group alone gives: its own step over the shared span and
     its own probe extremes.  A group that the stage drives out of the
-    finite numbers fails alone, mid-stack, at its own step."""
+    finite numbers fails alone, mid-stack, at its own step.  Neither the
+    results nor the rows of each stage call depend on the order in which
+    the groups are given."""
     K = random_hamiltonian(2, 1, seed=5, amplitude=0.5)
     calls = []
 
@@ -274,7 +278,8 @@ def test_row_groups_step_bitwise_as_their_own_calls():
               group(1e303, 2, 4, 20, 4), group(1.0, 5, 6, 3, 6),
               group(1.0, 4, 8, 20, 3)]
     with np.errstate(over="ignore", invalid="ignore"):
-        got = contact._lockstep_rk4(stage, groups, 0.7)
+        got = dict(zip(order, contact._lockstep_rk4(
+            stage, [groups[g] for g in order], 0.7)))
         # one stage call on the live rows: all 44 up to step 2, then
         # without the 3-step group, without the diverged one after step 4
         # and without the 9-step one after step 8

@@ -267,6 +267,38 @@ def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
         sm(np.array([[0.5, 0.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("order, rung", [(4.0, 2), (ORDER_MIN - 0.1, 0)])
+def test_rungs_below_the_measured_ones_need_a_trusted_order(monkeypatch,
+                                                            order, rung):
+    """A stand-in pilot whose measured estimates fall at a set observed
+    order: the lowest measured one is 1e-7, so only a predicted rung can
+    pass.  At order 4 rung 2 passes and is taken before rung 1, as the
+    one table is scanned from the top down; below ORDER_MIN no rung is
+    predicted and the floor is taken unmeasured."""
+    def pilot(stage, groups, span):
+        n = [n_steps for _, _, n_steps, _ in groups]
+        e = [1e-7, 1e-7 * (n[0] / n[1]) ** order, 1.0]
+        d = [0.0]  # the ambient rows' offsets, from the coarsest run up
+        for j in (2, 1, 0):
+            d.insert(0, d[0] + e[j] * ((n[j] / n[j + 1]) ** 4 - 1.0))
+        runs = []
+        for (z, th, _, _), dj in zip(groups, d):
+            z = np.zeros_like(z)
+            z[:, 0] = dj
+            runs.append((z, th, np.zeros(len(th)), 0.0, 0.0))
+        return runs
+
+    monkeypatch.setattr(smoothing, "_lockstep_rk4", pilot)
+    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
+    choice = SmoothedSymplectization(iso, 0.05).step_choice
+    assert choice.h == iso.step * 2.0 ** rung
+    if rung:
+        low = LADDER_RUNGS - MEASURED_RUNGS
+        assert choice.estimate == pytest.approx(1e-7 / 2.0 ** (4 * (low - rung)))
+    else:
+        assert choice.estimate is None
+
+
 def test_diverging_map_names_its_step():
     """The map steps the one RK4 loop `flow_many` steps, so a stage that
     leaves the finite numbers raises the same error at the same step."""
