@@ -16,7 +16,7 @@ function |z|^2 generates the counterclockwise rotation (-2y, 2x) of
 period pi.
 """
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,9 @@ class ContactHamiltonian:
     def value_and_grad(self, theta):
         """(K, gradient of the ambient 0-homogeneous-in-direction extension,
         i.e. of K as a function of the unnormalized argument) at theta, from
-        one `grad_fn` call."""
-        vals, g = self.grad_fn(_rows(theta))
+        one `grad_fn` call.  Rows with non-finite entries are refused; the
+        RK stages call `grad_fn` itself on rows the loop checks."""
+        vals, g = self.grad_fn(as_phase(_rows(theta)))
         return np.asarray(vals, dtype=float), np.asarray(g, dtype=float)
 
     def audit(self, seed: int = 0):
@@ -128,21 +129,87 @@ def _renorm(th):
     return th / np.sqrt(row_sum(th * th))[..., None]
 
 
-def _rk4_increment(h, k1, k2, k3, k4):
-    """(h / 6) * (k1 + 2 k2 + 2 k3 + k4) with the same operations on the
-    same operands as that expression, accumulated in k2's buffer; k2 and
-    k3 are overwritten, so pass stage slopes nothing else holds."""
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= h / 6.0
-    return k2
+class Tableau(NamedTuple):
+    """An explicit Runge–Kutta table of s stages.  Stage i > 1 evaluates
+    at y + sum_j (rows[i - 2][j] h) k_j, and the step adds (h / divisor)
+    sum_j weights[j] k_j; both sums run in j order over the nonzero
+    entries."""
+
+    rows: tuple
+    weights: tuple
+    divisor: float
+
+
+# classical RK4: the step (h / 6) (k1 + 2 k2 + 2 k3 + k4)
+RK4 = Tableau(((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0)
+# the 12-stage 8th-order solution of Dormand and Prince's DOP853 (Hairer,
+# Norsett and Wanner, Solving ODEs I, II.10): rows 2 to 12 of A and the
+# weights b, each literal the shortest decimal of its float64 value
+DOP853 = Tableau(
+    (
+     (0.05260015195876773,),
+     (0.0197250569845379, 0.0591751709536137),
+     (0.02958758547680685, 0.0, 0.08876275643042054),
+     (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+     (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+     (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+      -0.017578125),
+     (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+      -0.015319437748624402, 0.008273789163814023),
+     (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+      27.59209969944671, 20.154067550477894, -43.48988418106996),
+     (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+      21.230051448181193, 15.279233632882423, -33.28821096898486,
+      -0.020331201708508627),
+     (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+      -8.149787010746927, -18.52006565999696, 22.739487099350505,
+      2.4936055526796523, -3.0467644718982196),
+     (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+      -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+      -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    ),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    1.0)
+
+
+def _stage_input(y, row, h, slopes):
+    """y + sum_j (row[j] h) slopes[j] over the nonzero entries of row,
+    the sum taken in j order before y is added."""
+    acc = None
+    for a, k in zip(row, slopes):
+        if a:
+            term = (a * h) * k
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+    return y + acc
+
+
+def _increment(table, h, slopes):
+    """(h / divisor) * sum_j w_j slopes[j] of the table, over the nonzero
+    weights in j order, accumulated in place in the buffer of the first
+    one's slope; every weighted slope is overwritten, so pass stage
+    slopes nothing else holds.  Under RK4 these are the operations of
+    that expression on the same operands."""
+    acc = None
+    for w, k in zip(table.weights, slopes):
+        if not w:
+            continue
+        if w != 1.0:
+            k *= w
+        if acc is None:
+            acc = k
+        else:
+            acc += k
+    acc *= h / table.divisor
+    return acc
 
 
 def _step_count(span: float, step: float) -> int:
-    """Fixed RK4 steps over a time span on a nominal step."""
+    """Fixed steps over a time span on a nominal step."""
     return max(1, int(round(abs(span) / step)))
 
 
@@ -183,41 +250,46 @@ def _layout(span, groups, live):
     return blocks, (hz, hth, hth[:, 0])
 
 
-def _lockstep_rk4(stage, groups, span):
-    """The one RK4 loop of the package.  Each group (z, th, n_steps,
-    n_probes) holds ambient rows z and sphere rows th that take n_steps
-    equal steps of span / n_steps over the span, where stage(z, th)
-    returns the ambient field at z and (Y_K, dK(R)) at th.  Every RK
-    stage is one stage call on the live rows of all groups stacked, so
-    the groups share each stage's fixed overhead.  A group that has taken
-    its steps or diverged leaves the stack, and the live groups are
-    gathered by one copy, in order.  Rows never interact and every row
-    takes its own group's step, so each group's result is bitwise that
-    of a call with that group alone.  Both batches are made column-major
-    on entry (see `geometry`); th is normalised on entry, after every
-    stage and after every step, and carries log of the conformal factor.
+def _lockstep_rk(stage, groups, span, table):
+    """The one Runge–Kutta loop of the package, on an explicit `Tableau`.
+    Each group (z, th, n_steps, n_probes) holds ambient rows z and sphere
+    rows th that take n_steps equal steps of span / n_steps over the
+    span, where stage(z, th) returns the ambient field at z and (Y_K,
+    dK(R)) at th, in arrays nothing else holds.  Every stage of the table
+    is one stage call on the live rows of all groups stacked, so the
+    groups share each stage's fixed overhead.  A group that has taken its
+    steps or diverged leaves the stack, and the live groups are gathered
+    by one copy, in order.  Rows never interact and every row takes its
+    own group's step, so each group's result is bitwise that of a call
+    with that group alone.  Both batches are made column-major on entry
+    (see `geometry`); th is normalised on entry, after every stage and
+    after every step, and carries log of the conformal factor.  Each
+    slope stays held until the stage that replaces it has returned.
 
     Returns one entry per group, in the order given: (z, th, log
     conformal factors, lo, hi), where (lo, hi) are the extremes of log c
     over the group's last n_probes sphere rows at the ends of 50 equal
-    time chunks (and 0 at the start; both 0 without probes).  A group
-    whose rows leave the finite numbers at step i leaves the loop alone,
-    and its entry is IntegrationError("flow diverged", {"step_index": i}).
+    time chunks (and 0 at the start; both 0 without probes).  The loop
+    checks its rows for finite numbers after every step, and the stage
+    kernels do not: a group whose rows leave the finite numbers at step i
+    leaves the loop alone, and its entry is IntegrationError("flow
+    diverged", {"step_index": i}).
     """
     z = _stacked([g[0] for g in groups])
     th = _renorm(_stacked([g[1] for g in groups]))
     logc = np.zeros(th.shape[0])
     lo, hi = [0.0] * len(groups), [0.0] * len(groups)
     out = [None] * len(groups)
+    ks, fs, cs = ([None] * len(table.weights) for _ in range(3))
     blocks, (hz, hth, hc) = _layout(span, groups, range(len(groups)))
     for i in range(max(g[2] for g in groups)):
-        k1, f1, c1 = stage(z, th)
-        k2, f2, c2 = stage(z + 0.5 * hz * k1, _renorm(th + 0.5 * hth * f1))
-        k3, f3, c3 = stage(z + 0.5 * hz * k2, _renorm(th + 0.5 * hth * f2))
-        k4, f4, c4 = stage(z + hz * k3, _renorm(th + hth * f3))
-        z = _rk4_increment(hz, k1, k2, k3, k4) + z
-        th = _renorm(_rk4_increment(hth, f1, f2, f3, f4) + th)
-        logc += _rk4_increment(hc, c1, c2, c3, c4)
+        ks[0], fs[0], cs[0] = stage(z, th)
+        for s, row in enumerate(table.rows, 1):
+            ks[s], fs[s], cs[s] = stage(_stage_input(z, row, hz, ks),
+                                        _renorm(_stage_input(th, row, hth, fs)))
+        z = _increment(table, hz, ks) + z
+        th = _renorm(_increment(table, hth, fs) + th)
+        logc += _increment(table, hc, cs)
         finite = np.all(np.isfinite(z)) and np.all(np.isfinite(th))
         kept = []
         for g, zr, tr in blocks:
@@ -260,8 +332,8 @@ def reeb_derivative(K: ContactHamiltonian, theta):
 class ContactIsotopy:
     """The autonomous flow of one sphere Hamiltonian over [0, 1].
 
-    The flow integrates the sphere field with the fixed-step RK4 loop
-    `_lockstep_rk4`, renormalizing to the sphere each stage, and carries
+    The flow integrates the sphere field with classical RK4 in the one
+    loop `_lockstep_rk`, renormalizing to the sphere each stage, and carries
     log of the conformal factor along every trajectory as one extra scalar.
     """
 
@@ -284,12 +356,12 @@ class ContactIsotopy:
         rows = _rows(thetas)
         K = self.hamiltonian
 
-        def stage(z, th):  # z is the empty ambient batch, its own field
-            return (z,) + _field_and_rate(*K.value_and_grad(th), th)
+        def stage(z, th):  # z is the empty ambient batch, its own (empty) field
+            return (z,) + _field_and_rate(*K.grad_fn(th), th)
 
         span = t_to - t_from
-        (flowed,) = _lockstep_rk4(stage, [(np.empty((0, rows.shape[1])), rows,
-                                           _step_count(span, self.step), 0)], span)
+        (flowed,) = _lockstep_rk(stage, [(np.empty((0, rows.shape[1])), rows,
+                                          _step_count(span, self.step), 0)], span, RK4)
         if isinstance(flowed, IntegrationError):
             raise flowed
         return flowed[1:3]

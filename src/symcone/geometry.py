@@ -5,7 +5,7 @@ operations also broadcast over leading batch axes.  The radial coordinate
 `r` is the squared norm |x|^2 + |y|^2 (units of action), so the Liouville
 flow z -> e^{t/2} z multiplies r by e^t.
 
-Batches are rows, but the one RK loop (`contact._lockstep_rk4`, which
+Batches are rows, but the one RK loop (`contact._lockstep_rk`, which
 `ContactIsotopy.flow_many` and the smoothed map both run) makes them
 column-major on entry: a Fortran-ordered (N, 2n) array, so that each
 coordinate is one contiguous N-vector and a column access is a contiguous
@@ -83,7 +83,11 @@ def tangential(X, th):
 def squared_split(z, k: int):
     """Batched (r, u, v): r = |z|^2, v the last k y's squared and
     u = r - v, which collects |x|^2 plus the first n-k y's squared."""
-    z = as_phase(z)
+    return _squared_split(as_phase(z), k)
+
+
+def _squared_split(z, k: int):
+    """`squared_split` of a float batch whose entries are not checked."""
     n = half_dim(z)
     if not 1 <= k <= n:
         raise DomainError(f"k = {k} outside 1..{n}")
@@ -113,8 +117,10 @@ def angle_ratio_and_gradient(z, k: int):
 
     The gradient is zeroed where u <= 1e-14 (rho is inf or nearly so);
     callers only use it through profile derivatives, which vanish there.
+    This is the RK stage's split, so it does not check z for finite
+    entries: the loop checks its rows after every step.
     """
-    u, v = split_uv(z, k)
+    _, u, v = _squared_split(z, k)
     rho = _ratio(u, v)
     safe = u > 1e-14
     # d rho / d z = 2 z / u on the last k y's, -2 rho z / u on the rest

@@ -44,17 +44,19 @@ _DRIFTS = (0.5 * _W1, 0.5 * (_W1 + _KICKS[1]), 0.5 * (_W1 + _KICKS[1]),
 CONTOUR_POINTS = 2048
 _CONTOUR_U = 2.0 * math.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS
 _CONTOUR_COS, _CONTOUR_SIDE = np.cos(_CONTOUR_U), np.sign(np.sin(_CONTOUR_U))
-# levels per block of the label scan's contours: a (4, 2048) array of
-# doubles is 64 KiB.  Tracing all audited levels at once made every
+# levels per block of the label scan's contours: a (3, 2048) array of
+# doubles is 48 KiB.  Tracing all audited levels at once made every
 # temporary 200-330 KB, over glibc's 128 KiB mmap threshold, so each was
-# mapped, faulted in and unmapped on every scan.  Minor faults per job
-# (`resource.getrusage`) over the 26 `spectrum-wells` seed-1 jobs, best of
-# 3 passes, on a 2-core Xeon with glibc 2.36: 0 at 3 and 4 levels a block,
-# 85 at 2, up to 320 at 5, 488 at 7 (112 KiB arrays) and 552 at 16, as
-# many as the whole batch took; median job 1.73-1.85 ms at 4 levels,
-# 2.05-2.19 at 2, 2.29-2.44 at 7 and 2.59-2.84 at 16.  Staying under the
-# threshold is not enough: size the block by counting faults.
-CONTOUR_BLOCK = 4
+# mapped, faulted in and unmapped on every scan.  Below that threshold
+# the heap's top is still given back whenever a freed chunk of 64 KiB or
+# more leaves more free space there than the trim threshold, and that
+# threshold rises only after an earlier free of a mapped chunk: so with
+# (4, 2048) blocks, exactly 64 KiB, a job took 0 or about 280 minor faults
+# (`resource.getrusage`) depending on what the process had loaded before.
+# Every block temporary under 64 KiB (and the well's grid check in blocks,
+# `domains.build_smoothed_well`) frees no chunk that can trim the heap,
+# and a repeated job takes no fresh pages either way.
+CONTOUR_BLOCK = 3
 
 # QUADPACK's qk15 rule on [-1, 1] (Piessens et al., QUADPACK, Springer
 # 1983): nodes from -1 up to the midpoint, their Kronrod weights, and the

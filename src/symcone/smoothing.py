@@ -8,20 +8,21 @@ exactly the identity there) and equals 1 far enough out that trajectories
 of the homogeneous flow never see the transition band.  Outside a
 certified multiple of the ball the exact smoothed flow therefore equals
 the exact lift by ODE uniqueness; what the agreement check measures is
-the gap between two RK4 discretisations of that one flow, the ambient
-rows and the sphere rows with their log conformal factor, at the map's
-step.
+the gap between two discretisations of that one flow, the ambient rows
+and the sphere rows with their log conformal factor, on the map's
+Runge–Kutta table and step.
 
-The map chooses that step once, at construction, from the ladder
-iso.step * 2^j (j < LADDER_RUNGS): the largest rung whose step-doubling
-estimate of the time-1 error on pilot rows the map owns is at most
-STEP_TOL (`SmoothedSymplectization._choose_step`).  The pilot measures
-the top rungs only, the same for every isotopy, in one call of the
-package's one RK4 loop, `contact._lockstep_rk4`, with one row group per
-step count; it predicts the rungs below them into the same table from
-the observed order of the error.  The map then steps every integration
-on that grid in the same loop, which `ContactIsotopy.flow_many` runs
-with no ambient rows.
+The map chooses that table and step once, at construction
+(`SmoothedSymplectization._choose_step`), by step doubling on pilot rows
+the map owns.  It runs DOP853's 8th-order solution (`contact.DOP853`)
+at 16 and at 32 steps, as two row groups of one call of the package's
+one Runge–Kutta loop, `contact._lockstep_rk`, and takes 16 steps when
+the gap between the two runs is at most STEP_TOL; failing that, it
+tries 24 and 48 steps the same way.  When neither pair passes, the map
+takes classical RK4 (`contact.RK4`) at the isotopy's own step,
+unmeasured: its `StepChoice.estimate` is None.  The map then steps
+every integration on that table and step in the same loop, which
+`ContactIsotopy.flow_many` runs on RK4 with no ambient rows.
 Beside the ambient rows the loop carries sphere rows: 512 seeded probes
 of the conformal factor, and the rows of a homogeneous lift when one is
 asked for (`map_and_lift`).  Each stage (`_stage`) evaluates K once on
@@ -34,15 +35,14 @@ could flip that zero's sign.  Every integration checks the probes'
 sampled conformal factor against the rate-derived certificate before it
 returns anything.
 """
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .blends import cutoff_with_deriv, plateau_bump
-from .contact import (ContactIsotopy, _field_and_rate, _lockstep_rk4,
-                      _step_count, reeb_derivative)
+from .contact import (DOP853, RK4, ContactIsotopy, _field_and_rate,
+                      _lockstep_rk, _step_count, reeb_derivative)
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
 from . import sampling
@@ -52,16 +52,13 @@ from . import sampling
 # defect stay below AUDIT_TOL
 IDENTITY_TOL = 1e-9
 AUDIT_TOL = 1e-6
-# the step-doubling tolerance of the map's RK4 step: 1% of AUDIT_TOL, so
-# the discretisation spends a small share of the audit's margin
+# the step-doubling tolerance of the map's step: 1% of AUDIT_TOL, so the
+# discretisation spends a small share of the audit's margin
 STEP_TOL = 1e-8
-# rungs of the step ladder iso.step * 2^j; the floor is the isotopy's step
-LADDER_RUNGS = 6
-# the top rungs whose step-doubling estimates the pilot measures; a rung
-# below them is predicted from the observed order of the error, which must
-# be at least ORDER_MIN (RK4's is 4) for the prediction to be used
-MEASURED_RUNGS = 3
-ORDER_MIN = 3.5
+# the DOP853 step counts n that the step choice tries in turn, each beside
+# 2n steps; none below 16, where the gap between the images passes before
+# the error in the map's Jacobian (the symplecticity defect) has settled
+PILOT_STEPS = (16, 24)
 # pilot rows of the step choice: every PILOT_PROBE_STRIDE-th probe and
 # PILOT_AMBIENT ambient rows, 112 rows in all, since a stage under 128
 # rows costs little more than its fixed overhead
@@ -136,27 +133,31 @@ def _rate_envelope(iso: ContactIsotopy):
 
 @dataclass(frozen=True)
 class StepChoice:
-    """The map's RK4 step h, the ladder rung floor * 2^j chosen at
-    construction.  estimate is the step-doubling estimate of h's time-1
-    error on the pilot rows, at most tol: measured on the top
-    MEASURED_RUNGS rungs, predicted from the observed order below them.
-    It is None at the floor, which the map takes unmeasured when no rung
-    above it passes."""
+    """The map's step h and its Runge–Kutta table, chosen at
+    construction.  With an estimate, the map steps DOP853 at h = 1 / n,
+    and estimate is the largest gap between the pilot's runs at n and
+    2n steps, at most tol.  estimate None means classical RK4 at the
+    floor, the isotopy's own step, which the map takes unmeasured when
+    no pair passes."""
 
     h: float
     estimate: Optional[float]
     tol: float
     floor: float
 
+    @property
+    def table(self):
+        return RK4 if self.estimate is None else DOP853
+
 
 class SmoothedSymplectization:
     """Time-1 map of the cutoff Hamiltonian flow, with its certificate.
 
     The certificate comes from the rate bound at construction, and so
-    does the RK4 step (`_choose_step`, reported as `step_choice`): the
-    map never steps finer than the isotopy it is given, and `self.iso`
-    is that isotopy at the chosen step.  Every integration runs on that
-    step, whatever its rows, so a row's image does not depend on the rows
+    do the step and its table (`_choose_step`, reported as
+    `step_choice`): the map never steps finer than the isotopy it is
+    given, `self.iso`.  Every integration runs on that table and step,
+    whatever its rows, so a row's image does not depend on the rows
     beside it; each flows the 512 conformal-factor probes beside its rows
     and audits them (`_conformal_envelope`) before it returns an image.
     """
@@ -182,7 +183,6 @@ class SmoothedSymplectization:
         self._probes = sampling.sphere_points(iso.n, 512, 7)
         self.step_choice = self._choose_step(iso.step)
         self.step = self.step_choice.h
-        self.iso = ContactIsotopy(iso.hamiltonian, step=self.step)
 
     def _stage(self, zs, th):
         """One RK stage of both routes from one K kernel call on the map's
@@ -194,7 +194,7 @@ class SmoothedSymplectization:
         sq = np.sqrt(np.where(r > 0.0, r, 1.0))
         u = zs / sq[:, None]
         # u and th are column-major, so their stack is too
-        Kv, g = self.iso.hamiltonian.value_and_grad(np.concatenate([u, th]))
+        Kv, g = self.iso.hamiltonian.grad_fn(np.concatenate([u, th]))
         nz = u.shape[0]
         tang = tangential(g[:nz], u)
         chi, chi_d = cutoff_with_deriv(r, cert.chi_zero_below, cert.chi_one_above)
@@ -213,77 +213,46 @@ class SmoothedSymplectization:
         return np.sqrt(r)[:, None] * dirs, self._probes[::PILOT_PROBE_STRIDE]
 
     def _choose_step(self, floor):
-        """The largest rung h = floor * 2^j (j < LADDER_RUNGS) whose
-        step-doubling estimate is at most STEP_TOL, as a `StepChoice`.
+        """The fewest DOP853 steps n in PILOT_STEPS whose step-doubling
+        gap is at most STEP_TOL, as a `StepChoice` of h = 1 / n; RK4 at
+        the floor, unmeasured, when none passes.  A count whose step
+        1 / n would be finer than the floor is not tried.
 
-        The pilot runs the `_pilot_rows` to time 1 at the step counts of
-        the top MEASURED_RUNGS rungs and of twice the top step, whatever
-        the isotopy, so every map pays the same pilot steps: one loop
-        call with one row group per step count, so every RK stage of the
-        four runs is one kernel call on the groups still stepping, 500
-        calls on 448 down to 112 rows where four runs would take 936 on
-        112 rows.  Each group's result is bitwise its own run's.  Rung j's
-        estimate is |y_2h - y_h| / (ratio^4 - 1), where y_h is the pilot's
-        time-1 state (the ambient images, and the probes' ends and log c;
-        the gap is the largest row norm of any of the three differences)
-        and ratio is the pair's actual step ratio, 2 up to the rounding of
-        the step counts.  A pilot run that diverges or whose probes leave
-        the certificate fails its rungs without raising.
-
-        The two lowest measured estimates give the observed order p of
-        the error, and a rung below them is predicted at the lowest one
-        times (h / h_low)^min(p, 4): capping p at RK4's order can only
-        overstate an error that falls faster.  The prediction is trusted
-        only when p is at least ORDER_MIN, and the rung is estimated at
-        inf otherwise.  One scan of this table from the top rung down to
-        rung 1 takes the first rung that passes; the floor is taken
-        unmeasured when none does.
+        For each n in turn, the pilot runs the `_pilot_rows` to time 1 at
+        n and 2n steps as two row groups of one loop call, so each RK
+        stage of both runs is one kernel call, and each group's result is
+        bitwise its own run's.  The gap is the largest row norm of the
+        differences of the ambient images and of the probes' ends, or the
+        largest difference of their log c, whichever is larger.  It is
+        the estimate as it stands, not divided by 2^p - 1: with C^4
+        profiles the observed order p of the error is erratic.  A pilot
+        run that diverges or whose probes leave the certificate fails its
+        pair without raising.
         """
         pilot_z, pilot_th = self._pilot_rows()
-        top = LADDER_RUNGS - 1
-        low = max(1, LADDER_RUNGS - MEASURED_RUNGS)
-        counts = {j: _step_count(1.0, floor * 2.0 ** j) for j in range(top + 2)}
-        rungs = range(low, top + 2)
-        flowed = _lockstep_rk4(self._stage, [(pilot_z, pilot_th, counts[j], len(pilot_th))
-                                             for j in rungs], 1.0)
-        runs = {}
-        for j, run in zip(rungs, flowed):
-            runs[j] = None
-            if isinstance(run, IntegrationError):
+        for n in PILOT_STEPS:
+            if 1.0 / n < floor:
+                continue
+            runs = _lockstep_rk(self._stage, [(pilot_z, pilot_th, m, len(pilot_th))
+                                              for m in (n, 2 * n)], 1.0, DOP853)
+            if any(isinstance(run, IntegrationError) for run in runs):
                 continue
             try:
-                _conformal_envelope(self.certificate, *run[3:])
-                runs[j] = run[:3]
+                for run in runs:
+                    _conformal_envelope(self.certificate, *run[3:])
             except AuditError:
-                pass
-
-        estimates = {}
-        for j in range(low, top + 1):
-            n, m = counts[j], counts[j + 1]
-            if runs[j] is None or runs[j + 1] is None or m >= n:
-                estimates[j] = np.inf
                 continue
-            dz, dth, dlogc = (a - b for a, b in zip(runs[j], runs[j + 1]))
+            dz, dth, dlogc = (a - b for a, b in zip(*(run[:3] for run in runs)))
             gap = max(float(np.max(np.sqrt(row_sum(dz * dz)))),
                       float(np.max(np.sqrt(row_sum(dth * dth)))),
                       float(np.max(np.abs(dlogc))))
-            estimates[j] = gap / ((n / m) ** 4 - 1.0)
-
-        e_low, e_next = estimates[low], estimates[low + 1]
-        order = (math.log(e_next / e_low) / math.log(counts[low] / counts[low + 1])
-                 if 0.0 < e_low < e_next < np.inf else 0.0)
-        for j in range(1, low):
-            estimates[j] = (e_low * (counts[low] / counts[j]) ** min(order, 4.0)
-                            if order >= ORDER_MIN else np.inf)
-        for j in range(top, 0, -1):
-            if estimates[j] <= STEP_TOL:
-                return StepChoice(h=floor * 2.0 ** j, estimate=estimates[j],
-                                  tol=STEP_TOL, floor=floor)
+            if gap <= STEP_TOL:
+                return StepChoice(h=1.0 / n, estimate=gap, tol=STEP_TOL, floor=floor)
         return StepChoice(h=floor, estimate=None, tol=STEP_TOL, floor=floor)
 
     def _integrate(self, zs, thetas):
-        """Lockstep RK4 over [0, 1] on the map's step
-        (`contact._lockstep_rk4` under `_stage`): the ambient rows zs that
+        """Lockstep RK over [0, 1] on the map's table and step
+        (`contact._lockstep_rk` under `_stage`): the ambient rows zs that
         can move, and the sphere rows thetas, then the probes.  Returns
         the images of zs and the ends and log conformal factors of
         thetas, once the probes have passed `_conformal_envelope`.
@@ -298,9 +267,10 @@ class SmoothedSymplectization:
         # the stage's own squared radius, so the two agree on the ball
         still = (row_sum(zs * zs) <= self.certificate.chi_zero_below) \
             & np.all(zs != 0.0, axis=1)
-        (flowed,) = _lockstep_rk4(
+        (flowed,) = _lockstep_rk(
             self._stage, [(zs[~still], np.concatenate([thetas, self._probes]),
-                           _step_count(1.0, self.step), len(self._probes))], 1.0)
+                           _step_count(1.0, self.step), len(self._probes))], 1.0,
+            self.step_choice.table)
         if isinstance(flowed, IntegrationError):
             raise flowed
         z, th, logc, lo, hi = flowed
@@ -317,8 +287,9 @@ class SmoothedSymplectization:
         """(images of zs, homogeneous lift of lift_zs) from one integration:
         the lift (r, theta) -> (r / c(theta), phi(theta)) of the time-1 map
         takes phi and c from the directions of lift_zs, which ride as
-        sphere rows beside the probes, so it is bitwise the lift built on
-        `self.iso.flow_many` at those directions."""
+        sphere rows beside the probes, so it is bitwise the lift built from
+        a loop call on those directions alone, on the map's table and
+        step."""
         r, th = _polar(lift_zs)
         images, ends, logc = self._integrate(zs, th)
         return images, _lift(r, ends, logc)

@@ -11,6 +11,7 @@ from symcone import (
     build_smoothed_well,
     sandwich_solve,
 )
+from symcone.contact import _lockstep_rk, _step_count
 from symcone.smoothing import _lift, _polar
 
 
@@ -63,3 +64,16 @@ def symplectize_ambient(iso, zs):
     `flow_many`: the reference route for the smoothed map and its lift."""
     r, th = _polar(zs)
     return _lift(r, *iso.flow_many(th, 0.0, 1.0))
+
+
+def lift_on_the_maps_table(sm, zs):
+    """The homogeneous lift of the time-1 map that the smoothed map sm
+    steps, with phi and c from one loop call on the directions of zs
+    alone, on sm's own table and step: the reference route for
+    `SmoothedSymplectization.map_and_lift`, whose lift rows ride beside
+    the map's ambient rows and probes."""
+    r, th = _polar(zs)
+    (run,) = _lockstep_rk(sm._stage, [(np.empty((0, zs.shape[1])), th,
+                                       _step_count(1.0, sm.step), 0)],
+                          1.0, sm.step_choice.table)
+    return _lift(r, run[1], run[2])

@@ -18,7 +18,7 @@ from symcone.cli import _build_parser, main
 from symcone.growth import ConeFamily, Conjugator
 from symcone.smoothing import SmoothedSymplectization, symplecticity_defect
 
-from conftest import symplectize_ambient
+from conftest import lift_on_the_maps_table
 
 
 def run_cli(capsys, argv):
@@ -541,7 +541,7 @@ def test_smoothing_audit_passes(capsys, monkeypatch):
                             K * eps * rng.uniform(1.001, 4.0, size=33)])
     zs_all = np.sqrt(r_all)[:, None] * sampling.sphere_points(2, 100, 34)
     want = [np.linalg.norm(sm(zs_in) - zs_in, axis=1),
-            np.linalg.norm(sm(zs_out) - symplectize_ambient(sm.iso, zs_out), axis=1),
+            np.linalg.norm(sm(zs_out) - lift_on_the_maps_table(sm, zs_out), axis=1),
             symplecticity_defect(sm, zs_all)]
     got = [float(checks[key]) for key in ("identity_ball_max_move",
                                           "agreement_max_diff",
@@ -574,17 +574,17 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
     code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "10"])
     assert code == 0 and err == ""
     # one call for the autonomous generator's rate bound, then one pilot
-    # run whose groups are the step counts of the top three rungs, 125, 62
-    # and 31, and 16 for twice the top step, whatever rung is chosen, each
-    # on the map's own 112 rows: all four groups for 16 steps x 4 stages,
-    # three up to step 31, two up to step 62 and one up to step 125
-    rungs = smoothing.PILOT_AMBIENT + 512 // smoothing.PILOT_PROBE_STRIDE
-    main = 4 * round(1.0 / float(json.loads(out)["result"]["step"]["h"]))
+    # run whose groups are 16 and 32 DOP853 steps, each on the map's own
+    # 112 rows: both groups for 16 steps x 12 stages, then the finer one
+    # alone; the pair passes, so no second pair runs
+    pilot_rows = smoothing.PILOT_AMBIENT + 512 // smoothing.PILOT_PROBE_STRIDE
+    step = json.loads(out)["result"]["step"]
+    assert step["h"] == "0.0625" and step["estimate"] is not None
+    main = 12 * 16
     assert rows[0] == 4096
     pilot = rows[1:-main]
-    assert pilot == ([4 * rungs] * 4 * 16 + [3 * rungs] * 4 * (31 - 16)
-                     + [2 * rungs] * 4 * (62 - 31) + [rungs] * 4 * (125 - 62))
-    # then round(1 / h) steps x 4 stages at the chosen step h, each stage
+    assert pilot == [2 * pilot_rows] * 12 * 16 + [pilot_rows] * 12 * 16
+    # then 16 steps x 12 stages at the chosen step h = 1/16, each stage
     # one call on every ambient row outside the identity ball (10 outside,
     # and the 16 stencil copies of the 66 of 100 rows drawn outside it),
     # the 10 lift rows and the 512 probes; the 10 rows inside the ball and
@@ -620,9 +620,21 @@ def test_smoothing_audit_failure_is_exit_4(capsys):
     result = json.loads(out)["result"]
     assert not (result["checks"]["agreement_pass"]
                 and result["checks"]["symplecticity_pass"])
-    # no rung above the floor passes: the map steps on the floor, unmeasured
+    # no DOP853 pair passes: the map steps RK4 on the floor, unmeasured
     assert result["step"] == {"h": "0.001", "estimate": None,
                               "tol": "1e-08", "floor": "0.001"}
+
+
+def test_map_on_the_rk4_floor_keeps_its_recorded_bytes(capsys):
+    # The same generator at 50 points: its map takes RK4 on the floor, so
+    # the failed audit's envelope is the one recorded before any map
+    # stepped DOP853, byte for byte.
+    code, out, err = run_cli(capsys, ["smoothing-audit", "--amplitude", "1",
+                                      "--seed", "3", "--points", "50"])
+    assert code == 4 and err == "symcone: smoothing audit failed\n"
+    golden = (Path(__file__).resolve().parent / "golden"
+              / "smoothing_audit_amplitude1_seed3_points50.json")
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 @pytest.mark.parametrize("amplitude", ["-1", "0"])
@@ -806,9 +818,10 @@ def test_metric_bounds_each_pair_once(monkeypatch, capsys):
                     reason="counts glibc's minor page faults")
 def test_repeated_spectrum_job_takes_no_fresh_pages():
     # The label scan traces its contours CONTOUR_BLOCK levels at a time, so
-    # every temporary stays below glibc's mmap threshold and a repeated job
-    # reuses the heap's pages; tracing all 50 levels at once took about
-    # 550 minor faults a job.
+    # every temporary stays below 64 KiB, under glibc's mmap threshold and
+    # the size of free that can trim the heap, and a repeated job reuses
+    # the heap's pages; tracing all 50 levels at once took about 550 minor
+    # faults a job.
     proc = run_python(["-c", (
         "import contextlib, io, resource\n"
         "from symcone import cli\n"

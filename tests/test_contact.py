@@ -18,6 +18,8 @@ from symcone import (
     symplectic_pairing,
 )
 from symcone import contact
+from symcone.geometry import symplectic_gradient
+from symcone.sampling import sphere_points
 
 from conftest import sphere, zero_isotopy
 
@@ -278,8 +280,8 @@ def test_row_groups_step_bitwise_as_their_own_calls(order):
               group(1e303, 2, 4, 20, 4), group(1.0, 5, 6, 3, 6),
               group(1.0, 4, 8, 20, 3)]
     with np.errstate(over="ignore", invalid="ignore"):
-        got = dict(zip(order, contact._lockstep_rk4(
-            stage, [groups[g] for g in order], 0.7)))
+        got = dict(zip(order, contact._lockstep_rk(
+            stage, [groups[g] for g in order], 0.7, contact.RK4)))
         # one stage call on the live rows: all 44 up to step 2, then
         # without the 3-step group, without the diverged one after step 4
         # and without the 9-step one after step 8
@@ -287,7 +289,8 @@ def test_row_groups_step_bitwise_as_their_own_calls(order):
         steps = ([44] * 3 + [44 - rows[3]] * 2 + [44 - rows[3] - rows[2]] * 4
                  + [rows[1] + rows[4]] * 11)
         assert calls == [live for live in steps for _ in range(4)]
-        alone = [contact._lockstep_rk4(stage, [grp], 0.7)[0] for grp in groups]
+        alone = [contact._lockstep_rk(stage, [grp], 0.7, contact.RK4)[0]
+                 for grp in groups]
     failed = got[2]
     assert isinstance(failed, IntegrationError) and str(failed) == "flow diverged"
     assert failed.diagnostics == alone[2].diagnostics == {"step_index": 4}
@@ -302,3 +305,96 @@ def test_row_groups_step_bitwise_as_their_own_calls(order):
 def test_isotopy_refuses_a_step_that_is_not_positive(step):
     with pytest.raises(IntegrationError, match="step underflow"):
         ContactIsotopy(random_hamiltonian(2, 1, seed=3), step=step)
+
+
+def _dop853_matrix():
+    """The typed DOP853 rows as the 12 x 12 matrix A, its first row 0."""
+    A = np.zeros((12, 12))
+    for i, row in enumerate(contact.DOP853.rows, 1):
+        A[i, :len(row)] = row
+    return A
+
+
+def test_dop853_table_is_scipys():
+    # scipy is a test dependency only: the package types the table in
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert [len(row) for row in contact.DOP853.rows] == list(range(1, 12))
+    assert np.array_equal(_dop853_matrix(), ref.A[:12, :12])
+    assert np.array_equal(np.array(contact.DOP853.weights), ref.B)
+    assert contact.DOP853.divisor == 1.0
+    assert contact.RK4 == ((((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+                            (1.0, 2.0, 2.0, 1.0), 6.0))
+
+
+def test_dop853_weights_meet_the_quadrature_conditions():
+    # sum_i b_i c_i^(q-1) = 1/q up to order 8, with c_i the row sums of A
+    b = np.array(contact.DOP853.weights)
+    c = _dop853_matrix().sum(axis=1)
+    for q in range(1, 9):
+        assert abs(np.sum(b * c ** (q - 1)) - 1.0 / q) < 1e-14
+
+
+def test_dop853_steps_a_rotation_at_order_8():
+    """The ambient stage z' = J(2z), the field of |z|^2, has the exact
+    time-1 flow z -> rotation of each (x_j, y_j) plane by angle 2.  The
+    loop on DOP853 reaches it at observed order 8 from 3 to 8 steps."""
+    z0 = np.random.default_rng(28).standard_normal((20, 4))
+
+    def stage(z, th):
+        return symplectic_gradient(2.0 * z), np.empty_like(th), np.empty(len(th))
+
+    c, s = np.cos(2.0), np.sin(2.0)
+    x, y = z0[:, :2], z0[:, 2:]
+    exact = np.hstack([c * x - s * y, s * x + c * y])
+    errors = []
+    for n in range(3, 9):
+        (run,) = contact._lockstep_rk(stage, [(z0, np.empty((0, 4)), n, 0)], 1.0,
+                                      contact.DOP853)
+        errors.append(np.max(np.abs(run[0] - exact)))
+    orders = [np.log(errors[i] / errors[i + 1]) / np.log((i + 4) / (i + 3))
+              for i in range(5)]
+    assert min(orders) >= 7.9
+
+
+def _blowing_up():
+    """A real expression whose flow leaves the finite numbers: the kernel
+    sees non-finite rows at the stage after it overflows."""
+    return ExpressionHamiltonian("1e200 * bump(rho; 0.1, 3) * mono(x1^2)", 2, 1,
+                                 meta=SupportMeta(1, 1, 0.1, 3))
+
+
+def test_diverging_expression_flow_is_the_loops_integration_error():
+    # the kernel does not refuse the non-finite rows of a stage: the loop
+    # finds them after the step and names it
+    iso = ContactIsotopy(_blowing_up(), step=1e-2)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationError, match="flow diverged") as exc:
+        iso.flow_many(sphere_points(2, 50, 1))
+    assert exc.value.diagnostics == {"step_index": 1}
+    # an entry point that is not a stage still refuses such rows
+    with pytest.raises(DomainError, match="non-finite"):
+        iso.hamiltonian.value_and_grad(np.full((1, 4), np.nan))
+
+
+def test_diverging_expression_group_fails_alone():
+    """As one group of a multi-group call, the diverging rows fail their
+    own group only: a group of rows past the support (rho >= 3), where
+    the field is zero, steps to its own result beside it."""
+    K = _blowing_up()
+
+    def stage(z, th):
+        return (z,) + contact._field_and_rate(*K.grad_fn(th), th)
+
+    still = np.array([[0.1, 0.0, 0.0, 1.0], [0.0, 0.1, 0.2, 1.0]])  # rho >= 25
+    groups = [(np.empty((0, 4)), sphere_points(2, 50, 1), 100, 0),
+              (np.empty((0, 4)), still, 30, 2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed, kept = contact._lockstep_rk(stage, groups, 1.0, contact.RK4)
+        (alone,) = contact._lockstep_rk(stage, groups[1:], 1.0, contact.RK4)
+    assert isinstance(failed, IntegrationError)
+    assert failed.diagnostics == {"step_index": 1}
+    assert all(np.array_equal(a, b) for a, b in zip(kept, alone))
+    # the zero field moves them by renormalisation only
+    np.testing.assert_allclose(kept[1], contact._renorm(still), rtol=0, atol=1e-15)
+    assert np.array_equal(kept[2], np.zeros(2))

@@ -339,7 +339,8 @@ def test_level_scan_keeps_to_the_scalar_well(domain3, monkeypatch):
 def test_blocked_floors_are_the_one_block_areas(C):
     # Each contour row's area is reduced on its own, so the scan's blocks
     # give the floors of one contour call over all audited levels bit for
-    # bit; 40 labels audit 11 to 13 levels, three blocks and a ragged one.
+    # bit; 40 labels audit 11 to 13 levels, three or four blocks and a
+    # ragged one.
     D = IntegrableDomain(n=2, k=1, a=1.0, b=1.0,
                          well=build_smoothed_well(C, C / 12.0))
     system = PlanarWellSystem.from_domain(D)

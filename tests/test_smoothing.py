@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -14,12 +12,13 @@ from symcone import (
     symplecticity_defect,
 )
 from symcone import IntegrationError, smoothing
-from symcone.contact import _lockstep_rk4
-from symcone.smoothing import (LADDER_RUNGS, MEASURED_RUNGS, ORDER_MIN, STEP_TOL,
-                               StepChoice, symplecticity_defect_of_images,
+from symcone.contact import DOP853, RK4, _lockstep_rk
+from symcone.smoothing import (PILOT_STEPS, STEP_TOL, StepChoice,
+                               symplecticity_defect_of_images,
                                symplecticity_stencil)
 
-from conftest import sphere, symplectize_ambient, zero_isotopy
+from conftest import (lift_on_the_maps_table, sphere, symplectize_ambient,
+                      zero_isotopy)
 
 
 def shell(rng, npts, dim, r2lo, r2hi):
@@ -93,9 +92,11 @@ def test_ball_row_with_a_signed_zero_is_stepped(tame_map, monkeypatch):
                    [0.1, -0.1, 0.1, 0.1]])
     rows = _counted_grads(iso.hamiltonian, monkeypatch)
     images = sm(zs)
-    assert rows == [2 + 512] * (4 * round(1.0 / sm.step))
-    (stepped,) = _lockstep_rk4(sm._stage, [(zs[:2], sm._probes, round(1.0 / sm.step),
-                                            len(sm._probes))], 1.0)
+    table = sm.step_choice.table
+    assert table is DOP853
+    assert rows == [2 + 512] * (12 * round(1.0 / sm.step))
+    (stepped,) = _lockstep_rk(sm._stage, [(zs[:2], sm._probes, round(1.0 / sm.step),
+                                           len(sm._probes))], 1.0, table)
     assert np.array_equal(images[:2], stepped[0])
     assert np.array_equal(np.signbit(images[:2]), np.signbit(stepped[0]))
     # the loop turns the first row's third zero from -0.0 to +0.0
@@ -183,45 +184,35 @@ def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
         sm(np.array([[0.1, 0.0, 0.0, 0.0]]))
 
 
-def doubling_estimate(sm, h):
-    """Reference step-doubling estimate of the time-1 error at step h on
-    the map's pilot rows: the largest gap between the runs at h and 2h,
-    over (2h / h)^4 - 1 with the steps the runs actually take."""
-    n, m = round(1.0 / h), round(0.5 / h)
+def doubling_gap(sm, n):
+    """Reference step-doubling gap of DOP853 at n steps on the map's pilot
+    rows: the largest row norm of the differences between the runs at n
+    and 2n steps, each a loop call of its own."""
     z, th = sm._pilot_rows()
-    fine, coarse = (_lockstep_rk4(sm._stage, [(z, th, k, len(th))], 1.0)[0][:3]
-                    for k in (n, m))
-    gap = max(np.max(np.linalg.norm(fine[0] - coarse[0], axis=1)),
-              np.max(np.linalg.norm(fine[1] - coarse[1], axis=1)),
-              np.max(np.abs(fine[2] - coarse[2])))
-    return gap / ((n / m) ** 4 - 1.0)
+    fine, coarse = (_lockstep_rk(sm._stage, [(z, th, k, len(th))], 1.0, DOP853)[0][:3]
+                    for k in (2 * n, n))
+    return max(np.max(np.linalg.norm(fine[0] - coarse[0], axis=1)),
+               np.max(np.linalg.norm(fine[1] - coarse[1], axis=1)),
+               np.max(np.abs(fine[2] - coarse[2])))
 
 
-def test_step_choice_is_the_largest_rung_within_tolerance(tame_map):
-    """Seed 31 needs the rung below the measured ones: its estimate is the
-    lowest measured estimate carried down at the observed order, and it
-    overstates that rung's own step-doubling estimate by less than 2x."""
-    iso, sm = tame_map
+def test_step_choice_is_the_largest_rung_within_tolerance():
+    """Seed 9 needs the second pair: the gap of 16 DOP853 steps against
+    32 is over STEP_TOL, so the map takes 24 steps, whose gap against 48
+    passes and is the estimate as it stands."""
+    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=9, amplitude=0.1))
+    sm = SmoothedSymplectization(iso, 0.05)
     choice = sm.step_choice
     assert choice.floor == iso.step and choice.tol == STEP_TOL
-    low = iso.step * 2.0 ** (LADDER_RUNGS - MEASURED_RUNGS)
-    assert choice.h == low / 2.0
-    assert sm.step == sm.iso.step == choice.h
-    assert sm.iso.hamiltonian is iso.hamiltonian
-    e_low, e_next = doubling_estimate(sm, low), doubling_estimate(sm, 2.0 * low)
-    assert e_low > STEP_TOL  # the next step up does not pass
-    n_low, n_next, n = round(1.0 / low), round(0.5 / low), round(1.0 / choice.h)
-    order = math.log(e_next / e_low) / math.log(n_low / n_next)
-    assert ORDER_MIN <= order
-    assert choice.estimate == pytest.approx(
-        e_low * (n_low / n) ** min(order, 4.0), rel=1e-12)
-    assert choice.estimate <= STEP_TOL
-    measured = doubling_estimate(sm, choice.h)
-    assert measured <= choice.estimate < 2.0 * measured
+    assert PILOT_STEPS == (16, 24)
+    assert choice.h == 1.0 / 24 and choice.table is DOP853
+    assert sm.step == choice.h and sm.iso is iso
+    assert doubling_gap(sm, 16) > STEP_TOL  # the coarser step does not pass
+    assert choice.estimate == doubling_gap(sm, 24) <= STEP_TOL
     # a second construction chooses the same step
     assert SmoothedSymplectization(iso, sm.eps).step_choice == choice
     assert SmoothedSymplectization(
-        ContactIsotopy(random_hamiltonian(2, 1, seed=31, amplitude=0.1)),
+        ContactIsotopy(random_hamiltonian(2, 1, seed=9, amplitude=0.1)),
         sm.eps).step_choice == choice
 
 
@@ -229,78 +220,121 @@ def test_measured_rung_carries_its_own_doubling_estimate():
     iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
     sm = SmoothedSymplectization(iso, 0.05)
     choice = sm.step_choice
-    assert choice.h == iso.step * 2.0 ** (LADDER_RUNGS - MEASURED_RUNGS)
-    assert choice.estimate == pytest.approx(doubling_estimate(sm, choice.h),
-                                            rel=1e-12)
-    assert choice.estimate <= STEP_TOL < doubling_estimate(sm, 2.0 * choice.h)
+    assert choice.h == 1.0 / 16 and choice.table is DOP853
+    # each group of the pilot's call is bitwise a call of its own
+    assert choice.estimate == doubling_gap(sm, 16) <= STEP_TOL
 
 
 def test_every_map_pays_the_same_pilot_steps(monkeypatch):
-    """The pilot runs the same step counts whichever rung a generator
-    takes, so a map's construction costs the same for every isotopy."""
+    """The pilot runs the same step counts for every isotopy whose first
+    pair passes, whichever its gap; a map whose first pair fails runs the
+    second pair in a second call, and no more."""
     pilot_steps = []
 
-    def counted(stage, groups, span):
+    def counted(stage, groups, span, table):
+        assert table is DOP853
         pilot_steps[-1].append([n_steps for _, _, n_steps, _ in groups])
-        return _lockstep_rk4(stage, groups, span)
+        return _lockstep_rk(stage, groups, span, table)
 
-    monkeypatch.setattr(smoothing, "_lockstep_rk4", counted)
+    monkeypatch.setattr(smoothing, "_lockstep_rk", counted)
     chosen = []
-    for seed in (12, 2, 31):
+    for seed in (12, 2, 31, 9):
         pilot_steps.append([])
         iso = ContactIsotopy(random_hamiltonian(2, 1, seed=seed, amplitude=0.1))
         chosen.append(SmoothedSymplectization(iso, 0.05).step)
-    assert chosen == [1.6e-2, 8e-3, 4e-3]
-    # one call, its groups the top MEASURED_RUNGS rungs and twice the top step
-    assert pilot_steps == [[[125, 62, 31, 16]]] * 3
+    assert chosen == [1.0 / 16] * 3 + [1.0 / 24]
+    # one call per pair tried, its groups n and 2n steps
+    assert pilot_steps == [[[16, 32]]] * 3 + [[[16, 32], [24, 48]]]
 
 
 def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
-    def diverging(stage, groups, span):
+    tables = []
+
+    def diverging(stage, groups, span, table):
+        tables.append(table)
         return [IntegrationError("flow diverged", {"step_index": 0})] * len(groups)
 
-    monkeypatch.setattr(smoothing, "_lockstep_rk4", diverging)
+    monkeypatch.setattr(smoothing, "_lockstep_rk", diverging)
     iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
     sm = SmoothedSymplectization(iso, 0.05)
     assert sm.step_choice.h == iso.step and sm.step_choice.estimate is None
     with pytest.raises(IntegrationError, match="diverged"):
         sm(np.array([[0.5, 0.0, 0.0, 0.0]]))
+    # both pairs on DOP853, then the map's own call on RK4 at the floor
+    assert tables == [DOP853, DOP853, RK4]
 
 
-@pytest.mark.parametrize("order, rung", [(4.0, 2), (ORDER_MIN - 0.1, 0)])
-def test_rungs_below_the_measured_ones_need_a_trusted_order(monkeypatch,
-                                                            order, rung):
-    """A stand-in pilot whose measured estimates fall at a set observed
-    order: the lowest measured one is 1e-7, so only a predicted rung can
-    pass.  At order 4 rung 2 passes and is taken before rung 1, as the
-    one table is scanned from the top down; below ORDER_MIN no rung is
-    predicted and the floor is taken unmeasured."""
-    def pilot(stage, groups, span):
-        n = [n_steps for _, _, n_steps, _ in groups]
-        e = [1e-7, 1e-7 * (n[0] / n[1]) ** order, 1.0]
-        d = [0.0]  # the ambient rows' offsets, from the coarsest run up
-        for j in (2, 1, 0):
-            d.insert(0, d[0] + e[j] * ((n[j] / n[j + 1]) ** 4 - 1.0))
+def _stand_in_pilot(gaps, calls):
+    """A pilot whose run at n steps sits gaps[n] from its run at 2n
+    steps, in the first ambient coordinate, everything else equal."""
+    def pilot(stage, groups, span, table):
+        calls.append([n_steps for _, _, n_steps, _ in groups])
         runs = []
-        for (z, th, _, _), dj in zip(groups, d):
+        for z, th, n_steps, _ in groups:
             z = np.zeros_like(z)
-            z[:, 0] = dj
+            z[:, 0] = gaps.get(n_steps, 0.0)
             runs.append((z, th, np.zeros(len(th)), 0.0, 0.0))
         return runs
+    return pilot
 
-    monkeypatch.setattr(smoothing, "_lockstep_rk4", pilot)
+
+@pytest.mark.parametrize("gap16, gap24, steps", [
+    (9e-9, 1.0, 16), (1.1e-8, STEP_TOL, 24), (1.1e-8, 1.1e-8, None)],
+    ids=["first-pair", "second-pair", "floor"])
+def test_pairs_are_tried_coarsest_first_and_the_floor_is_unmeasured(
+        monkeypatch, gap16, gap24, steps):
+    """The first pair whose gap is at most STEP_TOL gives the step, and
+    its gap, not divided by 2^p - 1, is the estimate; the second pair runs
+    only when the first fails.  When neither passes, the map takes RK4 at
+    the floor, unmeasured."""
+    calls = []
+    monkeypatch.setattr(smoothing, "_lockstep_rk",
+                        _stand_in_pilot({16: gap16, 24: gap24}, calls))
     iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
     choice = SmoothedSymplectization(iso, 0.05).step_choice
-    assert choice.h == iso.step * 2.0 ** rung
-    if rung:
-        low = LADDER_RUNGS - MEASURED_RUNGS
-        assert choice.estimate == pytest.approx(1e-7 / 2.0 ** (4 * (low - rung)))
+    if steps is None:
+        assert choice == StepChoice(h=iso.step, estimate=None, tol=STEP_TOL,
+                                    floor=iso.step)
+        assert choice.table is RK4
     else:
-        assert choice.estimate is None
+        assert choice.h == 1.0 / steps and choice.table is DOP853
+        assert choice.estimate == (gap16 if steps == 16 else gap24)
+    assert calls == [[16, 32], [24, 48]][:1 if steps == 16 else 2]
+
+
+@pytest.mark.parametrize("floor, tried, steps", [
+    (0.04, [[16, 32], [24, 48]], 24), (0.05, [[16, 32]], None), (0.1, [], None)])
+def test_no_pair_steps_finer_than_the_isotopy(monkeypatch, floor, tried, steps):
+    """A pair whose step 1 / n would be finer than the isotopy's is not
+    tried; with none left the map takes the isotopy's own step on RK4.
+    The stand-in pilot fails the first pair and passes the second."""
+    calls = []
+    monkeypatch.setattr(smoothing, "_lockstep_rk", _stand_in_pilot({16: 1.0}, calls))
+    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1),
+                         step=floor)
+    choice = SmoothedSymplectization(iso, 0.05).step_choice
+    assert calls == tried
+    assert choice.h == (1.0 / steps if steps else floor)
+    assert choice.estimate == (0.0 if steps else None)
+
+
+def test_map_whose_pairs_fail_steps_rk4_on_the_floor():
+    """Seed 3 at amplitude 1 passes neither pair, so the map steps RK4 at
+    the isotopy's step: its images are bitwise a loop call on RK4 at the
+    floor, the route every map took before DOP853 (the CLI's run of this
+    generator keeps its recorded bytes, test_cli.py)."""
+    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=3, amplitude=1.0))
+    sm = SmoothedSymplectization(iso, 0.05)
+    assert sm.step_choice == StepChoice(h=iso.step, estimate=None,
+                                        tol=STEP_TOL, floor=iso.step)
+    zs = shell(np.random.default_rng(38), 6, 4, sm.eps * 1.001, 2.0)
+    (want,) = _lockstep_rk(sm._stage, [(zs, sm._probes, 1000, len(sm._probes))],
+                           1.0, RK4)
+    assert np.array_equal(sm(zs), want[0])
 
 
 def test_diverging_map_names_its_step():
-    """The map steps the one RK4 loop `flow_many` steps, so a stage that
+    """The map steps the one RK loop `flow_many` steps, so a stage that
     leaves the finite numbers raises the same error at the same step."""
     K = random_hamiltonian(2, 1, seed=2, amplitude=0.1)
     sm = SmoothedSymplectization(ContactIsotopy(K), 0.05)
@@ -314,8 +348,8 @@ def test_diverging_map_names_its_step():
 def test_zero_isotopy_takes_the_top_rung():
     iso = zero_isotopy(2, 1)
     choice = SmoothedSymplectization(iso, 0.1).step_choice
-    assert choice == StepChoice(h=iso.step * 2.0 ** (LADDER_RUNGS - 1),
-                                estimate=0.0, tol=STEP_TOL, floor=iso.step)
+    assert choice == StepChoice(h=1.0 / PILOT_STEPS[0], estimate=0.0,
+                                tol=STEP_TOL, floor=iso.step)
 
 
 def test_radial_step_bump_profile():
@@ -357,19 +391,22 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
     want = sm(outside)
     grads = _counted_grads(iso.hamiltonian, monkeypatch)
     images = sm(np.vstack([ball[:5], outside, ball[5:]]))
-    # round(1 / step) steps of 4 stages at the map's chosen step; the 512
-    # conformal-factor probes ride in the same call
-    assert grads == [15 + 512] * (4 * round(1.0 / sm.step))
+    # round(1 / step) steps of DOP853's 12 stages at the map's chosen
+    # step; the 512 conformal-factor probes ride in the same call
+    assert len(sm.step_choice.table.weights) == 12
+    assert grads == [15 + 512] * (12 * round(1.0 / sm.step))
     assert np.array_equal(images[5:20], want)
     assert np.array_equal(np.delete(images, np.s_[5:20], axis=0), ball)
 
 
 def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
     """One lockstep integration gives, bitwise, the map's own images and
-    the homogeneous lift through `ContactIsotopy.flow_many` at the map's
-    chosen step.  Both routes step one loop, `contact._lockstep_rk4`;
-    `test_flow_is_bitwise_the_reference_sphere_loop` (test_contact.py)
-    holds that loop to a separate one."""
+    the homogeneous lift from a loop call on the lift's directions alone,
+    on the map's table and step.  Both routes step one loop,
+    `contact._lockstep_rk`; `test_flow_is_bitwise_the_reference_sphere_loop`
+    (test_contact.py) holds that loop to a separate one under RK4, and
+    `test_dop853_steps_a_rotation_at_order_8` to the exact flow under
+    DOP853."""
     _, sm = tame_map
     cert = sm.certificate
     rng = np.random.default_rng(35)
@@ -379,7 +416,7 @@ def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
                     cert.K_factor * sm.eps * 4.0)
     images, lift = sm.map_and_lift(zs, lift_zs)
     assert np.array_equal(images, sm(zs))
-    assert np.array_equal(lift, symplectize_ambient(sm.iso, lift_zs))
+    assert np.array_equal(lift, lift_on_the_maps_table(sm, lift_zs))
     with pytest.raises(DomainError, match="origin"):
         sm.map_and_lift(zs, np.zeros((1, 4)))
 
