@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .contact import ContactHamiltonian, ContactIsotopy
+from .contact import ContactHamiltonian
 from .domains import BOX_FACTOR, Hyperboloid, StarDomain, sandwich_solve
 from .errors import DomainError
 from . import sampling
@@ -93,9 +93,9 @@ class NonsqueezingReport:
 
 def candidate_pool(n: int, k: int, count: int, seed: int = 0,
                    eps: float = 0.05) -> list:
-    """Smoothed symplectizations of random compactly supported isotopies,
-    each stepping on the ladder's largest passing rung from a floor of
-    1e-2 (`SmoothedSymplectization._choose_step`).
+    """Smoothed symplectizations of random compactly supported sphere
+    generators, each stepping DOP853 at the step its pilot measures
+    (`SmoothedSymplectization._choose_step`).
 
     The generator amplitude 0.15 keeps the conformal envelope moderate, so
     the smoothed maps act nontrivially at unit scale instead of pushing
@@ -104,9 +104,7 @@ def candidate_pool(n: int, k: int, count: int, seed: int = 0,
     maps = []
     for i, s in enumerate(sampling.spawn(seed, count)):
         K = random_hamiltonian(n, k, seed=s, amplitude=0.15)
-        iso = ContactIsotopy(K, step=1e-2)
-        smoothed = SmoothedSymplectization(iso, eps)
-        maps.append((f"candidate-{i}", smoothed))
+        maps.append((f"candidate-{i}", SmoothedSymplectization(K, eps)))
     return maps
 
 

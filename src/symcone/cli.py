@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .capacity import (candidate_pool, capacity_hyperboloid,
                        capacity_of_hamiltonian, nonsqueezing_verdict)
-from .contact import ContactIsotopy, SupportMeta
+from .contact import SupportMeta
 from .domains import (Hyperboloid, IntegrableDomain, build_smoothed_well,
                       containment_audit, sandwich_solve)
 from .errors import AuditError, DomainError, ParseError, ScanBudgetError
@@ -271,8 +271,7 @@ def cmd_smoothing_audit(params: dict):
         raise DomainError(f"need at least 1 audited point, got {pts}")
     seed = params["seed"]
     gen = random_hamiltonian(n, k, seed=seed, amplitude=params["amplitude"])
-    iso = ContactIsotopy(gen)
-    sm = SmoothedSymplectization(iso, eps)
+    sm = SmoothedSymplectization(gen, eps)
     cert = sm.certificate
 
     rng = sampling.rng(seed + 1)

@@ -57,6 +57,9 @@ _CONTOUR_COS, _CONTOUR_SIDE = np.cos(_CONTOUR_U), np.sign(np.sin(_CONTOUR_U))
 # `domains.build_smoothed_well`) frees no chunk that can trim the heap,
 # and a repeated job takes no fresh pages either way.
 CONTOUR_BLOCK = 3
+# the most round-orbit actions group I lists: the report prints every
+# one, so a window that holds more is refused before any is built
+GROUP_I_MAX = 10 ** 5
 
 # QUADPACK's qk15 rule on [-1, 1] (Piessens et al., QUADPACK, Springer
 # 1983): nodes from -1 up to the midpoint, their Kronrod weights, and the
@@ -459,9 +462,10 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
     system = PlanarWellSystem.from_domain(D)
     a, b, C = D.a, D.b, D.well.C
     pa2 = math.pi * a * a
-    if not window_top / pa2 < math.inf:
-        raise DomainError(f"window top {window_top:g} holds no finite count of "
-                          f"round orbits of action pi a^2 = {pa2:g}")
+    # group I lists floor(window_top / pa2) actions
+    if not window_top / pa2 < GROUP_I_MAX + 1:
+        raise DomainError(f"window top {window_top:g} holds more than "
+                          f"{GROUP_I_MAX} round orbits of action pi a^2 = {pa2:g}")
     group_i = tuple(j * pa2 for j in range(1, int(window_top / pa2) + 1))
     b_hat = min(area_constant(a, b), pa2 / (4.0 * b * b))
     bound = C * C * b_hat

@@ -9,20 +9,20 @@ of the homogeneous flow never see the transition band.  Outside a
 certified multiple of the ball the exact smoothed flow therefore equals
 the exact lift by ODE uniqueness; what the agreement check measures is
 the gap between two discretisations of that one flow, the ambient rows
-and the sphere rows with their log conformal factor, on the map's
-Runge–Kutta table and step.
+and the sphere rows with their log conformal factor, on DOP853 at the
+map's step.
 
-The map chooses that table and step once, at construction
+The map chooses its step once, at construction
 (`SmoothedSymplectization._choose_step`), by step doubling on pilot rows
-the map owns.  It runs DOP853's 8th-order solution (`contact.DOP853`)
-at 16 and at 32 steps, as two row groups of one call of the package's
-one Runge–Kutta loop, `contact._lockstep_rk`, and takes 16 steps when
-the gap between the two runs is at most STEP_TOL; failing that, it
-tries 24 and 48 steps the same way.  When neither pair passes, the map
-takes classical RK4 (`contact.RK4`) at the isotopy's own step,
-unmeasured: its `StepChoice.estimate` is None.  The map then steps
-every integration on that table and step in the same loop, which
-`ContactIsotopy.flow_many` runs on RK4 with no ambient rows.
+the map owns.  For each n of PILOT_STEPS in turn it runs DOP853's
+8th-order solution (`contact.DOP853`) at n and at 2n steps, as two row
+groups of one call of the package's one Runge–Kutta loop,
+`contact._lockstep_rk`, and takes n steps at the first n whose gap
+between the two runs is at most STEP_TOL.  When no pair passes, it takes
+the last pair's n, and its `StepChoice.estimate`, that pair's gap, is
+above the tolerance: the audit's thresholds then judge the map's images.
+The map steps every integration on DOP853 at that step in the same loop,
+which `ContactIsotopy.flow_many` runs on RK4 with no ambient rows.
 Beside the ambient rows the loop carries sphere rows: 512 seeded probes
 of the conformal factor, and the rows of a homogeneous lift when one is
 asked for (`map_and_lift`).  Each stage (`_stage`) evaluates K once on
@@ -36,12 +36,11 @@ sampled conformal factor against the rate-derived certificate before it
 returns anything.
 """
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .blends import cutoff_with_deriv, plateau_bump
-from .contact import (DOP853, RK4, ContactIsotopy, _field_and_rate,
+from .contact import (DOP853, ContactHamiltonian, _field_and_rate,
                       _lockstep_rk, _step_count, reeb_derivative)
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
@@ -58,7 +57,7 @@ STEP_TOL = 1e-8
 # the DOP853 step counts n that the step choice tries in turn, each beside
 # 2n steps; none below 16, where the gap between the images passes before
 # the error in the map's Jacobian (the symplecticity defect) has settled
-PILOT_STEPS = (16, 24)
+PILOT_STEPS = (16, 24, 32, 48)
 # pilot rows of the step choice: every PILOT_PROBE_STRIDE-th probe and
 # PILOT_AMBIENT ambient rows, 112 rows in all, since a stage under 128
 # rows costs little more than its fixed overhead
@@ -115,7 +114,7 @@ def _conformal_envelope(cert: SmoothingCertificate, lo: float, hi: float):
                          f"[{cert.m:.6g}, {cert.M:.6g}]")
 
 
-def _rate_envelope(iso: ContactIsotopy):
+def _rate_envelope(K: ContactHamiltonian):
     """Bound (min, max) of the conformal factor from the generator's rate.
 
     log c is the time integral of dK(R) over [0, 1], so a sup bound on that
@@ -125,7 +124,7 @@ def _rate_envelope(iso: ContactIsotopy):
     the sphere: its extremes are taken on a seeded 4096-point sphere grid
     and inflated by 25% to cover what the grid misses between its points.
     """
-    rate = reeb_derivative(iso.hamiltonian, sampling.sphere_points(iso.n, 4096, 7))
+    rate = reeb_derivative(K, sampling.sphere_points(K.n, 4096, 7))
     lo, hi = min(0.0, float(np.min(rate))), max(0.0, float(np.max(rate)))
     with np.errstate(over="ignore"):  # an overflow is reported by the caller
         return np.exp(1.25 * lo), np.exp(1.25 * hi)
@@ -133,55 +132,48 @@ def _rate_envelope(iso: ContactIsotopy):
 
 @dataclass(frozen=True)
 class StepChoice:
-    """The map's step h and its Runge–Kutta table, chosen at
-    construction.  With an estimate, the map steps DOP853 at h = 1 / n,
-    and estimate is the largest gap between the pilot's runs at n and
-    2n steps, at most tol.  estimate None means classical RK4 at the
-    floor, the isotopy's own step, which the map takes unmeasured when
-    no pair passes."""
+    """The map's DOP853 step h = 1 / n, chosen at construction.
+    estimate is the largest gap between the pilot's runs at n and 2n
+    steps: at most tol for the first pair of PILOT_STEPS that passes, and
+    above it when none does and the map steps the last pair's n."""
 
     h: float
-    estimate: Optional[float]
+    estimate: float
     tol: float
-    floor: float
-
-    @property
-    def table(self):
-        return RK4 if self.estimate is None else DOP853
 
 
 class SmoothedSymplectization:
-    """Time-1 map of the cutoff Hamiltonian flow, with its certificate.
+    """Time-1 map of the cutoff Hamiltonian flow of the sphere generator
+    K, with its certificate.
 
-    The certificate comes from the rate bound at construction, and so
-    do the step and its table (`_choose_step`, reported as
-    `step_choice`): the map never steps finer than the isotopy it is
-    given, `self.iso`.  Every integration runs on that table and step,
-    whatever its rows, so a row's image does not depend on the rows
-    beside it; each flows the 512 conformal-factor probes beside its rows
-    and audits them (`_conformal_envelope`) before it returns an image.
+    The certificate comes from K's rate bound at construction, and so
+    does the step (`_choose_step`, reported as `step_choice`).  Every
+    integration runs DOP853 at that step, whatever its rows, so a row's
+    image does not depend on the rows beside it; each flows the 512
+    conformal-factor probes beside its rows and audits them
+    (`_conformal_envelope`) before it returns an image.
     """
 
-    def __init__(self, iso: ContactIsotopy, eps: float):
+    def __init__(self, K: ContactHamiltonian, eps: float):
         if not eps > 0:
             raise DomainError("eps must be positive")
         if not eps < np.inf:
             raise DomainError(f"eps must be finite, got {eps}")
-        m, M = _rate_envelope(iso)
+        m, M = _rate_envelope(K)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             K_factor = 4.0 * M / m
         if not all(0.0 < x < np.inf for x in (M, m, K_factor)):
             raise DomainError(
                 f"conformal bounds must be finite and positive, got M={M:.6g}, "
                 f"m={m:.6g}, K_factor={K_factor:.6g}")
-        self.iso = iso
+        self.hamiltonian = K
         self.eps = float(eps)
         self.certificate = SmoothingCertificate(
             M=M, m=m, K_factor=K_factor, eps=float(eps),
             chi_zero_below=float(eps), chi_one_above=4.0 * eps / m,
         )
-        self._probes = sampling.sphere_points(iso.n, 512, 7)
-        self.step_choice = self._choose_step(iso.step)
+        self._probes = sampling.sphere_points(K.n, 512, 7)
+        self.step_choice = self._choose_step()
         self.step = self.step_choice.h
 
     def _stage(self, zs, th):
@@ -194,7 +186,7 @@ class SmoothedSymplectization:
         sq = np.sqrt(np.where(r > 0.0, r, 1.0))
         u = zs / sq[:, None]
         # u and th are column-major, so their stack is too
-        Kv, g = self.iso.hamiltonian.grad_fn(np.concatenate([u, th]))
+        Kv, g = self.hamiltonian.grad_fn(np.concatenate([u, th]))
         nz = u.shape[0]
         tang = tangential(g[:nz], u)
         chi, chi_d = cutoff_with_deriv(r, cert.chi_zero_below, cert.chi_one_above)
@@ -209,14 +201,13 @@ class SmoothedSymplectization:
         the conjugated zone, and every PILOT_PROBE_STRIDE-th probe."""
         cert = self.certificate
         r = cert.eps * np.geomspace(1.0, 8.0 * cert.K_factor, PILOT_AMBIENT + 1)[1:]
-        dirs = sampling.sphere_points(self.iso.n, PILOT_AMBIENT, 11)
+        dirs = sampling.sphere_points(self.hamiltonian.n, PILOT_AMBIENT, 11)
         return np.sqrt(r)[:, None] * dirs, self._probes[::PILOT_PROBE_STRIDE]
 
-    def _choose_step(self, floor):
+    def _choose_step(self):
         """The fewest DOP853 steps n in PILOT_STEPS whose step-doubling
-        gap is at most STEP_TOL, as a `StepChoice` of h = 1 / n; RK4 at
-        the floor, unmeasured, when none passes.  A count whose step
-        1 / n would be finer than the floor is not tried.
+        gap is at most STEP_TOL, as a `StepChoice` of h = 1 / n; the last
+        n, with its gap, when none passes.
 
         For each n in turn, the pilot runs the `_pilot_rows` to time 1 at
         n and 2n steps as two row groups of one loop call, so each RK
@@ -227,31 +218,32 @@ class SmoothedSymplectization:
         the estimate as it stands, not divided by 2^p - 1: with C^4
         profiles the observed order p of the error is erratic.  A pilot
         run that diverges or whose probes leave the certificate fails its
-        pair without raising.
+        pair; in the last pair it raises its IntegrationError or
+        AuditError.
         """
         pilot_z, pilot_th = self._pilot_rows()
         for n in PILOT_STEPS:
-            if 1.0 / n < floor:
-                continue
+            last = n == PILOT_STEPS[-1]
             runs = _lockstep_rk(self._stage, [(pilot_z, pilot_th, m, len(pilot_th))
                                               for m in (n, 2 * n)], 1.0, DOP853)
-            if any(isinstance(run, IntegrationError) for run in runs):
-                continue
             try:
                 for run in runs:
+                    if isinstance(run, IntegrationError):
+                        raise run
                     _conformal_envelope(self.certificate, *run[3:])
-            except AuditError:
+            except (IntegrationError, AuditError):
+                if last:
+                    raise
                 continue
             dz, dth, dlogc = (a - b for a, b in zip(*(run[:3] for run in runs)))
             gap = max(float(np.max(np.sqrt(row_sum(dz * dz)))),
                       float(np.max(np.sqrt(row_sum(dth * dth)))),
                       float(np.max(np.abs(dlogc))))
-            if gap <= STEP_TOL:
-                return StepChoice(h=1.0 / n, estimate=gap, tol=STEP_TOL, floor=floor)
-        return StepChoice(h=floor, estimate=None, tol=STEP_TOL, floor=floor)
+            if gap <= STEP_TOL or last:
+                return StepChoice(h=1.0 / n, estimate=gap, tol=STEP_TOL)
 
     def _integrate(self, zs, thetas):
-        """Lockstep RK over [0, 1] on the map's table and step
+        """Lockstep DOP853 over [0, 1] at the map's step
         (`contact._lockstep_rk` under `_stage`): the ambient rows zs that
         can move, and the sphere rows thetas, then the probes.  Returns
         the images of zs and the ends and log conformal factors of
@@ -269,8 +261,8 @@ class SmoothedSymplectization:
             & np.all(zs != 0.0, axis=1)
         (flowed,) = _lockstep_rk(
             self._stage, [(zs[~still], np.concatenate([thetas, self._probes]),
-                           _step_count(1.0, self.step), len(self._probes))], 1.0,
-            self.step_choice.table)
+                           _step_count(1.0, self.step), len(self._probes))],
+            1.0, DOP853)
         if isinstance(flowed, IntegrationError):
             raise flowed
         z, th, logc, lo, hi = flowed
@@ -281,14 +273,14 @@ class SmoothedSymplectization:
 
     def __call__(self, zs):
         """Images of the rows zs under the time-1 map."""
-        return self._integrate(zs, np.empty((0, 2 * self.iso.n)))[0]
+        return self._integrate(zs, np.empty((0, 2 * self.hamiltonian.n)))[0]
 
     def map_and_lift(self, zs, lift_zs):
         """(images of zs, homogeneous lift of lift_zs) from one integration:
         the lift (r, theta) -> (r / c(theta), phi(theta)) of the time-1 map
         takes phi and c from the directions of lift_zs, which ride as
         sphere rows beside the probes, so it is bitwise the lift built from
-        a loop call on those directions alone, on the map's table and
+        a loop call on those directions alone, on DOP853 at the map's
         step."""
         r, th = _polar(lift_zs)
         images, ends, logc = self._integrate(zs, th)

@@ -3,7 +3,6 @@ import pytest
 
 from symcone import (
     ContactHamiltonian,
-    ContactIsotopy,
     ExpressionHamiltonian,
     IntegrableDomain,
     PlanarWellSystem,
@@ -11,7 +10,7 @@ from symcone import (
     build_smoothed_well,
     sandwich_solve,
 )
-from symcone.contact import _lockstep_rk, _step_count
+from symcone.contact import DOP853, _lockstep_rk, _step_count
 from symcone.smoothing import _lift, _polar
 
 
@@ -49,13 +48,12 @@ def sphere(rng, count, dim):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def zero_isotopy(n, k):
-    """The isotopy of the zero Hamiltonian: its flow is the identity."""
-    zero = ContactHamiltonian(
+def zero_hamiltonian(n, k):
+    """The zero sphere Hamiltonian: its flow is the identity."""
+    return ContactHamiltonian(
         lambda th: np.zeros(th.shape[0]), k=k, n=n,
         meta=SupportMeta(M=0.0, m=1.0, rho0=0.1, rho1=1.0),
         grad_fn=lambda th: (np.zeros(th.shape[0]), np.zeros_like(th)))
-    return ContactIsotopy(zero)
 
 
 def symplectize_ambient(iso, zs):
@@ -69,11 +67,11 @@ def symplectize_ambient(iso, zs):
 def lift_on_the_maps_table(sm, zs):
     """The homogeneous lift of the time-1 map that the smoothed map sm
     steps, with phi and c from one loop call on the directions of zs
-    alone, on sm's own table and step: the reference route for
+    alone, on DOP853 at sm's own step: the reference route for
     `SmoothedSymplectization.map_and_lift`, whose lift rows ride beside
     the map's ambient rows and probes."""
     r, th = _polar(zs)
     (run,) = _lockstep_rk(sm._stage, [(np.empty((0, zs.shape[1])), th,
                                        _step_count(1.0, sm.step), 0)],
-                          1.0, sm.step_choice.table)
+                          1.0, DOP853)
     return _lift(r, run[1], run[2])

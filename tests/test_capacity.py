@@ -13,6 +13,7 @@ from symcone.capacity import (
     capacity_of_hamiltonian,
     nonsqueezing_verdict,
 )
+from symcone.smoothing import STEP_TOL
 
 
 def test_interval_validation():
@@ -97,6 +98,16 @@ def test_sweep_finds_witnesses():
         assert cand.escapes and cand.excess > 0
         assert cand.witness_point is not None
         assert not V.contains_many(cand.witness_point)
+
+
+def test_default_squeeze_maps_all_meet_the_step_tolerance():
+    """Every map of the default `squeeze` pool steps DOP853 at a step its
+    pilot measured within STEP_TOL; candidate-1's first two pairs fail,
+    and its third, 32 steps against 64, passes."""
+    pool = candidate_pool(2, 1, 5, seed=0)
+    choices = [sm.step_choice for _, sm in pool]
+    assert all(c.estimate <= STEP_TOL for c in choices)
+    assert choices[1].h == 1.0 / 32
 
 
 def test_sweep_flags_impossible_squeezer():

@@ -69,17 +69,31 @@ def test_capacity_needs_an_input(capsys):
      "got s * a = 1e+200"),
     (["squeeze", "--a", "inf"], "got a = inf"),
     (["squeeze", "--s", "inf"], "got s * a = inf"),
-    # round-orbit counts that are not finite
+    # round-orbit counts that are not finite, or past GROUP_I_MAX
     (["spectrum", "--top", "inf", "--labels", "5"], "window top inf"),
     (["spectrum", "--top", "1e300", "--a", "1e-100"], "window top 1e+300"),
+    (["spectrum", "--top", "1e300", "--labels", "5"], "window top 1e+300"),
+    # 314163 / pi = 100001.2 round orbits at a = 1
+    (["spectrum", "--top", "314163", "--labels", "5"],
+     "window top 314163 holds more than 100000 round orbits"),
 ], ids=["negative-a", "full-index", "capacity-a-overflows", "capacity-a-inf",
         "spectrum-a-overflows", "spectrum-a-inf", "spectrum-C-overflows",
         "spectrum-b-underflows", "squeeze-s-overflows", "squeeze-a-inf",
-        "squeeze-s-inf", "spectrum-top-inf", "spectrum-count-overflows"])
+        "squeeze-s-inf", "spectrum-top-inf", "spectrum-count-overflows",
+        "spectrum-count-1e300-at-a-1", "spectrum-count-over-the-cap"])
 def test_invalid_geometry_is_exit_2(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("symcone: ") and named in err
+
+
+def test_spectrum_lists_round_orbits_up_to_the_cap(capsys):
+    # 314162 / pi = 100000.9: the window holds exactly GROUP_I_MAX round
+    # orbits, one short of the refusal above
+    code, out, err = run_cli(capsys, ["spectrum", "--top", "314162",
+                                      "--labels", "5"])
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["result"]["group_i"]) == orbits.GROUP_I_MAX
 
 
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
@@ -601,9 +615,9 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
     ["squeeze", "--candidates", "1", "--samples", "500"],
 ], ids=["smoothing-audit", "squeeze"])
 def test_refuted_certificate_returns_no_result(capsys, monkeypatch, argv):
-    # The sampled probes refute a rate bound of exactly 1 inside the map's
-    # integration, before any image reaches a report.
-    monkeypatch.setattr(smoothing, "_rate_envelope", lambda iso: (1.0, 1.0))
+    # The sampled probes refute a rate bound of exactly 1 in the map's
+    # last pilot pair, so the map is refused before it maps anything.
+    monkeypatch.setattr(smoothing, "_rate_envelope", lambda K: (1.0, 1.0))
     code, out, err = run_cli(capsys, argv)
     assert code == 4 and out == ""
     assert err.startswith("symcone: sampled conformal factor escapes its bound")
@@ -620,15 +634,19 @@ def test_smoothing_audit_failure_is_exit_4(capsys):
     result = json.loads(out)["result"]
     assert not (result["checks"]["agreement_pass"]
                 and result["checks"]["symplecticity_pass"])
-    # no DOP853 pair passes: the map steps RK4 on the floor, unmeasured
-    assert result["step"] == {"h": "0.001", "estimate": None,
-                              "tol": "1e-08", "floor": "0.001"}
+    # no DOP853 pair passes: the map steps the last pair's 48 steps, and
+    # that pair's gap, far above the tolerance, is its estimate
+    step = result["step"]
+    assert set(step) == {"h", "estimate", "tol"}
+    assert step["h"] == "0.020833333333333332" and step["tol"] == "1e-08"
+    assert float(step["estimate"]) > 1.0
 
 
-def test_map_on_the_rk4_floor_keeps_its_recorded_bytes(capsys):
-    # The same generator at 50 points: its map takes RK4 on the floor, so
-    # the failed audit's envelope is the one recorded before any map
-    # stepped DOP853, byte for byte.
+def test_map_whose_pairs_fail_keeps_its_recorded_bytes(capsys):
+    # The same generator at 50 points: no pilot pair passes, so its map
+    # steps the last pair's 48 DOP853 steps, and the failed audit's
+    # envelope, with that pair's gap as the estimate, is the recorded one
+    # byte for byte.
     code, out, err = run_cli(capsys, ["smoothing-audit", "--amplitude", "1",
                                       "--seed", "3", "--points", "50"])
     assert code == 4 and err == "symcone: smoothing audit failed\n"

@@ -21,7 +21,7 @@ from symcone import contact
 from symcone.geometry import symplectic_gradient
 from symcone.sampling import sphere_points
 
-from conftest import sphere, zero_isotopy
+from conftest import sphere, zero_hamiltonian
 
 
 def test_reeb_field_basics():
@@ -106,7 +106,7 @@ def test_inverse_images_roundtrip():
 
 
 def test_identity_isotopy_fixes_everything():
-    iso = zero_isotopy(2, 1)
+    iso = ContactIsotopy(zero_hamiltonian(2, 1))
     rng = np.random.default_rng(16)
     th = sphere(rng, 25, 4)
     out, logc = iso.flow_many(th, 0.0, 1.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,13 @@ from symcone import (
     symplecticity_defect,
 )
 from symcone import IntegrationError, smoothing
-from symcone.contact import DOP853, RK4, _lockstep_rk
+from symcone.contact import DOP853, _lockstep_rk
 from symcone.smoothing import (PILOT_STEPS, STEP_TOL, StepChoice,
                                symplecticity_defect_of_images,
                                symplecticity_stencil)
 
 from conftest import (lift_on_the_maps_table, sphere, symplectize_ambient,
-                      zero_isotopy)
+                      zero_hamiltonian)
 
 
 def shell(rng, npts, dim, r2lo, r2hi):
@@ -29,13 +31,14 @@ def shell(rng, npts, dim, r2lo, r2hi):
 
 @pytest.fixture(scope="module")
 def tame_map():
+    """The map of one generator, beside that generator's isotopy: the
+    reference route of the homogeneous lift."""
     K = random_hamiltonian(2, 1, seed=31, amplitude=0.1)
-    iso = ContactIsotopy(K, step=1e-3)
-    return iso, SmoothedSymplectization(iso, 0.05)
+    return ContactIsotopy(K, step=1e-3), SmoothedSymplectization(K, 0.05)
 
 
 def test_identity_isotopy_certificate_is_tight():
-    sm = SmoothedSymplectization(zero_isotopy(2, 1), 0.1)
+    sm = SmoothedSymplectization(zero_hamiltonian(2, 1), 0.1)
     cert = sm.certificate
     assert cert.M == 1.0 and cert.m == 1.0
     assert cert.K_factor == 4.0
@@ -92,11 +95,9 @@ def test_ball_row_with_a_signed_zero_is_stepped(tame_map, monkeypatch):
                    [0.1, -0.1, 0.1, 0.1]])
     rows = _counted_grads(iso.hamiltonian, monkeypatch)
     images = sm(zs)
-    table = sm.step_choice.table
-    assert table is DOP853
     assert rows == [2 + 512] * (12 * round(1.0 / sm.step))
     (stepped,) = _lockstep_rk(sm._stage, [(zs[:2], sm._probes, round(1.0 / sm.step),
-                                           len(sm._probes))], 1.0, table)
+                                           len(sm._probes))], 1.0, DOP853)
     assert np.array_equal(images[:2], stepped[0])
     assert np.array_equal(np.signbit(images[:2]), np.signbit(stepped[0]))
     # the loop turns the first row's third zero from -0.0 to +0.0
@@ -131,8 +132,8 @@ def test_stacked_blocks_map_bitwise_like_separate_calls(tame_map):
     """The map's step is chosen at construction, not from the rows it is
     called on, so one call on stacked blocks gives each block exactly its
     own call's images."""
-    iso, sm = tame_map
-    assert sm.step > iso.step  # a chosen step, not the floor
+    _, sm = tame_map
+    assert sm.step_choice.estimate <= STEP_TOL  # a measured step
     cert = sm.certificate
     rng = np.random.default_rng(34)
     base = shell(rng, 3, 4, 1e-4, cert.K_factor * sm.eps * 4.0)
@@ -167,19 +168,29 @@ def test_lift_scales_like_rays():
 
 def test_smoothed_map_rejects_bad_eps():
     with pytest.raises(DomainError):
-        SmoothedSymplectization(zero_isotopy(2, 1), -0.05)
+        SmoothedSymplectization(zero_hamiltonian(2, 1), -0.05)
 
 
 def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
     # A rate bound of exactly 1 is wrong for any nonzero generator: the
-    # probes that ride in the map's first integration refute it, and the
-    # call returns no image.
-    monkeypatch.setattr(smoothing, "_rate_envelope", lambda iso: (1.0, 1.0))
-    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
-    sm = SmoothedSymplectization(iso, 0.05)
-    # the step choice's pilot runs fail the same audit, without raising
-    assert sm.step_choice == StepChoice(h=iso.step, estimate=None,
-                                        tol=STEP_TOL, floor=iso.step)
+    # probes that ride in every pilot pair refute it, and the last pair's
+    # audit refuses the map at construction, before it maps anything.
+    K = random_hamiltonian(2, 1, seed=2, amplitude=0.1)
+    sm = SmoothedSymplectization(K, 0.05)
+    tables = []
+
+    def recorded(stage, groups, span, table):
+        tables.append(table)
+        return _lockstep_rk(stage, groups, span, table)
+
+    monkeypatch.setattr(smoothing, "_rate_envelope", lambda K: (1.0, 1.0))
+    monkeypatch.setattr(smoothing, "_lockstep_rk", recorded)
+    with pytest.raises(AuditError, match="escapes its bound"):
+        SmoothedSymplectization(K, 0.05)
+    assert tables == [DOP853] * len(PILOT_STEPS)
+    # a map's own integration audits its 512 probes the same way, and
+    # returns no image
+    sm.certificate = dataclasses.replace(sm.certificate, M=1.0, m=1.0)
     with pytest.raises(AuditError, match="escapes its bound"):
         sm(np.array([[0.1, 0.0, 0.0, 0.0]]))
 
@@ -200,27 +211,26 @@ def test_step_choice_is_the_largest_rung_within_tolerance():
     """Seed 9 needs the second pair: the gap of 16 DOP853 steps against
     32 is over STEP_TOL, so the map takes 24 steps, whose gap against 48
     passes and is the estimate as it stands."""
-    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=9, amplitude=0.1))
-    sm = SmoothedSymplectization(iso, 0.05)
+    K = random_hamiltonian(2, 1, seed=9, amplitude=0.1)
+    sm = SmoothedSymplectization(K, 0.05)
     choice = sm.step_choice
-    assert choice.floor == iso.step and choice.tol == STEP_TOL
-    assert PILOT_STEPS == (16, 24)
-    assert choice.h == 1.0 / 24 and choice.table is DOP853
-    assert sm.step == choice.h and sm.iso is iso
+    assert choice.tol == STEP_TOL
+    assert PILOT_STEPS == (16, 24, 32, 48)
+    assert choice.h == 1.0 / 24
+    assert sm.step == choice.h and sm.hamiltonian is K
     assert doubling_gap(sm, 16) > STEP_TOL  # the coarser step does not pass
     assert choice.estimate == doubling_gap(sm, 24) <= STEP_TOL
     # a second construction chooses the same step
-    assert SmoothedSymplectization(iso, sm.eps).step_choice == choice
-    assert SmoothedSymplectization(
-        ContactIsotopy(random_hamiltonian(2, 1, seed=9, amplitude=0.1)),
-        sm.eps).step_choice == choice
+    assert SmoothedSymplectization(K, sm.eps).step_choice == choice
+    assert SmoothedSymplectization(random_hamiltonian(2, 1, seed=9, amplitude=0.1),
+                                   sm.eps).step_choice == choice
 
 
 def test_measured_rung_carries_its_own_doubling_estimate():
-    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
-    sm = SmoothedSymplectization(iso, 0.05)
+    sm = SmoothedSymplectization(random_hamiltonian(2, 1, seed=2, amplitude=0.1),
+                                 0.05)
     choice = sm.step_choice
-    assert choice.h == 1.0 / 16 and choice.table is DOP853
+    assert choice.h == 1.0 / 16
     # each group of the pilot's call is bitwise a call of its own
     assert choice.estimate == doubling_gap(sm, 16) <= STEP_TOL
 
@@ -240,14 +250,16 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
     chosen = []
     for seed in (12, 2, 31, 9):
         pilot_steps.append([])
-        iso = ContactIsotopy(random_hamiltonian(2, 1, seed=seed, amplitude=0.1))
-        chosen.append(SmoothedSymplectization(iso, 0.05).step)
+        K = random_hamiltonian(2, 1, seed=seed, amplitude=0.1)
+        chosen.append(SmoothedSymplectization(K, 0.05).step)
     assert chosen == [1.0 / 16] * 3 + [1.0 / 24]
     # one call per pair tried, its groups n and 2n steps
     assert pilot_steps == [[[16, 32]]] * 3 + [[[16, 32], [24, 48]]]
 
 
 def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
+    """Pilot pairs that diverge step down the ladder, and the last one's
+    IntegrationError refuses the map at construction."""
     tables = []
 
     def diverging(stage, groups, span, table):
@@ -255,89 +267,52 @@ def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
         return [IntegrationError("flow diverged", {"step_index": 0})] * len(groups)
 
     monkeypatch.setattr(smoothing, "_lockstep_rk", diverging)
-    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
-    sm = SmoothedSymplectization(iso, 0.05)
-    assert sm.step_choice.h == iso.step and sm.step_choice.estimate is None
     with pytest.raises(IntegrationError, match="diverged"):
-        sm(np.array([[0.5, 0.0, 0.0, 0.0]]))
-    # both pairs on DOP853, then the map's own call on RK4 at the floor
-    assert tables == [DOP853, DOP853, RK4]
+        SmoothedSymplectization(random_hamiltonian(2, 1, seed=2, amplitude=0.1),
+                                0.05)
+    assert tables == [DOP853] * len(PILOT_STEPS)
 
 
 def _stand_in_pilot(gaps, calls):
-    """A pilot whose run at n steps sits gaps[n] from its run at 2n
-    steps, in the first ambient coordinate, everything else equal."""
+    """A pilot whose pair of runs at n and 2n steps sits gaps[n] apart,
+    in the first ambient coordinate of the run at n steps, everything
+    else equal."""
     def pilot(stage, groups, span, table):
         calls.append([n_steps for _, _, n_steps, _ in groups])
         runs = []
         for z, th, n_steps, _ in groups:
             z = np.zeros_like(z)
-            z[:, 0] = gaps.get(n_steps, 0.0)
+            if n_steps == groups[0][2]:
+                z[:, 0] = gaps.get(n_steps, 0.0)
             runs.append((z, th, np.zeros(len(th)), 0.0, 0.0))
         return runs
     return pilot
 
 
-@pytest.mark.parametrize("gap16, gap24, steps", [
-    (9e-9, 1.0, 16), (1.1e-8, STEP_TOL, 24), (1.1e-8, 1.1e-8, None)],
-    ids=["first-pair", "second-pair", "floor"])
+@pytest.mark.parametrize("gaps, steps", [
+    ({16: 9e-9, 24: 1.0}, 16), ({16: 1.1e-8, 24: STEP_TOL}, 24),
+    ({16: 1.1e-8, 24: 1.1e-8, 32: 1.1e-8, 48: 2e-8}, None)],
+    ids=["first-pair", "second-pair", "none-passes"])
 def test_pairs_are_tried_coarsest_first_and_the_floor_is_unmeasured(
-        monkeypatch, gap16, gap24, steps):
+        monkeypatch, gaps, steps):
     """The first pair whose gap is at most STEP_TOL gives the step, and
-    its gap, not divided by 2^p - 1, is the estimate; the second pair runs
-    only when the first fails.  When neither passes, the map takes RK4 at
-    the floor, unmeasured."""
+    its gap, not divided by 2^p - 1, is the estimate; a pair runs only
+    when those before it fail.  When none passes, the map steps the last
+    pair's n, and that pair's gap, above STEP_TOL, is the estimate."""
     calls = []
-    monkeypatch.setattr(smoothing, "_lockstep_rk",
-                        _stand_in_pilot({16: gap16, 24: gap24}, calls))
-    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1))
-    choice = SmoothedSymplectization(iso, 0.05).step_choice
-    if steps is None:
-        assert choice == StepChoice(h=iso.step, estimate=None, tol=STEP_TOL,
-                                    floor=iso.step)
-        assert choice.table is RK4
-    else:
-        assert choice.h == 1.0 / steps and choice.table is DOP853
-        assert choice.estimate == (gap16 if steps == 16 else gap24)
-    assert calls == [[16, 32], [24, 48]][:1 if steps == 16 else 2]
-
-
-@pytest.mark.parametrize("floor, tried, steps", [
-    (0.04, [[16, 32], [24, 48]], 24), (0.05, [[16, 32]], None), (0.1, [], None)])
-def test_no_pair_steps_finer_than_the_isotopy(monkeypatch, floor, tried, steps):
-    """A pair whose step 1 / n would be finer than the isotopy's is not
-    tried; with none left the map takes the isotopy's own step on RK4.
-    The stand-in pilot fails the first pair and passes the second."""
-    calls = []
-    monkeypatch.setattr(smoothing, "_lockstep_rk", _stand_in_pilot({16: 1.0}, calls))
-    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=2, amplitude=0.1),
-                         step=floor)
-    choice = SmoothedSymplectization(iso, 0.05).step_choice
-    assert calls == tried
-    assert choice.h == (1.0 / steps if steps else floor)
-    assert choice.estimate == (0.0 if steps else None)
-
-
-def test_map_whose_pairs_fail_steps_rk4_on_the_floor():
-    """Seed 3 at amplitude 1 passes neither pair, so the map steps RK4 at
-    the isotopy's step: its images are bitwise a loop call on RK4 at the
-    floor, the route every map took before DOP853 (the CLI's run of this
-    generator keeps its recorded bytes, test_cli.py)."""
-    iso = ContactIsotopy(random_hamiltonian(2, 1, seed=3, amplitude=1.0))
-    sm = SmoothedSymplectization(iso, 0.05)
-    assert sm.step_choice == StepChoice(h=iso.step, estimate=None,
-                                        tol=STEP_TOL, floor=iso.step)
-    zs = shell(np.random.default_rng(38), 6, 4, sm.eps * 1.001, 2.0)
-    (want,) = _lockstep_rk(sm._stage, [(zs, sm._probes, 1000, len(sm._probes))],
-                           1.0, RK4)
-    assert np.array_equal(sm(zs), want[0])
+    monkeypatch.setattr(smoothing, "_lockstep_rk", _stand_in_pilot(gaps, calls))
+    choice = SmoothedSymplectization(
+        random_hamiltonian(2, 1, seed=2, amplitude=0.1), 0.05).step_choice
+    n = steps or PILOT_STEPS[-1]
+    assert choice == StepChoice(h=1.0 / n, estimate=gaps[n], tol=STEP_TOL)
+    assert calls == [[m, 2 * m] for m in PILOT_STEPS[:PILOT_STEPS.index(n) + 1]]
 
 
 def test_diverging_map_names_its_step():
     """The map steps the one RK loop `flow_many` steps, so a stage that
     leaves the finite numbers raises the same error at the same step."""
     K = random_hamiltonian(2, 1, seed=2, amplitude=0.1)
-    sm = SmoothedSymplectization(ContactIsotopy(K), 0.05)
+    sm = SmoothedSymplectization(K, 0.05)
     K.grad_fn = lambda th: (np.full(th.shape[0], np.inf), np.full_like(th, np.inf))
     with np.errstate(invalid="ignore"), \
             pytest.raises(IntegrationError, match="flow diverged") as exc:
@@ -346,10 +321,9 @@ def test_diverging_map_names_its_step():
 
 
 def test_zero_isotopy_takes_the_top_rung():
-    iso = zero_isotopy(2, 1)
-    choice = SmoothedSymplectization(iso, 0.1).step_choice
+    choice = SmoothedSymplectization(zero_hamiltonian(2, 1), 0.1).step_choice
     assert choice == StepChoice(h=1.0 / PILOT_STEPS[0], estimate=0.0,
-                                tol=STEP_TOL, floor=iso.step)
+                                tol=STEP_TOL)
 
 
 def test_radial_step_bump_profile():
@@ -393,7 +367,7 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
     images = sm(np.vstack([ball[:5], outside, ball[5:]]))
     # round(1 / step) steps of DOP853's 12 stages at the map's chosen
     # step; the 512 conformal-factor probes ride in the same call
-    assert len(sm.step_choice.table.weights) == 12
+    assert len(DOP853.weights) == 12
     assert grads == [15 + 512] * (12 * round(1.0 / sm.step))
     assert np.array_equal(images[5:20], want)
     assert np.array_equal(np.delete(images, np.s_[5:20], axis=0), ball)
@@ -402,7 +376,7 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
 def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
     """One lockstep integration gives, bitwise, the map's own images and
     the homogeneous lift from a loop call on the lift's directions alone,
-    on the map's table and step.  Both routes step one loop,
+    on DOP853 at the map's step.  Both routes step one loop,
     `contact._lockstep_rk`; `test_flow_is_bitwise_the_reference_sphere_loop`
     (test_contact.py) holds that loop to a separate one under RK4, and
     `test_dop853_steps_a_rotation_at_order_8` to the exact flow under
