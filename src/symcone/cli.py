@@ -30,7 +30,8 @@ from .jsonio import dumps_json, fmt_float, load_config, write_csv
 from .orbits import characteristic_spectrum, clears_bound
 from . import sampling
 from .smoothing import (AUDIT_TOL, IDENTITY_TOL, SmoothedSymplectization,
-                        symplecticity_defect_of_images, symplecticity_stencil)
+                        smoothing_certificate, symplecticity_defect_of_images,
+                        symplecticity_stencil)
 
 
 class _Param(NamedTuple):
@@ -271,8 +272,8 @@ def cmd_smoothing_audit(params: dict):
         raise DomainError(f"need at least 1 audited point, got {pts}")
     seed = params["seed"]
     gen = random_hamiltonian(n, k, seed=seed, amplitude=params["amplitude"])
-    sm = SmoothedSymplectization(gen, eps)
-    cert = sm.certificate
+    # rows sit by the certificate alone: a lost stencil is refused unstepped
+    cert = smoothing_certificate(gen, eps)
 
     rng = sampling.rng(seed + 1)
     dirs = sampling.sphere_points(n, pts, seed + 2)
@@ -286,13 +287,15 @@ def cmd_smoothing_audit(params: dict):
         cert.K_factor * eps * rng.uniform(1.001, 4.0, size=33),
     ])
     zs_all = np.sqrt(r_all)[:, None] * sampling.sphere_points(n, 100, seed + 3)
+    stencil = symplecticity_stencil(zs_all)
+    sm = SmoothedSymplectization(gen, eps)
 
     # One integration serves all three checks and the direct lift: the
     # map's step is chosen at construction, not from the rows, so each
     # block's images are bitwise those of its own call, for one call's
     # fixed overhead.
     images, direct = sm.map_and_lift(
-        np.concatenate([zs_in, zs_out, symplecticity_stencil(zs_all)]), zs_out)
+        np.concatenate([zs_in, zs_out, stencil]), zs_out)
     moved = np.linalg.norm(images[:pts] - zs_in, axis=1)
     identity_max = float(np.max(moved))
     agree_max = float(np.max(np.linalg.norm(images[pts:2 * pts] - direct, axis=1)))

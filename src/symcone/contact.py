@@ -223,66 +223,45 @@ def _field_and_rate(Kv, g, th):
     return Y, row_sum(g * symplectic_gradient(2.0 * th))
 
 
-def _stacked(parts):
-    """The rows of parts stacked in one column-major float array, by one
-    copy."""
-    parts = [np.asarray(p, dtype=float) for p in parts]
-    out = np.empty((sum(len(p) for p in parts), parts[0].shape[1]), order="F")
-    return np.concatenate(parts, out=out)
-
-
-def _layout(span, groups, live):
-    """(group, slice of its ambient rows, slice of its sphere rows) of
-    each group live, stacked in that order, and the steps of the stacked
-    ambient rows, sphere rows and log c: span / n_steps itself, the
-    cheaper operand, while one group is live, else a (rows, 1) column."""
-    blocks, nz, nth = [], 0, 0
-    for g in live:
-        z, th = groups[g][:2]
-        blocks.append((g, slice(nz, nz + len(z)), slice(nth, nth + len(th))))
-        nz, nth = nz + len(z), nth + len(th)
-    if len(blocks) == 1:
-        h = span / groups[blocks[0][0]][2]
-        return blocks, (h, h, h)
-    hz, hth = np.empty((nz, 1)), np.empty((nth, 1))
-    for g, zr, tr in blocks:
-        hz[zr] = hth[tr] = span / groups[g][2]
-    return blocks, (hz, hth, hth[:, 0])
-
-
-def _lockstep_rk(stage, groups, span, table):
+def _lockstep_rk(stage, z, th, steps, span, table, n_probes=0):
     """The one Runge–Kutta loop of the package, on an explicit `Tableau`.
-    Each group (z, th, n_steps, n_probes) holds ambient rows z and sphere
-    rows th that take n_steps equal steps of span / n_steps over the
-    span, where stage(z, th) returns the ambient field at z and (Y_K,
-    dK(R)) at th, in arrays nothing else holds.  Every stage of the table
-    is one stage call on the live rows of all groups stacked, so the
-    groups share each stage's fixed overhead.  A group that has taken its
-    steps or diverged leaves the stack, and the live groups are gathered
-    by one copy, in order.  Rows never interact and every row takes its
-    own group's step, so each group's result is bitwise that of a call
-    with that group alone.  Both batches are made column-major on entry
-    (see `geometry`); th is normalised on entry, after every stage and
-    after every step, and carries log of the conformal factor.  Each
-    slope stays held until the stage that replaces it has returned.
+    Ambient rows z and sphere rows th take n equal steps over the span
+    for each count n of steps, (n,) or (n, 2n); stage(z, th) returns the
+    ambient field at z and (Y_K, dK(R)) at th, in arrays nothing else
+    holds.  The runs are stacked copies of the batch, so each stage of
+    the table is one stage call on the rows of every live run.  The
+    n-run leaves first, so the live rows are always a tail, kept by one
+    copy.  Rows never interact and each run takes its own step, so each
+    run's result is bitwise that of a call at its count alone.  Both
+    batches are made column-major on entry (see `geometry`); th is
+    normalised on entry, after every stage and after every step, and
+    carries log of the conformal factor.  Each slope stays held until
+    the stage that replaces it has returned.
 
-    Returns one entry per group, in the order given: (z, th, log
-    conformal factors, lo, hi), where (lo, hi) are the extremes of log c
-    over the group's last n_probes sphere rows at the ends of 50 equal
-    time chunks (and 0 at the start; both 0 without probes).  The loop
-    checks its rows for finite numbers after every step, and the stage
-    kernels do not: a group whose rows leave the finite numbers at step i
-    leaves the loop alone, and its entry is IntegrationError("flow
-    diverged", {"step_index": i}).
+    Returns one (z, th, log conformal factors, lo, hi) per count, in
+    order, where (lo, hi) are the extremes of log c over the run's last
+    n_probes sphere rows at the ends of 50 equal time chunks (and 0 at
+    the start; both 0 without probes).  The stage kernels do not check
+    their rows for finite numbers; the loop raises IntegrationError("flow
+    diverged", {"step_index": i}) at the first step i after which any
+    row is not finite.
     """
-    z = _stacked([g[0] for g in groups])
-    th = _renorm(_stacked([g[1] for g in groups]))
-    logc = np.zeros(th.shape[0])
-    lo, hi = [0.0] * len(groups), [0.0] * len(groups)
-    out = [None] * len(groups)
+    nz, nth, runs = len(z), len(th), len(steps)
+    # each row's step: span / n itself, the cheaper operand, while one run
+    # is live, else a (rows, 1) column
+    hz = hth = hc = span / steps[-1]
+    if runs == 2:
+        h = [span / n for n in steps]
+        hz, hth = np.repeat(h, nz)[:, None], np.repeat(h, nth)[:, None]
+        hc = hth[:, 0]
+    z, th = (np.concatenate([np.asarray(a, dtype=float)] * runs,
+                            out=np.empty((runs * len(a), a.shape[1]), order="F"))
+             for a in (z, th))
+    th = _renorm(th)
+    logc = np.zeros(runs * nth)
+    lo, hi, out = [0.0] * runs, [0.0] * runs, []
     ks, fs, cs = ([None] * len(table.weights) for _ in range(3))
-    blocks, (hz, hth, hc) = _layout(span, groups, range(len(groups)))
-    for i in range(max(g[2] for g in groups)):
+    for i in range(steps[-1]):
         ks[0], fs[0], cs[0] = stage(z, th)
         for s, row in enumerate(table.rows, 1):
             ks[s], fs[s], cs[s] = stage(_stage_input(z, row, hz, ks),
@@ -290,31 +269,20 @@ def _lockstep_rk(stage, groups, span, table):
         z = _increment(table, hz, ks) + z
         th = _renorm(_increment(table, hth, fs) + th)
         logc += _increment(table, hc, cs)
-        finite = np.all(np.isfinite(z)) and np.all(np.isfinite(th))
-        kept = []
-        for g, zr, tr in blocks:
-            n_steps, n_probes = groups[g][2:]
-            if not (finite or (np.all(np.isfinite(z[zr]))
-                               and np.all(np.isfinite(th[tr])))):
-                out[g] = IntegrationError("flow diverged", {"step_index": i})
-                continue
-            # a group without probes has no chunk extremes to read
-            if n_probes and (i + 1) * 50 // n_steps > i * 50 // n_steps:
-                probes = logc[tr.stop - n_probes:tr.stop]
-                lo[g] = min(lo[g], float(np.min(probes)))
-                hi[g] = max(hi[g], float(np.max(probes)))
-            if i + 1 == n_steps:
-                out[g] = z[zr], th[tr], logc[tr], lo[g], hi[g]
-            else:
-                kept.append((g, zr, tr))
-        if not kept:
-            break
-        if len(kept) < len(blocks):
-            z = _stacked([z[zr] for _, zr, _ in kept])
-            th = _stacked([th[tr] for _, _, tr in kept])
-            logc = np.concatenate([logc[tr] for _, _, tr in kept])
-            blocks, (hz, hth, hc) = _layout(span, groups, [g for g, _, _ in kept])
-    return out
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
+            raise IntegrationError("flow diverged", {"step_index": i})
+        for r in range(len(out), runs):
+            # a run without probes has no chunk extremes to read
+            if n_probes and (i + 1) * 50 // steps[r] > i * 50 // steps[r]:
+                end = (r - len(out) + 1) * nth
+                lo[r] = min(lo[r], float(np.min(logc[end - n_probes:end])))
+                hi[r] = max(hi[r], float(np.max(logc[end - n_probes:end])))
+        if i + 1 == steps[0] < steps[-1]:  # the n-run leaves
+            out.append((z[:nz], th[:nth], logc[:nth], lo[0], hi[0]))
+            z, th = z[nz:].copy(order="F"), th[nth:].copy(order="F")
+            logc = logc[nth:].copy()
+            hz = hth = hc = span / steps[-1]
+    return out + [(z, th, logc, lo[-1], hi[-1])]
 
 
 def contact_vector_field(K: ContactHamiltonian, theta):
@@ -360,10 +328,8 @@ class ContactIsotopy:
             return (z,) + _field_and_rate(*K.grad_fn(th), th)
 
         span = t_to - t_from
-        (flowed,) = _lockstep_rk(stage, [(np.empty((0, rows.shape[1])), rows,
-                                          _step_count(span, self.step), 0)], span, RK4)
-        if isinstance(flowed, IntegrationError):
-            raise flowed
+        (flowed,) = _lockstep_rk(stage, np.empty((0, rows.shape[1])), rows,
+                                 (_step_count(span, self.step),), span, RK4)
         return flowed[1:3]
 
     def inverse_images(self, thetas):

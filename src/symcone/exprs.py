@@ -40,11 +40,11 @@ largest coefficient c, the sum is at least `floor` = c less
 FLOOR_SLACK times the sum of all coefficients.
 
 Both kernels take an (N, 2n) batch of rows in either memory layout.
-The RK loop (`contact._lockstep_rk`) passes its rows column-major
-(see `geometry`), so a coordinate `th[:, idx]` is one contiguous vector;
-`grad_fn` allocates its gradient with `zeros_like`, so the gradient
-comes back in the layout the batch came in, and the bits do not depend
-on that layout.
+The RK loop (`contact._lockstep_rk`) passes the rows of its live runs
+stacked column-major (see `geometry`), so a coordinate `th[:, idx]` is
+one contiguous vector; `grad_fn` allocates its gradient with
+`zeros_like`, so the gradient comes back in the layout the batch came
+in, and the bits do not depend on that layout.
 """
 import re
 

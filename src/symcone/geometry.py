@@ -6,10 +6,10 @@ operations also broadcast over leading batch axes.  The radial coordinate
 flow z -> e^{t/2} z multiplies r by e^t.
 
 Batches are rows, but the one RK loop (`contact._lockstep_rk`, which
-`ContactIsotopy.flow_many` and the smoothed map both run) makes them
-column-major on entry: a Fortran-ordered (N, 2n) array, so that each
-coordinate is one contiguous N-vector and a column access is a contiguous
-pass, not a stride-2n one.  The helpers that loop calls (`row_sum`,
+`ContactIsotopy.flow_many` and the smoothed map both run) stacks one copy
+of its batch per step count column-major on entry: a Fortran-ordered
+(N, 2n) array, so that each coordinate is one contiguous N-vector and a
+column access is a contiguous pass, not a stride-2n one.  The helpers that loop calls (`row_sum`,
 `tangential`, `symplectic_gradient`, `angle_ratio_and_gradient`) work on
 either layout and return results in the layout they are given; they add
 columns one at a time in index order, so their values do not depend on

@@ -357,12 +357,14 @@ def scaling_family(scales: Sequence[float] = (1.0, 2.0, 4.0), n: int = 2,
     """The family {s_i * f} of scalings of f = bump(rho; 1, 3), each
     element parsed with the coefficient s_i and given the metadata of f
     scaled by s_i; every element's capacity is read from f's, so scales
-    must hold 1.0.  A scale that is not positive, or one whose element id
-    (`scale_id`) is taken already, is a DomainError."""
+    must hold 1.0.  A scale that is not a positive normal float (so that
+    1 / s is finite), or whose id (`scale_id`) is taken, is a DomainError."""
     els = []
     for s in scales:
         if s <= 0:
             raise DomainError("scale must be positive")
+        if not np.finfo(float).tiny <= s < np.inf:
+            raise DomainError(f"scale {float(s)!r} is not a normal finite float")
         eid = scale_id(s)
         if any(el.eid == eid for el in els):
             raise DomainError(f"scale {float(s)!r} repeats element {eid}")

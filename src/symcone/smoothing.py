@@ -15,8 +15,8 @@ map's step.
 The map chooses its step once, at construction
 (`SmoothedSymplectization._choose_step`), by step doubling on pilot rows
 the map owns.  For each n of PILOT_STEPS in turn it runs DOP853's
-8th-order solution (`contact.DOP853`) at n and at 2n steps, as two row
-groups of one call of the package's one Runge–Kutta loop,
+8th-order solution (`contact.DOP853`) at n and at 2n steps, as the two
+runs of one call of the package's one Runge–Kutta loop,
 `contact._lockstep_rk`, and takes n steps at the first n whose gap
 between the two runs is at most STEP_TOL.  When no pair passes, it takes
 the last pair's n, and its `StepChoice.estimate`, that pair's gap, is
@@ -130,6 +130,25 @@ def _rate_envelope(K: ContactHamiltonian):
         return np.exp(1.25 * lo), np.exp(1.25 * hi)
 
 
+def smoothing_certificate(K: ContactHamiltonian, eps: float):
+    """The `SmoothingCertificate` of K's smoothed map at eps, from K's
+    rate bound (`_rate_envelope`) alone, before any integration.  An eps
+    or bounds that are not positive and finite are a DomainError."""
+    if not eps > 0:
+        raise DomainError("eps must be positive")
+    if not eps < np.inf:
+        raise DomainError(f"eps must be finite, got {eps}")
+    m, M = _rate_envelope(K)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        K_factor = 4.0 * M / m
+    if not all(0.0 < x < np.inf for x in (M, m, K_factor)):
+        raise DomainError(
+            f"conformal bounds must be finite and positive, got M={M:.6g}, "
+            f"m={m:.6g}, K_factor={K_factor:.6g}")
+    return SmoothingCertificate(M, m, K_factor, eps=float(eps),
+                                chi_zero_below=float(eps), chi_one_above=4.0 * eps / m)
+
+
 @dataclass(frozen=True)
 class StepChoice:
     """The map's DOP853 step h = 1 / n, chosen at construction.
@@ -146,32 +165,19 @@ class SmoothedSymplectization:
     """Time-1 map of the cutoff Hamiltonian flow of the sphere generator
     K, with its certificate.
 
-    The certificate comes from K's rate bound at construction, and so
-    does the step (`_choose_step`, reported as `step_choice`).  Every
-    integration runs DOP853 at that step, whatever its rows, so a row's
-    image does not depend on the rows beside it; each flows the 512
-    conformal-factor probes beside its rows and audits them
-    (`_conformal_envelope`) before it returns an image.
+    The certificate comes from K's rate bound at construction
+    (`smoothing_certificate`), and so does the step (`_choose_step`,
+    reported as `step_choice`).  Every integration runs DOP853 at that
+    step, whatever its rows, so a row's image does not depend on the
+    rows beside it; each flows the 512 conformal-factor probes beside its
+    rows and audits them (`_conformal_envelope`) before it returns an
+    image.
     """
 
     def __init__(self, K: ContactHamiltonian, eps: float):
-        if not eps > 0:
-            raise DomainError("eps must be positive")
-        if not eps < np.inf:
-            raise DomainError(f"eps must be finite, got {eps}")
-        m, M = _rate_envelope(K)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            K_factor = 4.0 * M / m
-        if not all(0.0 < x < np.inf for x in (M, m, K_factor)):
-            raise DomainError(
-                f"conformal bounds must be finite and positive, got M={M:.6g}, "
-                f"m={m:.6g}, K_factor={K_factor:.6g}")
+        self.certificate = smoothing_certificate(K, eps)
         self.hamiltonian = K
         self.eps = float(eps)
-        self.certificate = SmoothingCertificate(
-            M=M, m=m, K_factor=K_factor, eps=float(eps),
-            chi_zero_below=float(eps), chi_one_above=4.0 * eps / m,
-        )
         self._probes = sampling.sphere_points(K.n, 512, 7)
         self.step_choice = self._choose_step()
         self.step = self.step_choice.h
@@ -210,26 +216,23 @@ class SmoothedSymplectization:
         n, with its gap, when none passes.
 
         For each n in turn, the pilot runs the `_pilot_rows` to time 1 at
-        n and 2n steps as two row groups of one loop call, so each RK
-        stage of both runs is one kernel call, and each group's result is
-        bitwise its own run's.  The gap is the largest row norm of the
+        n and 2n steps in one loop call, so each RK stage of both runs is
+        one kernel call, and each run's result is bitwise that of a call
+        at its count alone.  The gap is the largest row norm of the
         differences of the ambient images and of the probes' ends, or the
         largest difference of their log c, whichever is larger.  It is
         the estimate as it stands, not divided by 2^p - 1: with C^4
-        profiles the observed order p of the error is erratic.  A pilot
-        run that diverges or whose probes leave the certificate fails its
-        pair; in the last pair it raises its IntegrationError or
-        AuditError.
+        profiles the observed order p of the error is erratic.  A pair
+        whose runs diverge or whose probes leave the certificate fails;
+        the last pair raises its IntegrationError or AuditError.
         """
         pilot_z, pilot_th = self._pilot_rows()
         for n in PILOT_STEPS:
             last = n == PILOT_STEPS[-1]
-            runs = _lockstep_rk(self._stage, [(pilot_z, pilot_th, m, len(pilot_th))
-                                              for m in (n, 2 * n)], 1.0, DOP853)
             try:
+                runs = _lockstep_rk(self._stage, pilot_z, pilot_th, (n, 2 * n),
+                                    1.0, DOP853, len(pilot_th))
                 for run in runs:
-                    if isinstance(run, IntegrationError):
-                        raise run
                     _conformal_envelope(self.certificate, *run[3:])
             except (IntegrationError, AuditError):
                 if last:
@@ -259,13 +262,9 @@ class SmoothedSymplectization:
         # the stage's own squared radius, so the two agree on the ball
         still = (row_sum(zs * zs) <= self.certificate.chi_zero_below) \
             & np.all(zs != 0.0, axis=1)
-        (flowed,) = _lockstep_rk(
-            self._stage, [(zs[~still], np.concatenate([thetas, self._probes]),
-                           _step_count(1.0, self.step), len(self._probes))],
-            1.0, DOP853)
-        if isinstance(flowed, IntegrationError):
-            raise flowed
-        z, th, logc, lo, hi = flowed
+        ((z, th, logc, lo, hi),) = _lockstep_rk(
+            self._stage, zs[~still], np.concatenate([thetas, self._probes]),
+            (_step_count(1.0, self.step),), 1.0, DOP853, len(self._probes))
         _conformal_envelope(self.certificate, lo, hi)
         zs[~still] = z
         nt = len(thetas)

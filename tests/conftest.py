@@ -71,7 +71,6 @@ def lift_on_the_maps_table(sm, zs):
     `SmoothedSymplectization.map_and_lift`, whose lift rows ride beside
     the map's ambient rows and probes."""
     r, th = _polar(zs)
-    (run,) = _lockstep_rk(sm._stage, [(np.empty((0, zs.shape[1])), th,
-                                       _step_count(1.0, sm.step), 0)],
-                          1.0, DOP853)
+    (run,) = _lockstep_rk(sm._stage, np.empty((0, zs.shape[1])), th,
+                          (_step_count(1.0, sm.step),), 1.0, DOP853)
     return _lift(r, run[1], run[2])

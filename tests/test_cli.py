@@ -365,13 +365,19 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
     (["squeeze", "--a", "1", "--b", "30", "--samples", "100", "--candidates", "1"],
      "rejection sampling starved: s*V fills too little of the cube of "
      "half-width 4*s*max(a, b) = 180 (kept 0 of 100 samples in 6400 draws)"),
+    (["metric", "--pool", "0", "--grid", "100", "--s", "1e-320"],
+     "scale 1e-320 is not a normal finite float"),
+    (["metric", "--s", "nan"], "scale nan is not a normal finite float"),
+    (["metric", "--s", "inf"], "scale inf is not a normal finite float"),
 ])
 def test_sizes_below_one_are_exit_2(capsys, argv, message):
     # an empty grid, sample, sweep, candidate list, family or spectrum
     # window would give a vacuous bound, audit, verdict, metric or spectrum,
     # and a negative count or an empty phase space has no meaning; so has a
     # scale that is not positive, a scaling family that holds one element
-    # twice, and a sweep whose box draws hold too few points of s*V
+    # twice, and a sweep whose box draws hold too few points of s*V; a
+    # subnormal scale would overflow 1 / s into an infinite distance, and
+    # nan or inf is no scale at all
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"symcone: {message}\n"
@@ -587,16 +593,17 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
     monkeypatch.setattr(SmoothedSymplectization, "_integrate", recorded)
     code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "10"])
     assert code == 0 and err == ""
-    # one call for the autonomous generator's rate bound, then one pilot
-    # run whose groups are 16 and 32 DOP853 steps, each on the map's own
-    # 112 rows: both groups for 16 steps x 12 stages, then the finer one
-    # alone; the pair passes, so no second pair runs
+    # two calls for the autonomous generator's rate bound, one for the
+    # certificate the audit places its rows by and one for the map's own;
+    # then one pilot call whose runs are 16 and 32 DOP853 steps, each on
+    # the map's own 112 rows: both runs for 16 steps x 12 stages, then
+    # the finer one alone; the pair passes, so no second pair runs
     pilot_rows = smoothing.PILOT_AMBIENT + 512 // smoothing.PILOT_PROBE_STRIDE
     step = json.loads(out)["result"]["step"]
     assert step["h"] == "0.0625" and step["estimate"] is not None
     main = 12 * 16
-    assert rows[0] == 4096
-    pilot = rows[1:-main]
+    assert rows[:2] == [4096, 4096]
+    pilot = rows[2:-main]
     assert pilot == [2 * pilot_rows] * 12 * 16 + [pilot_rows] * 12 * 16
     # then 16 steps x 12 stages at the chosen step h = 1/16, each stage
     # one call on every ambient row outside the identity ball (10 outside,
@@ -708,6 +715,28 @@ def test_smoothing_audit_stencil_lost_to_rounding_is_exit_2(capsys):
             "rounding at audited |z| up to ")
     assert err.startswith(head) and err.count("\n") == 1
     assert float(err[len(head):]) > 1e30
+
+
+@pytest.mark.parametrize("amplitude", ["3", "5", "8"])
+def test_lost_stencil_is_refused_before_the_map_integrates(capsys, monkeypatch,
+                                                          amplitude):
+    # The audit places its rows by the certificate alone, so a stencil
+    # lost to rounding is refused before the map's step choice runs the
+    # loop at all.
+    calls = []
+    loop = smoothing._lockstep_rk
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(smoothing, "_lockstep_rk", counted)
+    code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "10",
+                                      "--amplitude", amplitude])
+    assert code == 2 and out == ""
+    assert err.startswith("symcone: symplecticity stencil step FD_STEP = 0.0003 "
+                          "is lost to rounding at audited |z| up to ")
+    assert calls == []
 
 
 def test_metric_scaling_headline(capsys):

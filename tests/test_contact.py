@@ -254,51 +254,71 @@ def test_diverging_flow_names_its_step():
     assert exc.value.diagnostics == {"step_index": 0}
 
 
-@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]],
-                         ids=["given", "reversed"])
-def test_row_groups_step_bitwise_as_their_own_calls(order):
-    """One call on several row groups gives each group, bitwise, what a
-    call on that group alone gives: its own step over the shared span and
-    its own probe extremes.  A group that the stage drives out of the
-    finite numbers fails alone, mid-stack, at its own step.  Neither the
-    results nor the rows of each stage call depend on the order in which
-    the groups are given."""
+@pytest.mark.parametrize("table", [contact.RK4, contact.DOP853],
+                         ids=["rk4", "dop853"])
+def test_two_counts_step_bitwise_as_their_own_calls(table):
+    """One call at the counts (n, 2n) gives each count, bitwise, what a
+    call at that count alone gives, probe extremes included.  While both
+    runs are live each stage call holds the rows of the n-run over those
+    of the 2n-run, each bitwise what its own call passes at that stage;
+    once the n-run has left, the 2n-run's rows alone."""
     K = random_hamiltonian(2, 1, seed=5, amplitude=0.5)
     calls = []
 
-    def stage(z, th):  # z grows like e^{50 t}: finite from 1, not from 1e303
-        calls.append(len(z) + len(th))
+    def stage(z, th):  # z grows like e^{50 t}, past 1e13 by t = 0.7
+        calls.append((z.copy(), th.copy()))
         return (50.0 * z,) + contact._field_and_rate(*K.value_and_grad(th), th)
 
     rng = np.random.default_rng(27)
+    z0, th0 = rng.uniform(0.5, 1.0, (3, 4)), sphere(rng, 8, 4)
+    got = contact._lockstep_rk(stage, z0, th0, (9, 18), 0.7, table, 3)
+    paired, alone = calls[:], []
+    for n in (9, 18):
+        calls.clear()
+        alone.append((contact._lockstep_rk(stage, z0, th0, (n,), 0.7, table, 3)[0],
+                      calls[:]))
+    stages = len(table.weights)
+    assert len(paired) == 18 * stages
+    for i, (z, th) in enumerate(paired):
+        runs = [calls for _, calls in alone if i < len(calls)]
+        assert np.array_equal(z, np.vstack([run[i][0] for run in runs]))
+        assert np.array_equal(th, np.vstack([run[i][1] for run in runs]))
+    assert len(got) == 2
+    for run, (want, _) in zip(got, alone):
+        assert len(run) == len(want) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(run, want))
+        assert run[3] < 0.0 < run[4]
+        assert np.all(np.isfinite(run[0])) and np.max(run[0]) > 1e13
+    # without probes there are no extremes to read
+    (bare,) = contact._lockstep_rk(stage, z0, th0, (9,), 0.7, table)
+    assert bare[3:] == (0.0, 0.0)
+    assert all(np.array_equal(a, b) for a, b in zip(bare[:3], got[0][:3]))
 
-    def group(z0, n_ambient, n_sphere, n_steps, n_probes):
-        z = z0 * rng.uniform(0.5, 1.0, (n_ambient, 4))
-        return z, sphere(rng, n_sphere, 4), n_steps, n_probes
 
-    groups = [group(1.0, 3, 7, 9, 2), group(1.0, 0, 5, 20, 0),
-              group(1e303, 2, 4, 20, 4), group(1.0, 5, 6, 3, 6),
-              group(1.0, 4, 8, 20, 3)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = dict(zip(order, contact._lockstep_rk(
-            stage, [groups[g] for g in order], 0.7, contact.RK4)))
-        # one stage call on the live rows: all 44 up to step 2, then
-        # without the 3-step group, without the diverged one after step 4
-        # and without the 9-step one after step 8
-        rows = [len(z) + len(th) for z, th, _, _ in groups]
-        steps = ([44] * 3 + [44 - rows[3]] * 2 + [44 - rows[3] - rows[2]] * 4
-                 + [rows[1] + rows[4]] * 11)
-        assert calls == [live for live in steps for _ in range(4)]
-        alone = [contact._lockstep_rk(stage, [grp], 0.7, contact.RK4)[0]
-                 for grp in groups]
-    failed = got[2]
-    assert isinstance(failed, IntegrationError) and str(failed) == "flow diverged"
-    assert failed.diagnostics == alone[2].diagnostics == {"step_index": 4}
-    for g in (0, 1, 3, 4):
-        assert len(got[g]) == len(alone[g]) == 5
-        assert all(np.array_equal(a, b) for a, b in zip(got[g], alone[g]))
-    assert got[4][3] < 0.0 < got[4][4] and got[1][3:] == (0.0, 0.0)
-    assert np.all(np.isfinite(got[4][0])) and np.max(got[4][0]) > 1e14
+@pytest.mark.parametrize("z_scale, counts, want", [
+    (1e303, (20, 40), {(20,): 4, (40,): 7, (20, 40): 4}),
+    (1e299, (2, 4), {(2,): None, (4,): 2, (2, 4): 2})],
+    ids=["coarser-first", "finer-after-the-coarser-left"])
+def test_two_counts_raise_at_the_first_non_finite_step(z_scale, counts, want):
+    """The loop raises at the first step after which a row of any live
+    run is not finite.  A pair raises where its coarser run leaves the
+    finite numbers, when that run does; else, once the coarser run has
+    returned its finite rows, where the finer run's own call raises."""
+    def stage(z, th):  # z grows like e^{50 t} (RK4: slower at coarse steps)
+        return 50.0 * z, np.zeros_like(th), np.zeros(len(th))
+
+    rng = np.random.default_rng(27)
+    z0, th0 = z_scale * rng.uniform(0.5, 1.0, (2, 4)), sphere(rng, 4, 4)
+    index = {}
+    for steps in [counts[:1], counts[1:], counts]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                contact._lockstep_rk(stage, z0, th0, steps, 0.7, contact.RK4, 2)
+                index[steps] = None
+            except IntegrationError as exc:
+                assert str(exc) == "flow diverged"
+                index[steps] = exc.diagnostics["step_index"]
+    assert index == want
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3])
@@ -349,7 +369,7 @@ def test_dop853_steps_a_rotation_at_order_8():
     exact = np.hstack([c * x - s * y, s * x + c * y])
     errors = []
     for n in range(3, 9):
-        (run,) = contact._lockstep_rk(stage, [(z0, np.empty((0, 4)), n, 0)], 1.0,
+        (run,) = contact._lockstep_rk(stage, z0, np.empty((0, 4)), (n,), 1.0,
                                       contact.DOP853)
         errors.append(np.max(np.abs(run[0] - exact)))
     orders = [np.log(errors[i] / errors[i + 1]) / np.log((i + 4) / (i + 3))
@@ -375,26 +395,3 @@ def test_diverging_expression_flow_is_the_loops_integration_error():
     # an entry point that is not a stage still refuses such rows
     with pytest.raises(DomainError, match="non-finite"):
         iso.hamiltonian.value_and_grad(np.full((1, 4), np.nan))
-
-
-def test_diverging_expression_group_fails_alone():
-    """As one group of a multi-group call, the diverging rows fail their
-    own group only: a group of rows past the support (rho >= 3), where
-    the field is zero, steps to its own result beside it."""
-    K = _blowing_up()
-
-    def stage(z, th):
-        return (z,) + contact._field_and_rate(*K.grad_fn(th), th)
-
-    still = np.array([[0.1, 0.0, 0.0, 1.0], [0.0, 0.1, 0.2, 1.0]])  # rho >= 25
-    groups = [(np.empty((0, 4)), sphere_points(2, 50, 1), 100, 0),
-              (np.empty((0, 4)), still, 30, 2)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        failed, kept = contact._lockstep_rk(stage, groups, 1.0, contact.RK4)
-        (alone,) = contact._lockstep_rk(stage, groups[1:], 1.0, contact.RK4)
-    assert isinstance(failed, IntegrationError)
-    assert failed.diagnostics == {"step_index": 1}
-    assert all(np.array_equal(a, b) for a, b in zip(kept, alone))
-    # the zero field moves them by renormalisation only
-    np.testing.assert_allclose(kept[1], contact._renorm(still), rtol=0, atol=1e-15)
-    assert np.array_equal(kept[2], np.zeros(2))

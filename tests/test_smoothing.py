@@ -96,8 +96,8 @@ def test_ball_row_with_a_signed_zero_is_stepped(tame_map, monkeypatch):
     rows = _counted_grads(iso.hamiltonian, monkeypatch)
     images = sm(zs)
     assert rows == [2 + 512] * (12 * round(1.0 / sm.step))
-    (stepped,) = _lockstep_rk(sm._stage, [(zs[:2], sm._probes, round(1.0 / sm.step),
-                                           len(sm._probes))], 1.0, DOP853)
+    (stepped,) = _lockstep_rk(sm._stage, zs[:2], sm._probes, (round(1.0 / sm.step),),
+                              1.0, DOP853, len(sm._probes))
     assert np.array_equal(images[:2], stepped[0])
     assert np.array_equal(np.signbit(images[:2]), np.signbit(stepped[0]))
     # the loop turns the first row's third zero from -0.0 to +0.0
@@ -179,9 +179,9 @@ def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
     sm = SmoothedSymplectization(K, 0.05)
     tables = []
 
-    def recorded(stage, groups, span, table):
+    def recorded(stage, z, th, steps, span, table, n_probes=0):
         tables.append(table)
-        return _lockstep_rk(stage, groups, span, table)
+        return _lockstep_rk(stage, z, th, steps, span, table, n_probes)
 
     monkeypatch.setattr(smoothing, "_rate_envelope", lambda K: (1.0, 1.0))
     monkeypatch.setattr(smoothing, "_lockstep_rk", recorded)
@@ -200,7 +200,7 @@ def doubling_gap(sm, n):
     rows: the largest row norm of the differences between the runs at n
     and 2n steps, each a loop call of its own."""
     z, th = sm._pilot_rows()
-    fine, coarse = (_lockstep_rk(sm._stage, [(z, th, k, len(th))], 1.0, DOP853)[0][:3]
+    fine, coarse = (_lockstep_rk(sm._stage, z, th, (k,), 1.0, DOP853, len(th))[0][:3]
                     for k in (2 * n, n))
     return max(np.max(np.linalg.norm(fine[0] - coarse[0], axis=1)),
                np.max(np.linalg.norm(fine[1] - coarse[1], axis=1)),
@@ -231,7 +231,7 @@ def test_measured_rung_carries_its_own_doubling_estimate():
                                  0.05)
     choice = sm.step_choice
     assert choice.h == 1.0 / 16
-    # each group of the pilot's call is bitwise a call of its own
+    # each run of the pilot's call is bitwise a call at its count alone
     assert choice.estimate == doubling_gap(sm, 16) <= STEP_TOL
 
 
@@ -241,10 +241,10 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
     second pair in a second call, and no more."""
     pilot_steps = []
 
-    def counted(stage, groups, span, table):
+    def counted(stage, z, th, steps, span, table, n_probes=0):
         assert table is DOP853
-        pilot_steps[-1].append([n_steps for _, _, n_steps, _ in groups])
-        return _lockstep_rk(stage, groups, span, table)
+        pilot_steps[-1].append(list(steps))
+        return _lockstep_rk(stage, z, th, steps, span, table, n_probes)
 
     monkeypatch.setattr(smoothing, "_lockstep_rk", counted)
     chosen = []
@@ -253,7 +253,7 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
         K = random_hamiltonian(2, 1, seed=seed, amplitude=0.1)
         chosen.append(SmoothedSymplectization(K, 0.05).step)
     assert chosen == [1.0 / 16] * 3 + [1.0 / 24]
-    # one call per pair tried, its groups n and 2n steps
+    # one call per pair tried, its runs n and 2n steps
     assert pilot_steps == [[[16, 32]]] * 3 + [[[16, 32], [24, 48]]]
 
 
@@ -262,9 +262,9 @@ def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
     IntegrationError refuses the map at construction."""
     tables = []
 
-    def diverging(stage, groups, span, table):
+    def diverging(stage, z, th, steps, span, table, n_probes=0):
         tables.append(table)
-        return [IntegrationError("flow diverged", {"step_index": 0})] * len(groups)
+        raise IntegrationError("flow diverged", {"step_index": 0})
 
     monkeypatch.setattr(smoothing, "_lockstep_rk", diverging)
     with pytest.raises(IntegrationError, match="diverged"):
@@ -277,12 +277,12 @@ def _stand_in_pilot(gaps, calls):
     """A pilot whose pair of runs at n and 2n steps sits gaps[n] apart,
     in the first ambient coordinate of the run at n steps, everything
     else equal."""
-    def pilot(stage, groups, span, table):
-        calls.append([n_steps for _, _, n_steps, _ in groups])
+    def pilot(stage, z, th, steps, span, table, n_probes=0):
+        calls.append(list(steps))
         runs = []
-        for z, th, n_steps, _ in groups:
+        for n_steps in steps:
             z = np.zeros_like(z)
-            if n_steps == groups[0][2]:
+            if n_steps == steps[0]:
                 z[:, 0] = gaps.get(n_steps, 0.0)
             runs.append((z, th, np.zeros(len(th)), 0.0, 0.0))
         return runs
