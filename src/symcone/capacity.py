@@ -16,7 +16,7 @@ from .contact import ContactHamiltonian
 from .domains import BOX_FACTOR, Hyperboloid, StarDomain, sandwich_solve
 from .errors import DomainError
 from . import sampling
-from .smoothing import SmoothedSymplectization
+from .smoothing import SmoothedSymplectization, smoothing_certificate
 from .exprs import random_hamiltonian
 
 
@@ -104,7 +104,8 @@ def candidate_pool(n: int, k: int, count: int, seed: int = 0,
     maps = []
     for i, s in enumerate(sampling.spawn(seed, count)):
         K = random_hamiltonian(n, k, seed=s, amplitude=0.15)
-        maps.append((f"candidate-{i}", SmoothedSymplectization(K, eps)))
+        maps.append((f"candidate-{i}",
+                     SmoothedSymplectization(K, smoothing_certificate(K, eps))))
     return maps
 
 

@@ -288,7 +288,7 @@ def cmd_smoothing_audit(params: dict):
     ])
     zs_all = np.sqrt(r_all)[:, None] * sampling.sphere_points(n, 100, seed + 3)
     stencil = symplecticity_stencil(zs_all)
-    sm = SmoothedSymplectization(gen, eps)
+    sm = SmoothedSymplectization(gen, cert)
 
     # One integration serves all three checks and the direct lift: the
     # map's step is chosen at construction, not from the rows, so each

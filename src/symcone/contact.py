@@ -239,12 +239,13 @@ def _lockstep_rk(stage, z, th, steps, span, table, n_probes=0):
     the stage that replaces it has returned.
 
     Returns one (z, th, log conformal factors, lo, hi) per count, in
-    order, where (lo, hi) are the extremes of log c over the run's last
-    n_probes sphere rows at the ends of 50 equal time chunks (and 0 at
-    the start; both 0 without probes).  The stage kernels do not check
-    their rows for finite numbers; the loop raises IntegrationError("flow
-    diverged", {"step_index": i}) at the first step i after which any
-    row is not finite.
+    order.  (lo, hi) are the extremes of log c over the finest run's
+    last n_probes sphere rows, the live tail, at the ends of 50 equal
+    time chunks (and 0 at the start); a pair's coarser run, and a call
+    without probes, reads (0, 0), so probes ride in a call at one count.
+    The stage kernels do not check their rows for finite numbers; the
+    loop raises IntegrationError("flow diverged", {"step_index": i}) at
+    the first step i after which any row is not finite.
     """
     nz, nth, runs = len(z), len(th), len(steps)
     # each row's step: span / n itself, the cheaper operand, while one run
@@ -259,7 +260,7 @@ def _lockstep_rk(stage, z, th, steps, span, table, n_probes=0):
              for a in (z, th))
     th = _renorm(th)
     logc = np.zeros(runs * nth)
-    lo, hi, out = [0.0] * runs, [0.0] * runs, []
+    lo, hi, out = 0.0, 0.0, []
     ks, fs, cs = ([None] * len(table.weights) for _ in range(3))
     for i in range(steps[-1]):
         ks[0], fs[0], cs[0] = stage(z, th)
@@ -271,18 +272,16 @@ def _lockstep_rk(stage, z, th, steps, span, table, n_probes=0):
         logc += _increment(table, hc, cs)
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
             raise IntegrationError("flow diverged", {"step_index": i})
-        for r in range(len(out), runs):
-            # a run without probes has no chunk extremes to read
-            if n_probes and (i + 1) * 50 // steps[r] > i * 50 // steps[r]:
-                end = (r - len(out) + 1) * nth
-                lo[r] = min(lo[r], float(np.min(logc[end - n_probes:end])))
-                hi[r] = max(hi[r], float(np.max(logc[end - n_probes:end])))
+        # a call without probes has no chunk extremes to read
+        if n_probes and (i + 1) * 50 // steps[-1] > i * 50 // steps[-1]:
+            lo = min(lo, float(np.min(logc[-n_probes:])))
+            hi = max(hi, float(np.max(logc[-n_probes:])))
         if i + 1 == steps[0] < steps[-1]:  # the n-run leaves
-            out.append((z[:nz], th[:nth], logc[:nth], lo[0], hi[0]))
+            out.append((z[:nz], th[:nth], logc[:nth], 0.0, 0.0))
             z, th = z[nz:].copy(order="F"), th[nth:].copy(order="F")
             logc = logc[nth:].copy()
             hz = hth = hc = span / steps[-1]
-    return out + [(z, th, logc, lo[-1], hi[-1])]
+    return out + [(z, th, logc, lo, hi)]
 
 
 def contact_vector_field(K: ContactHamiltonian, theta):

@@ -104,8 +104,7 @@ class ConeFamily:
             if (e.H.n, e.H.k) != (n, k):
                 raise DomainError(f"element {e.eid!r} has (n, k) = ({e.H.n}, "
                                   f"{e.H.k}), not the family's ({n}, {k})")
-        # column-major like the RK loop's batches, so a flow skips a copy
-        self.grid = np.asfortranarray(sampling.sphere_points(n, grid_points, seed))
+        self.grid = sampling.sphere_points(n, grid_points, seed)
         self.pool: List[Conjugator] = [Conjugator("identity")]
         for i, s in enumerate(sampling.spawn(seed + 1, pool_size)):
             gen = random_hamiltonian(n, k, seed=s)

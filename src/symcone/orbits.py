@@ -459,6 +459,8 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
         raise DomainError("window top must be positive")
     if scan_labels < 1:
         raise DomainError(f"scan_labels must be at least 1, got {scan_labels}")
+    if budget is not None and budget < 0:
+        raise DomainError(f"label scan budget must be nonnegative, got {budget}")
     system = PlanarWellSystem.from_domain(D)
     a, b, C = D.a, D.b, D.well.C
     pa2 = math.pi * a * a
@@ -472,7 +474,7 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
 
     e_min = system.min_energy()
     grid = np.linspace(e_min + 1e-9 * max(1.0, abs(e_min)), 1.0, scan_labels)
-    stop = scan_labels if budget is None else min(max(budget, 0), scan_labels)
+    stop = scan_labels if budget is None else min(budget, scan_labels)
     es = grid[:stop]
     es = es[np.abs(es) >= 1e-9]  # a vanishing well factor belongs to group (i)
     floors = _label_floors(system, es)

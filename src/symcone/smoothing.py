@@ -12,12 +12,12 @@ the gap between two discretisations of that one flow, the ambient rows
 and the sphere rows with their log conformal factor, on DOP853 at the
 map's step.
 
-The map chooses its step once, at construction
-(`SmoothedSymplectization._choose_step`), by step doubling on pilot rows
-the map owns.  For each n of PILOT_STEPS in turn it runs DOP853's
-8th-order solution (`contact.DOP853`) at n and at 2n steps, as the two
-runs of one call of the package's one Runge–Kutta loop,
-`contact._lockstep_rk`, and takes n steps at the first n whose gap
+The map takes its certificate (`smoothing_certificate`) and chooses its
+step once, at construction (`SmoothedSymplectization._choose_step`), by
+step doubling on pilot rows the map owns.  For each n of PILOT_STEPS in
+turn it runs DOP853's 8th-order solution (`contact.DOP853`) at n and at
+2n steps, as the two runs of one call of the package's one Runge–Kutta
+loop, `contact._lockstep_rk`, and takes n steps at the first n whose gap
 between the two runs is at most STEP_TOL.  When no pair passes, it takes
 the last pair's n, and its `StepChoice.estimate`, that pair's gap, is
 above the tolerance: the audit's thresholds then judge the map's images.
@@ -32,8 +32,8 @@ the evaluation of K.  chi and its slope are exactly 0 on the ball, where
 the field is made of signed zeros, so a ball row stays out of the loop
 and is its own image, unless a coordinate of it is +-0.0 and the field
 could flip that zero's sign.  Every integration checks the probes'
-sampled conformal factor against the rate-derived certificate before it
-returns anything.
+sampled conformal factor against the certificate before it returns
+anything: a certificate they refute stops the map's first integration.
 """
 from dataclasses import dataclass
 
@@ -102,11 +102,11 @@ class SmoothingCertificate:
 
 def _conformal_envelope(cert: SmoothingCertificate, lo: float, hi: float):
     """Audit of the certificate by sampling: (lo, hi) are the extremes of
-    log c over the seeded sphere probes that ride in a smoothed-map
-    integration (all 512, or the step choice's subset), read at the ends
-    of 50 equal time chunks (and 0 at the start).  Raises AuditError when
-    the sampled factor leaves (m, M): the rate grid then missed structure
-    and the certificate would be built on sand."""
+    log c over the 512 seeded sphere probes that ride in every
+    integration of a smoothed map, read at the ends of 50 equal time
+    chunks (and 0 at the start).  Raises AuditError when the sampled
+    factor leaves (m, M): the rate grid then missed structure and the
+    certificate would be built on sand."""
     m_samp, M_samp = np.exp(lo), np.exp(hi)
     if M_samp > cert.M or m_samp < cert.m:
         raise AuditError(f"sampled conformal factor escapes its bound: "
@@ -133,11 +133,14 @@ def _rate_envelope(K: ContactHamiltonian):
 def smoothing_certificate(K: ContactHamiltonian, eps: float):
     """The `SmoothingCertificate` of K's smoothed map at eps, from K's
     rate bound (`_rate_envelope`) alone, before any integration.  An eps
-    or bounds that are not positive and finite are a DomainError."""
+    that is not a positive normal float, or bounds that are not positive
+    and finite, are a DomainError."""
     if not eps > 0:
         raise DomainError("eps must be positive")
     if not eps < np.inf:
         raise DomainError(f"eps must be finite, got {eps}")
+    if eps < np.finfo(float).tiny:
+        raise DomainError(f"eps {float(eps)!r} is not a normal finite float")
     m, M = _rate_envelope(K)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         K_factor = 4.0 * M / m
@@ -163,21 +166,18 @@ class StepChoice:
 
 class SmoothedSymplectization:
     """Time-1 map of the cutoff Hamiltonian flow of the sphere generator
-    K, with its certificate.
+    K, with its certificate (`smoothing_certificate(K, eps)`) at eps.
 
-    The certificate comes from K's rate bound at construction
-    (`smoothing_certificate`), and so does the step (`_choose_step`,
-    reported as `step_choice`).  Every integration runs DOP853 at that
-    step, whatever its rows, so a row's image does not depend on the
-    rows beside it; each flows the 512 conformal-factor probes beside its
-    rows and audits them (`_conformal_envelope`) before it returns an
-    image.
+    The step comes from a pilot at construction (`_choose_step`, reported
+    as `step_choice`).  Every integration runs DOP853 at that step,
+    whatever its rows, so a row's image does not depend on the rows
+    beside it; each flows the 512 conformal-factor probes beside its rows
+    and audits them (`_conformal_envelope`) before it returns an image.
     """
 
-    def __init__(self, K: ContactHamiltonian, eps: float):
-        self.certificate = smoothing_certificate(K, eps)
+    def __init__(self, K: ContactHamiltonian, certificate: SmoothingCertificate):
+        self.certificate = certificate
         self.hamiltonian = K
-        self.eps = float(eps)
         self._probes = sampling.sphere_points(K.n, 512, 7)
         self.step_choice = self._choose_step()
         self.step = self.step_choice.h
@@ -223,18 +223,16 @@ class SmoothedSymplectization:
         largest difference of their log c, whichever is larger.  It is
         the estimate as it stands, not divided by 2^p - 1: with C^4
         profiles the observed order p of the error is erratic.  A pair
-        whose runs diverge or whose probes leave the certificate fails;
-        the last pair raises its IntegrationError or AuditError.
+        whose runs diverge fails; the last pair raises its
+        IntegrationError.  The map's own integrations audit the probes.
         """
         pilot_z, pilot_th = self._pilot_rows()
         for n in PILOT_STEPS:
             last = n == PILOT_STEPS[-1]
             try:
                 runs = _lockstep_rk(self._stage, pilot_z, pilot_th, (n, 2 * n),
-                                    1.0, DOP853, len(pilot_th))
-                for run in runs:
-                    _conformal_envelope(self.certificate, *run[3:])
-            except (IntegrationError, AuditError):
+                                    1.0, DOP853)
+            except IntegrationError:
                 if last:
                     raise
                 continue

@@ -11,7 +11,8 @@ from symcone import (
     sandwich_solve,
 )
 from symcone.contact import DOP853, _lockstep_rk, _step_count
-from symcone.smoothing import _lift, _polar
+from symcone.smoothing import (SmoothedSymplectization, _lift, _polar,
+                               smoothing_certificate)
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +55,11 @@ def zero_hamiltonian(n, k):
         lambda th: np.zeros(th.shape[0]), k=k, n=n,
         meta=SupportMeta(M=0.0, m=1.0, rho0=0.1, rho1=1.0),
         grad_fn=lambda th: (np.zeros(th.shape[0]), np.zeros_like(th)))
+
+
+def smoothed_map(K, eps):
+    """The smoothed map of K built from its certificate at eps."""
+    return SmoothedSymplectization(K, smoothing_certificate(K, eps))
 
 
 def symplectize_ambient(iso, zs):

@@ -369,6 +369,14 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
      "scale 1e-320 is not a normal finite float"),
     (["metric", "--s", "nan"], "scale nan is not a normal finite float"),
     (["metric", "--s", "inf"], "scale inf is not a normal finite float"),
+    (["smoothing-audit", "--points", "1", "--eps", "1e-320"],
+     "eps 1e-320 is not a normal finite float"),
+    (["smoothing-audit", "--points", "1", "--eps", "1e-310"],
+     "eps 1e-310 is not a normal finite float"),
+    (["squeeze", "--candidates", "1", "--samples", "10", "--eps", "1e-320"],
+     "eps 1e-320 is not a normal finite float"),
+    (["spectrum", "--budget", "-1", "--labels", "10"],
+     "label scan budget must be nonnegative, got -1"),
 ])
 def test_sizes_below_one_are_exit_2(capsys, argv, message):
     # an empty grid, sample, sweep, candidate list, family or spectrum
@@ -377,7 +385,8 @@ def test_sizes_below_one_are_exit_2(capsys, argv, message):
     # scale that is not positive, a scaling family that holds one element
     # twice, and a sweep whose box draws hold too few points of s*V; a
     # subnormal scale would overflow 1 / s into an infinite distance, and
-    # nan or inf is no scale at all
+    # nan or inf is no scale at all; a subnormal eps would overflow the
+    # cutoff's slope, and a negative label budget scans nothing
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"symcone: {message}\n"
@@ -593,8 +602,8 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
     monkeypatch.setattr(SmoothedSymplectization, "_integrate", recorded)
     code, out, err = run_cli(capsys, ["smoothing-audit", "--points", "10"])
     assert code == 0 and err == ""
-    # two calls for the autonomous generator's rate bound, one for the
-    # certificate the audit places its rows by and one for the map's own;
+    # one call for the autonomous generator's rate bound, in the
+    # certificate the audit places its rows by and builds the map from;
     # then one pilot call whose runs are 16 and 32 DOP853 steps, each on
     # the map's own 112 rows: both runs for 16 steps x 12 stages, then
     # the finer one alone; the pair passes, so no second pair runs
@@ -602,8 +611,8 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
     step = json.loads(out)["result"]["step"]
     assert step["h"] == "0.0625" and step["estimate"] is not None
     main = 12 * 16
-    assert rows[:2] == [4096, 4096]
-    pilot = rows[2:-main]
+    assert rows[:1] == [4096]
+    pilot = rows[1:-main]
     assert pilot == [2 * pilot_rows] * 12 * 16 + [pilot_rows] * 12 * 16
     # then 16 steps x 12 stages at the chosen step h = 1/16, each stage
     # one call on every ambient row outside the identity ball (10 outside,
@@ -623,7 +632,7 @@ def test_smoothing_audit_makes_one_kernel_call_per_rk_stage(capsys, monkeypatch)
 ], ids=["smoothing-audit", "squeeze"])
 def test_refuted_certificate_returns_no_result(capsys, monkeypatch, argv):
     # The sampled probes refute a rate bound of exactly 1 in the map's
-    # last pilot pair, so the map is refused before it maps anything.
+    # first integration, so no result is written.
     monkeypatch.setattr(smoothing, "_rate_envelope", lambda K: (1.0, 1.0))
     code, out, err = run_cli(capsys, argv)
     assert code == 4 and out == ""

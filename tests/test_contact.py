@@ -258,10 +258,11 @@ def test_diverging_flow_names_its_step():
                          ids=["rk4", "dop853"])
 def test_two_counts_step_bitwise_as_their_own_calls(table):
     """One call at the counts (n, 2n) gives each count, bitwise, what a
-    call at that count alone gives, probe extremes included.  While both
-    runs are live each stage call holds the rows of the n-run over those
-    of the 2n-run, each bitwise what its own call passes at that stage;
-    once the n-run has left, the 2n-run's rows alone."""
+    call at that count alone gives.  While both runs are live each stage
+    call holds the rows of the n-run over those of the 2n-run, each
+    bitwise what its own call passes at that stage; once the n-run has
+    left, the 2n-run's rows alone.  Probes ride in a call at one count:
+    of a pair, only the finer run reads their extremes."""
     K = random_hamiltonian(2, 1, seed=5, amplitude=0.5)
     calls = []
 
@@ -271,11 +272,11 @@ def test_two_counts_step_bitwise_as_their_own_calls(table):
 
     rng = np.random.default_rng(27)
     z0, th0 = rng.uniform(0.5, 1.0, (3, 4)), sphere(rng, 8, 4)
-    got = contact._lockstep_rk(stage, z0, th0, (9, 18), 0.7, table, 3)
+    got = contact._lockstep_rk(stage, z0, th0, (9, 18), 0.7, table)
     paired, alone = calls[:], []
     for n in (9, 18):
         calls.clear()
-        alone.append((contact._lockstep_rk(stage, z0, th0, (n,), 0.7, table, 3)[0],
+        alone.append((contact._lockstep_rk(stage, z0, th0, (n,), 0.7, table)[0],
                       calls[:]))
     stages = len(table.weights)
     assert len(paired) == 18 * stages
@@ -287,12 +288,18 @@ def test_two_counts_step_bitwise_as_their_own_calls(table):
     for run, (want, _) in zip(got, alone):
         assert len(run) == len(want) == 5
         assert all(np.array_equal(a, b) for a, b in zip(run, want))
-        assert run[3] < 0.0 < run[4]
+        assert run[3:] == (0.0, 0.0)
         assert np.all(np.isfinite(run[0])) and np.max(run[0]) > 1e13
-    # without probes there are no extremes to read
-    (bare,) = contact._lockstep_rk(stage, z0, th0, (9,), 0.7, table)
-    assert bare[3:] == (0.0, 0.0)
-    assert all(np.array_equal(a, b) for a, b in zip(bare[:3], got[0][:3]))
+    # a call at one count reads the extremes of its last 3 sphere rows,
+    # and steps its rows bitwise as without them; a pair reads its finer
+    # run's alone
+    probed = [contact._lockstep_rk(stage, z0, th0, (n,), 0.7, table, 3)[0]
+              for n in (9, 18)]
+    for run, bare in zip(probed, got):
+        assert run[3] < 0.0 < run[4]
+        assert all(np.array_equal(a, b) for a, b in zip(run[:3], bare[:3]))
+    pair = contact._lockstep_rk(stage, z0, th0, (9, 18), 0.7, table, 3)
+    assert pair[0][3:] == (0.0, 0.0) and pair[1][3:] == probed[1][3:]
 
 
 @pytest.mark.parametrize("z_scale, counts, want", [

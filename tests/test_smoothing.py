@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,20 +5,19 @@ from symcone import (
     AuditError,
     ContactIsotopy,
     DomainError,
-    SmoothedSymplectization,
     liouville_squeeze_witness,
     radial_step_bump,
     random_hamiltonian,
     symplecticity_defect,
 )
 from symcone import IntegrationError, smoothing
-from symcone.contact import DOP853, _lockstep_rk
+from symcone.contact import DOP853, _lockstep_rk, _step_count
 from symcone.smoothing import (PILOT_STEPS, STEP_TOL, StepChoice,
                                symplecticity_defect_of_images,
                                symplecticity_stencil)
 
-from conftest import (lift_on_the_maps_table, sphere, symplectize_ambient,
-                      zero_hamiltonian)
+from conftest import (lift_on_the_maps_table, smoothed_map, sphere,
+                      symplectize_ambient, zero_hamiltonian)
 
 
 def shell(rng, npts, dim, r2lo, r2hi):
@@ -34,11 +31,11 @@ def tame_map():
     """The map of one generator, beside that generator's isotopy: the
     reference route of the homogeneous lift."""
     K = random_hamiltonian(2, 1, seed=31, amplitude=0.1)
-    return ContactIsotopy(K, step=1e-3), SmoothedSymplectization(K, 0.05)
+    return ContactIsotopy(K, step=1e-3), smoothed_map(K, 0.05)
 
 
 def test_identity_isotopy_certificate_is_tight():
-    sm = SmoothedSymplectization(zero_hamiltonian(2, 1), 0.1)
+    sm = smoothed_map(zero_hamiltonian(2, 1), 0.1)
     cert = sm.certificate
     assert cert.M == 1.0 and cert.m == 1.0
     assert cert.K_factor == 4.0
@@ -54,10 +51,13 @@ def test_certificate_brackets_one(tame_map):
 
 def test_identity_ball_is_exact(tame_map):
     """Inside the switch-off ball chi and its slope are exactly 0, so the
-    field vanishes and the map does not move points at all."""
+    field vanishes and the map does not move points at all.  The map
+    skips these rows, so this holds by construction; its premise, that
+    the loop would leave them put, is
+    `test_loop_leaves_ordinary_ball_rows_put`."""
     _, sm = tame_map
     rng = np.random.default_rng(30)
-    zs = shell(rng, 300, 4, 1e-6, sm.eps * 0.999)
+    zs = shell(rng, 300, 4, 1e-6, sm.certificate.eps * 0.999)
     assert np.array_equal(sm(zs), zs)
 
 
@@ -68,7 +68,7 @@ def test_origin_maps_to_itself(tame_map):
     cert = sm.certificate
     rng = np.random.default_rng(37)
     zs = np.vstack([np.zeros((1, 4)),
-                    shell(rng, 4, 4, 1e-4, cert.K_factor * sm.eps * 4.0)])
+                    shell(rng, 4, 4, 1e-4, cert.K_factor * cert.eps * 4.0)])
     out = sm(zs)
     assert np.array_equal(out[0], np.zeros(4))
     assert np.array_equal(out[1:], sm(zs[1:]))
@@ -105,12 +105,28 @@ def test_ball_row_with_a_signed_zero_is_stepped(tame_map, monkeypatch):
     assert np.array_equal(images[2], zs[2])
 
 
+def test_loop_leaves_ordinary_ball_rows_put(tame_map):
+    """The premise of the ball rows' skip: stepped through the loop at
+    the map's step, a ball row with no +-0.0 coordinate, out to the
+    ball's edge r = eps, comes back bitwise unchanged, so skipping it
+    gives the image the loop would."""
+    _, sm = tame_map
+    rng = np.random.default_rng(38)
+    eps = sm.certificate.eps
+    ball = np.vstack([shell(rng, 20, 4, 1e-300, eps * 0.999),
+                      [[0.125, 0.18540496217739158, 1e-200, -1e-200]]])
+    assert np.sum(ball * ball, axis=1)[-1] == eps and np.all(ball != 0.0)
+    (stepped,) = _lockstep_rk(sm._stage, ball, np.empty((0, 4)),
+                              (_step_count(1.0, sm.step),), 1.0, DOP853)
+    assert np.array_equal(stepped[0], ball)
+
+
 def test_agreement_with_homogeneous_lift(tame_map):
     iso, sm = tame_map
     cert = sm.certificate
     rng = np.random.default_rng(31)
-    zs = shell(rng, 200, 4, cert.K_factor * sm.eps * 1.001,
-               cert.K_factor * sm.eps * 4.0)
+    zs = shell(rng, 200, 4, cert.K_factor * cert.eps * 1.001,
+               cert.K_factor * cert.eps * 4.0)
     diff = np.linalg.norm(sm(zs) - symplectize_ambient(iso, zs), axis=1)
     assert np.max(diff) < 1e-6
 
@@ -120,10 +136,10 @@ def test_symplecticity_all_regions(tame_map):
     cert = sm.certificate
     rng = np.random.default_rng(32)
     zs = np.vstack([
-        shell(rng, 20, 4, 1e-4, sm.eps * 0.9),
-        shell(rng, 20, 4, sm.eps * 1.05, cert.K_factor * sm.eps * 0.95),
-        shell(rng, 20, 4, cert.K_factor * sm.eps * 1.05,
-              cert.K_factor * sm.eps * 3.0),
+        shell(rng, 20, 4, 1e-4, cert.eps * 0.9),
+        shell(rng, 20, 4, cert.eps * 1.05, cert.K_factor * cert.eps * 0.95),
+        shell(rng, 20, 4, cert.K_factor * cert.eps * 1.05,
+              cert.K_factor * cert.eps * 3.0),
     ])
     assert np.max(symplecticity_defect(sm, zs)) < 1e-6
 
@@ -136,12 +152,12 @@ def test_stacked_blocks_map_bitwise_like_separate_calls(tame_map):
     assert sm.step_choice.estimate <= STEP_TOL  # a measured step
     cert = sm.certificate
     rng = np.random.default_rng(34)
-    base = shell(rng, 3, 4, 1e-4, cert.K_factor * sm.eps * 4.0)
+    base = shell(rng, 3, 4, 1e-4, cert.K_factor * cert.eps * 4.0)
     blocks = [
-        shell(rng, 8, 4, 1e-4, sm.eps * 0.999),                    # identity ball
-        shell(rng, 8, 4, sm.eps * 1.001, cert.K_factor * sm.eps),  # band
-        shell(rng, 8, 4, cert.K_factor * sm.eps * 1.001,
-              cert.K_factor * sm.eps * 4.0),                       # outer shell
+        shell(rng, 8, 4, 1e-4, cert.eps * 0.999),                      # identity ball
+        shell(rng, 8, 4, cert.eps * 1.001, cert.K_factor * cert.eps),  # band
+        shell(rng, 8, 4, cert.K_factor * cert.eps * 1.001,
+              cert.K_factor * cert.eps * 4.0),                         # outer shell
         symplecticity_stencil(base),
     ]
     images = sm(np.vstack(blocks))
@@ -168,31 +184,28 @@ def test_lift_scales_like_rays():
 
 def test_smoothed_map_rejects_bad_eps():
     with pytest.raises(DomainError):
-        SmoothedSymplectization(zero_hamiltonian(2, 1), -0.05)
+        smoothed_map(zero_hamiltonian(2, 1), -0.05)
 
 
 def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
-    # A rate bound of exactly 1 is wrong for any nonzero generator: the
-    # probes that ride in every pilot pair refute it, and the last pair's
-    # audit refuses the map at construction, before it maps anything.
+    # A rate bound of exactly 1 is wrong for any nonzero generator.  The
+    # step choice audits nothing, so the map is built; its first
+    # integration, at the chosen step with all 512 probes, refutes the
+    # bound and returns no image.
     K = random_hamiltonian(2, 1, seed=2, amplitude=0.1)
-    sm = SmoothedSymplectization(K, 0.05)
-    tables = []
+    probes = []
 
     def recorded(stage, z, th, steps, span, table, n_probes=0):
-        tables.append(table)
+        probes.append((list(steps), n_probes))
         return _lockstep_rk(stage, z, th, steps, span, table, n_probes)
 
     monkeypatch.setattr(smoothing, "_rate_envelope", lambda K: (1.0, 1.0))
     monkeypatch.setattr(smoothing, "_lockstep_rk", recorded)
-    with pytest.raises(AuditError, match="escapes its bound"):
-        SmoothedSymplectization(K, 0.05)
-    assert tables == [DOP853] * len(PILOT_STEPS)
-    # a map's own integration audits its 512 probes the same way, and
-    # returns no image
-    sm.certificate = dataclasses.replace(sm.certificate, M=1.0, m=1.0)
+    sm = smoothed_map(K, 0.05)
+    assert sm.certificate.M == sm.certificate.m == 1.0
     with pytest.raises(AuditError, match="escapes its bound"):
         sm(np.array([[0.1, 0.0, 0.0, 0.0]]))
+    assert probes == [([16, 32], 0), ([16], 512)]
 
 
 def doubling_gap(sm, n):
@@ -212,7 +225,7 @@ def test_step_choice_is_the_largest_rung_within_tolerance():
     32 is over STEP_TOL, so the map takes 24 steps, whose gap against 48
     passes and is the estimate as it stands."""
     K = random_hamiltonian(2, 1, seed=9, amplitude=0.1)
-    sm = SmoothedSymplectization(K, 0.05)
+    sm = smoothed_map(K, 0.05)
     choice = sm.step_choice
     assert choice.tol == STEP_TOL
     assert PILOT_STEPS == (16, 24, 32, 48)
@@ -221,14 +234,13 @@ def test_step_choice_is_the_largest_rung_within_tolerance():
     assert doubling_gap(sm, 16) > STEP_TOL  # the coarser step does not pass
     assert choice.estimate == doubling_gap(sm, 24) <= STEP_TOL
     # a second construction chooses the same step
-    assert SmoothedSymplectization(K, sm.eps).step_choice == choice
-    assert SmoothedSymplectization(random_hamiltonian(2, 1, seed=9, amplitude=0.1),
-                                   sm.eps).step_choice == choice
+    assert smoothed_map(K, 0.05).step_choice == choice
+    assert smoothed_map(random_hamiltonian(2, 1, seed=9, amplitude=0.1),
+                        0.05).step_choice == choice
 
 
 def test_measured_rung_carries_its_own_doubling_estimate():
-    sm = SmoothedSymplectization(random_hamiltonian(2, 1, seed=2, amplitude=0.1),
-                                 0.05)
+    sm = smoothed_map(random_hamiltonian(2, 1, seed=2, amplitude=0.1), 0.05)
     choice = sm.step_choice
     assert choice.h == 1.0 / 16
     # each run of the pilot's call is bitwise a call at its count alone
@@ -251,7 +263,7 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
     for seed in (12, 2, 31, 9):
         pilot_steps.append([])
         K = random_hamiltonian(2, 1, seed=seed, amplitude=0.1)
-        chosen.append(SmoothedSymplectization(K, 0.05).step)
+        chosen.append(smoothed_map(K, 0.05).step)
     assert chosen == [1.0 / 16] * 3 + [1.0 / 24]
     # one call per pair tried, its runs n and 2n steps
     assert pilot_steps == [[[16, 32]]] * 3 + [[[16, 32], [24, 48]]]
@@ -268,8 +280,7 @@ def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
 
     monkeypatch.setattr(smoothing, "_lockstep_rk", diverging)
     with pytest.raises(IntegrationError, match="diverged"):
-        SmoothedSymplectization(random_hamiltonian(2, 1, seed=2, amplitude=0.1),
-                                0.05)
+        smoothed_map(random_hamiltonian(2, 1, seed=2, amplitude=0.1), 0.05)
     assert tables == [DOP853] * len(PILOT_STEPS)
 
 
@@ -301,7 +312,7 @@ def test_pairs_are_tried_coarsest_first_and_the_floor_is_unmeasured(
     pair's n, and that pair's gap, above STEP_TOL, is the estimate."""
     calls = []
     monkeypatch.setattr(smoothing, "_lockstep_rk", _stand_in_pilot(gaps, calls))
-    choice = SmoothedSymplectization(
+    choice = smoothed_map(
         random_hamiltonian(2, 1, seed=2, amplitude=0.1), 0.05).step_choice
     n = steps or PILOT_STEPS[-1]
     assert choice == StepChoice(h=1.0 / n, estimate=gaps[n], tol=STEP_TOL)
@@ -312,7 +323,7 @@ def test_diverging_map_names_its_step():
     """The map steps the one RK loop `flow_many` steps, so a stage that
     leaves the finite numbers raises the same error at the same step."""
     K = random_hamiltonian(2, 1, seed=2, amplitude=0.1)
-    sm = SmoothedSymplectization(K, 0.05)
+    sm = smoothed_map(K, 0.05)
     K.grad_fn = lambda th: (np.full(th.shape[0], np.inf), np.full_like(th, np.inf))
     with np.errstate(invalid="ignore"), \
             pytest.raises(IntegrationError, match="flow diverged") as exc:
@@ -321,7 +332,7 @@ def test_diverging_map_names_its_step():
 
 
 def test_zero_isotopy_takes_the_top_rung():
-    choice = SmoothedSymplectization(zero_hamiltonian(2, 1), 0.1).step_choice
+    choice = smoothed_map(zero_hamiltonian(2, 1), 0.1).step_choice
     assert choice == StepChoice(h=1.0 / PILOT_STEPS[0], estimate=0.0,
                                 tol=STEP_TOL)
 
@@ -358,10 +369,11 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
     them keep their own."""
     iso, sm = tame_map
     rng = np.random.default_rng(30)
-    ball = np.vstack([shell(rng, 10, 4, 1e-300, sm.eps * 0.999),
+    eps = sm.certificate.eps
+    ball = np.vstack([shell(rng, 10, 4, 1e-300, eps * 0.999),
                       [[0.125, 0.18540496217739158, 1e-200, -1e-200]]])
-    assert np.sum(ball * ball, axis=1)[-1] == sm.eps
-    outside = shell(rng, 15, 4, sm.eps * 1.001, 2.0)
+    assert np.sum(ball * ball, axis=1)[-1] == eps
+    outside = shell(rng, 15, 4, eps * 1.001, 2.0)
     want = sm(outside)
     grads = _counted_grads(iso.hamiltonian, monkeypatch)
     images = sm(np.vstack([ball[:5], outside, ball[5:]]))
@@ -384,10 +396,10 @@ def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
     _, sm = tame_map
     cert = sm.certificate
     rng = np.random.default_rng(35)
-    zs = np.vstack([shell(rng, 6, 4, 1e-4, sm.eps * 0.999),
-                    shell(rng, 6, 4, sm.eps * 1.001, cert.K_factor * sm.eps)])
-    lift_zs = shell(rng, 7, 4, cert.K_factor * sm.eps * 1.001,
-                    cert.K_factor * sm.eps * 4.0)
+    zs = np.vstack([shell(rng, 6, 4, 1e-4, cert.eps * 0.999),
+                    shell(rng, 6, 4, cert.eps * 1.001, cert.K_factor * cert.eps)])
+    lift_zs = shell(rng, 7, 4, cert.K_factor * cert.eps * 1.001,
+                    cert.K_factor * cert.eps * 4.0)
     images, lift = sm.map_and_lift(zs, lift_zs)
     assert np.array_equal(images, sm(zs))
     assert np.array_equal(lift, lift_on_the_maps_table(sm, lift_zs))
