@@ -223,7 +223,7 @@ def _field_and_rate(Kv, g, th):
     return Y, row_sum(g * symplectic_gradient(2.0 * th))
 
 
-def _lockstep_rk(stage, z, th, steps, span, table, n_probes=0):
+def _lockstep_rk(stage, z, th, steps, span, table):
     """The one Runge–Kutta loop of the package, on an explicit `Tableau`.
     Ambient rows z and sphere rows th take n equal steps over the span
     for each count n of steps, (n,) or (n, 2n); stage(z, th) returns the
@@ -239,10 +239,10 @@ def _lockstep_rk(stage, z, th, steps, span, table, n_probes=0):
     the stage that replaces it has returned.
 
     Returns one (z, th, log conformal factors, lo, hi) per count, in
-    order.  (lo, hi) are the extremes of log c over the finest run's
-    last n_probes sphere rows, the live tail, at the ends of 50 equal
-    time chunks (and 0 at the start); a pair's coarser run, and a call
-    without probes, reads (0, 0), so probes ride in a call at one count.
+    order.  (lo, hi) are the extremes of log c over every sphere row of
+    every live run after every step, and 0 at t = 0: each run's tuple
+    reads them up to its own last step, and a call with no sphere rows
+    reads (0, 0).
     The stage kernels do not check their rows for finite numbers; the
     loop raises IntegrationError("flow diverged", {"step_index": i}) at
     the first step i after which any row is not finite.
@@ -272,12 +272,9 @@ def _lockstep_rk(stage, z, th, steps, span, table, n_probes=0):
         logc += _increment(table, hc, cs)
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
             raise IntegrationError("flow diverged", {"step_index": i})
-        # a call without probes has no chunk extremes to read
-        if n_probes and (i + 1) * 50 // steps[-1] > i * 50 // steps[-1]:
-            lo = min(lo, float(np.min(logc[-n_probes:])))
-            hi = max(hi, float(np.max(logc[-n_probes:])))
+        lo, hi = float(np.min(logc, initial=lo)), float(np.max(logc, initial=hi))
         if i + 1 == steps[0] < steps[-1]:  # the n-run leaves
-            out.append((z[:nz], th[:nth], logc[:nth], 0.0, 0.0))
+            out.append((z[:nz], th[:nth], logc[:nth], lo, hi))
             z, th = z[nz:].copy(order="F"), th[nth:].copy(order="F")
             logc = logc[nth:].copy()
             hz = hth = hc = span / steps[-1]

@@ -263,6 +263,8 @@ class IntegrableDomain:
     well: SmoothedWell
 
     def __post_init__(self):
+        if self.n < 2:
+            raise DomainError(f"an integrable domain needs n >= 2, got {self.n}")
         if not 1 <= self.k < self.n:
             raise DomainError(f"k = {self.k} outside 1..{self.n - 1}")
         _require_squares({"a": self.a, "b": self.b})
@@ -328,7 +330,9 @@ class SandwichCertificate:
 
     def check(self):
         """The four inequalities of the construction, each with a margin
-        of at least 1e-9; raises AuditError otherwise."""
+        of at least 1e-9 times its own scale (T, b^2/a^2, rho0 and the
+        outer a'^2), so the check reads the same at any amplitude of H;
+        raises AuditError otherwise."""
         M, m = self.provenance["M"], self.provenance["m"]
         rho0, rho1 = self.provenance["rho0"], self.provenance["rho1"]
         T = self.provenance["T"]
@@ -340,7 +344,8 @@ class SandwichCertificate:
             rho0 - bp2 / ap2,
             ap2 - 1.0 / m,
         ]
-        if min(conds) < 1e-9:
+        scales = [T, b2 / a2, rho0, ap2]
+        if any(c < 1e-9 * s for c, s in zip(conds, scales)):
             raise AuditError(f"certificate inequality margins too small: {conds}")
         return conds
 

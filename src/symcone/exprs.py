@@ -207,6 +207,10 @@ class ExpressionHamiltonian(ContactHamiltonian):
 
     def __init__(self, text: str, n: int, k: int, meta: SupportMeta = None,
                  meta_seed: int = 0):
+        if n < 1:
+            raise DomainError(f"need n >= 1, got {n}")
+        if not 1 <= k <= n:
+            raise DomainError(f"k = {k} outside 1..{n}")
         self._bumps, self._plan = _Parser(_tokenize(text), n).parse()
         # the distinct profiles as (bumps, 1) columns, for one stacked pass
         self._bump_cols = tuple(np.array(col)[:, None] for col in zip(*self._bumps))

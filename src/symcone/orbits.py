@@ -341,10 +341,11 @@ def _contour_areas(system: PlanarWellSystem, es, y_lo, y_hi) -> np.ndarray:
 
 def _audited_areas(system: PlanarWellSystem, e, y_lo, y_hi, area) -> np.ndarray:
     """The contour areas of the levels (e, y_lo, y_hi), audited against
-    the quadrature route to a relative 1e-4 in one kernel call."""
+    the quadrature route to a relative 1e-4 in one kernel call; an area
+    that is not finite on either route fails."""
     e, area = np.asarray(e, dtype=float), np.asarray(area, dtype=float)
     area_q = _action_quadrature(system, e, y_lo, y_hi)
-    bad = np.abs(area - area_q) > 1e-4 * np.maximum(np.abs(area_q), 1e-12)
+    bad = ~(np.abs(area - area_q) <= 1e-4 * np.maximum(np.abs(area_q), 1e-12))
     if bad.any():
         i = int(np.argmax(bad))
         raise AuditError(f"contour area {area[i]} and quadrature area "
@@ -473,6 +474,11 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
     bound = C * C * b_hat
 
     e_min = system.min_energy()
+    # the deepest label's floor pi a^2 (1 - e_min) is the largest one
+    if not math.isfinite(pa2 * (1.0 - e_min)):
+        raise DomainError(f"minimum energy {e_min:g} at b = {b:g}, C = {C:g} "
+                          f"puts the action floors pi a^2 (1 - e) past the "
+                          f"finite floats")
     grid = np.linspace(e_min + 1e-9 * max(1.0, abs(e_min)), 1.0, scan_labels)
     stop = scan_labels if budget is None else min(budget, scan_labels)
     es = grid[:stop]

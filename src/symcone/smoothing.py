@@ -31,9 +31,10 @@ field and the sphere rows Y_K and dK(R), so the two routes share only
 the evaluation of K.  chi and its slope are exactly 0 on the ball, where
 the field is made of signed zeros, so a ball row stays out of the loop
 and is its own image, unless a coordinate of it is +-0.0 and the field
-could flip that zero's sign.  Every integration checks the probes'
-sampled conformal factor against the certificate before it returns
-anything: a certificate they refute stops the map's first integration.
+could flip that zero's sign.  Every integration checks the conformal
+factor the loop sampled on all its sphere rows, probes and lift rows
+alike, against the certificate before it returns anything: a
+certificate they refute stops the map's first integration.
 """
 from dataclasses import dataclass
 
@@ -96,16 +97,15 @@ class SmoothingCertificate:
     m: float
     K_factor: float
     eps: float
-    chi_zero_below: float
     chi_one_above: float
 
 
 def _conformal_envelope(cert: SmoothingCertificate, lo: float, hi: float):
     """Audit of the certificate by sampling: (lo, hi) are the extremes of
-    log c over the 512 seeded sphere probes that ride in every
-    integration of a smoothed map, read at the ends of 50 equal time
-    chunks (and 0 at the start).  Raises AuditError when the sampled
-    factor leaves (m, M): the rate grid then missed structure and the
+    log c that the loop read after every step (and 0 at the start) over
+    the sphere rows of an integration of a smoothed map, the 512 seeded
+    probes and any lift rows.  Raises AuditError when the sampled factor
+    leaves (m, M): the rate grid then missed structure and the
     certificate would be built on sand."""
     m_samp, M_samp = np.exp(lo), np.exp(hi)
     if M_samp > cert.M or m_samp < cert.m:
@@ -149,7 +149,7 @@ def smoothing_certificate(K: ContactHamiltonian, eps: float):
             f"conformal bounds must be finite and positive, got M={M:.6g}, "
             f"m={m:.6g}, K_factor={K_factor:.6g}")
     return SmoothingCertificate(M, m, K_factor, eps=float(eps),
-                                chi_zero_below=float(eps), chi_one_above=4.0 * eps / m)
+                                chi_one_above=4.0 * eps / m)
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,8 @@ class SmoothedSymplectization:
     as `step_choice`).  Every integration runs DOP853 at that step,
     whatever its rows, so a row's image does not depend on the rows
     beside it; each flows the 512 conformal-factor probes beside its rows
-    and audits them (`_conformal_envelope`) before it returns an image.
+    and audits the factor on every sphere row (`_conformal_envelope`)
+    before it returns an image.
     """
 
     def __init__(self, K: ContactHamiltonian, certificate: SmoothingCertificate):
@@ -195,7 +196,7 @@ class SmoothedSymplectization:
         Kv, g = self.hamiltonian.grad_fn(np.concatenate([u, th]))
         nz = u.shape[0]
         tang = tangential(g[:nz], u)
-        chi, chi_d = cutoff_with_deriv(r, cert.chi_zero_below, cert.chi_one_above)
+        chi, chi_d = cutoff_with_deriv(r, cert.eps, cert.chi_one_above)
         w = chi * r
         w_d = chi_d * r + chi
         grad = (2.0 * w_d * Kv[:nz])[:, None] * zs + (w / sq)[:, None] * tang
@@ -224,7 +225,8 @@ class SmoothedSymplectization:
         the estimate as it stands, not divided by 2^p - 1: with C^4
         profiles the observed order p of the error is erratic.  A pair
         whose runs diverge fails; the last pair raises its
-        IntegrationError.  The map's own integrations audit the probes.
+        IntegrationError.  The pilot discards the loop's log c extremes;
+        the map's own integrations audit them.
         """
         pilot_z, pilot_th = self._pilot_rows()
         for n in PILOT_STEPS:
@@ -248,7 +250,8 @@ class SmoothedSymplectization:
         (`contact._lockstep_rk` under `_stage`): the ambient rows zs that
         can move, and the sphere rows thetas, then the probes.  Returns
         the images of zs and the ends and log conformal factors of
-        thetas, once the probes have passed `_conformal_envelope`.
+        thetas, once the log c extremes of thetas and the probes have
+        passed `_conformal_envelope`.
 
         A row of the identity ball takes a field of signed zeros at every
         stage, so it stays put unless one of its coordinates is itself
@@ -258,11 +261,10 @@ class SmoothedSymplectization:
         Fortran-ordered."""
         zs = np.array(np.atleast_2d(zs), dtype=float, order="F")
         # the stage's own squared radius, so the two agree on the ball
-        still = (row_sum(zs * zs) <= self.certificate.chi_zero_below) \
-            & np.all(zs != 0.0, axis=1)
+        still = (row_sum(zs * zs) <= self.certificate.eps) & np.all(zs != 0.0, axis=1)
         ((z, th, logc, lo, hi),) = _lockstep_rk(
             self._stage, zs[~still], np.concatenate([thetas, self._probes]),
-            (_step_count(1.0, self.step),), 1.0, DOP853, len(self._probes))
+            (_step_count(1.0, self.step),), 1.0, DOP853)
         _conformal_envelope(self.certificate, lo, hi)
         zs[~still] = z
         nt = len(thetas)
@@ -278,7 +280,8 @@ class SmoothedSymplectization:
         takes phi and c from the directions of lift_zs, which ride as
         sphere rows beside the probes, so it is bitwise the lift built from
         a loop call on those directions alone, on DOP853 at the map's
-        step."""
+        step.  Their sampled conformal factor is audited with the
+        probes'."""
         r, th = _polar(lift_zs)
         images, ends, logc = self._integrate(zs, th)
         return images, _lift(r, ends, logc)

@@ -76,11 +76,20 @@ def test_capacity_needs_an_input(capsys):
     # 314163 / pi = 100001.2 round orbits at a = 1
     (["spectrum", "--top", "314163", "--labels", "5"],
      "window top 314163 holds more than 100000 round orbits"),
+    # b^2 is a normal float, but -C^2 / b^2 or pi a^2 (1 - e) is not finite
+    (["spectrum", "--labels", "5", "--b", "1e-154"], "minimum energy -inf"),
+    (["spectrum", "--labels", "5", "--b", "3e-154"],
+     "puts the action floors pi a^2 (1 - e) past the finite floats"),
+    # an integrable domain has a round block beside its well block
+    (["spectrum", "--n", "1", "--k", "1"],
+     "an integrable domain needs n >= 2, got 1"),
 ], ids=["negative-a", "full-index", "capacity-a-overflows", "capacity-a-inf",
         "spectrum-a-overflows", "spectrum-a-inf", "spectrum-C-overflows",
         "spectrum-b-underflows", "squeeze-s-overflows", "squeeze-a-inf",
         "squeeze-s-inf", "spectrum-top-inf", "spectrum-count-overflows",
-        "spectrum-count-1e300-at-a-1", "spectrum-count-over-the-cap"])
+        "spectrum-count-1e300-at-a-1", "spectrum-count-over-the-cap",
+        "spectrum-energy-overflows", "spectrum-floors-overflow",
+        "spectrum-one-block"])
 def test_invalid_geometry_is_exit_2(capsys, argv, named):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
@@ -377,6 +386,11 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
      "eps 1e-320 is not a normal finite float"),
     (["spectrum", "--budget", "-1", "--labels", "10"],
      "label scan budget must be nonnegative, got -1"),
+    (["sandwich", "--expr", "1 * bump(rho; 1, 3)", "--n", "0", "--samples", "10"],
+     "need n >= 1, got 0"),
+    (["capacity", "--expr", "1 * bump(rho; 1, 3)", "--n", "0"], "need n >= 1, got 0"),
+    (["capacity", "--expr", "1 * bump(rho; 1, 3)", "--n", "-1"],
+     "need n >= 1, got -1"),
 ])
 def test_sizes_below_one_are_exit_2(capsys, argv, message):
     # an empty grid, sample, sweep, candidate list, family or spectrum
@@ -483,17 +497,32 @@ def test_sandwich_rejects_contradictory_metadata(capsys, M, m, rho0, rho1):
                    f"rho1={rho1}\n")
 
 
-def test_sandwich_certificate_margin_failure_is_exit_4(capsys):
-    # rho0 = 1e-12 leaves the third certificate inequality a margin below
-    # 1e-9: the certificate is refused before any sampling, so nothing is
-    # written and the audit error's message is the one stderr line.
+def test_sandwich_certificate_margins_scale_with_their_conditions(capsys):
+    # rho0 = 1e-12 leaves the third certificate inequality the margin
+    # rho0 / 2 = 5e-13: far below 1e-9, but half its own scale rho0, so
+    # the certificate stands and the audit samples it like any other.
     code, out, err = run_cli(capsys, [
         "sandwich", "--expr", "1 * bump(rho; 1, 3)",
-        "--M", "1", "--m", "0.5", "--rho0", "1e-12", "--rho1", "3"])
-    assert code == 4 and out == ""
-    assert err == ("symcone: certificate inequality margins too small: "
-                   "[0.12499999999999997, 5.999999999999995, "
-                   "5.000000000000001e-13, 2.0]\n")
+        "--M", "1", "--m", "0.5", "--rho0", "1e-12", "--rho1", "3",
+        "--samples", "20000"])
+    assert code == 0 and err == ""
+    res = json.loads(out)["result"]
+    assert res["audit"]["violations"] == 0
+    assert float(res["outer"]["b"]) ** 2 == pytest.approx(2e-12, rel=1e-12)
+
+
+def test_capacity_enclosure_scales_inversely_with_the_amplitude(capsys):
+    # V(c H) is V(H) scaled by c^(-1/2), so its capacity is divided by c;
+    # at c = 1e9 the certificate's margins T / 2 and 1 / m are below 1e-9
+    # but each half its own scale, and the enclosure follows the scaling
+    def enclosure(expr):
+        code, out, err = run_cli(capsys, ["capacity", "--expr", expr])
+        assert code == 0 and err == ""
+        res = json.loads(out)["result"]
+        return np.array([float(res["lo"]), float(res["hi"])])
+
+    np.testing.assert_allclose(enclosure("1e9 * bump(rho; 1, 3)"),
+                               enclosure("1 * bump(rho; 1, 3)") / 1e9, rtol=1e-9)
 
 
 def test_bad_expression_is_exit_2(capsys):

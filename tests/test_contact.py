@@ -261,8 +261,8 @@ def test_two_counts_step_bitwise_as_their_own_calls(table):
     call at that count alone gives.  While both runs are live each stage
     call holds the rows of the n-run over those of the 2n-run, each
     bitwise what its own call passes at that stage; once the n-run has
-    left, the 2n-run's rows alone.  Probes ride in a call at one count:
-    of a pair, only the finer run reads their extremes."""
+    left, the 2n-run's rows alone.  Each run reads the extremes of log c
+    over every sphere row the call has stepped up to its last step."""
     K = random_hamiltonian(2, 1, seed=5, amplitude=0.5)
     calls = []
 
@@ -287,19 +287,19 @@ def test_two_counts_step_bitwise_as_their_own_calls(table):
     assert len(got) == 2
     for run, (want, _) in zip(got, alone):
         assert len(run) == len(want) == 5
-        assert all(np.array_equal(a, b) for a, b in zip(run, want))
-        assert run[3:] == (0.0, 0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(run[:3], want[:3]))
+        assert want[3] < 0.0 < want[4]
         assert np.all(np.isfinite(run[0])) and np.max(run[0]) > 1e13
-    # a call at one count reads the extremes of its last 3 sphere rows,
-    # and steps its rows bitwise as without them; a pair reads its finer
-    # run's alone
-    probed = [contact._lockstep_rk(stage, z0, th0, (n,), 0.7, table, 3)[0]
-              for n in (9, 18)]
-    for run, bare in zip(probed, got):
-        assert run[3] < 0.0 < run[4]
-        assert all(np.array_equal(a, b) for a, b in zip(run[:3], bare[:3]))
-    pair = contact._lockstep_rk(stage, z0, th0, (9, 18), 0.7, table, 3)
-    assert pair[0][3:] == (0.0, 0.0) and pair[1][3:] == probed[1][3:]
+    # the n-run reads its own extremes and the 2n-run's up to step n, the
+    # 2n-run's first n steps being a call of n steps over half the span;
+    # the 2n-run reads both runs' extremes over the whole call
+    (n_run, _), (fine, _) = alone
+    (half,) = contact._lockstep_rk(stage, z0, th0, (9,), 0.35, table)
+    assert got[0][3:] == (min(n_run[3], half[3]), max(n_run[4], half[4]))
+    assert got[1][3:] == (min(n_run[3], fine[3]), max(n_run[4], fine[4]))
+    # with no sphere rows, both runs read the extremes at t = 0
+    bare = contact._lockstep_rk(stage, z0, th0[:0], (9, 18), 0.7, table)
+    assert [run[3:] for run in bare] == [(0.0, 0.0)] * 2
 
 
 @pytest.mark.parametrize("z_scale, counts, want", [
@@ -320,7 +320,7 @@ def test_two_counts_raise_at_the_first_non_finite_step(z_scale, counts, want):
     for steps in [counts[:1], counts[1:], counts]:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                contact._lockstep_rk(stage, z0, th0, steps, 0.7, contact.RK4, 2)
+                contact._lockstep_rk(stage, z0, th0, steps, 0.7, contact.RK4)
                 index[steps] = None
             except IntegrationError as exc:
                 assert str(exc) == "flow diverged"

@@ -142,6 +142,11 @@ def test_action_audit_catches_a_disagreeing_quadrature(planar3, monkeypatch):
                         lambda *args: 1.01 * action_quadrature(*args))
     with pytest.raises(AuditError, match="disagree"):
         closed_orbit_at_energy(planar3, 0.5)
+    # a quadrature area that is not a number disagrees with every area
+    monkeypatch.setattr(orbits, "_action_quadrature",
+                        lambda *args: np.nan * action_quadrature(*args))
+    with pytest.raises(AuditError, match="quadrature area nan disagree"):
+        closed_orbit_at_energy(planar3, 0.5)
 
 
 def test_gauss_kronrod_rule_integrates_monomials_exactly():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from symcone import (
     random_hamiltonian,
     symplecticity_defect,
 )
-from symcone import IntegrationError, smoothing
-from symcone.contact import DOP853, _lockstep_rk, _step_count
-from symcone.smoothing import (PILOT_STEPS, STEP_TOL, StepChoice,
-                               symplecticity_defect_of_images,
+from symcone import IntegrationError, sampling, smoothing
+from symcone.contact import DOP853, _lockstep_rk, _step_count, reeb_derivative
+from symcone.smoothing import (PILOT_STEPS, STEP_TOL, SmoothedSymplectization,
+                               StepChoice, symplecticity_defect_of_images,
                                symplecticity_stencil)
 
 from conftest import (lift_on_the_maps_table, smoothed_map, sphere,
@@ -39,7 +41,7 @@ def test_identity_isotopy_certificate_is_tight():
     cert = sm.certificate
     assert cert.M == 1.0 and cert.m == 1.0
     assert cert.K_factor == 4.0
-    assert cert.chi_zero_below == 0.1 and cert.chi_one_above == 0.4
+    assert cert.eps == 0.1 and cert.chi_one_above == 0.4
 
 
 def test_certificate_brackets_one(tame_map):
@@ -97,7 +99,7 @@ def test_ball_row_with_a_signed_zero_is_stepped(tame_map, monkeypatch):
     images = sm(zs)
     assert rows == [2 + 512] * (12 * round(1.0 / sm.step))
     (stepped,) = _lockstep_rk(sm._stage, zs[:2], sm._probes, (round(1.0 / sm.step),),
-                              1.0, DOP853, len(sm._probes))
+                              1.0, DOP853)
     assert np.array_equal(images[:2], stepped[0])
     assert np.array_equal(np.signbit(images[:2]), np.signbit(stepped[0]))
     # the loop turns the first row's third zero from -0.0 to +0.0
@@ -195,9 +197,9 @@ def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
     K = random_hamiltonian(2, 1, seed=2, amplitude=0.1)
     probes = []
 
-    def recorded(stage, z, th, steps, span, table, n_probes=0):
-        probes.append((list(steps), n_probes))
-        return _lockstep_rk(stage, z, th, steps, span, table, n_probes)
+    def recorded(stage, z, th, steps, span, table):
+        probes.append((list(steps), len(th)))
+        return _lockstep_rk(stage, z, th, steps, span, table)
 
     monkeypatch.setattr(smoothing, "_rate_envelope", lambda K: (1.0, 1.0))
     monkeypatch.setattr(smoothing, "_lockstep_rk", recorded)
@@ -205,7 +207,34 @@ def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
     assert sm.certificate.M == sm.certificate.m == 1.0
     with pytest.raises(AuditError, match="escapes its bound"):
         sm(np.array([[0.1, 0.0, 0.0, 0.0]]))
-    assert probes == [([16, 32], 0), ([16], 512)]
+    # the pilot's call steps every 8th probe, the map's all of them
+    assert probes == [([16, 32], 64), ([16], 512)]
+
+
+def test_lift_rows_are_audited_beside_the_probes():
+    """The loop reads log c on every sphere row it steps, so a lift row
+    that climbs past the certificate's M refutes it, even where the 512
+    probes stay below.  The lift direction is the argmax of the rate
+    dK(R) on a dense grid; M sits between the probes' sampled maximum of
+    log c and that row's."""
+    K = random_hamiltonian(2, 1, seed=12, amplitude=0.1)
+    honest = smoothed_map(K, 0.05)
+    grid = sampling.sphere_points(2, 20000, 3)
+    top = grid[np.argmax(reeb_derivative(K, grid))][None]
+
+    def sampled_max(th):
+        (run,) = _lockstep_rk(honest._stage, np.empty((0, 4)), th,
+                              (_step_count(1.0, honest.step),), 1.0, DOP853)
+        return run[4]
+
+    probes_max, lift_max = sampled_max(honest._probes), sampled_max(top)
+    assert probes_max < lift_max < np.log(honest.certificate.M)
+    M = float(np.exp(0.5 * (probes_max + lift_max)))
+    sm = SmoothedSymplectization(K, replace(honest.certificate, M=M))
+    zs = np.array([[0.5, 0.0, 0.0, 0.0]])
+    assert np.array_equal(sm(zs), honest(zs))
+    with pytest.raises(AuditError, match="escapes its bound"):
+        sm.map_and_lift(zs, 2.0 * top)
 
 
 def doubling_gap(sm, n):
@@ -213,7 +242,7 @@ def doubling_gap(sm, n):
     rows: the largest row norm of the differences between the runs at n
     and 2n steps, each a loop call of its own."""
     z, th = sm._pilot_rows()
-    fine, coarse = (_lockstep_rk(sm._stage, z, th, (k,), 1.0, DOP853, len(th))[0][:3]
+    fine, coarse = (_lockstep_rk(sm._stage, z, th, (k,), 1.0, DOP853)[0][:3]
                     for k in (2 * n, n))
     return max(np.max(np.linalg.norm(fine[0] - coarse[0], axis=1)),
                np.max(np.linalg.norm(fine[1] - coarse[1], axis=1)),
@@ -253,10 +282,10 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
     second pair in a second call, and no more."""
     pilot_steps = []
 
-    def counted(stage, z, th, steps, span, table, n_probes=0):
+    def counted(stage, z, th, steps, span, table):
         assert table is DOP853
         pilot_steps[-1].append(list(steps))
-        return _lockstep_rk(stage, z, th, steps, span, table, n_probes)
+        return _lockstep_rk(stage, z, th, steps, span, table)
 
     monkeypatch.setattr(smoothing, "_lockstep_rk", counted)
     chosen = []
@@ -274,7 +303,7 @@ def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
     IntegrationError refuses the map at construction."""
     tables = []
 
-    def diverging(stage, z, th, steps, span, table, n_probes=0):
+    def diverging(stage, z, th, steps, span, table):
         tables.append(table)
         raise IntegrationError("flow diverged", {"step_index": 0})
 
@@ -288,7 +317,7 @@ def _stand_in_pilot(gaps, calls):
     """A pilot whose pair of runs at n and 2n steps sits gaps[n] apart,
     in the first ambient coordinate of the run at n steps, everything
     else equal."""
-    def pilot(stage, z, th, steps, span, table, n_probes=0):
+    def pilot(stage, z, th, steps, span, table):
         calls.append(list(steps))
         runs = []
         for n_steps in steps:
