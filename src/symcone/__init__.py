@@ -4,8 +4,7 @@ star-shaped domains, with certified numerics throughout."""
 __version__ = "0.1.0"
 
 from .errors import (AuditError, DimensionMismatchError, DomainError,
-                     IntegrationError, ParseError, ScanBudgetError,
-                     SymconeError)
+                     IntegrationError, ParseError, SymconeError)
 from .geometry import (angle_ratio_of, as_phase, omega_matrix, split_uv,
                        symplectic_pairing)
 from .contact import (ContactHamiltonian, ContactIsotopy, SupportMeta,
@@ -14,7 +13,7 @@ from .contact import (ContactHamiltonian, ContactIsotopy, SupportMeta,
 from .exprs import ExpressionHamiltonian, random_hamiltonian
 from .domains import (ContainmentReport, Hyperboloid, IntegrableDomain,
                       SandwichCertificate, SmoothedWell, StarDomain,
-                      build_smoothed_well, containment_audit, sandwich_solve)
+                      containment_audit, sandwich_solve)
 from .orbits import (ActionSpectrum, OrbitRecord, PlanarWellSystem,
                      area_constant, characteristic_spectrum,
                      closed_orbit_at_energy, integrate_planar,

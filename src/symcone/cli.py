@@ -20,9 +20,9 @@ from . import __version__
 from .capacity import (candidate_pool, capacity_hyperboloid,
                        capacity_of_hamiltonian, nonsqueezing_verdict)
 from .contact import SupportMeta
-from .domains import (Hyperboloid, IntegrableDomain, build_smoothed_well,
+from .domains import (Hyperboloid, IntegrableDomain, SmoothedWell,
                       containment_audit, sandwich_solve)
-from .errors import AuditError, DomainError, ParseError, ScanBudgetError
+from .errors import AuditError, DomainError, ParseError
 from .exprs import ExpressionHamiltonian, random_hamiltonian
 from .growth import (dw_bound_check, equivalence_and_order, random_family,
                      scale_id, scaling_family)
@@ -142,16 +142,14 @@ def _spectrum_csv(spec, params: dict) -> str:
 
 def cmd_spectrum(params: dict):
     eps = params["eps"] if params["eps"] is not None else params["C"] / 12.0
-    well = build_smoothed_well(params["C"], eps)
     D = IntegrableDomain(n=params["n"], k=params["k"], a=params["a"],
-                         b=params["b"], well=well)
+                         b=params["b"], well=SmoothedWell(params["C"], eps))
+    labels, budget = params["labels"], params["budget"]
+    spec = characteristic_spectrum(D, params["top"], scan_labels=labels,
+                                   budget=budget)
     failure = None
-    try:
-        spec = characteristic_spectrum(D, params["top"],
-                                       scan_labels=params["labels"],
-                                       budget=params["budget"])
-    except ScanBudgetError as exc:
-        spec, failure = exc.partial, (3, str(exc))
+    if spec.partial:  # only a budget below the label count stops the scan
+        failure = (3, f"label scan budget {budget} exceeded at {budget}/{labels}")
     if params["csv"]:
         _emit(_spectrum_csv(spec, params), params["csv"])
     keys = ("group_i", "group_ii_min_bound", "window_top", "scan_min_floor",

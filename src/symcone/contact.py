@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (AuditError, DimensionMismatchError, DomainError,
                      IntegrationError)
-from .geometry import (as_phase, half_dim, angle_ratio_of, row_sum,
-                       symplectic_gradient, tangential)
+from .geometry import (as_phase, half_dim, angle_ratio_of, require_split,
+                       row_sum, symplectic_gradient, tangential)
 from . import sampling
 
 # values at most this large in magnitude count as zero in the metadata audit
@@ -344,8 +344,7 @@ def model_field_contracting(k: int, z):
     generated by the sum of the last k products x_j y_j."""
     z = as_phase(z)
     n = half_dim(z)
-    if not 1 <= k <= n:
-        raise DomainError(f"k = {k} outside 1..{n}")
+    require_split(n, k)
     out = np.zeros_like(z)
     out[..., n - k:n] = -z[..., n - k:n]
     out[..., 2 * n - k:] = z[..., 2 * n - k:]

@@ -27,7 +27,7 @@ import numpy as np
 from .blends import _step7, _step7_integral
 from .contact import ContactHamiltonian
 from .errors import AuditError, DomainError
-from .geometry import as_phase, split_uv, squared_split
+from .geometry import as_phase, require_split, split_uv, squared_split
 from . import sampling
 
 # half-width of a rejection-sampling box, in largest semi-axes of the
@@ -66,8 +66,7 @@ class Hyperboloid:
 
     def __post_init__(self):
         _require_squares({"a": self.a, "b": self.b})
-        if not 1 <= self.k <= self.n:
-            raise DomainError(f"k = {self.k} outside 1..{self.n}")
+        require_split(self.n, self.k)
 
     def defining_function(self, zs):
         return self.level(*split_uv(as_phase(zs, n=self.n), self.k))
@@ -121,22 +120,32 @@ class StarDomain:
 class SmoothedWell:
     """Even function equal to -t^2 near 0 and 3t^2 - 4C^2 past the blend
     band, lying above both branches, with its single positive minimum
-    pinned near t = C.  `delta` is the band half-width in the variable
-    4t^2 - 4C^2.  `value_at`/`deriv_at` take one float (root finders, the
-    integrator); `value`/`deriv` take arrays and give a 0-d input the
-    scalar forms' bits.  Other arrays match them bitwise outside the band
-    and to rounding inside: numpy's array `**` and libm's `pow` differ in
-    the last bit for about 5% of u**4 (10,755 of 200,000 uniform u on an
+    pinned near t = C.  The fields are C and eps.  Construction refuses
+    bad ones (DomainError); derives, as plain attributes, `four_c2` =
+    4.0 * C * C, the one rounding of 4C^2 that every form reads, and the
+    band half-width `delta` in the variable 4t^2 - 4C^2; finds the
+    minimum; and audits the well on a grid (AuditError).
+    `value_at`/`deriv_at` take one float (root finders, the integrator);
+    `value`/`deriv` take arrays and give a 0-d input the scalar forms'
+    bits.  Other arrays match them bitwise outside the band and to
+    rounding inside: numpy's array `**` and libm's `pow` differ in the
+    last bit for about 5% of u**4 (10,755 of 200,000 uniform u on an
     AVX-512 x86-64 machine)."""
 
     C: float
     eps: float
-    delta: float
 
     def __post_init__(self):
-        # 4C^2 held once per well, as a plain instance attribute (a
-        # functools.cached_property read is no faster than recomputing it)
-        object.__setattr__(self, "_four_c2", 4.0 * self.C ** 2)
+        C, eps = self.C, self.eps
+        if not (C > 0 and 0 < eps < C / 10.0):
+            raise DomainError(f"need 0 < eps < C/10, got C={C}, eps={eps}")
+        four_c2 = 4.0 * C * C
+        if not 0.0 < four_c2 < np.inf:
+            raise DomainError(f"4C^2 must be a positive finite float, got C = {C:g}")
+        object.__setattr__(self, "four_c2", four_c2)
+        object.__setattr__(self, "delta", min(3.2 * eps, 7.6 * C * eps))
+        object.__setattr__(self, "_min_point", self._search_minimum())
+        self._audit()
 
     def _band_value(self, t2, d):
         """g inside the blend band |d| < delta, from t^2 and d = 4t^2 - 4C^2:
@@ -151,15 +160,15 @@ class SmoothedWell:
 
     def value_at(self, t: float) -> float:
         t2 = t * t
-        d = 4.0 * t2 - self._four_c2
+        d = 4.0 * t2 - self.four_c2
         if d >= self.delta:
-            return 3.0 * t2 - self._four_c2
+            return 3.0 * t2 - self.four_c2
         if d <= -self.delta:
             return -t2
         return self._band_value(t2, d)
 
     def deriv_at(self, t: float) -> float:
-        d = 4.0 * t * t - self._four_c2
+        d = 4.0 * t * t - self.four_c2
         if d >= self.delta:
             return 6.0 * t
         if d <= -self.delta:
@@ -171,9 +180,9 @@ class SmoothedWell:
         if not t.ndim:
             return np.asarray(self.value_at(float(t)))
         t2 = t * t
-        d = 4.0 * t2 - self._four_c2
+        d = 4.0 * t2 - self.four_c2
         # outside the band g is the larger branch: 3t^2 - 4C^2 - (-t^2) = d
-        out = np.maximum(3.0 * t2 - self._four_c2, -t2)
+        out = np.maximum(3.0 * t2 - self.four_c2, -t2)
         band = np.abs(d) < self.delta  # the blend runs on these entries only
         out[band] = self._band_value(t2[band], d[band])
         return out
@@ -182,7 +191,7 @@ class SmoothedWell:
         t = np.asarray(t, dtype=float)
         if not t.ndim:
             return np.asarray(self.deriv_at(float(t)))
-        d = 4.0 * t * t - self._four_c2
+        d = 4.0 * t * t - self.four_c2
         out = np.where(d >= self.delta, 6.0 * t, -2.0 * t)
         band = np.abs(d) < self.delta
         out[band] = self._band_slope(t[band], d[band])
@@ -191,65 +200,87 @@ class SmoothedWell:
     @property
     def band(self):
         """(t_lo, t_hi): outside, the two branches hold verbatim."""
-        c2 = self.C ** 2
-        return np.sqrt(c2 - self.delta / 4.0), np.sqrt(c2 + self.delta / 4.0)
+        return (0.5 * np.sqrt(self.four_c2 - self.delta),
+                0.5 * np.sqrt(self.four_c2 + self.delta))
 
     def min_point(self):
-        """(t, g(t)) at the positive minimum, searched once per well and
-        held like 4C^2, so it is neither a field nor serialized.  In the
-        band g'(t) = t (-2 + 8 step7(u)) with u rising in t, so g' changes
-        sign once, where the degree-7 step7(u) crosses 1/4.  Bisection on
-        the sign of g' narrows the band to two adjacent floats; t is the
-        upper one, the least float at which g' is not negative."""
-        found = self.__dict__.get("_min_point")
-        if found is None:
-            lo, hi = (float(t) for t in self.band)  # g' < 0 at lo, > 0 at hi
+        """(t, g(t)) at the positive minimum, searched at construction."""
+        return self._min_point
+
+    def _search_minimum(self):
+        """In the band g'(t) = t (-2 + 8 step7(u)) with u rising in t, so
+        g' changes sign once, where the degree-7 step7(u) crosses 1/4.
+        Bisection on the sign of g' narrows the band to two adjacent
+        floats; t is the upper one, the least float at which g' is not
+        negative."""
+        lo, hi = (float(t) for t in self.band)  # g' < 0 at lo, > 0 at hi
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if self.deriv_at(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
             mid = 0.5 * (lo + hi)
-            while lo < mid < hi:
-                if self.deriv_at(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                mid = 0.5 * (lo + hi)
-            found = (hi, self.value_at(hi))
-            object.__setattr__(self, "_min_point", found)
-        return found
+        return hi, self.value_at(hi)
 
+    def _audit(self):
+        """(t/2) g' >= g, g above its branches and equal to them outside
+        |t - C| < eps on a grid, and the minimum's contract window."""
+        C, eps = self.C, self.eps
+        # both grid checks compare terms as large as 27 C^2 (0.5 t g' at
+        # |t| = 3C) that reach the same value by different roundings, so
+        # they allow a few ulps at that size (2 is the worst seen)
+        tol = 4.0 * np.spacing(max(1.0, 27.0 * C * C))
+        # np.linspace(-3C, 3C, 10^4)'s points, bit for bit, in two blocks of
+        # 40 KB arrays: no freed chunk reaches the 64 KiB at which glibc may
+        # give the heap's top back (see `orbits.CONTOUR_BLOCK`)
+        start, stop = -3.0 * C, 3.0 * C
+        step = (stop - start) / 9_999
+        for i in (0, 5_000):
+            t = np.arange(i, i + 5_000) * step + start
+            if i:
+                t[-1] = stop
+            t2 = t * t
+            g = self.value(t)
+            branches = np.maximum(3.0 * t2 - self.four_c2, -t2)
+            if np.min(0.5 * t * self.deriv(t) - g) < -tol:
+                raise AuditError("radial-derivative inequality fails on the grid")
+            if np.min(g - branches) < -tol:
+                raise AuditError("well dips below its two branches")
+            exact = (np.abs(t) <= C - eps) | (np.abs(t) >= C + eps)
+            if np.any((g != branches) & exact):
+                raise AuditError("branches are not exact outside the blend window")
+        t_min, v_min = self._min_point
+        if not (-C * C - 1e-12 <= v_min <= -C * C + eps and abs(t_min - C) <= eps):
+            raise AuditError(f"minimum {v_min} at {t_min} outside the contract window")
 
-def build_smoothed_well(C: float, eps: float) -> SmoothedWell:
-    """Construct the well and verify its contracts on a 10^4-point grid."""
-    if not (C > 0 and 0 < eps < C / 10.0):
-        raise DomainError(f"need 0 < eps < C/10, got C={C}, eps={eps}")
-    if not 0.0 < 4.0 * C * C < np.inf:
-        raise DomainError(f"4C^2 must be a positive finite float, got C = {C:g}")
-    well = SmoothedWell(C=C, eps=eps, delta=min(3.2 * eps, 7.6 * C * eps))
-    # both grid checks compare terms as large as 27 C^2 (0.5 t g' at
-    # |t| = 3C) that reach the same value by different roundings, so
-    # they allow a few ulps at that size (2 is the worst seen)
-    tol = 4.0 * np.spacing(max(1.0, 27.0 * C * C))
-    # np.linspace(-3C, 3C, 10^4)'s points, bit for bit, in two blocks of
-    # 40 KB arrays: no freed chunk reaches the 64 KiB at which glibc may
-    # give the heap's top back (see `orbits.CONTOUR_BLOCK`)
-    start, stop = -3.0 * C, 3.0 * C
-    step = (stop - start) / 9_999
-    for i in (0, 5_000):
-        t = np.arange(i, i + 5_000) * step + start
-        if i:
-            t[-1] = stop
-        g, gp = well.value(t), well.deriv(t)
-        if np.min(0.5 * t * gp - g) < -tol:
-            raise AuditError("radial-derivative inequality fails on the grid")
-        if np.min(g - np.maximum(-t * t, 3.0 * t * t - 4.0 * C * C)) < -tol:
-            raise AuditError("well dips below its two branches")
-        inner = np.abs(t) <= C - eps
-        outer = np.abs(t) >= C + eps
-        if not (np.all(g[inner] == -t[inner] ** 2)
-                and np.all(g[outer] == 3.0 * t[outer] ** 2 - 4.0 * C * C)):
-            raise AuditError("branches are not exact outside the blend window")
-    t_min, v_min = well.min_point()
-    if not (-C * C - 1e-12 <= v_min <= -C * C + eps and abs(t_min - C) <= eps):
-        raise AuditError(f"minimum {v_min} at {t_min} outside the contract window")
-    return well
+    def level_crossings(self, levels):
+        """(inner, outer) crossings t >= 0 of the levels g = l of a 1-d
+        array above the minimum: inner in [0, t_min], 0 where l >= 0, and
+        outer past t_min.  Past the band each is a branch's root in closed
+        form, sqrt(-l) or sqrt((l + 4C^2)/3), taken where `value`'s branch
+        test holds at it; one vectorised bisection on g(t) <= l narrows
+        the others, in the band, to adjacent floats, each the float on
+        the inside of the level."""
+        outer = np.sqrt((levels + self.four_c2) / 3.0)
+        inner = np.sqrt(np.maximum(-levels, 0.0))
+        # the band's crossings, where the branch test fails at the branch root
+        top = 4.0 * (outer * outer) - self.four_c2 < self.delta
+        bottom = 4.0 * (inner * inner) - self.four_c2 > -self.delta
+        n_top = np.count_nonzero(top)
+        t_lo, t_hi = self.band
+        level = np.concatenate([levels[top], levels[bottom]])
+        t_in = np.full(level.shape, self._min_point[0])  # g <= level from here
+        t_out = np.concatenate([np.full(n_top, t_hi),
+                                np.full(np.count_nonzero(bottom), t_lo)])
+        while True:
+            mid = 0.5 * (t_in + t_out)
+            if not np.any((mid != t_in) & (mid != t_out)):
+                break
+            inside = self.value(mid) <= level
+            t_in, t_out = np.where(inside, mid, t_in), np.where(inside, t_out, mid)
+        outer[top], inner[bottom] = t_in[:n_top], t_in[n_top:]
+        return inner, outer
 
 
 @dataclass(frozen=True)

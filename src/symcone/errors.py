@@ -29,11 +29,3 @@ class AuditError(SymconeError):
 
 class ParseError(SymconeError):
     """Bad expression text or config document."""
-
-
-class ScanBudgetError(SymconeError):
-    """A scan exceeded its configured budget; carries the partial result."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial

@@ -53,7 +53,7 @@ import numpy as np
 from .blends import plateau_bump, plateau_bump_with_deriv
 from .contact import ZERO_TOL, ContactHamiltonian, SupportMeta
 from .errors import DomainError, ParseError
-from .geometry import angle_ratio_and_gradient, angle_ratio_of
+from .geometry import angle_ratio_and_gradient, angle_ratio_of, require_split
 from . import sampling
 
 # relative slack of the plan's floor, in sums of coefficients: a bump
@@ -209,8 +209,7 @@ class ExpressionHamiltonian(ContactHamiltonian):
                  meta_seed: int = 0):
         if n < 1:
             raise DomainError(f"need n >= 1, got {n}")
-        if not 1 <= k <= n:
-            raise DomainError(f"k = {k} outside 1..{n}")
+        require_split(n, k)
         self._bumps, self._plan = _Parser(_tokenize(text), n).parse()
         # the distinct profiles as (bumps, 1) columns, for one stacked pass
         self._bump_cols = tuple(np.array(col)[:, None] for col in zip(*self._bumps))

@@ -86,11 +86,16 @@ def squared_split(z, k: int):
     return _squared_split(as_phase(z), k)
 
 
+def require_split(n: int, k: int):
+    """Refuse a split index k outside 1..n."""
+    if not 1 <= k <= n:
+        raise DomainError(f"k = {k} outside 1..{n}")
+
+
 def _squared_split(z, k: int):
     """`squared_split` of a float batch whose entries are not checked."""
     n = half_dim(z)
-    if not 1 <= k <= n:
-        raise DomainError(f"k = {k} outside 1..{n}")
+    require_split(n, k)
     sq = np.square(z)
     v = row_sum(sq[..., 2 * n - k:])
     r = row_sum(sq)

@@ -21,6 +21,7 @@ from .capacity import (CapacityInterval, capacity_of_hamiltonian,
 from .contact import ContactHamiltonian, ContactIsotopy, SupportMeta
 from .errors import AuditError, DomainError
 from .exprs import ExpressionHamiltonian, random_hamiltonian
+from .geometry import require_split
 from . import sampling
 
 __all__ = [
@@ -93,8 +94,7 @@ class ConeFamily:
                  seed: int = 0, pool_size: int = 8, grid_points: int = 10_000):
         if grid_points < 1:
             raise DomainError(f"need at least 1 grid point, got {grid_points}")
-        if not 1 <= k <= n:
-            raise DomainError(f"k = {k} outside 1..{n}")
+        require_split(n, k)
         require_capacity(n, k)
         self.n, self.k = n, k
         self.elements: Dict[str, ConeElement] = {e.eid: e for e in elements}

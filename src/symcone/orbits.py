@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import IntegrableDomain, SmoothedWell
-from .errors import AuditError, DomainError, ScanBudgetError
+from .errors import AuditError, DomainError
 
 __all__ = [
     "PlanarWellSystem", "PlanarTrajectory", "OrbitRecord", "ActionSpectrum",
@@ -54,7 +54,7 @@ _CONTOUR_COS, _CONTOUR_SIDE = np.cos(_CONTOUR_U), np.sign(np.sin(_CONTOUR_U))
 # (4, 2048) blocks, exactly 64 KiB, a job took 0 or about 280 minor faults
 # (`resource.getrusage`) depending on what the process had loaded before.
 # Every block temporary under 64 KiB (and the well's grid check in blocks,
-# `domains.build_smoothed_well`) frees no chunk that can trim the heap,
+# `domains.SmoothedWell._audit`) frees no chunk that can trim the heap,
 # and a repeated job takes no fresh pages either way.
 CONTOUR_BLOCK = 3
 # the most round-orbit actions group I lists: the report prints every
@@ -171,43 +171,17 @@ def turning_points(system: PlanarWellSystem, es):
     """y-intervals (y_lo, y_hi) of the levels {h = e} at every energy of
     es, as arrays of its shape: x vanishes at the endpoints.  For e in
     (min energy, 0) they bound the right-hand oval (mirror for the left);
-    for e > 0 they are (-y_max, y_max) of the single outer loop.
-
-    Past the blend band each crossing is a branch's root in closed form:
-    y = sqrt((b^2 e + 4C^2)/3) on the outer branch 3y^2 - 4C^2 and
-    y = sqrt(-b^2 e) on the inner branch -y^2, taken where the well's own
-    branch test holds at that y.  The crossings left lie in the band, on
-    either side of the minimum t_min, and one vectorised bisection on
-    g(y) <= b^2 e narrows them all to adjacent floats; each is the float on
-    the inside of the level.
+    for e > 0 they are (-y_max, y_max) of the single outer loop.  The
+    crossings are the well's own (`SmoothedWell.level_crossings`) at the
+    levels b^2 e; an empty level is refused.
     """
     es = np.asarray(es, dtype=float)
-    well, b2 = system.well, system.b ** 2
-    t_min, v_min = well.min_point()
-    e_min = v_min / b2
+    e_min = system.min_energy()
     if np.any(es <= e_min):
         raise DomainError(f"energy {es.min()} at or below the minimum {e_min}: "
                           f"empty level")
-    target = b2 * np.atleast_1d(es)
-    four_c2 = 4.0 * well.C ** 2
-    y_hi = np.sqrt((target + four_c2) / 3.0)
-    y_lo = np.sqrt(np.maximum(-target, 0.0))
-    # the band's crossings, where the branch test fails at the branch root
-    top = 4.0 * (y_hi * y_hi) - four_c2 < well.delta
-    bottom = 4.0 * (y_lo * y_lo) - four_c2 > -well.delta
-    t_lo, t_hi = well.band
-    level = np.concatenate([target[top], target[bottom]])
-    y_in = np.full(level.shape, t_min)  # g <= level from here to the root
-    y_out = np.concatenate([np.full(np.count_nonzero(top), t_hi),
-                            np.full(np.count_nonzero(bottom), t_lo)])
-    while True:
-        mid = 0.5 * (y_in + y_out)
-        if not np.any((mid != y_in) & (mid != y_out)):
-            break
-        inside = well.value(mid) <= level
-        y_in, y_out = np.where(inside, mid, y_in), np.where(inside, y_out, mid)
-    n_top = np.count_nonzero(top)
-    y_hi[top], y_lo[bottom] = y_in[:n_top], y_in[n_top:]
+    target = system.b ** 2 * np.atleast_1d(es)
+    y_lo, y_hi = system.well.level_crossings(target)
     return (np.where(target >= 0.0, -y_hi, y_lo).reshape(es.shape),
             y_hi.reshape(es.shape))
 
@@ -403,6 +377,7 @@ class ActionSpectrum:
     scan_floors: np.ndarray = field(default_factory=lambda: np.empty(0))
     labels_scanned: int = 0
     scan_confirms_bound: bool = False
+    # set when a budget stopped the scan before its last label
     partial: bool = False
 
     def __post_init__(self):
@@ -454,7 +429,9 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
     coordinate block, with actions k*pi*a^2 up to the window.  Group
     (ii): everything with a nonzero well factor; these are certified to
     sit above C^2 * min(A_{a,b}, pi a^2 / (4 b^2)), and a grid scan over
-    torus labels re-confirms the bound by direct orbit computation.
+    torus labels re-confirms the bound by direct orbit computation.  A
+    budget below scan_labels stops the scan after that many grid labels,
+    and the spectrum it returns has `partial` set.
     """
     if not window_top > 0:
         raise DomainError("window top must be positive")
@@ -485,7 +462,7 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
     es = es[np.abs(es) >= 1e-9]  # a vanishing well factor belongs to group (i)
     floors = _label_floors(system, es)
     scan_min = float(np.min(floors)) if es.size else math.inf
-    spectrum = ActionSpectrum(
+    return ActionSpectrum(
         group_i=group_i, group_ii_min_bound=bound, window_top=window_top,
         scan_min_floor=scan_min, scan_energies=es, scan_floors=floors,
         labels_scanned=int(es.size),
@@ -493,8 +470,3 @@ def characteristic_spectrum(D: IntegrableDomain, window_top: float,
         scan_confirms_bound=bool(es.size) and clears_bound(scan_min, bound),
         partial=stop < scan_labels,
     )
-    if spectrum.partial:
-        raise ScanBudgetError(
-            f"label scan budget {budget} exceeded at {stop}/{scan_labels}",
-            partial=spectrum)
-    return spectrum

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import AuditError, DomainError
+from .geometry import require_split
 
 # rounds of the Newton solve of `_beta_tail_inverse`; from the leading
 # term's root it settles in 3 to 9
@@ -54,8 +55,7 @@ def sphere_points_with_angle_ratio(n: int, k: int, count: int, seed: int,
     """Uniform sphere points conditioned on the angle ratio v/u lying in
     [0, rho_max], where v is the squared mass of the last k of the
     y-block.  Exact conditioning via the Beta law of v on the sphere."""
-    if not 1 <= k <= n:
-        raise DomainError(f"k = {k} outside 1..{n}")
+    require_split(n, k)
     if not rho_max > 0.0:
         raise DomainError(f"need rho_max > 0, got {rho_max}")
     g = rng(seed)

@@ -6,8 +6,8 @@ from symcone import (
     ExpressionHamiltonian,
     IntegrableDomain,
     PlanarWellSystem,
+    SmoothedWell,
     SupportMeta,
-    build_smoothed_well,
     sandwich_solve,
 )
 from symcone.contact import DOP853, _lockstep_rk, _step_count
@@ -18,7 +18,7 @@ from symcone.smoothing import (SmoothedSymplectization, _lift, _polar,
 @pytest.fixture(scope="session")
 def well3():
     """The C=3, eps=0.25 double-well profile used across the suite."""
-    return build_smoothed_well(C=3.0, eps=0.25)
+    return SmoothedWell(C=3.0, eps=0.25)
 
 
 @pytest.fixture(scope="session")

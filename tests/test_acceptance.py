@@ -19,7 +19,7 @@ from symcone import (
     Hyperboloid,
     IntegrableDomain,
     PlanarWellSystem,
-    build_smoothed_well,
+    SmoothedWell,
     candidate_pool,
     closed_orbit_at_energy,
     containment_audit,
@@ -78,7 +78,7 @@ def test_criterion_01_hyperboloid_capacity_exact(capsys):
 
 def test_criterion_02_spectrum_round_actions(capsys):
     t0 = time.monotonic()
-    well = build_smoothed_well(C=3.0, eps=0.25)
+    well = SmoothedWell(C=3.0, eps=0.25)
     D = IntegrableDomain(n=2, k=1, a=1.0, b=1.0, well=well)
     spec = characteristic_spectrum(D, window_top=10.0, scan_labels=120)
     want = (math.pi, 2 * math.pi, 3 * math.pi)
@@ -93,7 +93,7 @@ def test_criterion_03_well_actions_grow_quadratically(capsys):
     t0 = time.monotonic()
     mins, bounds, confirms = [], [], []
     for C in (2.0, 4.0, 8.0):
-        well = build_smoothed_well(C=C, eps=C / 12.0)
+        well = SmoothedWell(C=C, eps=C / 12.0)
         D = IntegrableDomain(n=2, k=1, a=1.0, b=1.0, well=well)
         spec = characteristic_spectrum(D, window_top=10.0, scan_labels=1000)
         mins.append(spec.scan_min_floor)
@@ -111,7 +111,7 @@ def test_criterion_03_well_actions_grow_quadratically(capsys):
 
 def test_criterion_04_planar_orbit_suite(capsys):
     t0 = time.monotonic()
-    well = build_smoothed_well(C=3.0, eps=0.25)
+    well = SmoothedWell(C=3.0, eps=0.25)
     system = PlanarWellSystem(a=1.0, b=1.0, well=well)
     rng = np.random.default_rng(2024)
     emin = system.min_energy()
@@ -152,7 +152,7 @@ def test_criterion_05_area_constant_against_monte_carlo(capsys):
 
 def test_criterion_06_boundary_transversality(capsys):
     t0 = time.monotonic()
-    well = build_smoothed_well(C=3.0, eps=0.25)
+    well = SmoothedWell(C=3.0, eps=0.25)
     D = IntegrableDomain(n=2, k=1, a=1.0, b=1.0, well=well)
     rng = np.random.default_rng(1234)
     pts = D.boundary_project(rng.standard_normal((10_000, 4)))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import symcone
-from symcone import cli, orbits, sampling, smoothing
+from symcone import cli, growth, orbits, sampling, smoothing
 from symcone.cli import _build_parser, main
 from symcone.growth import ConeFamily, Conjugator
 from symcone.smoothing import SmoothedSymplectization, symplecticity_defect
@@ -328,6 +328,15 @@ def test_spectrum_takes_an_explicit_eps(capsys):
     assert err == "symcone: need 0 < eps < C/10, got C=3.0, eps=0.3\n"
 
 
+@pytest.mark.parametrize("C", ["5.281945", "7.188219852135678"])
+def test_spectrum_runs_at_c_whose_square_pow_rounds_apart(capsys, C):
+    # the wells at these C were once refused by their own grid audit,
+    # whose 4C^2 rounded one ulp apart from the well's (exit 4)
+    code, out, err = run_cli(capsys, ["spectrum", "--C", C, "--labels", "5"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["labels_scanned"] == 5
+
+
 def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
     out_path = tmp_path / "partial.json"
     csv_path = tmp_path / "partial.csv"
@@ -335,7 +344,7 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
                                     "--budget", "15", "--out", str(out_path),
                                     "--csv", str(csv_path)])
     assert code == 3
-    assert "budget" in err
+    assert err == "symcone: label scan budget 15 exceeded at 15/40\n"
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["result"]["partial"] is True
     assert doc["result"]["labels_scanned"] == 15
@@ -824,6 +833,20 @@ def test_metric_audit_failure_is_exit_4(capsys, monkeypatch):
     assert code == 4 and err == "symcone: metric audit failed\n"
     res = json.loads(out)["result"]  # the envelope is still written
     assert res["dw_bound"]["2f|f"]["ok"] is False
+
+
+def test_metric_antisymmetry_failure_is_exit_4(capsys, monkeypatch):
+    # witnesses of 0.5 both ways between f and 2f put each class strictly
+    # below the other, which no pair of cones can be
+    monkeypatch.setattr(growth, "_closed_hi_matrix",
+                        lambda hi: {(i, j): 1.0 if i == j else 0.5
+                                    for i, j in hi})
+    code, out, err = run_cli(capsys, ["metric", "--family", "scaling",
+                                      "--grid", "200", "--pool", "0"])
+    assert code == 4 and err == "symcone: metric audit failed\n"
+    res = json.loads(out)["result"]
+    assert res["antisymmetry_ok"] is False
+    assert all(v["ok"] for v in res["dw_bound"].values())
 
 
 @pytest.mark.parametrize("family", ["scaling", "random"])

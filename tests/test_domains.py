@@ -13,7 +13,6 @@ from symcone import (
     Hyperboloid,
     SmoothedWell,
     StarDomain,
-    build_smoothed_well,
     containment_audit,
     sandwich_solve,
     sampling,
@@ -143,7 +142,7 @@ def test_well_minimum_matches_minimize_scalar(C, eps_share):
     # floats, and its g(t) is never above scipy's
     from scipy import optimize
 
-    well = build_smoothed_well(C, C * eps_share)
+    well = SmoothedWell(C, C * eps_share)
     t, v = well.min_point()
     res = optimize.minimize_scalar(well.value_at, bounds=well.band, method="bounded",
                                    options={"xatol": 1e-13})
@@ -188,27 +187,37 @@ def test_well_array_forms_are_bitwise_the_where_form(well3):
     def where_forms(well, t):
         t = np.asarray(t, dtype=float)
         t2 = t * t
-        d = 4.0 * t2 - well._four_c2
+        d = 4.0 * t2 - well.four_c2
         u = np.clip((d + well.delta) / (2.0 * well.delta), 0.0, 1.0)
-        value = np.where(d >= well.delta, 3.0 * t2 - well._four_c2,
+        value = np.where(d >= well.delta, 3.0 * t2 - well.four_c2,
                          np.where(d <= -well.delta, -t2,
                                   -t2 + 2.0 * well.delta * _step7_integral(u)))
-        d = 4.0 * t * t - well._four_c2
+        d = 4.0 * t * t - well.four_c2
         u = np.clip((d + well.delta) / (2.0 * well.delta), 0.0, 1.0)
         deriv = np.where(d >= well.delta, 6.0 * t,
                          np.where(d <= -well.delta, -2.0 * t,
                                   t * (-2.0 + 8.0 * _step7(u))))
         return value, deriv
 
+    def edge_well(C, t):
+        # a well whose band edge d = +-delta falls on t exactly: the eps
+        # of delta = 3.2 eps = |d|, searched among the floats next to |d|/3.2
+        d = 4.0 * t * t - 4.0 * C * C
+        eps = abs(d) / 3.2
+        for eps in (eps, np.nextafter(eps, 0.0), np.nextafter(eps, np.inf)):
+            well = SmoothedWell(C, float(eps))
+            if 4.0 * t * t - well.four_c2 in (well.delta, -well.delta):
+                return well
+        raise AssertionError(f"no well has its band edge at t = {t}")
+
     rng = np.random.default_rng(17)
     t_lo, t_hi = well3.band
-    # C = 1 wells whose band edges d = +-delta fall on dyadic t exactly:
-    # 4 * 1.25^2 - 4 = 2.25 and 4 * 0.5^2 - 4 = -3
+    # C = 8 wells with the upper and the lower band edge on a dyadic t
     cases = [(well3, np.concatenate([rng.uniform(-10.0, 10.0, 2999),
                                      rng.uniform(t_lo, t_hi, 500),
                                      -rng.uniform(t_lo, t_hi, 500)])),
-             (SmoothedWell(C=1.0, eps=0.1, delta=2.25), np.array([1.25, -1.25, 0.3])),
-             (SmoothedWell(C=1.0, eps=0.1, delta=3.0), np.array([0.5, -0.5, 1.1]))]
+             (edge_well(8.0, 8.03125), np.array([8.03125, -8.03125, 0.3])),
+             (edge_well(8.0, 7.96875), np.array([7.96875, -7.96875, 9.1]))]
     for well, t in cases:
         for shape in (t.shape, (t.size // 3, 3)):
             value, deriv = where_forms(well, t.reshape(shape))
@@ -218,15 +227,13 @@ def test_well_array_forms_are_bitwise_the_where_form(well3):
             value, deriv = where_forms(well, x)
             assert well.value(x).shape == () and well.value(x) == value
             assert well.deriv(x).shape == () and well.deriv(x) == deriv
-    d = 4.0 * np.array([1.25, 0.5]) ** 2 - 4.0
-    assert d.tolist() == [2.25, -3.0]
 
 
 @pytest.mark.parametrize("C", [0.5, 2.0, 3.0, 5.5, 8.0])
 def test_zero_d_well_input_gets_the_scalar_forms_bits(C):
     # a 0-d input takes the float forms, never the array power, which
     # rounds the band polynomial's last bit differently for some t
-    well = build_smoothed_well(C, C / 12.0)
+    well = SmoothedWell(C, C / 12.0)
     t_lo, t_hi = well.band
     rng = np.random.default_rng(int(4 * C))
     for x in np.concatenate([rng.uniform(t_lo, t_hi, 1000),
@@ -238,34 +245,63 @@ def test_zero_d_well_input_gets_the_scalar_forms_bits(C):
 
 
 def test_well_radial_inequality_everywhere(well3):
-    # (t/2) g'(t) - g(t) >= 0 is the convexity-type contract the builder
+    # (t/2) g'(t) - g(t) >= 0 is the convexity-type contract the constructor
     # audits; spot-check it on a fresh random grid.
     rng = np.random.default_rng(11)
     t = rng.uniform(-10.0, 10.0, size=20_000)
     assert np.min(0.5 * t * well3.deriv(t) - well3.value(t)) >= -1e-12
 
 
-def test_well_builder_rejects_bad_shapes():
+def test_well_constructor_rejects_bad_shapes():
     with pytest.raises(DomainError):
-        build_smoothed_well(C=3.0, eps=0.5)  # eps too large for C/10
+        SmoothedWell(C=3.0, eps=0.5)  # eps too large for C/10
     with pytest.raises(DomainError):
-        build_smoothed_well(C=-1.0, eps=0.01)
+        SmoothedWell(C=-1.0, eps=0.01)
 
 
 @pytest.mark.parametrize("C", [16.0, 20.0, 40.0])
-def test_well_builder_accepts_large_wells(C):
+def test_well_constructor_accepts_large_wells(C):
     # the grid checks compare terms of size 27 C^2, where one ulp is
     # already 9.1e-13 at C = 16
-    well = build_smoothed_well(C, C / 12.0)
+    well = SmoothedWell(C, C / 12.0)
     assert well.C == C
 
 
-def test_well_builder_still_refuses_a_dip(monkeypatch):
+@pytest.mark.parametrize("C", [5.281945, 7.188219852135678])
+def test_well_whose_c_squared_pow_rounds_apart_builds(C):
+    # at these C glibc's pow(C, 2) rounds one ulp away from C * C, so a
+    # well that held 4C^2 as 4.0 * C ** 2 and audited its branches
+    # against 4.0 * C * C refused itself; the well rounds 4C^2 once
+    well = SmoothedWell(C, C / 12.0)
+    assert well.four_c2 == 4.0 * C * C
+    t = np.linspace(C + well.eps, 3.0 * C, 1001)
+    assert np.array_equal(well.value(t), 3.0 * (t * t) - 4.0 * C * C)
+
+
+def test_well_constructor_still_refuses_a_dip(monkeypatch):
     value = SmoothedWell.value
     monkeypatch.setattr(SmoothedWell, "value",
                         lambda self, t: value(self, t) - 1e-9)
     with pytest.raises(AuditError, match="dips below"):
-        build_smoothed_well(16.0, 16.0 / 12.0)
+        SmoothedWell(16.0, 16.0 / 12.0)
+
+
+def test_well_constructor_refuses_a_radial_inequality_failure(monkeypatch):
+    deriv = SmoothedWell.deriv
+    monkeypatch.setattr(SmoothedWell, "deriv",
+                        lambda self, t: 0.5 * deriv(self, t))
+    with pytest.raises(AuditError, match="radial-derivative inequality fails"):
+        SmoothedWell(3.0, 0.25)
+
+
+def test_well_constructor_refuses_a_minimum_outside_its_window(monkeypatch):
+    # the grid checks read the array forms only; the minimum's value is
+    # the scalar form's, here moved 2 eps above -C^2
+    value_at = SmoothedWell.value_at
+    monkeypatch.setattr(SmoothedWell, "value_at",
+                        lambda self, t: value_at(self, t) + 2.0 * self.eps)
+    with pytest.raises(AuditError, match="outside the contract window"):
+        SmoothedWell(3.0, 0.25)
 
 
 def test_integrable_domain_gradient_and_liouville(domain3):
@@ -306,6 +342,10 @@ def test_integrable_domain_validation(well3):
         IntegrableDomain(n=2, k=2, a=1.0, b=1.0, well=well3)
     with pytest.raises(DomainError):
         IntegrableDomain(n=2, k=1, a=0.0, b=1.0, well=well3)
+    # G stays below 1 on the ray out to 2^60 when a = 1e150
+    wide = IntegrableDomain(n=2, k=1, a=1e150, b=1.0, well=well3)
+    with pytest.raises(DomainError, match="failed to exhaust along a ray"):
+        wide.boundary_project([[1.0, 0.0, 0.0, 0.0]])
 
 
 def test_sandwich_worked_constants(worked_certificate):

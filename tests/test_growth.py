@@ -98,6 +98,11 @@ def test_duplicate_ids_rejected(worked_hamiltonian):
         ConeFamily(2, 1, els, seed=0, pool_size=1, grid_points=500)
 
 
+def test_family_split_outside_range_is_refused():
+    with pytest.raises(DomainError, match=r"^k = 0 outside 1\.\.2$"):
+        ConeFamily(2, 0, [])
+
+
 def test_elements_off_the_family_split_are_refused(monkeypatch):
     # n = 2, k = 1 expressions in a (3, 2) family would be evaluated on
     # 6-column rows; the refusal comes before any metadata audit

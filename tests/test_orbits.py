@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from symcone import (IntegrableDomain, PlanarWellSystem, SmoothedWell,
-                     build_smoothed_well)
+from symcone import IntegrableDomain, PlanarWellSystem, SmoothedWell
 from symcone import orbits
-from symcone.errors import AuditError, DomainError, ScanBudgetError
+from symcone.errors import AuditError, DomainError
 from symcone.orbits import (
     OrbitRecord,
     area_constant,
@@ -49,6 +48,8 @@ def test_integrator_guards(planar3):
         integrate_planar(planar3, (0.0, 1.0), -1.0)
     with pytest.raises(DomainError):
         integrate_planar(planar3, (np.nan, 1.0), 1.0)
+    with pytest.raises(DomainError, match="integration diverged"):
+        integrate_planar(planar3, (1e3, 1e3), 1e3, step=10.0)
 
 
 def test_turning_points_lie_on_level(planar3):
@@ -101,7 +102,7 @@ def test_turning_points_match_brentq_on_every_criterion_03_level(C):
     # xtol of 1e-15, plus 4 ulps of y, plus what 8 ulps of the level move
     # the crossing, 8 ulp(e) / |g'(y)|, which rules at the deepest levels,
     # where g' nearly vanishes
-    system = PlanarWellSystem(a=1.0, b=1.0, well=build_smoothed_well(C, C / 12.0))
+    system = PlanarWellSystem(a=1.0, b=1.0, well=SmoothedWell(C, C / 12.0))
     e_min = system.min_energy()
     es = np.linspace(e_min + 1e-9 * max(1.0, abs(e_min)), 1.0, 1000)
     es = es[np.abs(es) >= 1e-9]
@@ -181,7 +182,7 @@ def _quad_level(system, e, y_lo, y_hi, weight):
 
 @pytest.mark.parametrize("C", [2.0, 3.0, 5.0, 8.0])
 def test_kernel_matches_scipy_quad_on_every_scan_level(C):
-    system = PlanarWellSystem(a=1.0, b=1.0, well=build_smoothed_well(C, C / 12.0))
+    system = PlanarWellSystem(a=1.0, b=1.0, well=SmoothedWell(C, C / 12.0))
     e_min = system.min_energy()
     grid = np.linspace(e_min + 1e-9 * max(1.0, abs(e_min)), 1.0, 200)
     es = grid[(grid >= -C * C / 4.0) & (np.abs(grid) >= 1e-9)]
@@ -347,7 +348,7 @@ def test_blocked_floors_are_the_one_block_areas(C):
     # bit; 40 labels audit 11 to 13 levels, three or four blocks and a
     # ragged one.
     D = IntegrableDomain(n=2, k=1, a=1.0, b=1.0,
-                         well=build_smoothed_well(C, C / 12.0))
+                         well=SmoothedWell(C, C / 12.0))
     system = PlanarWellSystem.from_domain(D)
     spec = characteristic_spectrum(D, 10.0, scan_labels=40)
     above = spec.scan_energies >= -C ** 2 / 4.0
@@ -383,9 +384,10 @@ def test_level_scan_computes_no_period(domain3, monkeypatch):
 
 
 def test_level_scan_searches_the_well_minimum_once(monkeypatch):
-    # Every label needs the well's minimum; it is searched once per well
-    # and held on it without becoming a field.  The search is a bisection
-    # on the sign of g', the only reader of deriv_at in a scan.
+    # Every label needs the well's minimum; it is searched once, when the
+    # well is built, and held on it without becoming a field.  The search
+    # is a bisection on the sign of g', the only reader of deriv_at in a
+    # scan.
     deriv_at, calls = SmoothedWell.deriv_at, []
 
     def counting(self, t):
@@ -393,21 +395,24 @@ def test_level_scan_searches_the_well_minimum_once(monkeypatch):
         return deriv_at(self, t)
 
     monkeypatch.setattr(SmoothedWell, "deriv_at", counting)
-    well = build_smoothed_well(C=3.0, eps=0.25)
+    well = SmoothedWell(C=3.0, eps=0.25)
     searched = len(calls)
     assert 40 <= searched <= 64  # halvings of the band down to one ulp
     D = IntegrableDomain(n=2, k=1, a=1.0, b=1.0, well=well)
     spec = characteristic_spectrum(D, 10.0, scan_labels=20)
     assert spec.labels_scanned == 20 and len(calls) == searched
     assert well.min_point() == well.min_point() and len(calls) == searched
-    assert [f.name for f in dataclasses.fields(well)] == ["C", "eps", "delta"]
-    assert well == SmoothedWell(C=well.C, eps=well.eps, delta=well.delta)
+    assert [f.name for f in dataclasses.fields(well)] == ["C", "eps"]
+    assert well == SmoothedWell(C=well.C, eps=well.eps)
 
 
 def test_spectrum_budget_interrupt(domain3):
-    with pytest.raises(ScanBudgetError) as exc:
-        characteristic_spectrum(domain3, window_top=10.0, scan_labels=120,
-                                budget=25)
-    partial = exc.value.partial
+    # a budget stop is returned, not raised: the spectrum of the labels
+    # scanned, marked partial, with the full scan's first 25 floors
+    partial = characteristic_spectrum(domain3, window_top=10.0,
+                                      scan_labels=120, budget=25)
     assert partial.partial and partial.labels_scanned == 25
     assert partial.scan_confirms_bound
+    full = characteristic_spectrum(domain3, window_top=10.0, scan_labels=120)
+    assert not full.partial and full.labels_scanned == 120
+    assert np.array_equal(partial.scan_floors, full.scan_floors[:25])
