@@ -5,6 +5,9 @@ domains only admit an interval enclosure, obtained from the sandwich
 certificate together with monotonicity.  Scalings act exactly on both:
 z -> sz multiplies capacities by s^2, while scaling the Hamiltonian by s
 shrinks its star domain and divides the capacity by s.
+
+The squeeze sweep draws s*V by a uniform direction and a radius uniform in
+volume along it: 1 - s^(-2n) of an uncapped ray's draws lie outside V.
 """
 import math
 from dataclasses import dataclass
@@ -116,13 +119,15 @@ def nonsqueezing_verdict(V: Hyperboloid, s: float,
 
     The theoretical verdict is immediate from scaling and monotonicity:
     w(sV) = s^2 w(V) > w(V) for s > 1, so a squeezing map cannot exist.
-    The sweep then tries each candidate anyway: points of s*V are
-    rejection-sampled, mapped, and a witness landing outside V is
-    exhibited.  A candidate with no witness is reported as CONTRADICTION
-    (it would falsify the capacity axioms, i.e. expose a bug).  Fewer
-    than one sample or no candidate is a DomainError: a sweep that maps
-    no point, or tries no map, shows nothing.  So is a sweep whose 64
-    blocks of box draws hold fewer than `samples` points of s*V.
+    The sweep then tries each candidate anyway on points of s*V drawn by
+    `sampling.ray_points`: theta uniform on the sphere, radius e U^(1/(2n))
+    with U uniform on [0, 1) and e = min(1/sqrt(G_sV(theta)), BOX_FACTOR
+    max(s a, s b)), s*V's extent along theta capped where G_sV <= 0.  On an
+    uncapped ray 1 - s^(-2n) of the draws lie in the shell between V and
+    s*V.  A mapped point outside V is an escape witness; a candidate with
+    none is reported as CONTRADICTION (it would falsify the capacity
+    axioms, i.e. expose a bug).  Fewer than one sample or no candidate is a
+    DomainError: a sweep that maps no point, or tries no map, shows nothing.
     """
     if samples < 1:
         raise DomainError(f"need at least 1 sweep sample, got {samples}")
@@ -133,24 +138,11 @@ def nonsqueezing_verdict(V: Hyperboloid, s: float,
         return NonsqueezingReport(domain=V, s=s, w=w, candidates=(),
                                   verdict="VACUOUS")
     big = V.scaled(s)
-    halfwidth = BOX_FACTOR * s * max(V.a, V.b)
-    streams = sampling.spawn(seed, 64)
-    pts = []
-    have = 0
-    for stream in streams:
-        draw = sampling.box_points(2 * V.n, halfwidth, samples, stream)
-        keep = draw[big.contains_many(draw)]
-        pts.append(keep)
-        have += keep.shape[0]
-        if have >= samples:
-            break
-    zs = np.vstack(pts)[:samples]
-    if zs.shape[0] < samples:
-        raise DomainError(
-            f"rejection sampling starved: s*V fills too little of the cube of "
-            f"half-width {BOX_FACTOR:g}*s*max(a, b) = {halfwidth:.6g} (kept "
-            f"{zs.shape[0]} of {samples} samples in {len(streams) * samples} draws)")
-
+    def extent(theta):
+        with np.errstate(divide="ignore"):
+            g = np.maximum(big.defining_function(theta), 0.0)
+            return np.minimum(1.0 / np.sqrt(g), BOX_FACTOR * max(big.a, big.b))
+    zs = sampling.ray_points(V.n, samples, seed, extent)
     results = []
     verdict = "IMPOSSIBLE"
     for cid, mp in candidates:

@@ -30,8 +30,8 @@ from .errors import AuditError, DomainError
 from .geometry import as_phase, require_split, split_uv, squared_split
 from . import sampling
 
-# half-width of a rejection-sampling box, in largest semi-axes of the
-# hyperboloid it must hold
+# half-width of a rejection-sampling box, and the squeeze sweep's radius cap
+# on rays that never leave s*V, in largest semi-axes of the hyperboloid
 BOX_FACTOR = 4.0
 # rows per block of the containment audit: 16384 points of R^4 are 512 KB,
 # so a block and its 1-D temporaries stay within a 2 MiB L2 cache
@@ -74,9 +74,6 @@ class Hyperboloid:
     def level(self, u, v):
         """G from the points' split masses (u, v)."""
         return u / self.a ** 2 - v / self.b ** 2
-
-    def contains_many(self, zs):
-        return self.defining_function(zs) < 1.0
 
     def scaled(self, s: float):
         if not s > 0:

@@ -50,6 +50,17 @@ def _unit_rows(g, count, dim):
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
+def ray_points(n: int, count: int, seed: int, extent):
+    """Rows t*theta in a domain star-shaped about 0: theta uniform on
+    S^{2n-1}, then t = extent(theta) U^(1/(2n)) with U uniform on [0, 1),
+    from one generator, so each ray is uniform in volume up to its extent.
+    `extent` maps unit rows to finite radii."""
+    g = rng(seed)
+    theta = _unit_rows(g, count, 2 * n)
+    t = extent(theta) * g.uniform(size=count) ** (1.0 / (2 * n))
+    return t[:, None] * theta
+
+
 def sphere_points_with_angle_ratio(n: int, k: int, count: int, seed: int,
                                    rho_max: float):
     """Uniform sphere points conditioned on the angle ratio v/u lying in

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symcone import (DomainError, ExpressionHamiltonian, Hyperboloid,
-                     StarDomain, SupportMeta)
+                     StarDomain, SupportMeta, sampling)
 from symcone.capacity import (
     CapacityInterval,
     candidate_pool,
@@ -13,6 +13,7 @@ from symcone.capacity import (
     capacity_of_hamiltonian,
     nonsqueezing_verdict,
 )
+from symcone.domains import BOX_FACTOR
 from symcone.smoothing import STEP_TOL
 
 
@@ -97,7 +98,7 @@ def test_sweep_finds_witnesses():
     for cand in rep.candidates:
         assert cand.escapes and cand.excess > 0
         assert cand.witness_point is not None
-        assert not V.contains_many(cand.witness_point)
+        assert not V.defining_function(cand.witness_point) < 1.0
 
 
 def test_default_squeeze_maps_all_meet_the_step_tolerance():
@@ -119,3 +120,94 @@ def test_sweep_flags_impossible_squeezer():
     assert rep.verdict == "CONTRADICTION"
     assert not rep.candidates[0].escapes
     assert rep.candidates[0].excess == -math.inf
+
+
+def _sweep_draws(monkeypatch, V, s, samples, seed):
+    """The rows the sweep of V at scale s maps, and the extent it drew
+    them under."""
+    drawn = {}
+    ray_points = sampling.ray_points
+
+    def spy(n, count, seed, extent):
+        drawn["extent"] = extent
+        drawn["rows"] = ray_points(n, count, seed, extent)
+        return drawn["rows"]
+
+    monkeypatch.setattr(sampling, "ray_points", spy)
+    nonsqueezing_verdict(V, s, [("identity", lambda zs: zs)],
+                         samples=samples, seed=seed)
+    return drawn["rows"], drawn["extent"]
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (4, 2)])
+def test_sweep_draws_fill_the_scaled_domain_by_ray(monkeypatch, n, k):
+    """Every draw lies in the closed s*V and within the box cap; along a
+    ray that leaves s*V, (t / extent)^(2n) is the uniform U of the radial
+    law, so its mean is 1/2, and a share 1 - s^(-2n) of the draws lies
+    outside V.  At 10^4 draws, over half of them on such rays, one
+    standard error of either mean is below 0.006, so both are held to
+    0.03."""
+    V, s = Hyperboloid(n=n, k=k, a=1.0, b=1.0), 1.5
+    big = V.scaled(s)
+    zs, extent = _sweep_draws(monkeypatch, V, s, 10_000, 3)
+    assert zs.shape == (10_000, 2 * n)
+    assert np.all(big.defining_function(zs) <= 1.0)
+    t = np.linalg.norm(zs, axis=1)
+    cap = BOX_FACTOR * max(big.a, big.b)
+    assert np.all(t <= cap)
+    theta = zs / t[:, None]
+    leaves = big.defining_function(theta) > 0.0
+    assert leaves.sum() > 5_000
+    e = extent(theta)
+    assert np.all(e <= cap) and np.all(e[~leaves] == cap)
+    u = (t[leaves] / e[leaves]) ** (2 * n)
+    assert abs(u.mean() - 0.5) < 0.03
+    uncapped = leaves & (e < cap)
+    shell = V.defining_function(zs[uncapped]) >= 1.0
+    assert abs(shell.mean() - (1.0 - s ** (-2 * n))) < 0.03
+
+
+def test_sweep_draws_repeat_by_seed(monkeypatch):
+    V = Hyperboloid(n=3, k=1, a=1.0, b=2.0)
+    first, _ = _sweep_draws(monkeypatch, V, 1.5, 500, 9)
+    again, _ = _sweep_draws(monkeypatch, V, 1.5, 500, 9)
+    other, _ = _sweep_draws(monkeypatch, V, 1.5, 500, 10)
+    assert first.tobytes() == again.tobytes()
+    assert not np.array_equal(first, other)
+
+
+def _last_pair_squeezer(n, lam):
+    """(x_n, y_n) -> (x_n / lam, lam y_n): linear and symplectic."""
+    def squeeze(zs):
+        out = np.array(zs, dtype=float)
+        out[:, n - 1] /= lam
+        out[:, 2 * n - 1] *= lam
+        return out
+    return squeeze
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("lam", [8.0, 64.0])
+def test_sweep_shows_a_symplectic_squeezer_escaping(n, lam):
+    """At k = 1 < n the map on the last pair sends much of s*V into V (it
+    lowers G), yet it is symplectic, so by Gromov's theorem some point of
+    s*V must land outside V, and the sweep must find one."""
+    V = Hyperboloid(n=n, k=1, a=1.0, b=1.0)
+    pair = ("last-pair", _last_pair_squeezer(n, lam))
+    rep = nonsqueezing_verdict(V, 1.5, [pair], samples=10_000, seed=0)
+    assert rep.verdict == "IMPOSSIBLE"
+    cand = rep.candidates[0]
+    assert cand.escapes and cand.excess >= 0.0
+    assert not V.defining_function(cand.witness_point) < 1.0
+
+
+def test_escape_is_measured_from_the_boundary_of_v():
+    """z -> sqrt(2/3) z sends 1.5 V onto sqrt(1.5) V, so the points the
+    sweep maps land at G < 1.5: some escape V, each by less than 0.5."""
+    V = Hyperboloid(n=2, k=1, a=1.0, b=1.0)
+    rep = nonsqueezing_verdict(
+        V, 1.5, [("shrink", lambda zs: math.sqrt(2.0 / 3.0) * zs)],
+        samples=10_000, seed=0)
+    assert rep.verdict == "IMPOSSIBLE"
+    cand = rep.candidates[0]
+    assert cand.escapes and 0.0 < cand.excess < 0.5

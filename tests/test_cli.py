@@ -380,9 +380,8 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
     (["metric", "--s", "0"], "scale must be positive"),
     (["metric", "--s", "-2"], "scale must be positive"),
     (["metric", "--s", "1"], "scale 1.0 repeats element f"),
-    (["squeeze", "--a", "1", "--b", "30", "--samples", "100", "--candidates", "1"],
-     "rejection sampling starved: s*V fills too little of the cube of "
-     "half-width 4*s*max(a, b) = 180 (kept 0 of 100 samples in 6400 draws)"),
+    (["squeeze", "--n", "0", "--candidates", "1", "--samples", "10"],
+     "k = 1 outside 1..0"),
     (["metric", "--pool", "0", "--grid", "100", "--s", "1e-320"],
      "scale 1e-320 is not a normal finite float"),
     (["metric", "--s", "nan"], "scale nan is not a normal finite float"),
@@ -404,12 +403,12 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
 def test_sizes_below_one_are_exit_2(capsys, argv, message):
     # an empty grid, sample, sweep, candidate list, family or spectrum
     # window would give a vacuous bound, audit, verdict, metric or spectrum,
-    # and a negative count or an empty phase space has no meaning; so has a
-    # scale that is not positive, a scaling family that holds one element
-    # twice, and a sweep whose box draws hold too few points of s*V; a
-    # subnormal scale would overflow 1 / s into an infinite distance, and
-    # nan or inf is no scale at all; a subnormal eps would overflow the
-    # cutoff's slope, and a negative label budget scans nothing
+    # and a negative count or an empty phase space (a sweep at n = 0
+    # included) has no meaning; so has a scale that is not positive and a
+    # scaling family that holds one element twice; a subnormal scale would
+    # overflow 1 / s into an infinite distance, and nan or inf is no scale
+    # at all; a subnormal eps would overflow the cutoff's slope, and a
+    # negative label budget scans nothing
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"symcone: {message}\n"
@@ -566,6 +565,23 @@ def test_squeeze_sweep_small(capsys):
     assert th["s2w_lo"] == pytest.approx(2.25 * math.pi, rel=1e-12)
     assert th["s2w_lo"] > th["w_hi"]
     assert all(c["escapes"] for c in res["candidates"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "4", "--k", "1", "--candidates", "1", "--samples", "2000"],
+    ["--n", "5", "--k", "1", "--candidates", "1", "--samples", "500"],
+    # s*V = {u/2.25 - v/2025 < 1} fills almost none of its box [-180, 180]^4
+    ["--a", "1", "--b", "30", "--samples", "100", "--candidates", "1"],
+], ids=["n-4", "n-5", "b-30"])
+def test_squeeze_draws_thin_domains_in_any_dimension(capsys, argv):
+    """The sweep draws s*V by direction and radius, so a domain that fills
+    little of its box, in high dimension or with a long v axis, is swept
+    like any other."""
+    code, out, err = run_cli(capsys, ["squeeze"] + argv)
+    assert (code, err) == (0, "")
+    res = json.loads(out)["result"]
+    assert res["verdict"] == "IMPOSSIBLE"
+    assert [c["escapes"] for c in res["candidates"]] == [True]
 
 
 def test_squeeze_below_unit_scale_is_vacuous(capsys):

@@ -30,16 +30,16 @@ def test_hyperboloid_membership_and_scaling():
     hyp = Hyperboloid(n=2, k=1, a=1.0, b=2.0)
     # u = x1^2+x2^2+y1^2, v = y2^2, so (0.9,0,0,0) is inside and
     # (1.1,0,0,0) is outside; cranking v back up re-admits the point.
-    np.testing.assert_array_equal(
-        hyp.contains_many([[0.9, 0.0, 0.0, 0.0], [1.1, 0.0, 0.0, 0.0],
-                           [1.1, 0.0, 0.0, 5.0]]), [True, False, True])
+    level = hyp.defining_function([[0.9, 0.0, 0.0, 0.0], [1.1, 0.0, 0.0, 0.0],
+                                   [1.1, 0.0, 0.0, 5.0]])
+    np.testing.assert_array_equal(level < 1.0, [True, False, True])
 
     big = hyp.scaled(3.0)
     assert big.a == 3.0 and big.b == 6.0
     rng = np.random.default_rng(7)
     pts = rng.uniform(-2.0, 2.0, size=(500, 4))
-    np.testing.assert_array_equal(big.contains_many(3.0 * pts),
-                                  hyp.contains_many(pts))
+    np.testing.assert_array_equal(big.defining_function(3.0 * pts) < 1.0,
+                                  hyp.defining_function(pts) < 1.0)
 
     with pytest.raises(DomainError):
         Hyperboloid(n=2, k=1, a=-1.0, b=1.0)
@@ -413,9 +413,9 @@ def whole_array_audit(H, cert, samples, seed):
     one `box_points` draw: the reference for the blocked audit."""
     halfwidth = BOX_FACTOR * max(cert.outer.a, cert.outer.b)
     pts = sampling.box_points(2 * H.n, halfwidth, samples, seed)
-    in_inner = cert.inner.contains_many(pts)
+    in_inner = cert.inner.defining_function(pts) < 1.0
     in_star = evaluated_membership(H, pts)
-    in_outer = cert.outer.contains_many(pts)
+    in_outer = cert.outer.defining_function(pts) < 1.0
     return ContainmentReport(
         samples_inner=int(np.sum(in_inner)), samples_outer=int(np.sum(in_star)),
         violations_inner=int(np.sum(in_inner & ~in_star)),

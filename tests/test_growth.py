@@ -10,6 +10,7 @@ from symcone.growth import (
     ConeElement,
     ConeFamily,
     Conjugator,
+    DistanceInterval,
     GrowthInterval,
     _closed_hi_matrix,
     dw_bound_check,
@@ -213,6 +214,18 @@ def test_dw_bound_interval_shape(scale_fam):
     # The enclosures of a shared-base pair overlap after transport, so the
     # certified right-hand side degrades to zero rather than overclaiming.
     assert out["rhs"] == 0.0
+
+
+def test_dw_bound_fails_below_the_capacity_gap():
+    """At (f, 100 f) the enclosures [pi/8, 4 pi] and [pi/800, pi/25] are
+    apart, so d_hi must reach rhs = log(3.125) / 2: a planted distance of 0
+    fails the check, and the pair's true distance log 100 passes it."""
+    fam = scaling_family(scales=(1.0, 100.0), pool_size=0, grid_points=200)
+    low = dw_bound_check(fam, "f", "100f", DistanceInterval(0.0, 0.0))
+    np.testing.assert_allclose(low["rhs"], 0.5 * math.log(3.125), rtol=1e-12)
+    assert low["ok"] is False
+    true = math.log(100.0)
+    assert dw_bound_check(fam, "f", "100f", DistanceInterval(true, true))["ok"]
 
 
 def _twice_f():
