@@ -16,7 +16,7 @@ function |z|^2 generates the counterclockwise rotation (-2y, 2x) of
 period pi.
 """
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -129,49 +129,37 @@ def _renorm(th):
     return th / np.sqrt(row_sum(th * th))[..., None]
 
 
-class Tableau(NamedTuple):
-    """An explicit Runge–Kutta table of s stages.  Stage i > 1 evaluates
-    at y + sum_j (rows[i - 2][j] h) k_j, and the step adds (h / divisor)
-    sum_j weights[j] k_j; both sums run in j order over the nonzero
-    entries."""
-
-    rows: tuple
-    weights: tuple
-    divisor: float
-
-
-# classical RK4: the step (h / 6) (k1 + 2 k2 + 2 k3 + k4)
-RK4 = Tableau(((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0)
-# the 12-stage 8th-order solution of Dormand and Prince's DOP853 (Hairer,
-# Norsett and Wanner, Solving ODEs I, II.10): rows 2 to 12 of A and the
-# weights b, each literal the shortest decimal of its float64 value
-DOP853 = Tableau(
-    (
-     (0.05260015195876773,),
-     (0.0197250569845379, 0.0591751709536137),
-     (0.02958758547680685, 0.0, 0.08876275643042054),
-     (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
-     (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
-     (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
-      -0.017578125),
-     (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
-      -0.015319437748624402, 0.008273789163814023),
-     (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
-      27.59209969944671, 20.154067550477894, -43.48988418106996),
-     (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
-      21.230051448181193, 15.279233632882423, -33.28821096898486,
-      -0.020331201708508627),
-     (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
-      -8.149787010746927, -18.52006565999696, 22.739487099350505,
-      2.4936055526796523, -3.0467644718982196),
-     (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
-      -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-      -8.87285693353063, 12.360567175794303, 0.6433927460157636),
-    ),
-    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
-    1.0)
+# the one Runge–Kutta table of the package: the 12-stage 8th-order
+# solution of Dormand and Prince's DOP853 (Hairer, Norsett and Wanner,
+# Solving ODEs I, II.10).  Stage i > 1 evaluates at
+# y + sum_j (DOP853_A[i - 2][j] h) k_j, and the step adds
+# h sum_j DOP853_B[j] k_j; both sums run in j order over the nonzero
+# entries.  Each literal is the shortest decimal of its float64 value.
+DOP853_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+)
+DOP853_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+            1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+            -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
 
 
 def _stage_input(y, row, h, slopes):
@@ -188,23 +176,21 @@ def _stage_input(y, row, h, slopes):
     return y + acc
 
 
-def _increment(table, h, slopes):
-    """(h / divisor) * sum_j w_j slopes[j] of the table, over the nonzero
-    weights in j order, accumulated in place in the buffer of the first
-    one's slope; every weighted slope is overwritten, so pass stage
-    slopes nothing else holds.  Under RK4 these are the operations of
-    that expression on the same operands."""
+def _increment(h, slopes):
+    """h * sum_j DOP853_B[j] slopes[j], over the nonzero weights in j
+    order, accumulated in place in the buffer of the first one's slope;
+    every weighted slope is overwritten, so pass stage slopes nothing
+    else holds."""
     acc = None
-    for w, k in zip(table.weights, slopes):
+    for w, k in zip(DOP853_B, slopes):
         if not w:
             continue
-        if w != 1.0:
-            k *= w
+        k *= w
         if acc is None:
             acc = k
         else:
             acc += k
-    acc *= h / table.divisor
+    acc *= h
     return acc
 
 
@@ -223,17 +209,17 @@ def _field_and_rate(Kv, g, th):
     return Y, row_sum(g * symplectic_gradient(2.0 * th))
 
 
-def _lockstep_rk(stage, z, th, steps, span, table):
-    """The one Runge–Kutta loop of the package, on an explicit `Tableau`.
-    Ambient rows z and sphere rows th take n equal steps over the span
-    for each count n of steps, (n,) or (n, 2n); stage(z, th) returns the
-    ambient field at z and (Y_K, dK(R)) at th, in arrays nothing else
-    holds.  The runs are stacked copies of the batch, so each stage of
-    the table is one stage call on the rows of every live run.  The
-    n-run leaves first, so the live rows are always a tail, kept by one
-    copy.  Rows never interact and each run takes its own step, so each
-    run's result is bitwise that of a call at its count alone.  Both
-    batches are made column-major on entry (see `geometry`); th is
+def _lockstep_rk(stage, z, th, steps, span):
+    """The one Runge–Kutta loop of the package, on the one table
+    (`DOP853_A`, `DOP853_B`).  Ambient rows z and sphere rows th take n
+    equal steps over the span for each count n of steps, (n,) or (n, 2n);
+    stage(z, th) returns the ambient field at z and (Y_K, dK(R)) at th,
+    in arrays nothing else holds.  The runs are stacked copies of the
+    batch, so each of the 12 stages is one stage call on the rows of
+    every live run.  The n-run leaves first, so the live rows are always
+    a tail, kept by one copy.  Rows never interact and each run takes
+    its own step, so each run's result is bitwise that of a call at its
+    count alone.  Both batches are made column-major on entry (see `geometry`); th is
     normalised on entry, after every stage and after every step, and
     carries log of the conformal factor.  Each slope stays held until
     the stage that replaces it has returned.
@@ -261,15 +247,15 @@ def _lockstep_rk(stage, z, th, steps, span, table):
     th = _renorm(th)
     logc = np.zeros(runs * nth)
     lo, hi, out = 0.0, 0.0, []
-    ks, fs, cs = ([None] * len(table.weights) for _ in range(3))
+    ks, fs, cs = ([None] * len(DOP853_B) for _ in range(3))
     for i in range(steps[-1]):
         ks[0], fs[0], cs[0] = stage(z, th)
-        for s, row in enumerate(table.rows, 1):
+        for s, row in enumerate(DOP853_A, 1):
             ks[s], fs[s], cs[s] = stage(_stage_input(z, row, hz, ks),
                                         _renorm(_stage_input(th, row, hth, fs)))
-        z = _increment(table, hz, ks) + z
-        th = _renorm(_increment(table, hth, fs) + th)
-        logc += _increment(table, hc, cs)
+        z = _increment(hz, ks) + z
+        th = _renorm(_increment(hth, fs) + th)
+        logc += _increment(hc, cs)
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(th))):
             raise IntegrationError("flow diverged", {"step_index": i})
         lo, hi = float(np.min(logc, initial=lo)), float(np.max(logc, initial=hi))
@@ -296,12 +282,15 @@ def reeb_derivative(K: ContactHamiltonian, theta):
 class ContactIsotopy:
     """The autonomous flow of one sphere Hamiltonian over [0, 1].
 
-    The flow integrates the sphere field with classical RK4 in the one
-    loop `_lockstep_rk`, renormalizing to the sphere each stage, and carries
-    log of the conformal factor along every trajectory as one extra scalar.
+    The flow integrates the sphere field in the one loop `_lockstep_rk`
+    on the package's one table, DOP853, which the smoothed map steps too,
+    renormalizing to the sphere each stage, and carries log of the
+    conformal factor along every trajectory as one extra scalar.  The
+    default step, the metric pool's, takes 15 steps (180 kernel stages)
+    over [0, 1].
     """
 
-    def __init__(self, hamiltonian: ContactHamiltonian, step: float = 1e-3):
+    def __init__(self, hamiltonian: ContactHamiltonian, step: float = 1 / 15):
         if not step > 0:
             raise IntegrationError("step underflow", {"step": step})
         self.hamiltonian = hamiltonian
@@ -325,7 +314,7 @@ class ContactIsotopy:
 
         span = t_to - t_from
         (flowed,) = _lockstep_rk(stage, np.empty((0, rows.shape[1])), rows,
-                                 (_step_count(span, self.step),), span, RK4)
+                                 (_step_count(span, self.step),), span)
         return flowed[1:3]
 
     def inverse_images(self, thetas):

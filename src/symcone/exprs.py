@@ -207,8 +207,6 @@ class ExpressionHamiltonian(ContactHamiltonian):
 
     def __init__(self, text: str, n: int, k: int, meta: SupportMeta = None,
                  meta_seed: int = 0):
-        if n < 1:
-            raise DomainError(f"need n >= 1, got {n}")
         require_split(n, k)
         self._bumps, self._plan = _Parser(_tokenize(text), n).parse()
         # the distinct profiles as (bumps, 1) columns, for one stacked pass
@@ -293,8 +291,7 @@ class ExpressionHamiltonian(ContactHamiltonian):
 def random_hamiltonian(n, k, seed, amplitude=1.0):
     """Seeded nonnegative compactly supported expression Hamiltonian:
     a plateau bump plus two even-monomial bump terms."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    require_split(n, k)
     if not amplitude > 0:
         raise DomainError(f"amplitude must be positive, got {amplitude}")
     if not amplitude < np.inf:

@@ -87,7 +87,10 @@ def squared_split(z, k: int):
 
 
 def require_split(n: int, k: int):
-    """Refuse a split index k outside 1..n."""
+    """Refuse an empty phase space (n < 1), then a split index k outside
+    1..n."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
     if not 1 <= k <= n:
         raise DomainError(f"k = {k} outside 1..{n}")
 

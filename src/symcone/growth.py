@@ -108,8 +108,7 @@ class ConeFamily:
         self.pool: List[Conjugator] = [Conjugator("identity")]
         for i, s in enumerate(sampling.spawn(seed + 1, pool_size)):
             gen = random_hamiltonian(n, k, seed=s)
-            self.pool.append(
-                Conjugator(f"flow-{i}", ContactIsotopy(gen, step=2e-2)))
+            self.pool.append(Conjugator(f"flow-{i}", ContactIsotopy(gen)))
         # c * f(pre) per (element id, conjugator); pairs of elements share it
         self._pulled: Dict[Tuple[str, Conjugator], np.ndarray] = {}
         self._caps: Dict[str, CapacityInterval] = {}

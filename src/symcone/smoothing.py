@@ -15,14 +15,15 @@ map's step.
 The map takes its certificate (`smoothing_certificate`) and chooses its
 step once, at construction (`SmoothedSymplectization._choose_step`), by
 step doubling on pilot rows the map owns.  For each n of PILOT_STEPS in
-turn it runs DOP853's 8th-order solution (`contact.DOP853`) at n and at
-2n steps, as the two runs of one call of the package's one Runge–Kutta
+turn it runs the package's one Runge–Kutta table, DOP853's 8th-order
+solution, at n and at 2n steps, as the two runs of one call of its one
 loop, `contact._lockstep_rk`, and takes n steps at the first n whose gap
 between the two runs is at most STEP_TOL.  When no pair passes, it takes
 the last pair's n, and its `StepChoice.estimate`, that pair's gap, is
 above the tolerance: the audit's thresholds then judge the map's images.
 The map steps every integration on DOP853 at that step in the same loop,
-which `ContactIsotopy.flow_many` runs on RK4 with no ambient rows.
+which `ContactIsotopy.flow_many` runs on the same table with no ambient
+rows.
 Beside the ambient rows the loop carries sphere rows: 512 seeded probes
 of the conformal factor, and the rows of a homogeneous lift when one is
 asked for (`map_and_lift`).  Each stage (`_stage`) evaluates K once on
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blends import cutoff_with_deriv, plateau_bump
-from .contact import (DOP853, ContactHamiltonian, _field_and_rate,
-                      _lockstep_rk, _step_count, reeb_derivative)
+from .contact import (ContactHamiltonian, _field_and_rate, _lockstep_rk,
+                      _step_count, reeb_derivative)
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
 from . import sampling
@@ -232,8 +233,7 @@ class SmoothedSymplectization:
         for n in PILOT_STEPS:
             last = n == PILOT_STEPS[-1]
             try:
-                runs = _lockstep_rk(self._stage, pilot_z, pilot_th, (n, 2 * n),
-                                    1.0, DOP853)
+                runs = _lockstep_rk(self._stage, pilot_z, pilot_th, (n, 2 * n), 1.0)
             except IntegrationError:
                 if last:
                     raise
@@ -264,7 +264,7 @@ class SmoothedSymplectization:
         still = (row_sum(zs * zs) <= self.certificate.eps) & np.all(zs != 0.0, axis=1)
         ((z, th, logc, lo, hi),) = _lockstep_rk(
             self._stage, zs[~still], np.concatenate([thetas, self._probes]),
-            (_step_count(1.0, self.step),), 1.0, DOP853)
+            (_step_count(1.0, self.step),), 1.0)
         _conformal_envelope(self.certificate, lo, hi)
         zs[~still] = z
         nt = len(thetas)

@@ -10,7 +10,7 @@ from symcone import (
     SupportMeta,
     sandwich_solve,
 )
-from symcone.contact import DOP853, _lockstep_rk, _step_count
+from symcone.contact import _lockstep_rk, _step_count
 from symcone.smoothing import (SmoothedSymplectization, _lift, _polar,
                                smoothing_certificate)
 
@@ -70,13 +70,13 @@ def symplectize_ambient(iso, zs):
     return _lift(r, *iso.flow_many(th, 0.0, 1.0))
 
 
-def lift_on_the_maps_table(sm, zs):
+def lift_at_the_maps_step(sm, zs):
     """The homogeneous lift of the time-1 map that the smoothed map sm
     steps, with phi and c from one loop call on the directions of zs
-    alone, on DOP853 at sm's own step: the reference route for
+    alone, at sm's own step: the reference route for
     `SmoothedSymplectization.map_and_lift`, whose lift rows ride beside
     the map's ambient rows and probes."""
     r, th = _polar(zs)
     (run,) = _lockstep_rk(sm._stage, np.empty((0, zs.shape[1])), th,
-                          (_step_count(1.0, sm.step),), 1.0, DOP853)
+                          (_step_count(1.0, sm.step),), 1.0)
     return _lift(r, run[1], run[2])

@@ -18,7 +18,7 @@ from symcone.cli import _build_parser, main
 from symcone.growth import ConeFamily, Conjugator
 from symcone.smoothing import SmoothedSymplectization, symplecticity_defect
 
-from conftest import lift_on_the_maps_table
+from conftest import lift_at_the_maps_step
 
 
 def run_cli(capsys, argv):
@@ -251,19 +251,24 @@ WORKLOAD_EXPR = ("0.83 * bump(rho; 0.62, 2.1) + 0.31 * bump(rho; 0.45, 1.9) * mo
      ["smoothing-audit", "--points", "50", "--seed", "12"]),
     ("smoothing_audit_n3_k2_points50.json",
      ["smoothing-audit", "--n", "3", "--k", "2", "--points", "50"]),
+    ("metric_random_count3_pool1_seed10.json",
+     ["metric", "--family", "random", "--count", "3", "--pool", "1",
+      "--seed", "10"]),
 ])
 def test_envelope_matches_golden_bytes(capsys, name, argv):
-    # The runs use exact arithmetic and seeded PCG64 draws only (the metric
-    # run's one conjugator is the identity, so it steps no flow), so the
-    # recorded envelopes hold on every platform.  The workload expression's
-    # metadata is estimated: its inner probes pass through numpy's log and
-    # exp, but both monomials are in y2, so m is 0.75 * 0.83 whatever their
-    # last bits (the least monomial part, 1.3e-18, is 40 times below half
-    # an ulp of 0.83).  The spectrum run goes through numpy's cos, sqrt
-    # and power, so its bytes pin those of the x86-64 Linux build they
-    # were recorded on.  Like it, the squeeze and smoothing-audit runs pin
-    # the exp, sqrt and power bits of that build: their sphere samples and
-    # smoothed maps go through all three.
+    # The capacity, sandwich and scaling metric runs use exact arithmetic
+    # and seeded PCG64 draws only (the scaling metric run's one conjugator
+    # is the identity, so it steps no flow), so the recorded envelopes hold
+    # on every platform.  The workload expression's metadata is estimated:
+    # its inner probes pass through numpy's log and exp, but both monomials
+    # are in y2, so m is 0.75 * 0.83 whatever their last bits (the least
+    # monomial part, 1.3e-18, is 40 times below half an ulp of 0.83).  The
+    # spectrum run goes through numpy's cos, sqrt and power, so its bytes
+    # pin those of the x86-64 Linux build they were recorded on.  Like it,
+    # the squeeze and smoothing-audit runs pin the exp, sqrt and power bits
+    # of that build: their sphere samples and smoothed maps go through all
+    # three.  So does the random metric run, which steps its pool's one
+    # flow: that flow's log conformal factor moves the h0|h2 distance's lo.
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
     golden = Path(__file__).resolve().parent / "golden" / name
@@ -381,7 +386,7 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
     (["metric", "--s", "-2"], "scale must be positive"),
     (["metric", "--s", "1"], "scale 1.0 repeats element f"),
     (["squeeze", "--n", "0", "--candidates", "1", "--samples", "10"],
-     "k = 1 outside 1..0"),
+     "need n >= 1, got 0"),
     (["metric", "--pool", "0", "--grid", "100", "--s", "1e-320"],
      "scale 1e-320 is not a normal finite float"),
     (["metric", "--s", "nan"], "scale nan is not a normal finite float"),
@@ -399,16 +404,18 @@ def test_spectrum_budget_writes_partial_and_exits_3(tmp_path, capsys):
     (["capacity", "--expr", "1 * bump(rho; 1, 3)", "--n", "0"], "need n >= 1, got 0"),
     (["capacity", "--expr", "1 * bump(rho; 1, 3)", "--n", "-1"],
      "need n >= 1, got -1"),
+    (["capacity", "--hyperboloid", "--n", "0"], "need n >= 1, got 0"),
 ])
 def test_sizes_below_one_are_exit_2(capsys, argv, message):
     # an empty grid, sample, sweep, candidate list, family or spectrum
     # window would give a vacuous bound, audit, verdict, metric or spectrum,
-    # and a negative count or an empty phase space (a sweep at n = 0
-    # included) has no meaning; so has a scale that is not positive and a
-    # scaling family that holds one element twice; a subnormal scale would
-    # overflow 1 / s into an infinite distance, and nan or inf is no scale
-    # at all; a subnormal eps would overflow the cutoff's slope, and a
-    # negative label budget scans nothing
+    # and a negative count or an empty phase space (a sweep or a
+    # hyperboloid capacity at n = 0 included) has no meaning; so has a
+    # scale that is not positive and a scaling family that holds one
+    # element twice; a subnormal scale would overflow 1 / s into an
+    # infinite distance, and nan or inf is no scale at all; a subnormal
+    # eps would overflow the cutoff's slope, and a negative label budget
+    # scans nothing
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"symcone: {message}\n"
@@ -624,7 +631,7 @@ def test_smoothing_audit_passes(capsys, monkeypatch):
                             K * eps * rng.uniform(1.001, 4.0, size=33)])
     zs_all = np.sqrt(r_all)[:, None] * sampling.sphere_points(2, 100, 34)
     want = [np.linalg.norm(sm(zs_in) - zs_in, axis=1),
-            np.linalg.norm(sm(zs_out) - lift_on_the_maps_table(sm, zs_out), axis=1),
+            np.linalg.norm(sm(zs_out) - lift_at_the_maps_step(sm, zs_out), axis=1),
             symplecticity_defect(sm, zs_all)]
     got = [float(checks[key]) for key in ("identity_ball_max_move",
                                           "agreement_max_diff",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from symcone import AuditError, DomainError, sampling
-from symcone.contact import SupportMeta
+from symcone.capacity import CapacityInterval
+from symcone.contact import ContactIsotopy, SupportMeta
 from symcone.exprs import ExpressionHamiltonian
 from symcone.growth import (
     ConeElement,
@@ -262,6 +263,37 @@ def test_declared_scale_contradicting_the_witnesses_is_an_audit_error():
                      pool_size=0, grid_points=100)
     with pytest.raises(AuditError, match="exceeds witnessed upper bound"):
         relative_growth_bounds(fam, "f", "2f")
+
+
+def test_capacities_above_the_witness_are_an_audit_error(monkeypatch):
+    # f and 2f under bases of their own, so lo comes from the capacity
+    # route: planted enclosures [1, 1] put lo at 1, twice the identity's
+    # exact witness f <= 0.5 * (2f)
+    base = ExpressionHamiltonian(
+        "1 * bump(rho; 1, 3)", n=2, k=1,
+        meta=SupportMeta(M=1.0, m=0.5, rho0=0.1, rho1=3.0))
+    fam = ConeFamily(2, 1, [ConeElement("f", base, base_id="f"),
+                            ConeElement("h", _twice_f(), base_id="h")],
+                     pool_size=0, grid_points=500)
+    assert fam.sup_ratio("f", "h", fam.pool[0]) == 0.5
+    monkeypatch.setattr(ConeFamily, "capacity",
+                        lambda self, eid: CapacityInterval(1.0, 1.0))
+    with pytest.raises(AuditError, match="exceeds witnessed upper bound"):
+        relative_growth_bounds(fam, "f", "h")
+
+
+def test_pool_flows_stay_near_a_fine_reference():
+    """Each pool flow steps DOP853 at the isotopy's default step; on the
+    first 500 grid rows its preimages and log conformal factors lie within
+    2e-2, in chord length and in log c, of the same flow at 240 steps."""
+    fam = random_family(count=3, seed=1, pool_size=3)
+    grid = fam.grid[:500]
+    for conj in fam.pool[1:]:
+        pre, c = conj.iso.inverse_images(grid)
+        ref_pre, ref_c = ContactIsotopy(conj.iso.hamiltonian,
+                                        step=1 / 240).inverse_images(grid)
+        assert np.max(np.linalg.norm(pre - ref_pre, axis=1)) < 2e-2
+        assert np.max(np.abs(np.log(c / ref_c))) < 2e-2
 
 
 def test_scale_ids_name_their_scales():

@@ -13,12 +13,12 @@ from symcone import (
     symplecticity_defect,
 )
 from symcone import IntegrationError, sampling, smoothing
-from symcone.contact import DOP853, _lockstep_rk, _step_count, reeb_derivative
+from symcone.contact import DOP853_B, _lockstep_rk, _step_count, reeb_derivative
 from symcone.smoothing import (PILOT_STEPS, STEP_TOL, SmoothedSymplectization,
                                StepChoice, symplecticity_defect_of_images,
                                symplecticity_stencil)
 
-from conftest import (lift_on_the_maps_table, smoothed_map, sphere,
+from conftest import (lift_at_the_maps_step, smoothed_map, sphere,
                       symplectize_ambient, zero_hamiltonian)
 
 
@@ -33,7 +33,7 @@ def tame_map():
     """The map of one generator, beside that generator's isotopy: the
     reference route of the homogeneous lift."""
     K = random_hamiltonian(2, 1, seed=31, amplitude=0.1)
-    return ContactIsotopy(K, step=1e-3), smoothed_map(K, 0.05)
+    return ContactIsotopy(K, step=0.02), smoothed_map(K, 0.05)
 
 
 def test_identity_isotopy_certificate_is_tight():
@@ -99,7 +99,7 @@ def test_ball_row_with_a_signed_zero_is_stepped(tame_map, monkeypatch):
     images = sm(zs)
     assert rows == [2 + 512] * (12 * round(1.0 / sm.step))
     (stepped,) = _lockstep_rk(sm._stage, zs[:2], sm._probes, (round(1.0 / sm.step),),
-                              1.0, DOP853)
+                              1.0)
     assert np.array_equal(images[:2], stepped[0])
     assert np.array_equal(np.signbit(images[:2]), np.signbit(stepped[0]))
     # the loop turns the first row's third zero from -0.0 to +0.0
@@ -119,7 +119,7 @@ def test_loop_leaves_ordinary_ball_rows_put(tame_map):
                       [[0.125, 0.18540496217739158, 1e-200, -1e-200]]])
     assert np.sum(ball * ball, axis=1)[-1] == eps and np.all(ball != 0.0)
     (stepped,) = _lockstep_rk(sm._stage, ball, np.empty((0, 4)),
-                              (_step_count(1.0, sm.step),), 1.0, DOP853)
+                              (_step_count(1.0, sm.step),), 1.0)
     assert np.array_equal(stepped[0], ball)
 
 
@@ -176,7 +176,7 @@ def test_lift_scales_like_rays():
     """The homogeneous lift is 1-homogeneous: scaling the input scales
     the output by the same factor."""
     K = random_hamiltonian(2, 1, seed=8, amplitude=0.2)
-    iso = ContactIsotopy(K, step=1e-3)
+    iso = ContactIsotopy(K, step=0.02)
     rng = np.random.default_rng(33)
     zs = shell(rng, 40, 4, 0.5, 2.0)
     one = symplectize_ambient(iso, zs)
@@ -197,9 +197,9 @@ def test_sampled_envelope_must_sit_inside_the_rate_bound(monkeypatch):
     K = random_hamiltonian(2, 1, seed=2, amplitude=0.1)
     probes = []
 
-    def recorded(stage, z, th, steps, span, table):
+    def recorded(stage, z, th, steps, span):
         probes.append((list(steps), len(th)))
-        return _lockstep_rk(stage, z, th, steps, span, table)
+        return _lockstep_rk(stage, z, th, steps, span)
 
     monkeypatch.setattr(smoothing, "_rate_envelope", lambda K: (1.0, 1.0))
     monkeypatch.setattr(smoothing, "_lockstep_rk", recorded)
@@ -224,7 +224,7 @@ def test_lift_rows_are_audited_beside_the_probes():
 
     def sampled_max(th):
         (run,) = _lockstep_rk(honest._stage, np.empty((0, 4)), th,
-                              (_step_count(1.0, honest.step),), 1.0, DOP853)
+                              (_step_count(1.0, honest.step),), 1.0)
         return run[4]
 
     probes_max, lift_max = sampled_max(honest._probes), sampled_max(top)
@@ -242,7 +242,7 @@ def doubling_gap(sm, n):
     rows: the largest row norm of the differences between the runs at n
     and 2n steps, each a loop call of its own."""
     z, th = sm._pilot_rows()
-    fine, coarse = (_lockstep_rk(sm._stage, z, th, (k,), 1.0, DOP853)[0][:3]
+    fine, coarse = (_lockstep_rk(sm._stage, z, th, (k,), 1.0)[0][:3]
                     for k in (2 * n, n))
     return max(np.max(np.linalg.norm(fine[0] - coarse[0], axis=1)),
                np.max(np.linalg.norm(fine[1] - coarse[1], axis=1)),
@@ -282,10 +282,9 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
     second pair in a second call, and no more."""
     pilot_steps = []
 
-    def counted(stage, z, th, steps, span, table):
-        assert table is DOP853
+    def counted(stage, z, th, steps, span):
         pilot_steps[-1].append(list(steps))
-        return _lockstep_rk(stage, z, th, steps, span, table)
+        return _lockstep_rk(stage, z, th, steps, span)
 
     monkeypatch.setattr(smoothing, "_lockstep_rk", counted)
     chosen = []
@@ -301,23 +300,23 @@ def test_every_map_pays_the_same_pilot_steps(monkeypatch):
 def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
     """Pilot pairs that diverge step down the ladder, and the last one's
     IntegrationError refuses the map at construction."""
-    tables = []
+    calls = []
 
-    def diverging(stage, z, th, steps, span, table):
-        tables.append(table)
+    def diverging(stage, z, th, steps, span):
+        calls.append(list(steps))
         raise IntegrationError("flow diverged", {"step_index": 0})
 
     monkeypatch.setattr(smoothing, "_lockstep_rk", diverging)
     with pytest.raises(IntegrationError, match="diverged"):
         smoothed_map(random_hamiltonian(2, 1, seed=2, amplitude=0.1), 0.05)
-    assert tables == [DOP853] * len(PILOT_STEPS)
+    assert calls == [[n, 2 * n] for n in PILOT_STEPS]
 
 
 def _stand_in_pilot(gaps, calls):
     """A pilot whose pair of runs at n and 2n steps sits gaps[n] apart,
     in the first ambient coordinate of the run at n steps, everything
     else equal."""
-    def pilot(stage, z, th, steps, span, table):
+    def pilot(stage, z, th, steps, span):
         calls.append(list(steps))
         runs = []
         for n_steps in steps:
@@ -408,7 +407,7 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
     images = sm(np.vstack([ball[:5], outside, ball[5:]]))
     # round(1 / step) steps of DOP853's 12 stages at the map's chosen
     # step; the 512 conformal-factor probes ride in the same call
-    assert len(DOP853.weights) == 12
+    assert len(DOP853_B) == 12
     assert grads == [15 + 512] * (12 * round(1.0 / sm.step))
     assert np.array_equal(images[5:20], want)
     assert np.array_equal(np.delete(images, np.s_[5:20], axis=0), ball)
@@ -417,11 +416,11 @@ def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
 def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
     """One lockstep integration gives, bitwise, the map's own images and
     the homogeneous lift from a loop call on the lift's directions alone,
-    on DOP853 at the map's step.  Both routes step one loop,
+    at the map's step.  Both routes step one loop,
     `contact._lockstep_rk`; `test_flow_is_bitwise_the_reference_sphere_loop`
-    (test_contact.py) holds that loop to a separate one under RK4, and
-    `test_dop853_steps_a_rotation_at_order_8` to the exact flow under
-    DOP853."""
+    (test_contact.py) holds that loop to a separate one written out from
+    scipy's DOP853 table, and `test_dop853_steps_a_rotation_at_order_8` to
+    the exact flow."""
     _, sm = tame_map
     cert = sm.certificate
     rng = np.random.default_rng(35)
@@ -431,7 +430,7 @@ def test_map_and_lift_is_bitwise_the_two_routes(tame_map):
                     cert.K_factor * cert.eps * 4.0)
     images, lift = sm.map_and_lift(zs, lift_zs)
     assert np.array_equal(images, sm(zs))
-    assert np.array_equal(lift, lift_on_the_maps_table(sm, lift_zs))
+    assert np.array_equal(lift, lift_at_the_maps_step(sm, lift_zs))
     with pytest.raises(DomainError, match="origin"):
         sm.map_and_lift(zs, np.zeros((1, 4)))
 
