@@ -5,6 +5,13 @@ two exact closed-form branches goes through one of these profiles, so the
 regularity of the whole artifact is decided in one place.  All profiles
 are C^4: high enough that fourth-order integrators and five-point
 finite-difference stencils see smooth data.
+
+The profiles with a derivative have two forms.  `_cutoff_profile` and
+`_plateau_profile` are arithmetic only: they check no bounds, so the RK
+stages call them on bounds their owners checked once at construction
+(the chi band in `smoothing.smoothing_certificate`, each bump's ends at
+`exprs` parse time).  `cutoff_with_deriv` and `plateau_bump_with_deriv`
+are those bodies behind their bounds' check, which raises ValueError.
 """
 import numpy as np
 
@@ -64,16 +71,31 @@ def cutoff(r, r_lo, r_hi):
     return smoothstep((np.asarray(r, dtype=float) - r_lo) / (r_hi - r_lo))
 
 
+def _cutoff_profile(r, r_lo, r_hi):
+    """(cutoff, its derivative in r) at a float array r, bounds unchecked:
+    one clip and one fourth power, formed in place.  The value is bitwise
+    the one `cutoff` returns: the clip is `np.clip`'s, NaN and signed
+    zeros included.  (profiles, 1) columns of `r_lo`, `r_hi` give one row
+    per profile, each bitwise its own call."""
+    width = r_hi - r_lo
+    u = r - r_lo
+    u /= width
+    np.maximum(0.0, u, out=u)
+    np.minimum(1.0, u, out=u)
+    u4 = u * u
+    u4 *= u
+    u4 *= u
+    slope = _step_slope(u, u4)
+    slope /= width
+    return _step_value(u, u4), slope
+
+
 def cutoff_with_deriv(r, r_lo, r_hi):
-    """(cutoff, its derivative in r) from one clip and one fourth power;
-    the value is bitwise the one `cutoff` returns.  (profiles, 1) columns
-    of `r_lo`, `r_hi` give one row per profile, each bitwise its own call."""
+    """`_cutoff_profile` at r as a float array of at least one dimension,
+    once r_lo < r_hi holds everywhere; else ValueError."""
     if not np.all(r_lo < r_hi):
         raise ValueError("cutoff needs r_lo < r_hi")
-    width = r_hi - r_lo
-    u = np.clip((np.asarray(r, dtype=float) - r_lo) / width, 0.0, 1.0)
-    u4 = u * u * u * u
-    return _step_value(u, u4), _step_slope(u, u4) / width
+    return _cutoff_profile(np.array(r, dtype=float, ndmin=1), r_lo, r_hi)
 
 
 def plateau_bump(t, t_flat, t_zero):
@@ -85,10 +107,19 @@ def plateau_bump(t, t_flat, t_zero):
     return 1.0 - cutoff(t, t_flat, t_zero)
 
 
+def _plateau_profile(t, t_flat, t_zero):
+    """(plateau_bump, its derivative in t), bounds unchecked: one minus
+    `_cutoff_profile` and its negated slope, both formed in place,
+    (profiles, 1) columns included."""
+    value, slope = _cutoff_profile(t, t_flat, t_zero)
+    np.subtract(1.0, value, out=value)
+    np.negative(slope, out=slope)
+    return value, slope
+
+
 def plateau_bump_with_deriv(t, t_flat, t_zero):
-    """(plateau_bump, its derivative in t): one minus `cutoff_with_deriv`
-    and its negated slope, (profiles, 1) columns included."""
+    """`_plateau_profile` at t as a float array of at least one dimension,
+    once 0 <= t_flat < t_zero holds everywhere; else ValueError."""
     if not np.all((0.0 <= t_flat) & (t_flat < t_zero)):
         raise ValueError("plateau_bump needs 0 <= t_flat < t_zero")
-    value, slope = cutoff_with_deriv(t, t_flat, t_zero)
-    return 1.0 - value, -slope
+    return _plateau_profile(np.array(t, dtype=float, ndmin=1), t_flat, t_zero)

@@ -162,17 +162,22 @@ DOP853_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
             -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
 
 
-def _stage_input(y, row, h, slopes):
-    """y + sum_j (row[j] h) slopes[j] over the nonzero entries of row,
+def _stage_coefficients(h):
+    """Per row of DOP853_A, its (j, DOP853_A[i][j] h) at the nonzero
+    entries, in j order: a float for a float h, else an array like h."""
+    return [[(j, a * h) for j, a in enumerate(row) if a] for row in DOP853_A]
+
+
+def _stage_input(y, coefficients, slopes):
+    """y + sum_j (a_j h) slopes[j] over one row's `_stage_coefficients`,
     the sum taken in j order before y is added."""
     acc = None
-    for a, k in zip(row, slopes):
-        if a:
-            term = (a * h) * k
-            if acc is None:
-                acc = term
-            else:
-                acc += term
+    for j, ah in coefficients:
+        term = ah * slopes[j]
+        if acc is None:
+            acc = term
+        else:
+            acc += term
     return y + acc
 
 
@@ -203,7 +208,13 @@ def _field_and_rate(Kv, g, th):
     """(Y_K, dK(R)) at unit rows th, from K's values and ambient gradients
     there (one value_and_grad call); Y_K is the tangential part of the
     field of r*K.  Callers normalise or check th; it is not re-checked."""
-    grad = tangential(g, th)
+    return _field_and_rate_of_tangent(Kv, g, tangential(g, th), th)
+
+
+def _field_and_rate_of_tangent(Kv, g, grad, th):
+    """`_field_and_rate` given grad = tangential(g, th), which it
+    overwrites: a caller that projects more rows than th in one pass
+    hands over the part at th."""
     grad += 2.0 * Kv[:, None] * th
     Y = tangential(symplectic_gradient(grad), th)
     return Y, row_sum(g * symplectic_gradient(2.0 * th))
@@ -229,7 +240,11 @@ def _lockstep_rk(stage, z, th, steps, span):
     every live run after every step, and 0 at t = 0: each run's tuple
     reads them up to its own last step, and a call with no sphere rows
     reads (0, 0).
-    The stage kernels do not check their rows for finite numbers; the
+    Every stage is arithmetic only.  Its kernels check neither their
+    rows nor what their owners fixed at construction and checked there
+    (a Hamiltonian's (n, k) split and bump ends, a smoothed map's chi
+    band), and the loop forms each run's stage coefficients
+    DOP853_A[i][j] h once per call, and again when the n-run leaves.  The
     loop raises IntegrationError("flow diverged", {"step_index": i}) at
     the first step i after which any row is not finite.
     """
@@ -248,11 +263,12 @@ def _lockstep_rk(stage, z, th, steps, span):
     logc = np.zeros(runs * nth)
     lo, hi, out = 0.0, 0.0, []
     ks, fs, cs = ([None] * len(DOP853_B) for _ in range(3))
+    az, ath = _stage_coefficients(hz), _stage_coefficients(hth)
     for i in range(steps[-1]):
         ks[0], fs[0], cs[0] = stage(z, th)
-        for s, row in enumerate(DOP853_A, 1):
-            ks[s], fs[s], cs[s] = stage(_stage_input(z, row, hz, ks),
-                                        _renorm(_stage_input(th, row, hth, fs)))
+        for s, (cz, cth) in enumerate(zip(az, ath), 1):
+            ks[s], fs[s], cs[s] = stage(_stage_input(z, cz, ks),
+                                        _renorm(_stage_input(th, cth, fs)))
         z = _increment(hz, ks) + z
         th = _renorm(_increment(hth, fs) + th)
         logc += _increment(hc, cs)
@@ -264,6 +280,7 @@ def _lockstep_rk(stage, z, th, steps, span):
             z, th = z[nz:].copy(order="F"), th[nth:].copy(order="F")
             logc = logc[nth:].copy()
             hz = hth = hc = span / steps[-1]
+            az = ath = _stage_coefficients(hz)
     return out + [(z, th, logc, lo, hi)]
 
 

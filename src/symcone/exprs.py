@@ -26,7 +26,10 @@ term's product rule is summed into one coefficient per row, which
 multiplies grad rho once; monomial parts are added column by column.
 Integer powers are built by repeated squaring, never by `**`, and the
 fused values are bitwise those of `eval_fn`.  A flow or
-smoothed-map RK stage makes exactly one `grad_fn` call.
+smoothed-map RK stage makes exactly one `grad_fn` call, and that call
+checks nothing: the parser refuses every number that is not finite and
+every bump without 0 <= a < b, and the constructor checks the (n, k)
+split.
 
 The plan also states exact facts in rho (`ContactHamiltonian`), read
 from the bump ends alone.  `plateau_bump` returns exactly 1.0 at
@@ -50,7 +53,7 @@ import re
 
 import numpy as np
 
-from .blends import plateau_bump, plateau_bump_with_deriv
+from .blends import _plateau_profile, plateau_bump
 from .contact import ZERO_TOL, ContactHamiltonian, SupportMeta
 from .errors import DomainError, ParseError
 from .geometry import angle_ratio_and_gradient, angle_ratio_of, require_split
@@ -100,6 +103,15 @@ class _Parser:
         self.i += 1
         return v
 
+    def number(self):
+        """The next token as a finite float; a number that overflows to
+        inf is refused by its text."""
+        text = self.take("num")
+        value = float(text)
+        if not np.isfinite(value):
+            raise ParseError(f"number {text} is not finite")
+        return value
+
     def parse(self):
         """The plan: the distinct (a, b) bump profiles, and per term
         (coefficient, indices of its bumps, merged monomial powers as
@@ -113,7 +125,7 @@ class _Parser:
         return tuple(self.bumps), tuple(plan)
 
     def term(self):
-        coeff = float(self.take("num"))
+        coeff = self.number()
         ids, powers = [], {}
         while self.peek() == ("sym", "*"):
             self.take()
@@ -136,9 +148,9 @@ class _Parser:
             self.take("sym", "(")
             self.take("name", "rho")
             self.take("sym", ";")
-            a = float(self.take("num"))
+            a = self.number()
             self.take("sym", ",")
-            b = float(self.take("num"))
+            b = self.number()
             self.take("sym", ")")
             if not 0.0 <= a < b:
                 raise ParseError(f"bump needs 0 <= a < b, got ({a}, {b})")
@@ -152,7 +164,7 @@ class _Parser:
                 p = 1
                 if self.peek() == ("sym", "^"):
                     self.take()
-                    raw = float(self.take("num"))
+                    raw = self.number()
                     if raw != int(raw) or raw < 1:
                         raise ParseError(f"exponent must be a positive integer, got {raw}")
                     p = int(raw)
@@ -211,6 +223,10 @@ class ExpressionHamiltonian(ContactHamiltonian):
         self._bumps, self._plan = _Parser(_tokenize(text), n).parse()
         # the distinct profiles as (bumps, 1) columns, for one stacked pass
         self._bump_cols = tuple(np.array(col)[:, None] for col in zip(*self._bumps))
+        # every (coordinate, power) the gradient raises a column to: each
+        # merged power p and, for p > 1, p - 1
+        self._pow_keys = sorted({(idx, q) for _, _, powers in self._plan
+                                 for idx, p in powers for q in (p, p - 1) if q})
         self.zero_rho = _zero_rho(self._bumps, self._plan)
         self.floor_rho, self.floor = _floor(self._bumps, self._plan)
         super().__init__(self._eval, k=k, n=n, meta=meta,
@@ -234,29 +250,23 @@ class ExpressionHamiltonian(ContactHamiltonian):
         return total
 
     def _value_and_grad(self, th):
-        """(values, ambient gradients) in one pass; see the module docstring."""
-        th = np.atleast_2d(np.asarray(th, dtype=float))
+        """(values, ambient gradients) in one pass; see the module
+        docstring.  th is an (N, 2n) float batch; nothing here checks it."""
         rho, grad_rho = angle_ratio_and_gradient(th, self.k)
-        bv, bd = plateau_bump_with_deriv(rho, *self._bump_cols)
+        bv, bd = _plateau_profile(rho, *self._bump_cols)
         total = np.zeros(th.shape[0])
         c_rho = np.zeros(th.shape[0])
         grad = np.zeros_like(th)
-        pows = {}
-
-        def power(idx, p):
-            if (idx, p) not in pows:
-                pows[idx, p] = _ipow(th[:, idx], p)
-            return pows[idx, p]
-
+        pows = {(idx, p): _ipow(th[:, idx], p) for idx, p in self._pow_keys}
         for coeff, ids, powers in self._plan:
             # bump product and its rho-derivative
             tv, dtv = coeff * bv[ids[0]], coeff * bd[ids[0]]
             for j in ids[1:]:
                 dtv = dtv * bv[j] + tv * bd[j]
                 tv = tv * bv[j]
-            factors = [power(idx, p) for idx, p in powers]
+            factors = [pows[key] for key in powers]
             for i, (idx, p) in enumerate(powers):
-                part = tv if p == 1 else tv * (p * power(idx, p - 1))
+                part = tv if p == 1 else tv * (p * pows[idx, p - 1])
                 for j, fv in enumerate(factors):
                     if j != i:
                         part = part * fv

@@ -14,6 +14,12 @@ column access is a contiguous pass, not a stride-2n one.  The helpers that loop 
 either layout and return results in the layout they are given; they add
 columns one at a time in index order, so their values do not depend on
 it, bit for bit.
+
+The RK stage checks nothing.  `as_phase` checks rows where they enter
+the package, `require_split` checks (n, k) where an object fixes it (an
+`exprs.ExpressionHamiltonian` at construction), and the loop checks its
+rows for finite numbers after every step; so `angle_ratio_and_gradient`,
+which every stage runs, takes its rows and split as given.
 """
 import numpy as np
 
@@ -83,7 +89,9 @@ def tangential(X, th):
 def squared_split(z, k: int):
     """Batched (r, u, v): r = |z|^2, v the last k y's squared and
     u = r - v, which collects |x|^2 plus the first n-k y's squared."""
-    return _squared_split(as_phase(z), k)
+    z = as_phase(z)
+    require_split(half_dim(z), k)
+    return _squared_split(z, k)
 
 
 def require_split(n: int, k: int):
@@ -96,11 +104,10 @@ def require_split(n: int, k: int):
 
 
 def _squared_split(z, k: int):
-    """`squared_split` of a float batch whose entries are not checked."""
-    n = half_dim(z)
-    require_split(n, k)
+    """`squared_split` of a float batch whose entries and split are not
+    checked."""
     sq = np.square(z)
-    v = row_sum(sq[..., 2 * n - k:])
+    v = row_sum(sq[..., z.shape[-1] - k:])
     r = row_sum(sq)
     return r, r - v, v
 
@@ -112,8 +119,9 @@ def split_uv(z, k: int):
 
 
 def _ratio(u, v):
+    pos = u > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(u > 0.0, v / np.where(u > 0.0, u, 1.0), np.inf)
+        return np.where(pos, v / np.where(pos, u, 1.0), np.inf)
 
 
 def angle_ratio_of(z, k: int):
@@ -125,8 +133,9 @@ def angle_ratio_and_gradient(z, k: int):
 
     The gradient is zeroed where u <= 1e-14 (rho is inf or nearly so);
     callers only use it through profile derivatives, which vanish there.
-    This is the RK stage's split, so it does not check z for finite
-    entries: the loop checks its rows after every step.
+    This is the RK stage's split, so it checks neither z for finite
+    entries (the loop checks its rows after every step) nor the split
+    (its caller fixed (n, k) when it was built).
     """
     _, u, v = _squared_split(z, k)
     rho = _ratio(u, v)

@@ -27,9 +27,10 @@ rows.
 Beside the ambient rows the loop carries sphere rows: 512 seeded probes
 of the conformal factor, and the rows of a homogeneous lift when one is
 asked for (`map_and_lift`).  Each stage (`_stage`) evaluates K once on
-all rows stacked; the ambient rows then take the map's chi-weighted
-field and the sphere rows Y_K and dK(R), so the two routes share only
-the evaluation of K.  chi and its slope are exactly 0 on the ball, where
+all rows stacked, and projects K's gradient tangentially once there; the
+ambient rows then take the map's chi-weighted field and the sphere rows
+Y_K and dK(R), so the two routes share only the evaluation of K and that
+projection.  chi and its slope are exactly 0 on the ball, where
 the field is made of signed zeros, so a ball row stays out of the loop
 and is its own image, unless a coordinate of it is +-0.0 and the field
 could flip that zero's sign.  Every integration checks the conformal
@@ -41,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blends import cutoff_with_deriv, plateau_bump
-from .contact import (ContactHamiltonian, _field_and_rate, _lockstep_rk,
-                      _step_count, reeb_derivative)
+from .blends import _cutoff_profile, plateau_bump
+from .contact import (ContactHamiltonian, _field_and_rate_of_tangent,
+                      _lockstep_rk, _step_count, reeb_derivative)
 from .errors import AuditError, DomainError, IntegrationError
 from .geometry import omega_matrix, row_sum, symplectic_gradient, tangential
 from . import sampling
@@ -134,8 +135,10 @@ def _rate_envelope(K: ContactHamiltonian):
 def smoothing_certificate(K: ContactHamiltonian, eps: float):
     """The `SmoothingCertificate` of K's smoothed map at eps, from K's
     rate bound (`_rate_envelope`) alone, before any integration.  An eps
-    that is not a positive normal float, or bounds that are not positive
-    and finite, are a DomainError."""
+    that is not a positive normal float, bounds that are not positive
+    and finite, or a chi band [eps, chi_one_above] that is not a finite
+    interval, are a DomainError: the map's stages take the band as
+    checked here."""
     if not eps > 0:
         raise DomainError("eps must be positive")
     if not eps < np.inf:
@@ -145,12 +148,16 @@ def smoothing_certificate(K: ContactHamiltonian, eps: float):
     m, M = _rate_envelope(K)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         K_factor = 4.0 * M / m
+        chi_one_above = 4.0 * eps / m
     if not all(0.0 < x < np.inf for x in (M, m, K_factor)):
         raise DomainError(
             f"conformal bounds must be finite and positive, got M={M:.6g}, "
             f"m={m:.6g}, K_factor={K_factor:.6g}")
+    if not eps < chi_one_above < np.inf:
+        raise DomainError(f"chi band [{float(eps):.6g}, {chi_one_above:.6g}] "
+                          f"is not a finite interval")
     return SmoothingCertificate(M, m, K_factor, eps=float(eps),
-                                chi_one_above=4.0 * eps / m)
+                                chi_one_above=chi_one_above)
 
 
 @dataclass(frozen=True)
@@ -188,20 +195,23 @@ class SmoothedSymplectization:
         """One RK stage of both routes from one K kernel call on the map's
         unit rows stacked over the sphere rows th: the map's field at zs,
         which vanishes on the ball r <= eps with chi and its slope, then
-        (Y_K, dK(R)) at th.  The origin divides by 1, not by sqrt(0)."""
+        (Y_K, dK(R)) at th.  The stacked rows are projected tangentially
+        once for both routes.  The origin divides by 1, not by sqrt(0).
+        Nothing is checked: the certificate fixed the chi band."""
         cert = self.certificate
         r = row_sum(zs * zs)
         sq = np.sqrt(np.where(r > 0.0, r, 1.0))
-        u = zs / sq[:, None]
-        # u and th are column-major, so their stack is too
-        Kv, g = self.hamiltonian.grad_fn(np.concatenate([u, th]))
-        nz = u.shape[0]
-        tang = tangential(g[:nz], u)
-        chi, chi_d = cutoff_with_deriv(r, cert.eps, cert.chi_one_above)
+        # zs and th are column-major, so the stack of units is too
+        unit = np.concatenate([zs / sq[:, None], th])
+        Kv, g = self.hamiltonian.grad_fn(unit)
+        tang = tangential(g, unit)
+        nz = zs.shape[0]
+        chi, chi_d = _cutoff_profile(r, cert.eps, cert.chi_one_above)
         w = chi * r
         w_d = chi_d * r + chi
-        grad = (2.0 * w_d * Kv[:nz])[:, None] * zs + (w / sq)[:, None] * tang
-        return (symplectic_gradient(grad),) + _field_and_rate(Kv[nz:], g[nz:], th)
+        grad = (2.0 * w_d * Kv[:nz])[:, None] * zs + (w / sq)[:, None] * tang[:nz]
+        return ((symplectic_gradient(grad),)
+                + _field_and_rate_of_tangent(Kv[nz:], g[nz:], tang[nz:], th))
 
     def _pilot_rows(self):
         """The rows the step choice integrates: ambient rows log-spaced in

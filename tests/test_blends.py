@@ -4,6 +4,7 @@ finite-difference agreement of the shipped derivatives."""
 import numpy as np
 import pytest
 
+from symcone import blends
 from symcone.blends import (
     cutoff,
     cutoff_with_deriv,
@@ -115,3 +116,63 @@ def test_stacked_plateau_bumps_are_one_minus_the_cutoff():
         plateau_bump_with_deriv(t, np.array([[1.0], [-0.5]]), np.array([[2.0], [1.0]]))
     with pytest.raises(ValueError):
         cutoff_with_deriv(t, np.array([[1.0], [2.0]]), np.array([[2.0], [2.0]]))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# (t_flat, t_zero) bands: one starting at 0, so that a -0.0 argument
+# clips to -0.0, and two inside the positive axis
+_BANDS = ((0.0, 1.0), (0.3, 1.5), (1.0, 3.0))
+
+
+def _band_edges():
+    """NaN, signed zeros, infinities, every band end with its two float
+    neighbours, and a point inside each band."""
+    ends = np.array([x for band in _BANDS for x in band])
+    inner = np.array([0.5 * (lo + hi) for lo, hi in _BANDS])
+    return np.concatenate([[np.nan, -0.0, 0.0, np.inf, -np.inf], ends,
+                           np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                           inner])
+
+
+def _clipped_profile(t, lo, hi):
+    """The cutoff and its slope as `np.clip` forms them: the reference for
+    the stage's in-place clip."""
+    width = hi - lo
+    u = np.clip((t - lo) / width, 0.0, 1.0)
+    u4 = u * u * u * u
+    return blends._step_value(u, u4), blends._step_slope(u, u4) / width
+
+
+@pytest.mark.parametrize("columns", [False, True], ids=["scalar-bounds", "columns"])
+def test_stage_profiles_are_bitwise_the_checked_forms(columns):
+    """The unchecked profiles the RK stages call are bitwise the checked
+    public forms and the `np.clip` formula, at NaN, signed zeros,
+    infinities and both band ends with their neighbours, for scalar
+    bounds and for (profiles, 1) columns."""
+    t = _band_edges()
+    if columns:
+        lo, hi = (np.array(col)[:, None] for col in zip(*_BANDS))
+        calls = [(lo, hi)]
+    else:
+        calls = _BANDS
+    for lo, hi in calls:
+        value, slope = blends._cutoff_profile(t, lo, hi)
+        ref_value, ref_slope = _clipped_profile(t, lo, hi)
+        checked = cutoff_with_deriv(t, lo, hi)
+        for got, want in ((value, ref_value), (slope, ref_slope),
+                          (value, checked[0]), (slope, checked[1])):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        bump_value, bump_slope = blends._plateau_profile(t, lo, hi)
+        checked = plateau_bump_with_deriv(t, lo, hi)
+        for got, want in ((bump_value, 1.0 - ref_value), (bump_slope, -ref_slope),
+                          (bump_value, checked[0]), (bump_slope, checked[1])):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        bands = _BANDS if columns else [(lo, hi)]
+        for v, bv, (a, b) in zip(np.atleast_2d(value), np.atleast_2d(bump_value), bands):
+            np.testing.assert_array_equal(_bits(v), _bits(cutoff(t, a, b)))
+            np.testing.assert_array_equal(_bits(bv), _bits(plateau_bump(t, a, b)))
+    # the -0.0 argument clips to -0.0 on the band that starts at 0
+    assert np.signbit(blends._cutoff_profile(np.array([-0.0]), 0.0, 1.0)[0][0])

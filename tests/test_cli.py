@@ -554,8 +554,15 @@ def test_bad_expression_is_exit_2(capsys):
     # parses, but the metadata estimate finds negative values
     ("1 * bump(rho; 1, 3) * mono(x1)",
      "expression takes negative values; not usable here"),
+    # a number that overflows to inf is refused by its text: an exponent
+    # would not convert to an integer, a bump end would give the profile
+    # an infinite width, and a coefficient would give NaN metadata
+    ("1 * bump(rho; 1, 3) * mono(x1^1e400)", "number 1e400 is not finite"),
+    ("1 * bump(rho; 1, 1e400)", "number 1e400 is not finite"),
+    ("1e400 * bump(rho; 1, 3)", "number 1e400 is not finite"),
 ], ids=["trailing-input", "fractional-exponent", "empty-mono", "bare-rho",
-        "negative-values"])
+        "negative-values", "infinite-exponent", "infinite-bump-end",
+        "infinite-coefficient"])
 def test_expression_parse_errors_are_exit_2(capsys, expr, message):
     code, out, err = run_cli(capsys, ["capacity", "--expr", expr])
     assert code == 2 and out == ""

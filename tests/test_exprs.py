@@ -186,7 +186,7 @@ def test_stacked_bump_profiles_are_bitwise_per_bump_calls(monkeypatch):
         profiles.append(len(pairs))
         return np.stack([v for v, _ in pairs]), np.stack([d for _, d in pairs])
 
-    monkeypatch.setattr(exprs, "plateau_bump_with_deriv", per_bump)
+    monkeypatch.setattr(exprs, "_plateau_profile", per_bump)
     for H, (vals, grad) in zip(Hs, stacked):
         per_vals, per_grad = H.grad_fn(th)
         assert np.array_equal(vals, per_vals) and np.array_equal(grad, per_grad)

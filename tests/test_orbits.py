@@ -240,6 +240,16 @@ def test_orbit_record_validation():
         OrbitRecord(samples=open_pts, period=1.0, energy=1.0, action=1.0)
 
 
+def test_orbit_record_refuses_a_near_miss():
+    """Samples that miss closing by 1e-4 are not a closed orbit; a miss
+    of 1e-7 is within the closure tolerance."""
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1e-4]])
+    with pytest.raises(DomainError, match="fails to close: gap 0.0001"):
+        OrbitRecord(samples=pts, period=1.0, energy=1.0, action=1.0)
+    pts[-1, 1] = 1e-7
+    OrbitRecord(samples=pts, period=1.0, energy=1.0, action=1.0)
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -2.0)])
 def test_planar_system_needs_positive_scales(well3, a, b):
     with pytest.raises(DomainError, match=r"^need a, b > 0$"):

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,7 @@ from symcone import (
     random_hamiltonian,
     symplecticity_defect,
 )
-from symcone import IntegrationError, sampling, smoothing
+from symcone import IntegrationError, blends, geometry, sampling, smoothing
 from symcone.contact import DOP853_B, _lockstep_rk, _step_count, reeb_derivative
 from symcone.smoothing import (PILOT_STEPS, STEP_TOL, SmoothedSymplectization,
                                StepChoice, symplecticity_defect_of_images,
@@ -312,18 +314,19 @@ def test_diverging_pilot_runs_step_down_and_the_map_still_raises(monkeypatch):
     assert calls == [[n, 2 * n] for n in PILOT_STEPS]
 
 
-def _stand_in_pilot(gaps, calls):
+def _stand_in_pilot(gaps, calls, part=0):
     """A pilot whose pair of runs at n and 2n steps sits gaps[n] apart,
-    in the first ambient coordinate of the run at n steps, everything
-    else equal."""
+    everything else equal, in one part of the run at n steps: the first
+    ambient coordinate (part 0), the first sphere coordinate (1) or the
+    first log c (2)."""
     def pilot(stage, z, th, steps, span):
         calls.append(list(steps))
         runs = []
         for n_steps in steps:
-            z = np.zeros_like(z)
+            run = [np.zeros_like(z), np.array(th), np.zeros(len(th))]
             if n_steps == steps[0]:
-                z[:, 0] = gaps.get(n_steps, 0.0)
-            runs.append((z, th, np.zeros(len(th)), 0.0, 0.0))
+                run[part][..., :1] += gaps.get(n_steps, 0.0)
+            runs.append((*run, 0.0, 0.0))
         return runs
     return pilot
 
@@ -345,6 +348,19 @@ def test_pairs_are_tried_coarsest_first_and_the_floor_is_unmeasured(
     n = steps or PILOT_STEPS[-1]
     assert choice == StepChoice(h=1.0 / n, estimate=gaps[n], tol=STEP_TOL)
     assert calls == [[m, 2 * m] for m in PILOT_STEPS[:PILOT_STEPS.index(n) + 1]]
+
+
+@pytest.mark.parametrize("part", [1, 2], ids=["sphere-rows", "log-c"])
+def test_the_pilot_gap_reads_every_part_of_a_run(monkeypatch, part):
+    """Rung 16's runs differ only in the sphere rows, or only in log c:
+    the rung fails, and the map takes 24 steps."""
+    calls = []
+    monkeypatch.setattr(smoothing, "_lockstep_rk",
+                        _stand_in_pilot({16: 1.0}, calls, part))
+    sm = smoothed_map(random_hamiltonian(2, 1, seed=2, amplitude=0.1), 0.05)
+    assert sm.step_choice == StepChoice(h=1.0 / 24, estimate=0.0, tol=STEP_TOL)
+    sm(np.array([[1.0, 0.0, 0.0, 0.0]]))
+    assert calls == [[16, 32], [24, 48], [24]]
 
 
 def test_diverging_map_names_its_step():
@@ -388,6 +404,37 @@ def test_squeeze_witness_guards():
     for r1, r2 in ((3.0, 2.0), (2.0, 2.0), (0.0, 3.0)):
         with pytest.raises(DomainError, match="r2 > r1 > 0"):
             liouville_squeeze_witness(H, r1, r2)
+
+
+def test_rk_stages_run_no_checks(tame_map, monkeypatch):
+    """The stages of a flow and of the smoothed map are arithmetic only:
+    neither checked profile form nor the split check runs inside
+    `flow_many` or `map_and_lift`, through any module's binding of it.
+    Construction checked what they would check."""
+    _, sm = tame_map
+    iso = ContactIsotopy(sm.hamiltonian)  # 15 steps, 180 stages
+    checks = (blends.cutoff_with_deriv, blends.plateau_bump_with_deriv,
+              geometry.require_split)
+    counts = Counter()
+
+    def counting(check):
+        def counted(*args):
+            counts[check.__name__] += 1
+            return check(*args)
+        return counted
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symcone":
+            for attr, value in list(vars(module).items()):
+                if any(value is check for check in checks):
+                    monkeypatch.setattr(module, attr, counting(value))
+    geometry.require_split(2, 1)  # the counters see a call
+    assert counts == {"require_split": 1}
+    counts.clear()
+    rng = np.random.default_rng(33)
+    iso.flow_many(sphere(rng, 20, 4))
+    sm.map_and_lift(shell(rng, 20, 4, 0.01, 2.0), shell(rng, 5, 4, 1.0, 2.0))
+    assert counts == {}, dict(counts)
 
 
 def test_smoothed_map_makes_one_kernel_call_per_rk_stage(tame_map, monkeypatch):
